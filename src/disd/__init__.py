@@ -12,16 +12,11 @@ from .qcore import (
     Dims,
     ValidationError,
     basis_vector,
-    check_density,
     check_hermitian,
     check_state,
-    dagger,
     derive_seed,
     eigh_ordered,
     haar_unitary,
-    herm_propagator,
-    kron,
-    kron_all,
     mutual_information,
     partial_trace,
     random_hermitian,

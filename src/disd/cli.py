@@ -2,8 +2,8 @@
 
 Subcommands: ``simulate``, ``sweep``, ``locality``, ``decompose``,
 ``make-model``. Every command is a pure function of its configuration bytes;
-re-running writes byte-identical output. Exit codes: 0 ok, 1 config error,
-2 numerical/validation error, 3 I/O error.
+at a fixed BLAS thread count re-running writes byte-identical output. Exit
+codes: 0 ok, 1 config error, 2 numerical/validation error, 3 I/O error.
 """
 
 from __future__ import annotations

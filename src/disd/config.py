@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,11 +40,14 @@ class ConfigError(ValueError):
     """Malformed or invalid run configuration."""
 
 
+_REAL = (int, float)  # compared by exact type: a bool is not a number here
+
+
 def _entry_to_complex(x) -> complex:
-    if isinstance(x, (int, float)):
+    if type(x) in _REAL:
         return complex(x)
     if isinstance(x, (list, tuple)) and len(x) == 2 \
-            and all(isinstance(v, (int, float)) for v in x):
+            and type(x[0]) in _REAL and type(x[1]) in _REAL:
         return complex(x[0], x[1])
     raise ConfigError(f"expected a number or [re, im] pair, got {x!r}")
 
@@ -51,7 +55,13 @@ def _entry_to_complex(x) -> complex:
 def vector_from_json(data) -> np.ndarray:
     if not isinstance(data, list) or not data:
         raise ConfigError("vector must be a non-empty list")
-    return np.array([_entry_to_complex(x) for x in data], dtype=complex)
+    try:
+        v = np.array([_entry_to_complex(x) for x in data], dtype=complex)
+    except OverflowError as exc:
+        raise ConfigError(f"vector entry out of range: {exc}") from None
+    if not np.isfinite(v).all():
+        raise ConfigError("vector entries must be finite")
+    return v
 
 
 def matrix_from_json(data) -> np.ndarray:
@@ -100,15 +110,41 @@ class RunConfig:
         return dataclasses.replace(self, seed=int(seed))
 
 
+_KIND_NAMES = {int: "an integer", float: "a finite number", bool: "true or false",
+               str: "a string", dict: "an object", list: "a list"}
+
+
+def _check(val, kind, name: str):
+    """val as ``kind``; bools are not numbers, and floats must be finite."""
+    # the comparison is exact for huge ints and false for nan
+    if kind is float and type(val) in _REAL and abs(val) <= sys.float_info.max:
+        return float(val)
+    if kind is not float and isinstance(val, kind) and (kind is bool or type(val) is not bool):
+        return val
+    raise ConfigError(f"{name} must be {_KIND_NAMES[kind]}, got {val!r}")
+
+
 def _require(doc: dict, key: str, kind, where: str):
     if key not in doc:
         raise ConfigError(f"missing '{key}' in {where}")
-    val = doc[key]
-    if kind is float and isinstance(val, int):
-        val = float(val)
-    if not isinstance(val, kind):
-        raise ConfigError(f"'{key}' in {where} must be {kind}, got {type(val).__name__}")
-    return val
+    return _check(doc[key], kind, f"{where}.{key}")
+
+
+def _optional(doc: dict, key: str, kind, where: str, default):
+    return _check(doc[key], kind, f"{where}.{key}") if key in doc else default
+
+
+def _wire(name: str, parse, data):
+    """Parse a [re, im] vector or matrix, naming the field on failure."""
+    try:
+        return parse(data)
+    except ConfigError as exc:
+        raise ConfigError(f"{name}: {exc}") from None
+
+
+def _values(sweep: dict, key: str) -> list[float]:
+    values = _require(sweep, key, list, "sweep")
+    return [_check(x, float, f"sweep.{key}[{i}]") for i, x in enumerate(values)]
 
 
 _TOP_KEYS = {"dims", "seed", "couplings", "model", "initial", "time",
@@ -124,19 +160,19 @@ def parse_config(doc: dict) -> RunConfig:
 
     dims_doc = _require(doc, "dims", dict, "config")
     try:
-        dims = Dims(int(_require(dims_doc, "a", int, "dims")),
-                    int(_require(dims_doc, "c", int, "dims")),
-                    int(_require(dims_doc, "b", int, "dims")))
+        dims = Dims(_require(dims_doc, "a", int, "dims"),
+                    _require(dims_doc, "c", int, "dims"),
+                    _require(dims_doc, "b", int, "dims"))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
     seed = doc.get("seed", 0)
-    if not isinstance(seed, int) or seed < 0:
+    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
         raise ConfigError(f"seed must be a non-negative integer, got {seed!r}")
 
     coup = _require(doc, "couplings", dict, "config")
-    c1 = float(_require(coup, "c1", (int, float), "couplings"))
-    c2 = float(_require(coup, "c2", (int, float), "couplings"))
+    c1 = _require(coup, "c1", float, "couplings")
+    c2 = _require(coup, "c2", float, "couplings")
     if not c1 > 0:
         raise ConfigError(f"couplings.c1 must be positive, got {c1}")
     if c2 < 0:
@@ -146,8 +182,8 @@ def parse_config(doc: dict) -> RunConfig:
     family = _require(model, "family", str, "model")
     if family not in MODEL_FAMILIES:
         raise ConfigError(f"model.family must be one of {MODEL_FAMILIES}, got {family!r}")
-    robust_index = model.get("robust_index", 0)
-    if not isinstance(robust_index, int) or not 0 <= robust_index < dims.c:
+    robust_index = _optional(model, "robust_index", int, "model", 0)
+    if not 0 <= robust_index < dims.c:
         raise ConfigError(f"model.robust_index {robust_index!r} out of range for d_c = {dims.c}")
     matrices = None
     if family == "explicit":
@@ -155,12 +191,8 @@ def parse_config(doc: dict) -> RunConfig:
         missing = [k for k in EXPLICIT_MATRIX_KEYS if k not in raw]
         if missing:
             raise ConfigError(f"model.matrices missing {missing}")
-        matrices = {k: matrix_from_json(raw[k]) for k in EXPLICIT_MATRIX_KEYS}
-        shapes = {"h_a": dims.a, "h_c": dims.c, "h_b": dims.b,
-                  "h_ac": dims.a * dims.c, "h_cb": dims.c * dims.b}
-        for name, d in shapes.items():
-            if matrices[name].shape != (d, d):
-                raise ConfigError(f"model.matrices.{name} has shape {matrices[name].shape}, expected {(d, d)}")
+        matrices = {k: _wire(f"model.matrices.{k}", matrix_from_json, raw[k])
+                    for k in EXPLICIT_MATRIX_KEYS}
 
     alpha = chi = None
     init_robust = robust_index
@@ -169,25 +201,21 @@ def parse_config(doc: dict) -> RunConfig:
         init = doc["initial"]
         if not isinstance(init, dict):
             raise ConfigError("'initial' must be an object")
-        alpha = vector_from_json(_require(init, "alpha", list, "initial"))
-        chi = vector_from_json(_require(init, "chi", list, "initial"))
-        if alpha.shape != (dims.a,):
-            raise ConfigError(f"initial.alpha has length {len(alpha)}, expected {dims.a}")
-        if chi.shape != (dims.b,):
-            raise ConfigError(f"initial.chi has length {len(chi)}, expected {dims.b}")
-        init_robust = init.get("robust_index", robust_index)
-        if not isinstance(init_robust, int) or not 0 <= init_robust < dims.c:
+        alpha = _wire("initial.alpha", vector_from_json, _require(init, "alpha", list, "initial"))
+        chi = _wire("initial.chi", vector_from_json, _require(init, "chi", list, "initial"))
+        init_robust = _optional(init, "robust_index", int, "initial", robust_index)
+        if not 0 <= init_robust < dims.c:
             raise ConfigError(f"initial.robust_index {init_robust!r} out of range")
         if init_robust != robust_index:
             raise ConfigError("initial.robust_index must match model.robust_index")
-        init_normalize = bool(init.get("normalize", False))
+        init_normalize = _optional(init, "normalize", bool, "initial", False)
 
     t_max = steps = None
     if "time" in doc:
         tsec = doc["time"]
         if not isinstance(tsec, dict):
             raise ConfigError("'time' must be an object")
-        t_max = float(_require(tsec, "t_max", (int, float), "time"))
+        t_max = _require(tsec, "t_max", float, "time")
         steps = _require(tsec, "steps", int, "time")
         if not t_max > 0:
             raise ConfigError(f"time.t_max must be positive, got {t_max}")
@@ -200,9 +228,9 @@ def parse_config(doc: dict) -> RunConfig:
         loc = doc["locality"]
         if not isinstance(loc, dict):
             raise ConfigError("'locality' must be an object")
-        n_samples = loc.get("n_samples", 64)
-        threshold_bits = float(loc.get("threshold_bits", 0.01))
-        if not isinstance(n_samples, int) or n_samples < 1:
+        n_samples = _optional(loc, "n_samples", int, "locality", 64)
+        threshold_bits = _optional(loc, "threshold_bits", float, "locality", 0.01)
+        if n_samples < 1:
             raise ConfigError(f"locality.n_samples must be a positive integer, got {n_samples!r}")
         if not threshold_bits > 0:
             raise ConfigError(f"locality.threshold_bits must be positive, got {threshold_bits}")
@@ -217,11 +245,11 @@ def parse_config(doc: dict) -> RunConfig:
         if has_c1 == has_ratio:
             raise ConfigError("sweep needs exactly one of 'c1_values' or 'ratio_values'")
         if has_c1:
-            c1_values = [float(x) for x in sweep["c1_values"]]
+            c1_values = _values(sweep, "c1_values")
             if not c1_values or any(not v > 0 for v in c1_values):
                 raise ConfigError("sweep.c1_values must be a non-empty list of positive numbers")
         else:
-            ratio_values = [float(x) for x in sweep["ratio_values"]]
+            ratio_values = _values(sweep, "ratio_values")
             if not ratio_values or any(v < 0 for v in ratio_values):
                 raise ConfigError("sweep.ratio_values must be a non-empty list of non-negative numbers")
 

@@ -61,26 +61,22 @@ def planted_sequential(dims: Dims, seed: int) -> np.ndarray:
     return sequential_unitary(v, w, dims)
 
 
-def _polar_unitary(m: np.ndarray) -> np.ndarray:
-    u, _, vh = np.linalg.svd(m)
-    return u @ vh
+def _polar_unitary(m: np.ndarray) -> tuple[np.ndarray, float]:
+    """Unitary polar factor Q of m and tr(Q+ m), the sum of m's singular values."""
+    u, s, vh = np.linalg.svd(m)
+    return u @ vh, float(s.sum())
 
 
-def _trace_out_b(m: np.ndarray, dims: Dims) -> np.ndarray:
+def _env_v(u6: np.ndarray, w: np.ndarray, dims: Dims) -> np.ndarray:
+    """Tr_B[(I_A x W)+ U], the environment of V: tr(V+ env) = tr(X+ U)."""
     a, c, b = dims.factors
-    t = m.reshape(a, c, b, a, c, b)
-    return np.trace(t, axis1=2, axis2=5).reshape(a * c, a * c)
+    return np.einsum("pqcb,apqldb->acld", w.reshape(c, b, c, b).conj(), u6).reshape(a * c, a * c)
 
 
-def _trace_out_a(m: np.ndarray, dims: Dims) -> np.ndarray:
+def _env_w(u6: np.ndarray, v: np.ndarray, dims: Dims) -> np.ndarray:
+    """Tr_A[U (V x I_B)+], the environment of W: tr(W+ env) = tr(X+ U)."""
     a, c, b = dims.factors
-    t = m.reshape(a, c, b, a, c, b)
-    return np.trace(t, axis1=0, axis2=3).reshape(c * b, c * b)
-
-
-def _fidelity(u: np.ndarray, v: np.ndarray, w: np.ndarray, dims: Dims) -> float:
-    x = sequential_unitary(v, w, dims)
-    return float(abs(np.trace(x.conj().T @ u)) / dims.total)
+    return np.einsum("acbxyk,adxy->cbdk", u6, v.reshape(a, c, a, c).conj()).reshape(c * b, c * b)
 
 
 def sequential_residual(u: np.ndarray, dims: Dims, restarts: int = 5,
@@ -104,8 +100,7 @@ def sequential_residual(u: np.ndarray, dims: Dims, restarts: int = 5,
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
 
-    i_a = np.eye(dims.a, dtype=complex)
-    i_b = np.eye(dims.b, dtype=complex)
+    u6 = u.reshape(dims.factors * 2)
     best = None
     restarts_used = 0
     for r in range(restarts):
@@ -115,16 +110,15 @@ def sequential_residual(u: np.ndarray, dims: Dims, restarts: int = 5,
         else:
             v = haar_unitary(dims.a * dims.c, derive_seed(seed, "restart", r, "v"))
             w = haar_unitary(dims.c * dims.b, derive_seed(seed, "restart", r, "w"))
-        f = _fidelity(u, v, w, dims)
+        f = float(abs(np.vdot(w, _env_w(u6, v, dims)))) / n
         history = [f]
         converged = False
         iters = 0
         for it in range(max_iters):
-            y = np.kron(i_a, w).conj().T @ u
-            v = _polar_unitary(_trace_out_b(y, dims))
-            z = u @ np.kron(v, i_b).conj().T
-            w = _polar_unitary(_trace_out_a(z, dims))
-            f_new = _fidelity(u, v, w, dims)
+            v, _ = _polar_unitary(_env_v(u6, w, dims))
+            w, trace = _polar_unitary(_env_w(u6, v, dims))
+            # W is the polar factor of its environment, so tr(X+ U) = sum(sigma) >= 0
+            f_new = trace / n
             history.append(f_new)
             iters = it + 1
             if f_new - f < tol:

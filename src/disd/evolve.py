@@ -198,7 +198,7 @@ def perturbation_data(spec: ModelSpec, gap_tol: float | None = None) -> Perturba
     if spec.c2 != 0 and gaps.size > 0 and not ok.any():
         raise ValidationError("all denominators degenerate: perturbation theory undefined")
 
-    weights = np.where(ok, np.divide(1.0, gaps, where=ok), 0.0)
+    weights = np.divide(1.0, gaps, out=np.zeros_like(gaps), where=ok)
     lam = np.einsum("ipjm,jm->ij", np.abs(me) ** 2, weights)
     lambda_sup = float(np.abs(lam).max()) if lam.size else 0.0
 
@@ -207,21 +207,6 @@ def perturbation_data(spec: ModelSpec, gap_tol: float | None = None) -> Perturba
         lambda0=lambda0, lambda_i0j=lam, lambda_sup=lambda_sup,
         h_a_diag=h_a_diag, h_b_diag=h_b_diag, gap_warnings=warnings,
     )
-
-
-def _normalized_amplitudes(init: InitialSpec, dims) -> tuple[np.ndarray, np.ndarray]:
-    alpha = np.asarray(init.alpha, dtype=complex)
-    chi = np.asarray(init.chi, dtype=complex)
-    if alpha.shape != (dims.a,) or chi.shape != (dims.b,):
-        raise ValueError("initial amplitudes do not match the model dimensions")
-    na, nc = np.linalg.norm(alpha), np.linalg.norm(chi)
-    if init.normalize:
-        if na == 0 or nc == 0:
-            raise ValidationError("cannot normalize a zero amplitude vector")
-        return alpha / na, chi / nc
-    if abs(na - 1.0) > 1e-10 or abs(nc - 1.0) > 1e-10:
-        raise ValidationError("initial amplitudes not normalized; set normalize=True")
-    return alpha, chi
 
 
 def product_approx(spec: ModelSpec, init: InitialSpec, pd: PerturbationData,
@@ -237,7 +222,7 @@ def product_approx(spec: ModelSpec, init: InitialSpec, pd: PerturbationData,
     if init.robust_index != spec.robust_index:
         raise ValueError("initial robust_index differs from the model's")
     dims = spec.dims
-    alpha, chi = _normalized_amplitudes(init, dims)
+    alpha, chi = init.amplitudes(dims)
     a_amp = pd.a_vecs.conj().T @ alpha
     b_amp = pd.b_vecs.conj().T @ chi
     phase_a = np.exp(-1j * t * (pd.h_a_diag + pd.a_vals))

@@ -44,15 +44,11 @@ class LocalityReport:
     seed: int
 
 
-def _state_mi_ab(psi: np.ndarray, dims: Dims) -> float:
-    rho_ab = rdm_from_state(psi, dims.factors, (0, 2))
-    return mutual_information(rho_ab, dims.a, dims.b)
-
-
 def mi_trajectory(traj: Trajectory) -> np.ndarray:
     """A:B mutual information in bits at each trajectory time."""
     dims = traj.model.dims
-    return np.array([_state_mi_ab(s, dims) for s in traj.states])
+    return np.array([mutual_information(rdm_from_state(s, dims.factors, (0, 2)), dims.a, dims.b)
+                     for s in traj.states])
 
 
 def _apply_local(psi: np.ndarray, g: np.ndarray, dims: Dims, factor: int) -> np.ndarray:
@@ -70,15 +66,15 @@ def _direction_layout(direction: str, dims: Dims) -> tuple[int, int, tuple[int]]
     raise ValueError(f"direction must be one of {DIRECTIONS}, got {direction!r}")
 
 
-def _signaling_curves(prop: Propagator, psi0: np.ndarray, times: np.ndarray,
-                      dims: Dims, direction: str, n_samples: int, seed: int) -> np.ndarray:
+def _signaling_curves(evolve, psi0: np.ndarray, ref_states: np.ndarray, dims: Dims,
+                      direction: str, n_samples: int, seed: int) -> np.ndarray:
+    """Per-row max target disturbance; ``evolve`` maps a state to a stack of rows."""
     src, src_dim, keep = _direction_layout(direction, dims)
-    ref_states = prop.evolve_many(psi0, times)
     ref_rdms = [rdm_from_state(s, dims.factors, keep) for s in ref_states]
-    out = np.zeros(len(times))
+    out = np.zeros(len(ref_rdms))
     for k in range(n_samples):
         g = haar_unitary(src_dim, derive_seed(seed, "signaling", direction, k))
-        mod_states = prop.evolve_many(_apply_local(psi0, g, dims, src), times)
+        mod_states = evolve(_apply_local(psi0, g, dims, src))
         for idx, s in enumerate(mod_states):
             d = trace_distance(rdm_from_state(s, dims.factors, keep), ref_rdms[idx])
             if d > out[idx]:
@@ -102,7 +98,8 @@ def signaling_test(spec: ModelSpec, init: InitialSpec, times, direction: str,
     times = np.asarray(times, dtype=float)
     psi0 = initial_state(init, spec.dims)
     prop = Propagator(assemble_hamiltonian(spec))
-    return _signaling_curves(prop, psi0, times, spec.dims, direction, n_samples, seed)
+    evolve = lambda psi: prop.evolve_many(psi, times)
+    return _signaling_curves(evolve, psi0, evolve(psi0), spec.dims, direction, n_samples, seed)
 
 
 def signaling_test_unitary(u: np.ndarray, psi0: np.ndarray, dims: Dims,
@@ -110,15 +107,9 @@ def signaling_test_unitary(u: np.ndarray, psi0: np.ndarray, dims: Dims,
     """Signaling probe when the dynamics is a single global unitary applied once."""
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
-    src, src_dim, keep = _direction_layout(direction, dims)
     u = np.asarray(u, dtype=complex)
-    ref_rdm = rdm_from_state(u @ psi0, dims.factors, keep)
-    worst = 0.0
-    for k in range(n_samples):
-        g = haar_unitary(src_dim, derive_seed(seed, "signaling", direction, k))
-        out = u @ _apply_local(psi0, g, dims, src)
-        worst = max(worst, trace_distance(rdm_from_state(out, dims.factors, keep), ref_rdm))
-    return worst
+    evolve = lambda psi: (u @ psi)[None, :]
+    return float(_signaling_curves(evolve, psi0, evolve(psi0), dims, direction, n_samples, seed)[0])
 
 
 def tau_estimate(times, mi_ab_bits, threshold_bits: float) -> float | None:
@@ -153,10 +144,11 @@ def locality_report(spec: ModelSpec, init: InitialSpec, times,
     dims = spec.dims
     psi0 = initial_state(init, dims)
     prop = Propagator(assemble_hamiltonian(spec))
-    states = prop.evolve_many(psi0, times)
-    mi = np.array([_state_mi_ab(s, dims) for s in states])
-    sig_ba = _signaling_curves(prop, psi0, times, dims, "b_to_a", n_samples, seed)
-    sig_ab = _signaling_curves(prop, psi0, times, dims, "a_to_b", n_samples, seed)
+    evolve = lambda psi: prop.evolve_many(psi, times)
+    states = evolve(psi0)
+    mi = mi_trajectory(Trajectory(times=times, states=states, model=spec))
+    sig_ba = _signaling_curves(evolve, psi0, states, dims, "b_to_a", n_samples, seed)
+    sig_ab = _signaling_curves(evolve, psi0, states, dims, "a_to_b", n_samples, seed)
     return LocalityReport(
         times=times, mi_ab_bits=mi, signal_b_to_a=sig_ba, signal_a_to_b=sig_ab,
         tau_estimate=tau_estimate(times, mi, threshold_bits),

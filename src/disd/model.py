@@ -23,10 +23,10 @@ from .qcore import (
     Dims,
     ValidationError,
     basis_vector,
+    check_hermitian,
     check_state,
     derive_seed,
     eigh_ordered,
-    kron_all,
     random_hermitian,
     spectral_norm,
 )
@@ -75,9 +75,7 @@ class ModelSpec:
             m = getattr(self, name)
             if m.shape != (dim, dim):
                 raise ValueError(f"{name} has shape {m.shape}, expected {(dim, dim)}")
-            dev = np.abs(m - m.conj().T).max()
-            if dev > HERM_TOL:
-                raise ValidationError(f"{name} not Hermitian: deviation {dev:.3e}")
+            check_hermitian(m, HERM_TOL, name=name)
         if not self.c1 > 0:
             raise ValidationError(f"c1 must be positive, got {self.c1}")
         if self.c2 < 0:
@@ -120,6 +118,27 @@ class InitialSpec:
     def __post_init__(self):
         object.__setattr__(self, "alpha", np.asarray(self.alpha, dtype=complex))
         object.__setattr__(self, "chi", np.asarray(self.chi, dtype=complex))
+
+    def amplitudes(self, dims: Dims) -> tuple[np.ndarray, np.ndarray]:
+        """(alpha, chi) checked against ``dims``, renormalized if ``normalize`` is set.
+
+        Without ``normalize`` both vectors must already have unit norm to 1e-10.
+        """
+        alpha, chi = self.alpha, self.chi
+        if alpha.shape != (dims.a,):
+            raise ValueError(f"alpha has length {alpha.shape}, expected {dims.a}")
+        if chi.shape != (dims.b,):
+            raise ValueError(f"chi has length {chi.shape}, expected {dims.b}")
+        if self.normalize:
+            na, nc = np.linalg.norm(alpha), np.linalg.norm(chi)
+            if na == 0 or nc == 0:
+                raise ValidationError("cannot normalize a zero amplitude vector")
+            return alpha / na, chi / nc
+        for name, v in (("alpha", alpha), ("chi", chi)):
+            err = abs(float(np.linalg.norm(v)) - 1.0)
+            if err > 1e-10:
+                raise ValidationError(f"{name} norm off by {err:.3e}; pass normalize=True to renormalize")
+        return alpha, chi
 
 
 @dataclass(frozen=True)
@@ -173,13 +192,6 @@ def build_canonical(dims: Dims, seed: int, c1: float, c2: float,
     live in ``c1`` and ``c2`` alone. The same seed always returns bitwise
     identical matrices, independent of the couplings.
     """
-    if not c1 > 0:
-        raise ValidationError(f"c1 must be positive, got {c1}")
-    if c2 < 0:
-        raise ValidationError(f"c2 must be non-negative, got {c2}")
-    if not 0 <= robust_index < dims.c:
-        raise ValueError(f"robust_index {robust_index} out of range for d_c = {dims.c}")
-
     rng = np.random.default_rng(derive_seed(seed, "canonical-model"))
     d_a, d_c, d_b = dims.factors
 
@@ -222,9 +234,9 @@ def assemble_hamiltonian(spec: ModelSpec) -> np.ndarray:
     i_a = np.eye(d.a, dtype=complex)
     i_c = np.eye(d.c, dtype=complex)
     i_b = np.eye(d.b, dtype=complex)
-    return (kron_all(spec.h_a, i_c, i_b)
-            + kron_all(i_a, spec.h_c, i_b)
-            + kron_all(i_a, i_c, spec.h_b)
+    return (np.kron(np.kron(spec.h_a, i_c), i_b)
+            + np.kron(np.kron(i_a, spec.h_c), i_b)
+            + np.kron(np.kron(i_a, i_c), spec.h_b)
             + spec.c2 * np.kron(spec.h_ac, i_b)
             + spec.c1 * np.kron(i_a, spec.h_cb))
 
@@ -232,28 +244,9 @@ def assemble_hamiltonian(spec: ModelSpec) -> np.ndarray:
 def initial_state(init: InitialSpec, dims: Dims) -> np.ndarray:
     """Product state (sum_i alpha_i |i>_A) x |0>_C x |chi>_B as a flat vector.
 
-    Inputs must be normalized to 1e-10 unless ``init.normalize`` is set, in
-    which case they are renormalized on the fly.
+    The amplitudes are checked or renormalized by :meth:`InitialSpec.amplitudes`.
     """
-    alpha = np.asarray(init.alpha, dtype=complex)
-    chi = np.asarray(init.chi, dtype=complex)
-    if alpha.shape != (dims.a,):
-        raise ValueError(f"alpha has length {alpha.shape}, expected {dims.a}")
-    if chi.shape != (dims.b,):
-        raise ValueError(f"chi has length {chi.shape}, expected {dims.b}")
-    if not 0 <= init.robust_index < dims.c:
-        raise ValueError(f"robust_index {init.robust_index} out of range for d_c = {dims.c}")
-    if init.normalize:
-        na, nc = np.linalg.norm(alpha), np.linalg.norm(chi)
-        if na == 0 or nc == 0:
-            raise ValidationError("cannot normalize a zero amplitude vector")
-        alpha = alpha / na
-        chi = chi / nc
-    else:
-        for name, v in (("alpha", alpha), ("chi", chi)):
-            err = abs(float(np.linalg.norm(v)) - 1.0)
-            if err > 1e-10:
-                raise ValidationError(f"{name} norm off by {err:.3e}; pass normalize=True to renormalize")
+    alpha, chi = init.amplitudes(dims)
     psi = np.kron(np.kron(alpha, basis_vector(dims.c, init.robust_index)), chi)
     check_state(psi)
     return psi

@@ -1,7 +1,7 @@
 """Dense complex linear algebra for small multipartite Hilbert spaces.
 
-Tensor products, partial traces, Hermitian propagators, entropies, distances,
-and reproducible Haar sampling, all as pure functions on numpy arrays.
+Partial traces, ordered eigendecompositions, entropies, distances, and
+reproducible Haar sampling, all as pure functions on numpy arrays.
 Subsystem order is fixed to A, C, B throughout the package; a composite basis
 index decomposes as ``idx = a * (d_c * d_b) + c * d_b + b``. Units: hbar = 1,
 energies dimensionless, entropies in bits (log base 2).
@@ -21,16 +21,11 @@ __all__ = [
     "Dims",
     "ValidationError",
     "basis_vector",
-    "check_density",
     "check_hermitian",
     "check_state",
-    "dagger",
     "derive_seed",
     "eigh_ordered",
     "haar_unitary",
-    "herm_propagator",
-    "kron",
-    "kron_all",
     "mutual_information",
     "partial_trace",
     "random_hermitian",
@@ -122,10 +117,6 @@ def basis_vector(dim: int, index: int) -> np.ndarray:
     return v
 
 
-def dagger(m: np.ndarray) -> np.ndarray:
-    return m.conj().T
-
-
 def spectral_norm(m: np.ndarray) -> float:
     return float(np.linalg.norm(m, 2))
 
@@ -147,45 +138,9 @@ def check_state(psi: np.ndarray, tol: float = 1e-10) -> None:
         raise ValidationError(f"state norm off by {err:.3e} > {tol:.1e}")
 
 
-def check_density(rho: np.ndarray, herm_tol: float = 1e-12,
-                  trace_tol: float = 1e-10, eig_tol: float = _NEG_EIG_TOL) -> None:
-    """Validate a density matrix: Hermitian, unit trace, eigenvalues >= -eig_tol."""
-    check_hermitian(rho, herm_tol, name="density matrix")
-    tr_err = abs(float(np.trace(rho).real) - 1.0)
-    if tr_err > trace_tol:
-        raise ValidationError(f"density trace off by {tr_err:.3e} > {trace_tol:.1e}")
-    lo = float(np.linalg.eigvalsh(rho).min())
-    if lo < -eig_tol:
-        raise ValidationError(f"density has eigenvalue {lo:.3e} < -{eig_tol:.1e}")
-
-
 # ---------------------------------------------------------------------------
-# tensor algebra
+# partial traces
 # ---------------------------------------------------------------------------
-
-def kron(a: np.ndarray, b: np.ndarray, max_dim: int = DEFAULT_MAX_DIM) -> np.ndarray:
-    """Kronecker product with a size guard.
-
-    Raises ValueError if either output dimension would exceed ``max_dim``.
-    """
-    a = np.asarray(a)
-    b = np.asarray(b)
-    rows = a.shape[0] * b.shape[0]
-    cols = a.shape[1] * b.shape[1]
-    if rows > max_dim or cols > max_dim:
-        raise ValueError(f"kron output {rows}x{cols} exceeds the cap {max_dim}")
-    return np.kron(a, b)
-
-
-def kron_all(*mats: np.ndarray, max_dim: int = DEFAULT_MAX_DIM) -> np.ndarray:
-    """Left-associated Kronecker product of two or more matrices."""
-    if len(mats) < 2:
-        raise ValueError("kron_all needs at least two factors")
-    out = np.asarray(mats[0])
-    for m in mats[1:]:
-        out = kron(out, m, max_dim=max_dim)
-    return out
-
 
 def partial_trace(rho: np.ndarray, dims: Sequence[int],
                   keep: Iterable[int]) -> np.ndarray:
@@ -278,15 +233,6 @@ def eigh_ordered(h: np.ndarray, secondary: np.ndarray | None = None,
         ph = col[j] / abs(col[j]) if abs(col[j]) > 0 else 1.0
         vecs[:, k] = col * np.conj(ph)
     return evals, vecs
-
-
-def herm_propagator(h: np.ndarray, t: float, tol: float = 1e-12) -> np.ndarray:
-    """Unitary exp(-i h t) of a Hermitian matrix via full eigendecomposition."""
-    h = np.asarray(h, dtype=complex)
-    check_hermitian(h, tol, name="propagator generator")
-    evals, vecs = np.linalg.eigh(h)
-    phases = np.exp(-1j * evals * t)
-    return (vecs * phases) @ vecs.conj().T
 
 
 def vn_entropy(rho: np.ndarray) -> float:

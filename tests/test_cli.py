@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -51,7 +52,7 @@ class TestSimulate:
         cfg = write_config(tmp_path, base_config())
         out = str(tmp_path / "out.csv")
         assert main(["simulate", "--config", cfg, "--out", out]) == 0
-        text = open(out).read()
+        text = Path(out).read_text()
         header, cols = parse_csv(text)
         assert header == ["t", "mi_ab_bits", "entropy_a_bits", "entropy_b_bits",
                           "residual_eq4", "norm_error"]
@@ -62,7 +63,7 @@ class TestSimulate:
         cfg = write_config(tmp_path, doc)
         out = str(tmp_path / "out.csv")
         assert main(["simulate", "--config", cfg, "--out", out]) == 0
-        _, cols = parse_csv(open(out).read())
+        _, cols = parse_csv(Path(out).read_text())
         assert cols["t"] == [0.0, 3.0]
 
     def test_decoupled_columns(self, tmp_path):
@@ -70,7 +71,7 @@ class TestSimulate:
         cfg = write_config(tmp_path, doc)
         out = str(tmp_path / "out.csv")
         assert main(["simulate", "--config", cfg, "--out", out]) == 0
-        _, cols = parse_csv(open(out).read())
+        _, cols = parse_csv(Path(out).read_text())
         assert max(cols["mi_ab_bits"]) <= 1e-10
         assert max(cols["residual_eq4"]) <= 1e-9
 
@@ -79,14 +80,14 @@ class TestSimulate:
         out1, out2 = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
         assert main(["simulate", "--config", cfg, "--out", out1]) == 0
         assert main(["simulate", "--config", cfg, "--out", out2]) == 0
-        assert open(out1, "rb").read() == open(out2, "rb").read()
+        assert Path(out1).read_bytes() == Path(out2).read_bytes()
 
     def test_seed_override_changes_output(self, tmp_path):
         cfg = write_config(tmp_path, base_config())
         out1, out2 = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
         assert main(["simulate", "--config", cfg, "--out", out1]) == 0
         assert main(["simulate", "--config", cfg, "--seed", "2", "--out", out2]) == 0
-        assert open(out1).read() != open(out2).read()
+        assert Path(out1).read_text() != Path(out2).read_text()
 
     def test_warn_column_on_gap_collision(self, tmp_path):
         # planted robust/orthogonal eigenvalue collision (all-diagonal model)
@@ -113,7 +114,7 @@ class TestSimulate:
         cfg = write_config(tmp_path, doc)
         out = str(tmp_path / "out.csv")
         assert main(["simulate", "--config", cfg, "--out", out]) == 0
-        header, cols = parse_csv(open(out).read())
+        header, cols = parse_csv(Path(out).read_text())
         assert header[-1] == "warn"
         assert all(v == 1.0 for v in cols["warn"])
 
@@ -147,7 +148,7 @@ class TestSweep:
         cfg = write_config(tmp_path, doc)
         out = str(tmp_path / "sweep.csv")
         assert main(["sweep", "--config", cfg, "--out", out]) == 0
-        header, cols = parse_csv(open(out).read())
+        header, cols = parse_csv(Path(out).read_text())
         assert header == ["c1", "c2", "ratio", "lambda_sup", "max_residual",
                           "tau_est", "gap_warnings"]
         assert cols["c1"] == [2.0, 8.0]
@@ -175,7 +176,7 @@ class TestLocality:
         cfg = write_config(tmp_path, doc)
         out = str(tmp_path / "loc.csv")
         assert main(["locality", "--config", cfg, "--out", out]) == 0
-        header, cols = parse_csv(open(out).read())
+        header, cols = parse_csv(Path(out).read_text())
         assert header == ["t", "signal_b_to_a", "signal_a_to_b", "mi_ab_bits"]
         assert max(cols["signal_b_to_a"]) <= 1e-10
 
@@ -186,7 +187,7 @@ class TestLocality:
             cfg = write_config(tmp_path, doc, name=f"cfg{n}.json")
             out = str(tmp_path / f"loc{n}.csv")
             assert main(["locality", "--config", cfg, "--out", out]) == 0
-            _, outs[n] = parse_csv(open(out).read())
+            _, outs[n] = parse_csv(Path(out).read_text())
         for a, b in zip(outs[1]["signal_b_to_a"], outs[8]["signal_b_to_a"]):
             assert b >= a - 1e-15
 
@@ -195,7 +196,7 @@ class TestLocality:
         out1, out2 = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
         assert main(["locality", "--config", cfg, "--out", out1]) == 0
         assert main(["locality", "--config", cfg, "--out", out2]) == 0
-        assert open(out1, "rb").read() == open(out2, "rb").read()
+        assert Path(out1).read_bytes() == Path(out2).read_bytes()
 
 
 class TestDecompose:
@@ -293,7 +294,7 @@ class TestMakeModel:
         cfg = write_config(tmp_path, base_config())
         out = str(tmp_path / "model.json")
         assert main(["make-model", "--config", cfg, "--out", out]) == 0
-        dump = json.loads(open(out).read())
+        dump = json.loads(Path(out).read_text())
         assert dump["family"] == "disd-canonical"
         assert set(dump["matrices"]) == {"h_a", "h_c", "h_b", "h_ac", "h_cb"}
 
@@ -310,8 +311,23 @@ class TestPreset:
         cfg = write_config(tmp_path, doc, name="preset.json")
         out = str(tmp_path / "preset.csv")
         assert main(["simulate", "--config", cfg, "--out", out]) == 0
-        _, cols = parse_csv(open(out).read())
+        _, cols = parse_csv(Path(out).read_text())
         assert len(cols["t"]) == 3
+
+
+# (command, config section or None for top level, key, bad value, field named in the error)
+BAD_FIELDS = [
+    ("sweep", "sweep", "c1_values", 5, "sweep.c1_values"),
+    ("sweep", "sweep", "ratio_values", [[1]], "sweep.ratio_values[0]"),
+    ("locality", "locality", "threshold_bits", [1], "locality.threshold_bits"),
+    ("locality", "locality", "n_samples", True, "locality.n_samples"),
+    ("simulate", "couplings", "c1", float("inf"), "couplings.c1"),
+    ("simulate", "couplings", "c2", float("nan"), "couplings.c2"),
+    ("simulate", None, "seed", True, "seed"),
+    ("simulate", "dims", "a", True, "dims.a"),
+    ("simulate", "time", "steps", True, "time.steps"),
+    ("simulate", "initial", "alpha", [[float("nan"), 0.0], [1.0, 0.0]], "initial.alpha"),
+]
 
 
 class TestExitCodes:
@@ -355,3 +371,15 @@ class TestExitCodes:
         del doc["initial"]
         cfg = write_config(tmp_path, doc)
         assert main(["simulate", "--config", cfg]) == 1
+
+    @pytest.mark.parametrize("command, section, key, value, field", BAD_FIELDS,
+                             ids=[case[-1] for case in BAD_FIELDS])
+    def test_bad_field_is_named_config_error(self, tmp_path, capsys,
+                                             command, section, key, value, field):
+        doc = base_config()
+        (doc if section is None else doc.setdefault(section, {}))[key] = value
+        cfg = write_config(tmp_path, doc)
+        assert main([command, "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert field in err
+        assert "Traceback" not in err

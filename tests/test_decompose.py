@@ -61,12 +61,15 @@ class TestSequentialResidual:
         assert np.abs(r.v_ac.conj().T @ r.v_ac - np.eye(4)).max() <= 1e-9
         assert np.abs(r.w_cb.conj().T @ r.w_cb - np.eye(4)).max() <= 1e-9
 
-    def test_residual_recomputable_from_factors(self, dims222):
-        u = haar_unitary(8, 13)
-        r = sequential_residual(u, dims222, seed=2)
-        x = sequential_unitary(r.v_ac, r.w_cb, dims222)
-        f = abs(np.trace(x.conj().T @ u)) / dims222.total
-        assert abs(r.residual - (1.0 - f)) <= 1e-10
+    @pytest.mark.parametrize("dims", [Dims(2, 2, 2), Dims(2, 3, 4), Dims(3, 2, 2)],
+                             ids=lambda d: "x".join(map(str, d.factors)))
+    def test_residual_recomputable_from_factors(self, dims):
+        # asymmetric dims catch index-order slips in the environment contractions
+        u = haar_unitary(dims.total, 13)
+        r = sequential_residual(u, dims, seed=2)
+        x = sequential_unitary(r.v_ac, r.w_cb, dims)
+        f = abs(np.trace(x.conj().T @ u)) / dims.total
+        assert abs(r.residual - (1.0 - f)) <= 1e-12
 
     @pytest.mark.parametrize("seed", [7, 21])
     def test_fidelity_history_monotone(self, dims222, seed):

@@ -1,17 +1,14 @@
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from disd.evolve import Propagator
 from disd.qcore import (
     Dims,
     ValidationError,
     basis_vector,
-    check_density,
     derive_seed,
     eigh_ordered,
     haar_unitary,
-    herm_propagator,
-    kron,
-    kron_all,
     mutual_information,
     partial_trace,
     random_hermitian,
@@ -20,7 +17,6 @@ from disd.qcore import (
     vn_entropy,
 )
 
-SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SZ = np.array([[1, 0], [0, -1]], dtype=complex)
 
 
@@ -51,40 +47,6 @@ class TestDims:
     def test_rejects_oversized_product(self):
         with pytest.raises(ValueError):
             Dims(16, 16, 17)
-
-
-class TestKron:
-    def test_identity_case(self):
-        assert_allclose(kron(np.eye(2), np.eye(2)), np.eye(4))
-
-    def test_pauli_block(self):
-        out = kron(SX, np.diag([1.0, 0.0]).astype(complex))
-        expected = np.zeros((4, 4), dtype=complex)
-        expected[0, 2] = expected[2, 0] = 1.0
-        assert_allclose(out, expected)
-
-    def test_shape_rule(self):
-        a = np.ones((2, 3))
-        b = np.ones((4, 5))
-        assert kron(a, b).shape == (8, 15)
-
-    def test_size_overflow(self):
-        a = np.eye(100)
-        with pytest.raises(ValueError):
-            kron(a, a, max_dim=4096)
-
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_associative_and_bilinear(self, seed):
-        rng = np.random.default_rng(seed)
-        a, b, c = (rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-                   for _ in range(3))
-        assert np.abs(kron(kron(a, b), c) - kron(a, kron(b, c))).max() <= 1e-12
-        assert np.abs(kron(a + b, c) - (kron(a, c) + kron(b, c))).max() <= 1e-12
-        assert np.abs(kron(2.5 * a, c) - 2.5 * kron(a, c)).max() <= 1e-12
-
-    def test_kron_all_needs_two(self):
-        with pytest.raises(ValueError):
-            kron_all(np.eye(2))
 
 
 class TestPartialTrace:
@@ -130,34 +92,34 @@ class TestPartialTrace:
                             partial_trace(rho, (2, 3, 2), keep), atol=1e-12)
 
 
+def propagator_matrix(h, t):
+    """exp(-i h t) from ``Propagator``, built column by column."""
+    prop = Propagator(h)
+    return np.column_stack([prop.apply(e, t) for e in np.eye(len(h), dtype=complex)])
+
+
 class TestHermPropagator:
+    """The spectral propagator ``evolve.Propagator`` as a matrix."""
+
     def test_zero_time(self):
         h = random_hermitian(4, 0)
-        assert_allclose(herm_propagator(h, 0.0), np.eye(4), atol=1e-14)
+        assert_allclose(propagator_matrix(h, 0.0), np.eye(4), atol=1e-14)
 
     def test_pauli_z_analytic(self):
-        u = herm_propagator(SZ, np.pi / 2)
+        u = propagator_matrix(SZ, np.pi / 2)
         assert_allclose(u, np.diag([np.exp(-1j * np.pi / 2), np.exp(1j * np.pi / 2)]),
                         atol=1e-14)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_unitarity(self, seed):
         h = random_hermitian(6, seed)
-        u = herm_propagator(h, 1.7)
+        u = propagator_matrix(h, 1.7)
         assert np.abs(u.conj().T @ u - np.eye(6)).max() <= 1e-10
-
-    @pytest.mark.parametrize("seed", [5, 6])
-    def test_group_law(self, seed):
-        h = random_hermitian(5, seed)
-        t1, t2 = 0.7, 1.9
-        lhs = herm_propagator(h, t1 + t2)
-        rhs = herm_propagator(h, t2) @ herm_propagator(h, t1)
-        assert np.abs(lhs - rhs).max() <= 1e-9
 
     def test_rejects_non_hermitian(self):
         m = np.array([[0, 1], [0, 0]], dtype=complex)
         with pytest.raises(ValidationError):
-            herm_propagator(m, 1.0)
+            Propagator(m)
 
 
 class TestEntropy:
@@ -296,19 +258,6 @@ class TestEighOrdered:
         off = d - np.diag(np.diagonal(d))
         assert np.abs(off).max() <= 1e-10
         assert np.all(np.diff(np.real(np.diagonal(d))) <= 1e-12)
-
-
-class TestDensityCheck:
-    def test_accepts_valid(self):
-        check_density(random_density(4, 11))
-
-    def test_rejects_traceless(self):
-        with pytest.raises(ValidationError):
-            check_density(np.eye(2))
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValidationError):
-            check_density(np.diag([1.2, -0.2]))
 
 
 def test_basis_vector_bounds():
