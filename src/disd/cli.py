@@ -19,6 +19,7 @@ import numpy as np
 from .config import (
     ConfigError,
     RunConfig,
+    dims_from_json,
     initial_from_config,
     load_config,
     matrix_from_json,
@@ -76,6 +77,8 @@ def cmd_simulate(cfg: RunConfig) -> str:
     dims = spec.dims
 
     mi = mi_trajectory(traj)
+    s_a = vn_entropy(rdm_from_state(traj.states, dims.factors, (0,)))
+    s_b = vn_entropy(rdm_from_state(traj.states, dims.factors, (2,)))
     residuals = residuals_along(traj, init, pd)
     norms = np.linalg.norm(traj.states, axis=1)
     warn = len(pd.gap_warnings)
@@ -85,12 +88,11 @@ def cmd_simulate(cfg: RunConfig) -> str:
         header += ",warn"
     rows = []
     for k, t in enumerate(times):
-        s = traj.states[k]
         row = [
             _fmt(t),
             _fmt(mi[k]),
-            _fmt(vn_entropy(rdm_from_state(s, dims.factors, (0,)))),
-            _fmt(vn_entropy(rdm_from_state(s, dims.factors, (2,)))),
+            _fmt(s_a[k]),
+            _fmt(s_b[k]),
             _fmt(residuals[k]),
             _fmt(abs(norms[k] - 1.0)),
         ]
@@ -259,10 +261,7 @@ def _run_decompose(args) -> None:
         if not isinstance(doc, dict) or "u" not in doc:
             raise ConfigError("unitary file must be an object with a 'u' matrix")
         if "dims" in doc:
-            try:
-                dims = Dims(int(doc["dims"]["a"]), int(doc["dims"]["c"]), int(doc["dims"]["b"]))
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ConfigError(f"bad 'dims' in unitary file: {exc}") from exc
+            dims = dims_from_json(doc, "unitary file")
         u = matrix_from_json(doc["u"])
     else:
         raise ConfigError("decompose needs a unitary file or --plant seed=<int>")

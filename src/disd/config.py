@@ -21,6 +21,7 @@ from .qcore import Dims
 __all__ = [
     "ConfigError",
     "RunConfig",
+    "dims_from_json",
     "initial_from_config",
     "load_config",
     "matrix_from_json",
@@ -147,6 +148,16 @@ def _values(sweep: dict, key: str) -> list[float]:
     return [_check(x, float, f"sweep.{key}[{i}]") for i, x in enumerate(values)]
 
 
+def dims_from_json(doc: dict, where: str) -> Dims:
+    """The document's ``dims`` object as Dims; each entry an integer >= 2."""
+    sub = _require(doc, "dims", dict, where)
+    factors = [_require(sub, key, int, "dims") for key in ("a", "c", "b")]
+    try:
+        return Dims(*factors)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
 _TOP_KEYS = {"dims", "seed", "couplings", "model", "initial", "time",
              "locality", "sweep", "output"}
 
@@ -158,13 +169,7 @@ def parse_config(doc: dict) -> RunConfig:
     if unknown:
         raise ConfigError(f"unknown configuration keys: {sorted(unknown)}")
 
-    dims_doc = _require(doc, "dims", dict, "config")
-    try:
-        dims = Dims(_require(dims_doc, "a", int, "dims"),
-                    _require(dims_doc, "c", int, "dims"),
-                    _require(dims_doc, "b", int, "dims"))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    dims = dims_from_json(doc, "config")
 
     seed = doc.get("seed", 0)
     if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:

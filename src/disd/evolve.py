@@ -64,10 +64,13 @@ class Propagator:
         return self._vecs @ (np.exp(-1j * self._evals * t) * coeff)
 
     def evolve_many(self, psi: np.ndarray, times: np.ndarray) -> np.ndarray:
-        """Stack of evolved states, one row per time."""
-        coeff = self._vecs_h @ np.asarray(psi, dtype=complex)
-        phases = np.exp(-1j * np.outer(np.asarray(times, float), self._evals))
-        return (phases * coeff) @ self._vecs.T
+        """Stack of evolved states, one row per time; rows at t = 0 are psi exactly."""
+        psi = np.asarray(psi, dtype=complex)
+        times = np.asarray(times, float)
+        phases = np.exp(-1j * np.outer(times, self._evals))
+        states = (phases * (self._vecs_h @ psi)) @ self._vecs.T
+        states[times == 0] = psi
+        return states
 
 
 @dataclass(frozen=True, eq=False)

@@ -177,17 +177,25 @@ def partial_trace(rho: np.ndarray, dims: Sequence[int],
 
 def rdm_from_state(psi: np.ndarray, dims: Sequence[int],
                    keep: Iterable[int]) -> np.ndarray:
-    """Reduced density matrix of a pure state without forming the full projector."""
+    """Reduced density matrix of a pure state without forming the full projector.
+
+    ``psi`` may carry leading batch axes, shape ``(..., n)``; the result then
+    has shape ``(..., d_keep, d_keep)``, one reduced state per input state.
+    """
     dims = [int(d) for d in dims]
     keep_set = sorted(set(int(k) for k in keep))
     n = len(dims)
     if not keep_set:
         raise ValueError("keep set must not be empty")
-    psi_t = np.asarray(psi).reshape(dims)
+    psi = np.asarray(psi)
+    batch = psi.shape[:-1]
     drop = [ax for ax in range(n) if ax not in keep_set]
-    t = np.tensordot(psi_t, psi_t.conj(), axes=(drop, drop))
     d_keep = math.prod(dims[k] for k in keep_set)
-    return t.reshape(d_keep, d_keep)
+    lead = len(batch)
+    psi_t = psi.reshape(batch + tuple(dims))
+    psi_t = psi_t.transpose(list(range(lead)) + [lead + ax for ax in keep_set + drop])
+    m = psi_t.reshape(batch + (d_keep, -1))
+    return m @ m.conj().swapaxes(-1, -2)
 
 
 # ---------------------------------------------------------------------------
@@ -235,23 +243,24 @@ def eigh_ordered(h: np.ndarray, secondary: np.ndarray | None = None,
     return evals, vecs
 
 
-def vn_entropy(rho: np.ndarray) -> float:
+def vn_entropy(rho: np.ndarray) -> float | np.ndarray:
     """Von Neumann entropy in bits, never negative.
 
-    Eigenvalues at or below 1e-14 contribute zero; negatives larger than
-    -1e-10 are clamped to zero, anything more negative raises. Roundoff
+    ``rho`` is one matrix ``(d, d)`` or a stack ``(..., d, d)``; the result is
+    a float or an array of the stack's leading shape. Eigenvalues at or below
+    1e-14 contribute zero; negatives larger than -1e-10 are clamped to zero,
+    anything more negative raises, anywhere in the stack. Roundoff
     eigenvalues slightly above 1 would otherwise yield a tiny negative sum,
-    so the result is clamped at zero as well.
+    so each result is clamped at zero as well.
     """
     evals = np.linalg.eigvalsh(np.asarray(rho))
-    lo = float(evals.min()) if evals.size else 0.0
+    lo = float(evals.min(initial=0.0))
     if lo < -_NEG_EIG_TOL:
         raise ValidationError(f"entropy input has eigenvalue {lo:.3e} < -{_NEG_EIG_TOL:.1e}")
-    p = np.clip(evals, 0.0, None)
-    p = p[p > _EIG_FLOOR]
-    if p.size == 0:
-        return 0.0
-    return max(0.0, float(-(p * np.log2(p)).sum()))
+    p = np.where(evals > _EIG_FLOOR, evals, 1.0)  # log2(1) = 0: dropped terms add nothing
+    s = -(p * np.log2(p)).sum(axis=-1)
+    s = np.where(s > 0.0, s, 0.0)
+    return float(s) if s.ndim == 0 else s
 
 
 def mutual_information(rho_ab: np.ndarray, d_a: int, d_b: int) -> float:
@@ -268,14 +277,18 @@ def mutual_information(rho_ab: np.ndarray, d_a: int, d_b: int) -> float:
     return max(mi, 0.0)
 
 
-def trace_distance(rho: np.ndarray, sigma: np.ndarray) -> float:
-    """Half the trace norm of rho - sigma; in [0, 1] for density matrices."""
+def trace_distance(rho: np.ndarray, sigma: np.ndarray) -> float | np.ndarray:
+    """Half the trace norm of rho - sigma; in [0, 1] for density matrices.
+
+    Both arguments are one matrix ``(d, d)`` or equal-shaped stacks
+    ``(..., d, d)``; the result is a float or an array of the leading shape.
+    """
     rho = np.asarray(rho)
     sigma = np.asarray(sigma)
     if rho.shape != sigma.shape:
         raise ValueError(f"shape mismatch {rho.shape} vs {sigma.shape}")
-    evals = np.linalg.eigvalsh(rho - sigma)
-    return float(0.5 * np.abs(evals).sum())
+    d = 0.5 * np.abs(np.linalg.eigvalsh(rho - sigma)).sum(axis=-1)
+    return float(d) if d.ndim == 0 else d
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,15 @@ the two sides is evidence, not tautology.
 
 import numpy as np
 
+from disd.qcore import (
+    derive_seed,
+    haar_unitary,
+    mutual_information,
+    partial_trace,
+    rdm_from_state,
+    trace_distance,
+)
+
 
 def _ordered_eigh_desc(h):
     """Descending eigendecomposition, plain argsort; no phase convention."""
@@ -51,6 +60,36 @@ def rs2_table_bruteforce(spec, gap_tol=None):
             ok = np.abs(gaps) >= gap_tol
             table[i, j] = float(np.sum(np.abs(amps[ok]) ** 2 / gaps[ok]))
     return table
+
+
+def mi_per_row(states, dims):
+    """A:B mutual information one state at a time, through the d_A*d_B reduced state."""
+    return np.array([mutual_information(rdm_from_state(s, dims.factors, (0, 2)), dims.a, dims.b)
+                     for s in states])
+
+
+def signaling_per_row(evolve, psi0, ref_states, dims, direction, n_samples, seed):
+    """Per-row max target disturbance by a double loop over samples and rows.
+
+    The source unitary acts through a dense Kronecker product and each reduced
+    state is a partial trace of the full projector.
+    """
+    if direction == "b_to_a":
+        src_dim, keep = dims.b, (0,)
+        lift = lambda g: np.kron(np.eye(dims.a * dims.c), g)
+    else:
+        src_dim, keep = dims.a, (2,)
+        lift = lambda g: np.kron(g, np.eye(dims.c * dims.b))
+
+    def target(s):
+        return partial_trace(np.outer(s, s.conj()), dims.factors, keep)
+
+    out = np.zeros(len(ref_states))
+    for k in range(n_samples):
+        g = haar_unitary(src_dim, derive_seed(seed, "signaling", direction, k))
+        for idx, s in enumerate(evolve(lift(g) @ psi0)):
+            out[idx] = max(out[idx], trace_distance(target(s), target(ref_states[idx])))
+    return out
 
 
 def spearman_rank(x, y):

@@ -3,6 +3,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from numpy.testing import assert_allclose
 
 import disd
 from disd.cli import cmd_make_model, cmd_simulate, main, sweep_rows
@@ -199,6 +200,26 @@ class TestLocality:
         assert Path(out1).read_bytes() == Path(out2).read_bytes()
 
 
+class TestLocalityGolden:
+    """The ion-cage locality run against the benchmark's recorded reference."""
+
+    def test_ion_cage_seed_7_matches_reference(self, tmp_path):
+        root = Path(__file__).resolve().parent.parent
+        out = tmp_path / "locality.csv"
+        assert main(["locality", "--config", str(root / "presets" / "ion-cage.json"),
+                     "--seed", "7", "--out", str(out)]) == 0
+        ref_text = (root / "bench" / "refs" / "locality-ion-cage" / "7" / "locality.csv").read_text()
+        header, cols = parse_csv(out.read_text())
+        ref_header, ref_cols = parse_csv(ref_text)
+        assert header == ref_header == ["t", "signal_b_to_a", "signal_a_to_b", "mi_ab_bits"]
+        for h in header:
+            assert_allclose(cols[h], ref_cols[h], rtol=0, atol=1e-12)
+        threshold = json.loads((root / "presets" / "ion-cage.json").read_text())[
+            "locality"]["threshold_bits"]
+        crossing = [np.argmax(np.array(c["mi_ab_bits"]) >= threshold) for c in (cols, ref_cols)]
+        assert crossing[0] == crossing[1] > 0
+
+
 class TestDecompose:
     def test_plant_recovery(self, tmp_path, capsys):
         assert main(["decompose", "--plant", "seed=7"]) == 0
@@ -371,6 +392,23 @@ class TestExitCodes:
         del doc["initial"]
         cfg = write_config(tmp_path, doc)
         assert main(["simulate", "--config", cfg]) == 1
+
+    @pytest.mark.parametrize("dims, field", [
+        ({"a": 2.9, "c": 2, "b": 2}, "dims.a"),
+        ({"a": 2, "c": True, "b": 2}, "dims.c"),
+        ({"a": 2, "c": 2}, "'b' in dims"),
+        ([2, 2, 2], "unitary file.dims"),
+    ], ids=["float", "bool", "missing", "not-an-object"])
+    def test_bad_unitary_file_dims_is_named_config_error(self, tmp_path, capsys, dims, field):
+        doc = {"dims": dims,
+               "u": [[[1.0, 0.0] if i == j else [0.0, 0.0] for j in range(8)]
+                     for i in range(8)]}
+        path = tmp_path / "unit.json"
+        path.write_text(json.dumps(doc))
+        assert main(["decompose", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert field in err
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("command, section, key, value, field", BAD_FIELDS,
                              ids=[case[-1] for case in BAD_FIELDS])

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
+from numpy.testing import assert_allclose
 
 import disd
 from disd.decompose import planted_sequential
-from disd.evolve import propagate
+from disd.evolve import Propagator, propagate
 from disd.locality import (
     locality_report,
     mi_trajectory,
@@ -11,8 +12,9 @@ from disd.locality import (
     signaling_test_unitary,
     tau_estimate,
 )
-from disd.model import build_canonical, initial_state
-from disd.qcore import haar_unitary, rdm_from_state, vn_entropy
+from disd.model import InitialSpec, assemble_hamiltonian, build_canonical, initial_state
+from disd.qcore import Dims, haar_unitary, rdm_from_state, vn_entropy
+from oracles import mi_per_row, signaling_per_row
 
 
 class TestMiTrajectory:
@@ -174,3 +176,56 @@ class TestLocalityReport:
         rep = locality_report(spec233, init233, times, n_samples=3, seed=11)
         direct = signaling_test(spec233, init233, times, "b_to_a", n_samples=3, seed=11)
         assert np.array_equal(rep.signal_b_to_a, direct)
+
+
+# (dims, c2): d_A*d_B > d_C in all but 2x5x2; c2 = 0 keeps A and B uncorrelated
+ORACLE_CASES = [((2, 2, 2), 0.5), ((2, 3, 4), 0.5), ((3, 2, 2), 0.5),
+                ((2, 5, 2), 0.5), ((2, 3, 4), 0.0)]
+ORACLE_IDS = ["2x2x2", "2x3x4", "3x2x2", "2x5x2", "2x3x4-c2-zero"]
+
+
+def oracle_case(factors, c2):
+    dims = Dims(*factors)
+    rng = np.random.default_rng(sum(factors))
+    init = InitialSpec(alpha=rng.standard_normal(dims.a) + 1j * rng.standard_normal(dims.a),
+                       chi=rng.standard_normal(dims.b) + 1j * rng.standard_normal(dims.b),
+                       normalize=True)
+    return build_canonical(dims, 3, 2.0, c2), init, np.linspace(0, 12, 25)
+
+
+class TestBatchedAgainstOracles:
+    @pytest.mark.parametrize("factors, c2", ORACLE_CASES, ids=ORACLE_IDS)
+    def test_mi_matches_per_row_route(self, factors, c2):
+        spec, init, times = oracle_case(factors, c2)
+        traj = propagate(spec, initial_state(init, spec.dims), times)
+        expected = mi_per_row(traj.states, spec.dims)
+        assert_allclose(mi_trajectory(traj), expected, rtol=0, atol=1e-12)
+        if c2 == 0:
+            assert expected.max() <= 1e-10
+        else:
+            assert expected.max() > 1e-3
+
+    @pytest.mark.parametrize("direction", ["b_to_a", "a_to_b"])
+    @pytest.mark.parametrize("factors, c2", ORACLE_CASES, ids=ORACLE_IDS)
+    def test_signaling_matches_per_row_loop(self, factors, c2, direction):
+        spec, init, times = oracle_case(factors, c2)
+        prop = Propagator(assemble_hamiltonian(spec))
+        evolve = lambda psi: prop.evolve_many(psi, times)
+        psi0 = initial_state(init, spec.dims)
+        expected = signaling_per_row(evolve, psi0, evolve(psi0), spec.dims,
+                                             direction, n_samples=5, seed=2)
+        got = signaling_test(spec, init, times, direction, n_samples=5, seed=2)
+        assert_allclose(got, expected, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("direction", ["b_to_a", "a_to_b"])
+    @pytest.mark.parametrize("factors", [c[0] for c in ORACLE_CASES[:4]], ids=ORACLE_IDS[:4])
+    def test_one_shot_signaling_matches_per_row_loop(self, factors, direction):
+        _, init, _ = oracle_case(factors, 0.5)
+        dims = Dims(*factors)
+        u = haar_unitary(dims.total, 4)
+        psi0 = initial_state(init, dims)
+        evolve = lambda psi: (u @ psi)[None, :]
+        expected = signaling_per_row(evolve, psi0, evolve(psi0), dims,
+                                             direction, n_samples=5, seed=2)
+        got = signaling_test_unitary(u, psi0, dims, direction, n_samples=5, seed=2)
+        assert abs(got - expected[0]) <= 1e-12

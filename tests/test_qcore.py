@@ -193,6 +193,40 @@ class TestTraceDistance:
             trace_distance(np.eye(2), np.eye(3))
 
 
+class TestStackedInputs:
+    """Leading batch axes give the same numbers as one call per input."""
+
+    @pytest.mark.parametrize("keep", [(0,), (1,), (2,), (0, 2), (1, 2)])
+    def test_rdm_stack_matches_single_calls(self, keep):
+        rng = np.random.default_rng(4)
+        states = rng.standard_normal((3, 4, 12)) + 1j * rng.standard_normal((3, 4, 12))
+        stacked = rdm_from_state(states, (2, 3, 2), keep)
+        for idx in np.ndindex(3, 4):
+            assert_allclose(stacked[idx], rdm_from_state(states[idx], (2, 3, 2), keep),
+                            rtol=0, atol=1e-15)
+
+    def test_entropy_and_trace_distance_stacks_match_single_calls(self):
+        rhos = np.array([random_density(3, s) for s in range(6)]).reshape(2, 3, 3, 3)
+        sigmas = np.array([random_density(3, s) for s in range(10, 16)]).reshape(2, 3, 3, 3)
+        ent = vn_entropy(rhos)
+        dist = trace_distance(rhos, sigmas)
+        assert ent.shape == dist.shape == (2, 3)
+        for idx in np.ndindex(2, 3):
+            one_ent, one_dist = vn_entropy(rhos[idx]), trace_distance(rhos[idx], sigmas[idx])
+            assert isinstance(one_ent, float) and isinstance(one_dist, float)
+            assert ent[idx] == pytest.approx(one_ent, rel=0, abs=1e-15)
+            assert dist[idx] == pytest.approx(one_dist, rel=0, abs=1e-15)
+
+    def test_one_bad_matrix_in_stack_raises(self):
+        stack = np.array([np.eye(2) / 2, np.diag([1.1, -0.1]), np.eye(2) / 2])
+        with pytest.raises(ValidationError):
+            vn_entropy(stack)
+
+    def test_stack_shape_mismatch_rejected(self):
+        with pytest.raises(ValueError):
+            trace_distance(np.zeros((3, 2, 2)), np.zeros((4, 2, 2)))
+
+
 class TestHaarUnitary:
     def test_dim_one_unit_modulus(self):
         u = haar_unitary(1, 5)
