@@ -8,12 +8,10 @@ whether a global unitary factors into an A-C slice followed by a C-B slice.
 """
 
 from .qcore import (
-    DEFAULT_MAX_DIM,
     Dims,
     ValidationError,
     basis_vector,
     check_hermitian,
-    check_state,
     derive_seed,
     eigh_ordered,
     haar_unitary,
@@ -38,7 +36,6 @@ from .evolve import (
     PerturbationData,
     Propagator,
     Trajectory,
-    approx_residual,
     perturbation_data,
     product_approx,
     propagate,

@@ -3,7 +3,8 @@
 Subcommands: ``simulate``, ``sweep``, ``locality``, ``decompose``,
 ``make-model``. Every command is a pure function of its configuration bytes;
 at a fixed BLAS thread count re-running writes byte-identical output. Exit
-codes: 0 ok, 1 config error, 2 numerical/validation error, 3 I/O error.
+codes: 0 ok, 1 config error (also a configured size too large to allocate),
+2 numerical/validation error, 3 I/O error.
 """
 
 from __future__ import annotations
@@ -104,19 +105,15 @@ def cmd_simulate(cfg: RunConfig) -> str:
 
 def sweep_rows(cfg: RunConfig) -> list[SweepRow]:
     """Evaluate every coupling grid point; rows come back in grid order."""
-    if cfg.sweep_c1_values is None and cfg.sweep_ratio_values is None:
+    if cfg.sweep_grid is None:
         raise ConfigError("sweep requires a 'sweep' section")
     base = model_from_config(cfg)
     init = initial_from_config(cfg)
     times = times_from_config(cfg)
-    if cfg.sweep_c1_values is not None:
-        grid = [(v, cfg.c2) for v in cfg.sweep_c1_values]
-    else:
-        grid = [(cfg.c1, r * cfg.c1) for r in cfg.sweep_ratio_values]
 
     psi0 = initial_state(init, base.dims)
     out = []
-    for c1, c2 in grid:
+    for c1, c2 in cfg.sweep_grid:
         spec = dataclasses.replace(base, c1=float(c1), c2=float(c2))
         pd = perturbation_data(spec)
         traj = propagate(spec, psi0, times)
@@ -191,28 +188,34 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+def _seed(text: str) -> int:
+    """The value of ``--seed``: a non-negative integer."""
+    try:
+        seed = int(text)
+    except ValueError:
+        seed = -1
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+    return seed
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="disd", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for name in ("simulate", "sweep", "locality"):
+    for name in ("simulate", "sweep", "locality", "make-model"):
         p = sub.add_parser(name)
         p.add_argument("--config", required=True)
         p.add_argument("--out")
-        p.add_argument("--seed", type=int)
+        p.add_argument("--seed", type=_seed)
 
     p = sub.add_parser("decompose")
     p.add_argument("unitary", nargs="?")
     p.add_argument("--plant", metavar="seed=<int>")
     p.add_argument("--config")
     p.add_argument("--out")
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=_seed)
     p.add_argument("--dump-factors", action="store_true")
-
-    p = sub.add_parser("make-model")
-    p.add_argument("--config", required=True)
-    p.add_argument("--out")
-    p.add_argument("--seed", type=int)
     return parser
 
 
@@ -227,8 +230,6 @@ def _emit(text: str, path: str | None) -> None:
 def _load_cfg(args) -> RunConfig:
     cfg = load_config(args.config)
     if args.seed is not None:
-        if args.seed < 0:
-            raise ConfigError("--seed must be non-negative")
         cfg = cfg.with_seed(args.seed)
     return cfg
 
@@ -298,6 +299,10 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 3
+    except MemoryError as exc:
+        # a configured size too large to allocate, such as a huge time.steps
+        print(f"config error: out of memory: {exc}", file=sys.stderr)
+        return 1
     except ValueError as exc:
         # contract violations that are neither numeric nor parse errors
         # (inconsistent shapes between file fields, bad indices) are the

@@ -94,18 +94,13 @@ class RunConfig:
     model_family: str
     model_robust_index: int
     model_matrices: dict | None
-    initial_alpha: np.ndarray | None
-    initial_chi: np.ndarray | None
-    initial_robust_index: int
-    initial_normalize: bool
+    initial: InitialSpec | None
     t_max: float | None
     steps: int | None
     n_samples: int
     threshold_bits: float
-    sweep_c1_values: list | None
-    sweep_ratio_values: list | None
+    sweep_grid: list | None  # (c1, c2) points in sweep order
     output_path: str | None
-    output_format: str
 
     def with_seed(self, seed: int) -> "RunConfig":
         return dataclasses.replace(self, seed=int(seed))
@@ -171,8 +166,8 @@ def parse_config(doc: dict) -> RunConfig:
 
     dims = dims_from_json(doc, "config")
 
-    seed = doc.get("seed", 0)
-    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
+    seed = _optional(doc, "seed", int, "config", 0)
+    if seed < 0:
         raise ConfigError(f"seed must be a non-negative integer, got {seed!r}")
 
     coup = _require(doc, "couplings", dict, "config")
@@ -199,27 +194,20 @@ def parse_config(doc: dict) -> RunConfig:
         matrices = {k: _wire(f"model.matrices.{k}", matrix_from_json, raw[k])
                     for k in EXPLICIT_MATRIX_KEYS}
 
-    alpha = chi = None
-    init_robust = robust_index
-    init_normalize = False
-    if "initial" in doc:
-        init = doc["initial"]
-        if not isinstance(init, dict):
-            raise ConfigError("'initial' must be an object")
+    initial = None
+    init = _optional(doc, "initial", dict, "config", None)
+    if init is not None:
         alpha = _wire("initial.alpha", vector_from_json, _require(init, "alpha", list, "initial"))
         chi = _wire("initial.chi", vector_from_json, _require(init, "chi", list, "initial"))
         init_robust = _optional(init, "robust_index", int, "initial", robust_index)
-        if not 0 <= init_robust < dims.c:
-            raise ConfigError(f"initial.robust_index {init_robust!r} out of range")
         if init_robust != robust_index:
             raise ConfigError("initial.robust_index must match model.robust_index")
-        init_normalize = _optional(init, "normalize", bool, "initial", False)
+        initial = InitialSpec(alpha=alpha, chi=chi, robust_index=robust_index,
+                              normalize=_optional(init, "normalize", bool, "initial", False))
 
     t_max = steps = None
-    if "time" in doc:
-        tsec = doc["time"]
-        if not isinstance(tsec, dict):
-            raise ConfigError("'time' must be an object")
+    tsec = _optional(doc, "time", dict, "config", None)
+    if tsec is not None:
         t_max = _require(tsec, "t_max", float, "time")
         steps = _require(tsec, "steps", int, "time")
         if not t_max > 0:
@@ -227,24 +215,17 @@ def parse_config(doc: dict) -> RunConfig:
         if steps < 2:
             raise ConfigError(f"time.steps must be >= 2, got {steps}")
 
-    n_samples = 64
-    threshold_bits = 0.01
-    if "locality" in doc:
-        loc = doc["locality"]
-        if not isinstance(loc, dict):
-            raise ConfigError("'locality' must be an object")
-        n_samples = _optional(loc, "n_samples", int, "locality", 64)
-        threshold_bits = _optional(loc, "threshold_bits", float, "locality", 0.01)
-        if n_samples < 1:
-            raise ConfigError(f"locality.n_samples must be a positive integer, got {n_samples!r}")
-        if not threshold_bits > 0:
-            raise ConfigError(f"locality.threshold_bits must be positive, got {threshold_bits}")
+    loc = _optional(doc, "locality", dict, "config", {})
+    n_samples = _optional(loc, "n_samples", int, "locality", 64)
+    threshold_bits = _optional(loc, "threshold_bits", float, "locality", 0.01)
+    if n_samples < 1:
+        raise ConfigError(f"locality.n_samples must be a positive integer, got {n_samples!r}")
+    if not threshold_bits > 0:
+        raise ConfigError(f"locality.threshold_bits must be positive, got {threshold_bits}")
 
-    c1_values = ratio_values = None
-    if "sweep" in doc:
-        sweep = doc["sweep"]
-        if not isinstance(sweep, dict):
-            raise ConfigError("'sweep' must be an object")
+    grid = None
+    sweep = _optional(doc, "sweep", dict, "config", None)
+    if sweep is not None:
         has_c1 = "c1_values" in sweep
         has_ratio = "ratio_values" in sweep
         if has_c1 == has_ratio:
@@ -253,33 +234,26 @@ def parse_config(doc: dict) -> RunConfig:
             c1_values = _values(sweep, "c1_values")
             if not c1_values or any(not v > 0 for v in c1_values):
                 raise ConfigError("sweep.c1_values must be a non-empty list of positive numbers")
+            grid = [(v, c2) for v in c1_values]
         else:
             ratio_values = _values(sweep, "ratio_values")
             if not ratio_values or any(v < 0 for v in ratio_values):
                 raise ConfigError("sweep.ratio_values must be a non-empty list of non-negative numbers")
+            grid = [(c1, r * c1) for r in ratio_values]
 
-    output_path = None
-    output_format = "csv"
-    if "output" in doc:
-        out = doc["output"]
-        if not isinstance(out, dict):
-            raise ConfigError("'output' must be an object")
-        output_path = out.get("path")
-        if output_path is not None and not isinstance(output_path, str):
-            raise ConfigError("output.path must be a string")
-        output_format = out.get("format", "csv")
-        if output_format != "csv":
-            raise ConfigError(f"output.format must be 'csv', got {output_format!r}")
+    out = _optional(doc, "output", dict, "config", {})
+    output_path = out.get("path")
+    if output_path is not None and not isinstance(output_path, str):
+        raise ConfigError("output.path must be a string")
+    if out.get("format", "csv") != "csv":
+        raise ConfigError(f"output.format must be 'csv', got {out['format']!r}")
 
     return RunConfig(
         dims=dims, seed=seed, c1=c1, c2=c2,
         model_family=family, model_robust_index=robust_index, model_matrices=matrices,
-        initial_alpha=alpha, initial_chi=chi,
-        initial_robust_index=init_robust, initial_normalize=init_normalize,
-        t_max=t_max, steps=steps,
+        initial=initial, t_max=t_max, steps=steps,
         n_samples=n_samples, threshold_bits=threshold_bits,
-        sweep_c1_values=c1_values, sweep_ratio_values=ratio_values,
-        output_path=output_path, output_format=output_format,
+        sweep_grid=grid, output_path=output_path,
     )
 
 
@@ -304,11 +278,9 @@ def model_from_config(cfg: RunConfig) -> ModelSpec:
 
 
 def initial_from_config(cfg: RunConfig) -> InitialSpec:
-    if cfg.initial_alpha is None:
+    if cfg.initial is None:
         raise ConfigError("this command requires an 'initial' section")
-    return InitialSpec(alpha=cfg.initial_alpha, chi=cfg.initial_chi,
-                       robust_index=cfg.initial_robust_index,
-                       normalize=cfg.initial_normalize)
+    return cfg.initial
 
 
 def times_from_config(cfg: RunConfig) -> np.ndarray:

@@ -34,6 +34,7 @@ __all__ = [
 ]
 
 UNITARY_TOL = 1e-9
+GAIN_TOL = 1e-12  # a restart stops once an iteration gains less fidelity than this
 
 
 @dataclass(frozen=True, eq=False)
@@ -80,14 +81,13 @@ def _env_w(u6: np.ndarray, v: np.ndarray, dims: Dims) -> np.ndarray:
 
 
 def sequential_residual(u: np.ndarray, dims: Dims, restarts: int = 5,
-                        max_iters: int = 200, tol: float = 1e-12,
-                        seed: int = 0) -> DecompositionResult:
+                        max_iters: int = 200, seed: int = 0) -> DecompositionResult:
     """Alternating-polar search for the best sequential factorization of u.
 
     Restart 0 starts from identity factors (exact for inputs already of the
     form V x I_B); the remaining restarts start from seeded Haar factors.
     Each restart alternates the two closed-form updates until the fidelity
-    gain drops below ``tol`` or ``max_iters`` is reached; the best restart
+    gain drops below 1e-12 or ``max_iters`` is reached; the best restart
     wins. The search stops early once F is within 1e-12 of its ceiling.
     """
     u = np.asarray(u, dtype=complex)
@@ -121,7 +121,7 @@ def sequential_residual(u: np.ndarray, dims: Dims, restarts: int = 5,
             f_new = trace / n
             history.append(f_new)
             iters = it + 1
-            if f_new - f < tol:
+            if f_new - f < GAIN_TOL:
                 converged = True
                 f = max(f, f_new)
                 break

@@ -13,7 +13,7 @@ exact and approximate states. Both shrink like 1/c1 at fixed c2.
 
 Second-order corrections are computed by Rayleigh-Schrodinger theory with
 unperturbed operator ``c1 * (I_A x h_cb)`` and perturbation
-``c2 * (h_ac x I_B)``. Denominators closer to zero than ``gap_tol`` are
+``c2 * (h_ac x I_B)``. Denominators closer to zero than ``1e-8 * c1`` are
 skipped, counted, and surfaced, never regularized.
 """
 
@@ -23,14 +23,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import InitialSpec, ModelSpec, assemble_hamiltonian, initial_state, validate_robustness
+from .model import InitialSpec, ModelSpec, assemble_hamiltonian, validate_robustness
 from .qcore import ValidationError, basis_vector, check_hermitian, eigh_ordered, spectral_norm
 
 __all__ = [
     "PerturbationData",
     "Propagator",
     "Trajectory",
-    "approx_residual",
     "perturbation_data",
     "product_approx",
     "propagate",
@@ -48,9 +47,9 @@ class Propagator:
     immutable afterwards and safe to share across concurrent readers.
     """
 
-    def __init__(self, h: np.ndarray, tol: float = 1e-12):
+    def __init__(self, h: np.ndarray):
         h = np.asarray(h, dtype=complex)
-        check_hermitian(h, tol, name="Hamiltonian")
+        check_hermitian(h, name="Hamiltonian")
         self._evals, self._vecs = np.linalg.eigh(h)
         self._vecs_h = self._vecs.conj().T
 
@@ -128,7 +127,7 @@ def _comm_norm(x: np.ndarray, y: np.ndarray) -> float:
     return spectral_norm(x @ y - y @ x)
 
 
-def perturbation_data(spec: ModelSpec, gap_tol: float | None = None) -> PerturbationData:
+def perturbation_data(spec: ModelSpec) -> PerturbationData:
     """Eigenbases, phase tables, and second-order shifts for one model.
 
     Requires the robust block structure of ``h_cb`` and the commutation
@@ -138,15 +137,14 @@ def perturbation_data(spec: ModelSpec, gap_tol: float | None = None) -> Perturba
     A0 (B0) are resolved by diagonalizing h_a (h_b) inside the block, so the
     c2 = 0 limit reproduces the exact free phases.
 
-    ``gap_tol`` defaults to ``1e-8 * c1``; scaling it with c1 keeps the set
-    of skipped denominators invariant under coupling sweeps.
+    Denominators below ``1e-8 * c1`` in magnitude are skipped; scaling the
+    cutoff with c1 keeps the set of skipped denominators invariant under
+    coupling sweeps.
     """
     report = validate_robustness(spec.h_cb, spec.dims, spec.robust_index)
     if not report.passed:
         raise ValidationError(
             f"robustness violated: max cross-block entry {report.max_violation:.3e}")
-    if gap_tol is None:
-        gap_tol = 1e-8 * spec.c1
 
     d_a, d_c, d_b = spec.dims.factors
     r = spec.robust_index
@@ -195,7 +193,7 @@ def perturbation_data(spec: ModelSpec, gap_tol: float | None = None) -> Perturba
     me = np.einsum("cbm,ipc,bj->ipjm", pv.conj(), g, b_vecs, optimize=True)
 
     gaps = b_vals[:, None] - e_perp[None, :]
-    ok = np.abs(gaps) >= gap_tol
+    ok = np.abs(gaps) >= 1e-8 * spec.c1
     warnings = [(int(j), int(m), float(gaps[j, m]))
                 for j, m in np.argwhere(~ok)]
     if spec.c2 != 0 and gaps.size > 0 and not ok.any():
@@ -213,11 +211,11 @@ def perturbation_data(spec: ModelSpec, gap_tol: float | None = None) -> Perturba
 
 
 def product_approx(spec: ModelSpec, init: InitialSpec, pd: PerturbationData,
-                   t: float) -> np.ndarray:
-    """Phase-dressed product-form state at time t (unit norm by construction).
+                   times) -> np.ndarray:
+    """Phase-dressed product-form states, one row per time (unit norm by construction).
 
     The B phases carry the second-order shift table, which depends on the A
-    label, so the output is generally A-B correlated even though it never
+    label, so each row is generally A-B correlated even though it never
     leaves the robust C state.
     """
     if pd.spec is not spec:
@@ -225,45 +223,34 @@ def product_approx(spec: ModelSpec, init: InitialSpec, pd: PerturbationData,
     if init.robust_index != spec.robust_index:
         raise ValueError("initial robust_index differs from the model's")
     dims = spec.dims
+    t = np.asarray(times, dtype=float).reshape(-1, 1)
     alpha, chi = init.amplitudes(dims)
     a_amp = pd.a_vecs.conj().T @ alpha
     b_amp = pd.b_vecs.conj().T @ chi
     phase_a = np.exp(-1j * t * (pd.h_a_diag + pd.a_vals))
     phase_b = np.exp(-1j * t * (pd.b_vals + pd.h_b_diag))
-    m = ((a_amp * phase_a)[:, None]
-         * (b_amp * phase_b)[None, :]
-         * np.exp(-1j * t * pd.lambda_i0j))
-    m = m * np.exp(-1j * t * pd.lambda0)
+    m = ((a_amp * phase_a)[:, :, None]
+         * (b_amp * phase_b)[:, None, :]
+         * np.exp(-1j * t[:, :, None] * pd.lambda_i0j))
+    m = m * np.exp(-1j * t[:, :, None] * pd.lambda0)
     ab = pd.a_vecs @ m @ pd.b_vecs.T
-    psi = np.zeros((dims.a, dims.c, dims.b), dtype=complex)
-    psi[:, spec.robust_index, :] = ab
-    return psi.reshape(-1)
-
-
-def approx_residual(spec: ModelSpec, init: InitialSpec, pd: PerturbationData,
-                    t: float, exact_state: np.ndarray | None = None) -> float:
-    """Phase-aligned distance between the exact and approximate states at t.
-
-    Equals min over a global phase of || psi_exact - e^{i phi} psi_approx ||,
-    i.e. sqrt(2 - 2 |<approx|exact>|). Evaluated as a vector norm at the
-    optimal phase rather than through the overlap, which would floor the
-    result at sqrt(machine eps). Pass ``exact_state`` to reuse an
-    already-propagated state.
-    """
-    psi_a = product_approx(spec, init, pd, t)
-    if exact_state is None:
-        prop = Propagator(assemble_hamiltonian(spec))
-        exact_state = prop.apply(initial_state(init, spec.dims), t)
-    ov = np.vdot(psi_a, exact_state)
-    phase = ov / abs(ov) if abs(ov) > 0 else 1.0
-    return float(np.linalg.norm(exact_state - phase * psi_a))
+    psi = np.zeros((len(t), dims.a, dims.c, dims.b), dtype=complex)
+    psi[:, :, spec.robust_index, :] = ab
+    return psi.reshape(len(t), -1)
 
 
 def residuals_along(traj: Trajectory, init: InitialSpec,
                     pd: PerturbationData) -> np.ndarray:
-    """Approximation residual at every sample time of an exact trajectory."""
-    spec = traj.model
-    out = np.empty(len(traj.times))
-    for k, t in enumerate(traj.times):
-        out[k] = approx_residual(spec, init, pd, float(t), exact_state=traj.states[k])
-    return out
+    """Approximation residual at every sample time of an exact trajectory.
+
+    Each entry is the phase-aligned distance min over a global phase of
+    || psi_exact - e^{i phi} psi_approx ||, i.e. sqrt(2 - 2 |<approx|exact>|).
+    It is evaluated as a vector norm at the optimal phase rather than through
+    the overlap, which would floor the result at sqrt(machine eps).
+    """
+    approx = product_approx(traj.model, init, pd, traj.times)
+    exact = traj.states
+    ov = np.einsum("ki,ki->k", approx.conj(), exact)
+    mag = np.abs(ov)
+    phase = np.divide(ov, mag, out=np.ones_like(ov), where=mag > 0)
+    return np.linalg.norm(exact - phase[:, None] * approx, axis=1)

@@ -17,12 +17,10 @@ from typing import ClassVar, Iterable, Sequence
 import numpy as np
 
 __all__ = [
-    "DEFAULT_MAX_DIM",
     "Dims",
     "ValidationError",
     "basis_vector",
     "check_hermitian",
-    "check_state",
     "derive_seed",
     "eigh_ordered",
     "haar_unitary",
@@ -35,9 +33,8 @@ __all__ = [
     "vn_entropy",
 ]
 
-#: Largest total Hilbert-space dimension this package will handle.
-DEFAULT_MAX_DIM = 4096
-
+_HERMITIAN_TOL = 1e-12  # entrywise max |M - M+| accepted as Hermitian
+_DEGENERACY_TOL = 1e-10  # relative eigenvalue gap below which eigh_ordered sees a block
 _EIG_FLOOR = 1e-14   # eigenvalues at or below this contribute zero entropy
 _NEG_EIG_TOL = 1e-10  # tolerated magnitude of negative density eigenvalues
 _MASK64 = (1 << 64) - 1
@@ -55,7 +52,8 @@ class Dims:
     c: int
     b: int
 
-    MAX_TOTAL: ClassVar[int] = DEFAULT_MAX_DIM
+    #: Largest total Hilbert-space dimension this package will handle.
+    MAX_TOTAL: ClassVar[int] = 4096
 
     def __post_init__(self) -> None:
         for name, d in (("a", self.a), ("c", self.c), ("b", self.b)):
@@ -121,21 +119,15 @@ def spectral_norm(m: np.ndarray) -> float:
     return float(np.linalg.norm(m, 2))
 
 
-def check_hermitian(m: np.ndarray, tol: float = 1e-12, name: str = "matrix") -> None:
-    """Raise ValidationError unless max |M - M+| <= tol entrywise."""
+def check_hermitian(m: np.ndarray, name: str = "matrix") -> None:
+    """Raise ValidationError unless max |M - M+| <= 1e-12 entrywise."""
     m = np.asarray(m)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"{name} must be square, got shape {m.shape}")
     dev = np.abs(m - m.conj().T).max() if m.size else 0.0
-    if dev > tol:
-        raise ValidationError(f"{name} is not Hermitian: max deviation {dev:.3e} > {tol:.1e}")
-
-
-def check_state(psi: np.ndarray, tol: float = 1e-10) -> None:
-    """Raise ValidationError unless | ||psi|| - 1 | <= tol."""
-    err = abs(float(np.linalg.norm(psi)) - 1.0)
-    if err > tol:
-        raise ValidationError(f"state norm off by {err:.3e} > {tol:.1e}")
+    if dev > _HERMITIAN_TOL:
+        raise ValidationError(
+            f"{name} is not Hermitian: max deviation {dev:.3e} > {_HERMITIAN_TOL:.1e}")
 
 
 # ---------------------------------------------------------------------------
@@ -202,14 +194,14 @@ def rdm_from_state(psi: np.ndarray, dims: Sequence[int],
 # spectral operations
 # ---------------------------------------------------------------------------
 
-def eigh_ordered(h: np.ndarray, secondary: np.ndarray | None = None,
-                 deg_tol: float = 1e-10) -> tuple[np.ndarray, np.ndarray]:
+def eigh_ordered(h: np.ndarray,
+                 secondary: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Hermitian eigendecomposition with a deterministic ordering convention.
 
     Eigenvalues come out descending and each eigenvector is rescaled so that
     its first component of magnitude above 1e-12 is real and positive. When
     ``secondary`` is given, eigenvector blocks whose eigenvalues are closer
-    than ``deg_tol * max(1, spread)`` are additionally rotated to diagonalize
+    than ``1e-10 * max(1, spread)`` are additionally rotated to diagonalize
     the secondary operator inside the block; this pins the basis where ``h``
     alone is degenerate and cannot.
     """
@@ -223,7 +215,7 @@ def eigh_ordered(h: np.ndarray, secondary: np.ndarray | None = None,
         start = 0
         for k in range(1, len(evals) + 1):
             at_end = k == len(evals)
-            if not at_end and abs(evals[k - 1] - evals[k]) <= deg_tol * scale:
+            if not at_end and abs(evals[k - 1] - evals[k]) <= _DEGENERACY_TOL * scale:
                 continue
             if k - start > 1:
                 sub = vecs[:, start:k]

@@ -92,6 +92,31 @@ def signaling_per_row(evolve, psi0, ref_states, dims, direction, n_samples, seed
     return out
 
 
+def residuals_per_row(spec, init, pd, times, states):
+    """Phase-aligned residual one time at a time, from the scalar product form.
+
+    Each product-form state is built for a single time t, and the distance to
+    the exact state is taken at the phase of their overlap.
+    """
+    dims = spec.dims
+    alpha, chi = init.amplitudes(dims)
+    a_amp = pd.a_vecs.conj().T @ alpha
+    b_amp = pd.b_vecs.conj().T @ chi
+    out = np.empty(len(times))
+    for k, t in enumerate(times):
+        phase_a = np.exp(-1j * t * (pd.h_a_diag + pd.a_vals))
+        phase_b = np.exp(-1j * t * (pd.b_vals + pd.h_b_diag))
+        m = ((a_amp * phase_a)[:, None] * (b_amp * phase_b)[None, :]
+             * np.exp(-1j * t * pd.lambda_i0j) * np.exp(-1j * t * pd.lambda0))
+        psi = np.zeros((dims.a, dims.c, dims.b), dtype=complex)
+        psi[:, spec.robust_index, :] = pd.a_vecs @ m @ pd.b_vecs.T
+        approx = psi.reshape(-1)
+        ov = np.vdot(approx, states[k])
+        phase = ov / abs(ov) if abs(ov) > 0 else 1.0
+        out[k] = np.linalg.norm(states[k] - phase * approx)
+    return out
+
+
 def spearman_rank(x, y):
     """Spearman rank correlation for sequences without ties."""
     x = np.asarray(x, dtype=float)

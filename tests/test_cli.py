@@ -348,6 +348,7 @@ BAD_FIELDS = [
     ("simulate", "dims", "a", True, "dims.a"),
     ("simulate", "time", "steps", True, "time.steps"),
     ("simulate", "initial", "alpha", [[float("nan"), 0.0], [1.0, 0.0]], "initial.alpha"),
+    ("simulate", "output", "format", "json", "output.format"),
 ]
 
 
@@ -392,6 +393,24 @@ class TestExitCodes:
         del doc["initial"]
         cfg = write_config(tmp_path, doc)
         assert main(["simulate", "--config", cfg]) == 1
+
+    @pytest.mark.parametrize("command", ["simulate", "sweep", "locality", "make-model",
+                                         "decompose"])
+    def test_negative_seed_flag_is_config_error(self, tmp_path, capsys, command):
+        cfg = write_config(tmp_path, base_config(sweep={"c1_values": [8.0]}))
+        args = ["--plant", "seed=1"] if command == "decompose" else ["--config", cfg]
+        assert main([command, *args, "--seed", "-5"]) == 1
+        err = capsys.readouterr().err
+        assert "--seed" in err
+        assert "Traceback" not in err
+
+    def test_unallocatable_time_grid_is_config_error(self, tmp_path, capsys):
+        # 10**13 float64 times need 72.8 TiB; the allocator refuses that at once
+        doc = base_config(time={"t_max": 2.0, "steps": 10**13})
+        assert main(["simulate", "--config", write_config(tmp_path, doc)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: out of memory")
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("dims, field", [
         ({"a": 2.9, "c": 2, "b": 2}, "dims.a"),

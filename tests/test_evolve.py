@@ -5,7 +5,6 @@ import pytest
 from numpy.testing import assert_allclose
 from disd.evolve import (
     Propagator,
-    approx_residual,
     perturbation_data,
     product_approx,
     propagate,
@@ -14,7 +13,8 @@ from disd.evolve import (
 from disd.model import ModelSpec, assemble_hamiltonian, build_canonical, initial_state
 from disd.qcore import Dims, ValidationError
 
-from oracles import rs2_table_bruteforce
+from oracles import residuals_per_row, rs2_table_bruteforce
+from test_locality import ORACLE_CASES, ORACLE_IDS, oracle_case
 
 # Frozen from the brute-force oracle for seed 1, dims (2,2,2), c1=4, c2=0.5.
 RS2_TABLE_SEED1 = np.array([
@@ -174,15 +174,15 @@ class TestPerturbationData:
 class TestProductApprox:
     def test_time_zero_equals_initial(self, spec233, init233):
         pd = perturbation_data(spec233)
-        psi = product_approx(spec233, init233, pd, 0.0)
+        psi = product_approx(spec233, init233, pd, [0.0])
         psi0 = initial_state(init233, spec233.dims)
-        assert np.abs(psi - psi0).max() <= 1e-12
+        assert psi.shape == (1, spec233.dims.total)
+        assert np.abs(psi[0] - psi0).max() <= 1e-12
 
     def test_unit_norm_at_all_times(self, spec233, init233):
         pd = perturbation_data(spec233)
-        for t in (0.0, 0.7, 3.3, 12.0):
-            psi = product_approx(spec233, init233, pd, t)
-            assert abs(np.linalg.norm(psi) - 1.0) <= 1e-12
+        psi = product_approx(spec233, init233, pd, [0.0, 0.7, 3.3, 12.0])
+        assert np.abs(np.linalg.norm(psi, axis=1) - 1.0).max() <= 1e-12
 
     def test_exact_when_c2_zero(self, dims233, init233):
         spec = build_canonical(dims233, 2, 3.0, 0.0)
@@ -197,20 +197,25 @@ class TestProductApprox:
         other = build_canonical(dims233, 3, 8.0, 0.3)
         pd = perturbation_data(other)
         with pytest.raises(ValueError):
-            product_approx(spec233, init233, pd, 1.0)
+            product_approx(spec233, init233, pd, [1.0])
 
 
 class TestApproxResidual:
     def test_zero_at_time_zero(self, spec233, init233):
         pd = perturbation_data(spec233)
-        assert approx_residual(spec233, init233, pd, 0.0) <= 1e-12
+        traj = propagate(spec233, initial_state(init233, spec233.dims), [0.0, 2.0])
+        assert residuals_along(traj, init233, pd)[0] <= 1e-12
 
     def test_chi_phase_invariance(self, spec233, init233):
         pd = perturbation_data(spec233)
         shifted = dataclasses.replace(init233, chi=init233.chi * np.exp(0.77j))
-        r1 = approx_residual(spec233, init233, pd, 2.0)
-        r2 = approx_residual(spec233, shifted, pd, 2.0)
-        assert abs(r1 - r2) <= 1e-12
+        times = [0.0, 2.0, 5.5]
+        traj1 = propagate(spec233, initial_state(init233, spec233.dims), times)
+        traj2 = propagate(spec233, initial_state(shifted, spec233.dims), times)
+        r1 = residuals_along(traj1, init233, pd)
+        r2 = residuals_along(traj2, shifted, pd)
+        assert np.abs(r1 - r2).max() <= 1e-12
+        assert r1[1] > 1e-6
 
     def test_decreases_with_c1(self, dims233, init233):
         psi_res = {}
@@ -221,3 +226,17 @@ class TestApproxResidual:
             traj = propagate(spec, initial_state(init233, dims233), times)
             psi_res[c1] = residuals_along(traj, init233, pd).max()
         assert psi_res[40.0] < psi_res[4.0]
+
+
+class TestResidualsAgainstOracle:
+    @pytest.mark.parametrize("factors, c2", ORACLE_CASES, ids=ORACLE_IDS)
+    def test_stacked_matches_per_row_route(self, factors, c2):
+        spec, init, times = oracle_case(factors, c2)
+        pd = perturbation_data(spec)
+        traj = propagate(spec, initial_state(init, spec.dims), times)
+        expected = residuals_per_row(spec, init, pd, traj.times, traj.states)
+        assert_allclose(residuals_along(traj, init, pd), expected, rtol=0, atol=1e-12)
+        if c2 == 0:
+            assert expected.max() <= 1e-9
+        else:
+            assert expected.max() > 1e-3

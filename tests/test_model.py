@@ -215,6 +215,14 @@ class TestInitialState:
         with pytest.raises(ValidationError):
             initial_state(init, dims233)
 
+    def test_amplitudes_within_tolerance_are_accepted(self, dims222):
+        # each factor is 0.9e-10 off unit norm, inside the amplitude check's
+        # 1e-10; the product state is off by 1.8e-10 and is still accepted
+        init = InitialSpec(alpha=np.array([1 + 0.9e-10, 0.0]), chi=np.array([1 + 0.9e-10, 0.0]))
+        psi = initial_state(init, dims222)
+        assert psi[0] == (1 + 0.9e-10) ** 2
+        assert np.count_nonzero(psi) == 1
+
     def test_rejects_robust_index_out_of_range(self, dims233, init233):
         init = dataclasses.replace(init233, robust_index=5)
         with pytest.raises(ValueError):
