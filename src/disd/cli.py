@@ -30,9 +30,9 @@ from .config import (
 )
 from .decompose import planted_sequential, sequential_residual
 from .evolve import perturbation_data, propagate, residuals_along
-from .locality import locality_report, mi_trajectory, tau_estimate
+from .locality import locality_report, mi_and_entropies, mi_trajectory, tau_estimate
 from .model import build_canonical, initial_state
-from .qcore import Dims, ValidationError, rdm_from_state, vn_entropy
+from .qcore import Dims, ValidationError
 
 __all__ = [
     "SweepRow",
@@ -75,11 +75,8 @@ def cmd_simulate(cfg: RunConfig) -> str:
     pd = perturbation_data(spec)
     psi0 = initial_state(init, spec.dims)
     traj = propagate(spec, psi0, times)
-    dims = spec.dims
 
-    mi = mi_trajectory(traj)
-    s_a = vn_entropy(rdm_from_state(traj.states, dims.factors, (0,)))
-    s_b = vn_entropy(rdm_from_state(traj.states, dims.factors, (2,)))
+    mi, s_a, s_b = mi_and_entropies(traj)
     residuals = residuals_along(traj, init, pd)
     norms = np.linalg.norm(traj.states, axis=1)
     warn = len(pd.gap_warnings)
@@ -183,6 +180,17 @@ def cmd_make_model(cfg: RunConfig) -> dict:
     }
 
 
+# The subcommands driven by a config file, each mapping it to the output text.
+# Each command is looked up by name at call time, so a wrapper installed on
+# the module attribute (a profiler or tracer) sees the call.
+_CONFIG_COMMANDS = {
+    "simulate": lambda cfg: cmd_simulate(cfg),
+    "sweep": lambda cfg: cmd_sweep(cfg),
+    "locality": lambda cfg: cmd_locality(cfg),
+    "make-model": lambda cfg: json.dumps(cmd_make_model(cfg), indent=2) + "\n",
+}
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise ConfigError(message)
@@ -203,7 +211,7 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="disd", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for name in ("simulate", "sweep", "locality", "make-model"):
+    for name in _CONFIG_COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True)
         p.add_argument("--out")
@@ -225,13 +233,6 @@ def _emit(text: str, path: str | None) -> None:
     else:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
-
-
-def _load_cfg(args) -> RunConfig:
-    cfg = load_config(args.config)
-    if args.seed is not None:
-        cfg = cfg.with_seed(args.seed)
-    return cfg
 
 
 def _parse_plant(value: str) -> int:
@@ -275,21 +276,13 @@ def main(argv=None) -> int:
     args = None
     try:
         args = _build_parser().parse_args(argv)
-        if args.command == "simulate":
-            cfg = _load_cfg(args)
-            _emit(cmd_simulate(cfg), args.out or cfg.output_path)
-        elif args.command == "sweep":
-            cfg = _load_cfg(args)
-            _emit(cmd_sweep(cfg), args.out or cfg.output_path)
-        elif args.command == "locality":
-            cfg = _load_cfg(args)
-            _emit(cmd_locality(cfg), args.out or cfg.output_path)
-        elif args.command == "decompose":
+        if args.command == "decompose":
             _run_decompose(args)
-        elif args.command == "make-model":
-            cfg = _load_cfg(args)
-            _emit(json.dumps(cmd_make_model(cfg), indent=2) + "\n",
-                  args.out or cfg.output_path)
+        else:
+            cfg = load_config(args.config)
+            if args.seed is not None:
+                cfg = dataclasses.replace(cfg, seed=args.seed)
+            _emit(_CONFIG_COMMANDS[args.command](cfg), args.out or cfg.output_path)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

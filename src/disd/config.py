@@ -8,7 +8,6 @@ this format because json serializes them via repr.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import sys
 from dataclasses import dataclass
@@ -35,6 +34,7 @@ __all__ = [
 
 MODEL_FAMILIES = ("disd-canonical", "explicit")
 EXPLICIT_MATRIX_KEYS = ("h_a", "h_c", "h_b", "h_ac", "h_cb")
+MAX_SAMPLES = 100_000  # cap on locality.n_samples; each sample evolves one trajectory per direction
 
 
 class ConfigError(ValueError):
@@ -101,9 +101,6 @@ class RunConfig:
     threshold_bits: float
     sweep_grid: list | None  # (c1, c2) points in sweep order
     output_path: str | None
-
-    def with_seed(self, seed: int) -> "RunConfig":
-        return dataclasses.replace(self, seed=int(seed))
 
 
 _KIND_NAMES = {int: "an integer", float: "a finite number", bool: "true or false",
@@ -218,8 +215,9 @@ def parse_config(doc: dict) -> RunConfig:
     loc = _optional(doc, "locality", dict, "config", {})
     n_samples = _optional(loc, "n_samples", int, "locality", 64)
     threshold_bits = _optional(loc, "threshold_bits", float, "locality", 0.01)
-    if n_samples < 1:
-        raise ConfigError(f"locality.n_samples must be a positive integer, got {n_samples!r}")
+    if not 1 <= n_samples <= MAX_SAMPLES:
+        raise ConfigError(
+            f"locality.n_samples must be an integer in [1, {MAX_SAMPLES}], got {n_samples!r}")
     if not threshold_bits > 0:
         raise ConfigError(f"locality.threshold_bits must be positive, got {threshold_bits}")
 
@@ -271,10 +269,8 @@ def load_config(path: str) -> RunConfig:
 def model_from_config(cfg: RunConfig) -> ModelSpec:
     if cfg.model_family == "disd-canonical":
         return build_canonical(cfg.dims, cfg.seed, cfg.c1, cfg.c2, cfg.model_robust_index)
-    spec = ModelSpec(dims=cfg.dims, c1=cfg.c1, c2=cfg.c2,
+    return ModelSpec(dims=cfg.dims, c1=cfg.c1, c2=cfg.c2,
                      robust_index=cfg.model_robust_index, **cfg.model_matrices)
-    spec.validate()
-    return spec
 
 
 def initial_from_config(cfg: RunConfig) -> InitialSpec:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import InitialSpec, ModelSpec, assemble_hamiltonian, validate_robustness
+from .model import InitialSpec, ModelSpec, assemble_hamiltonian
 from .qcore import ValidationError, basis_vector, check_hermitian, eigh_ordered, spectral_norm
 
 __all__ = [
@@ -130,22 +130,17 @@ def _comm_norm(x: np.ndarray, y: np.ndarray) -> float:
 def perturbation_data(spec: ModelSpec) -> PerturbationData:
     """Eigenbases, phase tables, and second-order shifts for one model.
 
-    Requires the robust block structure of ``h_cb`` and the commutation
-    constraints that make every phase in the approximation well defined:
-    ``[h_a, A0] ~ 0``, ``[h_b, B0] ~ 0``, and the robust C state an
-    approximate eigenvector of ``h_c`` (all to 1e-8). Degenerate blocks of
-    A0 (B0) are resolved by diagonalizing h_a (h_b) inside the block, so the
-    c2 = 0 limit reproduces the exact free phases.
+    Every ``ModelSpec`` has the robust block structure of ``h_cb``; this
+    also requires the commutation constraints that make every phase in the
+    approximation well defined: ``[h_a, A0] ~ 0``, ``[h_b, B0] ~ 0``, and
+    the robust C state an approximate eigenvector of ``h_c`` (all to 1e-8).
+    Degenerate blocks of A0 (B0) are resolved by diagonalizing h_a (h_b)
+    inside the block, so the c2 = 0 limit reproduces the exact free phases.
 
     Denominators below ``1e-8 * c1`` in magnitude are skipped; scaling the
     cutoff with c1 keeps the set of skipped denominators invariant under
     coupling sweeps.
     """
-    report = validate_robustness(spec.h_cb, spec.dims, spec.robust_index)
-    if not report.passed:
-        raise ValidationError(
-            f"robustness violated: max cross-block entry {report.max_violation:.3e}")
-
     d_a, d_c, d_b = spec.dims.factors
     r = spec.robust_index
     e0 = basis_vector(d_c, r)
@@ -210,16 +205,14 @@ def perturbation_data(spec: ModelSpec) -> PerturbationData:
     )
 
 
-def product_approx(spec: ModelSpec, init: InitialSpec, pd: PerturbationData,
-                   times) -> np.ndarray:
-    """Phase-dressed product-form states, one row per time (unit norm by construction).
+def product_approx(init: InitialSpec, pd: PerturbationData, times) -> np.ndarray:
+    """Phase-dressed product-form states of ``pd.spec``, one row per time (unit norm).
 
     The B phases carry the second-order shift table, which depends on the A
     label, so each row is generally A-B correlated even though it never
     leaves the robust C state.
     """
-    if pd.spec is not spec:
-        raise ValueError("perturbation data was built from a different model")
+    spec = pd.spec
     if init.robust_index != spec.robust_index:
         raise ValueError("initial robust_index differs from the model's")
     dims = spec.dims
@@ -246,9 +239,12 @@ def residuals_along(traj: Trajectory, init: InitialSpec,
     Each entry is the phase-aligned distance min over a global phase of
     || psi_exact - e^{i phi} psi_approx ||, i.e. sqrt(2 - 2 |<approx|exact>|).
     It is evaluated as a vector norm at the optimal phase rather than through
-    the overlap, which would floor the result at sqrt(machine eps).
+    the overlap, which would floor the result at sqrt(machine eps). ``pd``
+    must be built from the trajectory's own model.
     """
-    approx = product_approx(traj.model, init, pd, traj.times)
+    if pd.spec is not traj.model:
+        raise ValueError("perturbation data was built from a different model")
+    approx = product_approx(init, pd, traj.times)
     exact = traj.states
     ov = np.einsum("ki,ki->k", approx.conj(), exact)
     mag = np.abs(ov)

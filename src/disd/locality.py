@@ -33,6 +33,7 @@ from .qcore import (
 __all__ = [
     "LocalityReport",
     "locality_report",
+    "mi_and_entropies",
     "mi_trajectory",
     "signaling_test",
     "signaling_test_unitary",
@@ -56,15 +57,23 @@ class LocalityReport:
     seed: int
 
 
-def mi_trajectory(traj: Trajectory) -> np.ndarray:
-    """A:B mutual information in bits at each trajectory time, S(A)+S(B)-S(C)."""
+def mi_and_entropies(traj: Trajectory) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """I(A:B), S(A) and S(B) in bits at each trajectory time.
+
+    S(A), S(C) and S(B) are one stacked call each, and I(A:B) = S(A)+S(B)-S(C).
+    """
     factors = traj.model.dims.factors
     s_a, s_c, s_b = (vn_entropy(rdm_from_state(traj.states, factors, (k,))) for k in range(3))
     mi = s_a + s_b - s_c
     lo = mi.min(initial=0.0)
     if lo < -1e-9:
         raise ValidationError(f"mutual information {lo:.3e} below -1e-9")
-    return np.maximum(mi, 0.0)
+    return np.maximum(mi, 0.0), s_a, s_b
+
+
+def mi_trajectory(traj: Trajectory) -> np.ndarray:
+    """A:B mutual information in bits at each trajectory time, S(A)+S(B)-S(C)."""
+    return mi_and_entropies(traj)[0]
 
 
 def _apply_local(psi: np.ndarray, g: np.ndarray, dims: Dims, factor: int) -> np.ndarray:
@@ -85,6 +94,8 @@ def _direction_layout(direction: str, dims: Dims) -> tuple[int, int, tuple[int]]
 def _signaling_curves(evolve, psi0: np.ndarray, ref_states: np.ndarray, dims: Dims,
                       direction: str, n_samples: int, seed: int) -> np.ndarray:
     """Per-row max target disturbance; ``evolve`` maps a state to a stack of rows."""
+    if n_samples < 1:
+        raise ValueError("n_samples must be >= 1")
     src, src_dim, keep = _direction_layout(direction, dims)
     ref_rdms = rdm_from_state(ref_states, dims.factors, keep)
     out = np.zeros(len(ref_rdms))
@@ -109,8 +120,6 @@ def signaling_test(spec: ModelSpec, init: InitialSpec, times, direction: str,
     k's unitary depends only on (seed, direction, k), so enlarging n_samples
     refines the same family.
     """
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
     times = np.asarray(times, dtype=float)
     psi0 = initial_state(init, spec.dims)
     prop = Propagator(assemble_hamiltonian(spec))
@@ -121,8 +130,6 @@ def signaling_test(spec: ModelSpec, init: InitialSpec, times, direction: str,
 def signaling_test_unitary(u: np.ndarray, psi0: np.ndarray, dims: Dims,
                            direction: str, n_samples: int = 64, seed: int = 0) -> float:
     """Signaling probe when the dynamics is a single global unitary applied once."""
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
     u = np.asarray(u, dtype=complex)
     evolve = lambda psi: (u @ psi)[None, :]
     return float(_signaling_curves(evolve, psi0, evolve(psi0), dims, direction, n_samples, seed)[0])
@@ -154,8 +161,6 @@ def locality_report(spec: ModelSpec, init: InitialSpec, times,
                     n_samples: int = 64, threshold_bits: float = 0.01,
                     seed: int = 0) -> LocalityReport:
     """Mutual information, both signaling directions, and the onset estimate."""
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
     times = np.asarray(times, dtype=float)
     dims = spec.dims
     psi0 = initial_state(init, dims)

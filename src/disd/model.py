@@ -49,8 +49,9 @@ class ModelSpec:
     """One model instance: five Hermitian terms plus coupling scalars.
 
     ``h_a``, ``h_c``, ``h_b`` act on the single factors; ``h_ac`` on A x C;
-    ``h_cb`` on C x B. Construction does not validate; call :meth:`validate`
-    (builders and config loaders do).
+    ``h_cb`` on C x B. Construction checks the whole model contract (shapes,
+    hermiticity, couplings, robust index, unit shape norms, robustness), so
+    every instance is valid, including one made by ``dataclasses.replace``.
     """
 
     dims: Dims
@@ -63,7 +64,7 @@ class ModelSpec:
     c2: float
     robust_index: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self):
         d = self.dims
         expected = {
             "h_a": d.a, "h_c": d.c, "h_b": d.b,
@@ -84,7 +85,7 @@ class ModelSpec:
             s = spectral_norm(getattr(self, name))
             if abs(s - 1.0) > SHAPE_NORM_TOL:
                 raise ValidationError(f"{name} shape norm {s:.12f} deviates from 1 by more than {SHAPE_NORM_TOL:.1e}")
-        report = validate_robustness(self.h_cb, d, self.robust_index, ROBUST_TOL)
+        report = validate_robustness(self.h_cb, d, self.robust_index)
         if not report.passed:
             raise ValidationError(
                 f"h_cb violates the robust-state block structure: "
@@ -143,15 +144,13 @@ class InitialSpec:
 class RobustnessReport:
     passed: bool
     max_violation: float
-    tol: float
 
 
-def validate_robustness(h_cb: np.ndarray, dims: Dims, robust_index: int,
-                        tol: float = ROBUST_TOL) -> RobustnessReport:
+def validate_robustness(h_cb: np.ndarray, dims: Dims, robust_index: int) -> RobustnessReport:
     """Check that h_cb never maps the robust C state out of itself.
 
     Scans every C cross block <j| h_cb |0>_C with j != robust_index and
-    reports the largest entry magnitude against ``tol``.
+    reports the largest entry magnitude against ``ROBUST_TOL``.
     """
     h_cb = np.asarray(h_cb)
     if h_cb.shape != (dims.c * dims.b, dims.c * dims.b):
@@ -161,7 +160,7 @@ def validate_robustness(h_cb: np.ndarray, dims: Dims, robust_index: int,
     t = h_cb.reshape(dims.c, dims.b, dims.c, dims.b)
     others = [j for j in range(dims.c) if j != robust_index]
     violation = float(np.abs(t[others, :, robust_index, :]).max()) if others else 0.0
-    return RobustnessReport(passed=violation <= tol, max_violation=violation, tol=tol)
+    return RobustnessReport(passed=violation <= ROBUST_TOL, max_violation=violation)
 
 
 def _unit_shape(m: np.ndarray) -> np.ndarray:
@@ -216,19 +215,13 @@ def build_canonical(dims: Dims, seed: int, c1: float, c2: float,
     _, b_vecs = eigh_ordered(b0_eff)
     h_b = _unit_shape((b_vecs * rng.standard_normal(d_b)) @ b_vecs.conj().T)
 
-    spec = ModelSpec(dims=dims, h_a=h_a, h_c=h_c, h_b=h_b, h_ac=h_ac, h_cb=h_cb,
+    return ModelSpec(dims=dims, h_a=h_a, h_c=h_c, h_b=h_b, h_ac=h_ac, h_cb=h_cb,
                      c1=float(c1), c2=float(c2), robust_index=robust_index)
-    spec.validate()
-    return spec
 
 
 def assemble_hamiltonian(spec: ModelSpec) -> np.ndarray:
     """Full Hamiltonian on A x C x B; contains no A-B cross term by construction."""
     d = spec.dims
-    for name, dim in (("h_a", d.a), ("h_c", d.c), ("h_b", d.b),
-                      ("h_ac", d.a * d.c), ("h_cb", d.c * d.b)):
-        if getattr(spec, name).shape != (dim, dim):
-            raise ValueError(f"{name} has shape {getattr(spec, name).shape}, expected {(dim, dim)}")
     i_a = np.eye(d.a, dtype=complex)
     i_c = np.eye(d.c, dtype=complex)
     i_b = np.eye(d.b, dtype=complex)

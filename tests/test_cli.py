@@ -7,7 +7,7 @@ from numpy.testing import assert_allclose
 
 import disd
 from disd.cli import cmd_make_model, cmd_simulate, main, sweep_rows
-from disd.config import matrix_from_json, parse_config
+from disd.config import MAX_SAMPLES, ConfigError, matrix_from_json, parse_config
 from disd.evolve import perturbation_data
 from disd.model import assemble_hamiltonian
 from disd.qcore import haar_unitary
@@ -220,6 +220,34 @@ class TestLocalityGolden:
         assert crossing[0] == crossing[1] > 0
 
 
+class TestSimulateGolden:
+    """The dense simulate run against the benchmark's recorded reference."""
+
+    def test_dense_seed_7_matches_reference(self, tmp_path):
+        root = Path(__file__).resolve().parent.parent
+        a, b = 8, 32
+        doc = {
+            "dims": {"a": a, "c": 4, "b": b},
+            "seed": 7,
+            "couplings": {"c1": 50.0, "c2": 0.5},
+            "model": {"family": "disd-canonical", "robust_index": 0},
+            "initial": {"alpha": [[1 / np.sqrt(a), 0.0]] * a,
+                        "chi": [[1 / np.sqrt(b), 0.0]] * b,
+                        "robust_index": 0},
+            "time": {"t_max": 20.0, "steps": 200},
+        }
+        out = tmp_path / "simulate.csv"
+        assert main(["simulate", "--config", write_config(tmp_path, doc),
+                     "--out", str(out)]) == 0
+        ref_text = (root / "bench" / "refs" / "simulate-dense" / "7" / "simulate.csv").read_text()
+        header, cols = parse_csv(out.read_text())
+        ref_header, ref_cols = parse_csv(ref_text)
+        assert header == ref_header == ["t", "mi_ab_bits", "entropy_a_bits", "entropy_b_bits",
+                                        "residual_eq4", "norm_error"]
+        for h in header:
+            assert_allclose(cols[h], ref_cols[h], rtol=0, atol=1e-12)
+
+
 class TestDecompose:
     def test_plant_recovery(self, tmp_path, capsys):
         assert main(["decompose", "--plant", "seed=7"]) == 0
@@ -342,6 +370,8 @@ BAD_FIELDS = [
     ("sweep", "sweep", "ratio_values", [[1]], "sweep.ratio_values[0]"),
     ("locality", "locality", "threshold_bits", [1], "locality.threshold_bits"),
     ("locality", "locality", "n_samples", True, "locality.n_samples"),
+    ("locality", "locality", "n_samples", 10**13,
+     f"locality.n_samples must be an integer in [1, {MAX_SAMPLES}]"),
     ("simulate", "couplings", "c1", float("inf"), "couplings.c1"),
     ("simulate", "couplings", "c2", float("nan"), "couplings.c2"),
     ("simulate", None, "seed", True, "seed"),
@@ -428,6 +458,16 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert field in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("n_samples", [0, MAX_SAMPLES + 1, 10**13])
+    def test_n_samples_out_of_range_is_rejected_at_parse(self, n_samples):
+        doc = base_config(locality={"n_samples": n_samples, "threshold_bits": 0.01})
+        with pytest.raises(ConfigError, match=rf"locality\.n_samples .*{MAX_SAMPLES}"):
+            parse_config(doc)
+
+    def test_n_samples_cap_is_accepted(self):
+        doc = base_config(locality={"n_samples": MAX_SAMPLES, "threshold_bits": 0.01})
+        assert parse_config(doc).n_samples == MAX_SAMPLES
 
     @pytest.mark.parametrize("command, section, key, value, field", BAD_FIELDS,
                              ids=[case[-1] for case in BAD_FIELDS])
