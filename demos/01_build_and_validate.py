@@ -10,6 +10,7 @@ norm so c1 and c2 alone set the strengths.
 import numpy as np
 
 import disd
+from disd.qcore import vn_entropy
 
 dims = disd.Dims(2, 3, 3)
 spec = disd.build_canonical(dims, seed=1, c1=8.0, c2=0.3)
@@ -34,6 +35,7 @@ print("bitwise reproducible:", all(
 
 init = disd.InitialSpec(alpha=np.ones(2) / np.sqrt(2), chi=np.ones(3) / np.sqrt(3))
 psi0 = disd.initial_state(init, dims)
-rho_ab = disd.rdm_from_state(psi0, dims.factors, (0, 2))
-print("initial state: norm =", np.linalg.norm(psi0),
-      " I(A:B) =", disd.mutual_information(rho_ab, dims.a, dims.b), "bits")
+# I(A:B) = S(A) + S(B) - S(AB), each from a reduced state of psi0
+s_a, s_b, s_ab = (vn_entropy(disd.rdm_from_state(psi0, dims.factors, keep))
+                  for keep in ((0,), (2,), (0, 2)))
+print("initial state: norm =", np.linalg.norm(psi0), " I(A:B) =", s_a + s_b - s_ab, "bits")

@@ -15,14 +15,13 @@ from disd.locality import locality_report, mi_trajectory, tau_estimate
 
 dims = disd.Dims(2, 3, 3)
 init = disd.InitialSpec(alpha=np.ones(2) / np.sqrt(2), chi=np.ones(3) / np.sqrt(3))
-psi0 = disd.initial_state(init, dims)
 
 spec = disd.build_canonical(dims, seed=1, c1=2.0, c2=0.2)
 pd = perturbation_data(spec)
 print(f"sup|lambda_i0j| = {pd.lambda_sup:.4f}   1/sup = {1 / pd.lambda_sup:.1f}")
 
 times = np.linspace(0.0, 120.0, 241)
-rep = locality_report(spec, init, times, n_samples=16, threshold_bits=0.01, seed=1)
+rep = locality_report(propagate(spec, init, times), n_samples=16, threshold_bits=0.01, seed=1)
 print(f"onset estimate tau (0.01 bit threshold): {rep.tau_estimate:.2f}")
 print(f"{'t':>7}  {'I(A:B) bits':>12}  {'B->A signal':>12}  {'A->B signal':>12}")
 for k in range(0, 241, 30):
@@ -34,6 +33,6 @@ print("onset time vs coupling strength (c2 = 0.2 fixed):")
 for c1 in (1.0, 2.0, 4.0, 8.0):
     spec = disd.build_canonical(dims, seed=1, c1=c1, c2=0.2)
     grid = np.linspace(0.0, 50.0 * c1, 801)
-    traj = propagate(spec, psi0, grid)
+    traj = propagate(spec, init, grid)
     tau = tau_estimate(grid, mi_trajectory(traj), 0.01)
     print(f"  c1 = {c1:4.0f}   tau = {tau:8.2f}")

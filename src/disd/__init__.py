@@ -11,7 +11,6 @@ from .qcore import (
     Dims,
     derive_seed,
     haar_unitary,
-    mutual_information,
     rdm_from_state,
     spectral_norm,
 )

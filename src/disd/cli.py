@@ -26,12 +26,13 @@ from .config import (
     matrix_from_json,
     matrix_to_json,
     model_from_config,
+    read_json,
     times_from_config,
 )
 from .decompose import planted_sequential, sequential_residual
 from .evolve import perturbation_data, propagate, residuals_along
 from .locality import locality_report, mi_and_entropies, mi_trajectory, tau_estimate
-from .model import build_canonical, initial_state
+from .model import build_canonical
 from .qcore import Dims, ValidationError
 
 __all__ = [
@@ -73,11 +74,10 @@ def cmd_simulate(cfg: RunConfig) -> str:
     init = initial_from_config(cfg)
     times = times_from_config(cfg)
     pd = perturbation_data(spec)
-    psi0 = initial_state(init, spec.dims)
-    traj = propagate(spec, psi0, times)
+    traj = propagate(spec, init, times)
 
     mi, s_a, s_b = mi_and_entropies(traj)
-    residuals = residuals_along(traj, init, pd)
+    residuals = residuals_along(traj, pd)
     norms = np.linalg.norm(traj.states, axis=1)
     warn = len(pd.gap_warnings)
 
@@ -108,18 +108,18 @@ def sweep_rows(cfg: RunConfig) -> list[SweepRow]:
     init = initial_from_config(cfg)
     times = times_from_config(cfg)
 
-    psi0 = initial_state(init, base.dims)
     out = []
     for c1, c2 in cfg.sweep_grid:
         spec = dataclasses.replace(base, c1=float(c1), c2=float(c2))
         pd = perturbation_data(spec)
-        traj = propagate(spec, psi0, times)
-        residuals = residuals_along(traj, init, pd)
+        traj = propagate(spec, init, times)
+        max_residual = float(residuals_along(traj, pd).max())
         mi = mi_trajectory(traj)
+        del traj  # frees this point's eigensystem before the next one is built
         out.append(SweepRow(
             c1=float(c1), c2=float(c2), ratio=float(c2) / float(c1),
             lambda_sup=pd.lambda_sup,
-            max_residual=float(residuals.max()),
+            max_residual=max_residual,
             tau_est=tau_estimate(times, mi, cfg.threshold_bits),
             gap_warnings=len(pd.gap_warnings),
         ))
@@ -140,10 +140,8 @@ def cmd_sweep(cfg: RunConfig) -> str:
 
 
 def cmd_locality(cfg: RunConfig) -> str:
-    spec = model_from_config(cfg)
-    init = initial_from_config(cfg)
-    times = times_from_config(cfg)
-    rep = locality_report(spec, init, times, n_samples=cfg.n_samples,
+    traj = propagate(model_from_config(cfg), initial_from_config(cfg), times_from_config(cfg))
+    rep = locality_report(traj, n_samples=cfg.n_samples,
                           threshold_bits=cfg.threshold_bits, seed=cfg.seed)
     header = "t,signal_b_to_a,signal_a_to_b,mi_ab_bits"
     rows = [[_fmt(t), _fmt(rep.signal_b_to_a[k]), _fmt(rep.signal_a_to_b[k]),
@@ -255,11 +253,7 @@ def _run_decompose(args) -> None:
     if args.plant:
         u = planted_sequential(dims, _parse_plant(args.plant))
     elif args.unitary:
-        with open(args.unitary, "r", encoding="utf-8") as fh:
-            try:
-                doc = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"{args.unitary}: invalid JSON: {exc}") from exc
+        doc = read_json(args.unitary)
         if not isinstance(doc, dict) or "u" not in doc:
             raise ConfigError("unitary file must be an object with a 'u' matrix")
         if "dims" in doc:
@@ -296,6 +290,10 @@ def main(argv=None) -> int:
         # a configured size too large to allocate, such as a huge time.steps
         print(f"config error: out of memory: {exc}", file=sys.stderr)
         return 1
+    except np.linalg.LinAlgError as exc:
+        # a numerical failure (a factorization that did not converge), not bad input
+        print(f"numerical error: {exc}", file=sys.stderr)
+        return 2
     except ValueError as exc:
         # contract violations that are neither numeric nor parse errors
         # (inconsistent shapes between file fields, bad indices) are the

@@ -27,13 +27,12 @@ __all__ = [
     "matrix_to_json",
     "model_from_config",
     "parse_config",
+    "read_json",
     "times_from_config",
     "vector_from_json",
-    "vector_to_json",
 ]
 
 MODEL_FAMILIES = ("disd-canonical", "explicit")
-EXPLICIT_MATRIX_KEYS = ("h_a", "h_c", "h_b", "h_ac", "h_cb")
 MAX_SAMPLES = 100_000  # cap on locality.n_samples; each sample evolves one trajectory per direction
 
 
@@ -75,12 +74,8 @@ def matrix_from_json(data) -> np.ndarray:
     return np.array(rows, dtype=complex)
 
 
-def vector_to_json(v: np.ndarray) -> list:
-    return [[float(np.real(x)), float(np.imag(x))] for x in np.asarray(v)]
-
-
 def matrix_to_json(m: np.ndarray) -> list:
-    return [vector_to_json(row) for row in np.asarray(m)]
+    return [[[float(x.real), float(x.imag)] for x in row] for row in np.asarray(m)]
 
 
 @dataclass(frozen=True)
@@ -127,12 +122,22 @@ def _optional(doc: dict, key: str, kind, where: str, default):
     return _check(doc[key], kind, f"{where}.{key}") if key in doc else default
 
 
-def _wire(name: str, parse, data):
-    """Parse a [re, im] vector or matrix, naming the field on failure."""
+def _wire(name: str, parse, data, shape: tuple):
+    """Parse a [re, im] vector or matrix of the given shape, naming the field on failure."""
     try:
-        return parse(data)
+        value = parse(data)
     except ConfigError as exc:
         raise ConfigError(f"{name}: {exc}") from None
+    if value.shape != shape:
+        raise ConfigError(f"{name} has shape {value.shape}, expected {shape} from dims")
+    return value
+
+
+def _known(doc: dict, keys, where: str | None = None) -> None:
+    """Reject the keys of ``doc`` outside ``keys``, naming each as a field."""
+    unknown = [k if where is None else f"{where}.{k}" for k in doc if k not in keys]
+    if unknown:
+        raise ConfigError(f"unknown configuration keys: {unknown}")
 
 
 def _values(sweep: dict, key: str) -> list[float]:
@@ -143,6 +148,7 @@ def _values(sweep: dict, key: str) -> list[float]:
 def dims_from_json(doc: dict, where: str) -> Dims:
     """The document's ``dims`` object as Dims; each entry an integer >= 2."""
     sub = _require(doc, "dims", dict, where)
+    _known(sub, ("a", "c", "b"), "dims")
     factors = [_require(sub, key, int, "dims") for key in ("a", "c", "b")]
     try:
         return Dims(*factors)
@@ -157,9 +163,7 @@ _TOP_KEYS = {"dims", "seed", "couplings", "model", "initial", "time",
 def parse_config(doc: dict) -> RunConfig:
     if not isinstance(doc, dict):
         raise ConfigError("configuration must be a JSON object")
-    unknown = set(doc) - _TOP_KEYS
-    if unknown:
-        raise ConfigError(f"unknown configuration keys: {sorted(unknown)}")
+    _known(doc, _TOP_KEYS)
 
     dims = dims_from_json(doc, "config")
 
@@ -168,6 +172,7 @@ def parse_config(doc: dict) -> RunConfig:
         raise ConfigError(f"seed must be a non-negative integer, got {seed!r}")
 
     coup = _require(doc, "couplings", dict, "config")
+    _known(coup, ("c1", "c2"), "couplings")
     c1 = _require(coup, "c1", float, "couplings")
     c2 = _require(coup, "c2", float, "couplings")
     if not c1 > 0:
@@ -176,6 +181,7 @@ def parse_config(doc: dict) -> RunConfig:
         raise ConfigError(f"couplings.c2 must be non-negative, got {c2}")
 
     model = _require(doc, "model", dict, "config")
+    _known(model, ("family", "robust_index", "matrices"), "model")
     family = _require(model, "family", str, "model")
     if family not in MODEL_FAMILIES:
         raise ConfigError(f"model.family must be one of {MODEL_FAMILIES}, got {family!r}")
@@ -185,17 +191,23 @@ def parse_config(doc: dict) -> RunConfig:
     matrices = None
     if family == "explicit":
         raw = _require(model, "matrices", dict, "model")
-        missing = [k for k in EXPLICIT_MATRIX_KEYS if k not in raw]
+        sizes = {"h_a": dims.a, "h_c": dims.c, "h_b": dims.b,
+                 "h_ac": dims.a * dims.c, "h_cb": dims.c * dims.b}
+        _known(raw, sizes, "model.matrices")
+        missing = [k for k in sizes if k not in raw]
         if missing:
             raise ConfigError(f"model.matrices missing {missing}")
-        matrices = {k: _wire(f"model.matrices.{k}", matrix_from_json, raw[k])
-                    for k in EXPLICIT_MATRIX_KEYS}
+        matrices = {k: _wire(f"model.matrices.{k}", matrix_from_json, raw[k], (n, n))
+                    for k, n in sizes.items()}
 
     initial = None
     init = _optional(doc, "initial", dict, "config", None)
     if init is not None:
-        alpha = _wire("initial.alpha", vector_from_json, _require(init, "alpha", list, "initial"))
-        chi = _wire("initial.chi", vector_from_json, _require(init, "chi", list, "initial"))
+        _known(init, ("alpha", "chi", "robust_index", "normalize"), "initial")
+        alpha = _wire("initial.alpha", vector_from_json,
+                      _require(init, "alpha", list, "initial"), (dims.a,))
+        chi = _wire("initial.chi", vector_from_json,
+                    _require(init, "chi", list, "initial"), (dims.b,))
         init_robust = _optional(init, "robust_index", int, "initial", robust_index)
         if init_robust != robust_index:
             raise ConfigError("initial.robust_index must match model.robust_index")
@@ -205,6 +217,7 @@ def parse_config(doc: dict) -> RunConfig:
     t_max = steps = None
     tsec = _optional(doc, "time", dict, "config", None)
     if tsec is not None:
+        _known(tsec, ("t_max", "steps"), "time")
         t_max = _require(tsec, "t_max", float, "time")
         steps = _require(tsec, "steps", int, "time")
         if not t_max > 0:
@@ -213,6 +226,7 @@ def parse_config(doc: dict) -> RunConfig:
             raise ConfigError(f"time.steps must be >= 2, got {steps}")
 
     loc = _optional(doc, "locality", dict, "config", {})
+    _known(loc, ("n_samples", "threshold_bits"), "locality")
     n_samples = _optional(loc, "n_samples", int, "locality", 64)
     threshold_bits = _optional(loc, "threshold_bits", float, "locality", 0.01)
     if not 1 <= n_samples <= MAX_SAMPLES:
@@ -224,6 +238,7 @@ def parse_config(doc: dict) -> RunConfig:
     grid = None
     sweep = _optional(doc, "sweep", dict, "config", None)
     if sweep is not None:
+        _known(sweep, ("c1_values", "ratio_values"), "sweep")
         has_c1 = "c1_values" in sweep
         has_ratio = "ratio_values" in sweep
         if has_c1 == has_ratio:
@@ -240,6 +255,7 @@ def parse_config(doc: dict) -> RunConfig:
             grid = [(c1, r * c1) for r in ratio_values]
 
     out = _optional(doc, "output", dict, "config", {})
+    _known(out, ("path", "format"), "output")
     output_path = out.get("path")
     if output_path is not None and not isinstance(output_path, str):
         raise ConfigError("output.path must be a string")
@@ -255,15 +271,21 @@ def parse_config(doc: dict) -> RunConfig:
     )
 
 
-def load_config(path: str) -> RunConfig:
-    """Parse a config file; OSError propagates, bad JSON becomes ConfigError."""
+def read_json(path: str):
+    """A JSON file's document; OSError propagates, bad or too deep JSON is a ConfigError."""
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     try:
-        doc = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
-    return parse_config(doc)
+    except RecursionError:
+        raise ConfigError(f"{path}: JSON nested too deeply to read") from None
+
+
+def load_config(path: str) -> RunConfig:
+    """Parse a config file read by :func:`read_json`."""
+    return parse_config(read_json(path))
 
 
 def model_from_config(cfg: RunConfig) -> ModelSpec:

@@ -94,6 +94,11 @@ def sequential_residual(u: np.ndarray, dims: Dims, restarts: int = 5,
     n = dims.total
     if u.shape != (n, n):
         raise ValueError(f"unitary has shape {u.shape}, expected ({n}, {n})")
+    # the entries of a unitary have real and imaginary parts in [-1, 1]; checking
+    # them first rejects non-finite input (nan > tol is false) and keeps U+U finite
+    part = float(np.maximum(np.abs(u.real), np.abs(u.imag)).max())
+    if not part <= 1 + UNITARY_TOL:
+        raise ValidationError(f"input is not unitary: an entry has a part of magnitude {part:.3e} > 1")
     dev = float(np.abs(u.conj().T @ u - np.eye(n)).max())
     if dev > UNITARY_TOL:
         raise ValidationError(f"input is not unitary: max |U+U - I| = {dev:.3e}")

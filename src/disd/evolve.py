@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import InitialSpec, ModelSpec, assemble_hamiltonian
+from .model import InitialSpec, ModelSpec, assemble_hamiltonian, initial_state
 from .qcore import ValidationError, basis_vector, check_hermitian, eigh_ordered, spectral_norm
 
 __all__ = [
@@ -38,6 +38,7 @@ __all__ = [
 
 COMMUTATOR_TOL = 1e-8
 NORM_DRIFT_TOL = 1e-8
+PHASE_ERROR_TOL = 1e-8  # bound on eps * max|E| * max|t|, the phase error of e^{-iEt}
 
 
 class Propagator:
@@ -52,10 +53,6 @@ class Propagator:
         check_hermitian(h, name="Hamiltonian")
         self._evals, self._vecs = np.linalg.eigh(h)
         self._vecs_h = self._vecs.conj().T
-
-    @property
-    def dim(self) -> int:
-        return len(self._evals)
 
     def apply(self, psi: np.ndarray, t: float) -> np.ndarray:
         """Evolve a single state to time t."""
@@ -74,11 +71,22 @@ class Propagator:
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """States of one model at strictly increasing sample times."""
+    """The product state of ``init`` under one model, at strictly increasing times.
+
+    It keeps the model's ``eigensystem``, so :meth:`evolve` carries any other
+    state over the same times without a second diagonalization.
+    """
 
     times: np.ndarray
     states: np.ndarray  # shape (n_times, total_dim)
     model: ModelSpec
+    init: InitialSpec
+    psi0: np.ndarray
+    eigensystem: Propagator
+
+    def evolve(self, psi: np.ndarray) -> np.ndarray:
+        """States of ``psi`` evolved under the same model, one row per trajectory time."""
+        return self.eigensystem.evolve_many(psi, self.times)
 
 
 @dataclass(frozen=True, eq=False)
@@ -105,22 +113,31 @@ class PerturbationData:
     gap_warnings: list
 
 
-def propagate(spec: ModelSpec, psi0: np.ndarray, times) -> Trajectory:
-    """Exact unitary evolution of psi0 under the assembled Hamiltonian."""
+def propagate(spec: ModelSpec, init: InitialSpec, times) -> Trajectory:
+    """Exact evolution of the product state of ``init``: the one route from a model to states.
+
+    The eigenvalues of H carry an absolute error of about eps * ||H||, so the
+    phases e^{-iEt} carry about eps * ||H|| * t. A grid with eps * max|E| *
+    max|t| above 1e-8 would leave fewer than eight correct digits in them,
+    and raises ``ValidationError`` before any state is computed.
+    """
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size < 1:
         raise ValueError("times must be a non-empty 1-D sequence")
     if times.size > 1 and not np.all(np.diff(times) > 0):
         raise ValueError("times must be strictly increasing")
-    psi0 = np.asarray(psi0, dtype=complex)
-    if psi0.shape != (spec.dims.total,):
-        raise ValueError(f"psi0 has shape {psi0.shape}, expected ({spec.dims.total},)")
+    psi0 = initial_state(init, spec.dims)
     prop = Propagator(assemble_hamiltonian(spec))
+    phase_error = np.finfo(float).eps * np.abs(prop._evals).max() * np.abs(times).max()
+    if not phase_error <= PHASE_ERROR_TOL:
+        raise ValidationError(f"phases lose their precision: eps*max|E|*max|t| = "
+                              f"{phase_error:.3e} > {PHASE_ERROR_TOL:.1e}")
     states = prop.evolve_many(psi0, times)
     drift = float(np.abs(np.linalg.norm(states, axis=1) - 1.0).max())
     if drift > NORM_DRIFT_TOL:
         raise ValidationError(f"propagation norm drift {drift:.3e} > {NORM_DRIFT_TOL:.1e}")
-    return Trajectory(times=times, states=states, model=spec)
+    return Trajectory(times=times, states=states, model=spec, init=init, psi0=psi0,
+                      eigensystem=prop)
 
 
 def _comm_norm(x: np.ndarray, y: np.ndarray) -> float:
@@ -232,19 +249,19 @@ def product_approx(init: InitialSpec, pd: PerturbationData, times) -> np.ndarray
     return psi.reshape(len(t), -1)
 
 
-def residuals_along(traj: Trajectory, init: InitialSpec,
-                    pd: PerturbationData) -> np.ndarray:
+def residuals_along(traj: Trajectory, pd: PerturbationData) -> np.ndarray:
     """Approximation residual at every sample time of an exact trajectory.
 
     Each entry is the phase-aligned distance min over a global phase of
     || psi_exact - e^{i phi} psi_approx ||, i.e. sqrt(2 - 2 |<approx|exact>|).
     It is evaluated as a vector norm at the optimal phase rather than through
-    the overlap, which would floor the result at sqrt(machine eps). ``pd``
-    must be built from the trajectory's own model.
+    the overlap, which would floor the result at sqrt(machine eps). The
+    product form starts from the trajectory's own ``init``; ``pd`` must be
+    built from the trajectory's own model.
     """
     if pd.spec is not traj.model:
         raise ValueError("perturbation data was built from a different model")
-    approx = product_approx(init, pd, traj.times)
+    approx = product_approx(traj.init, pd, traj.times)
     exact = traj.states
     ov = np.einsum("ki,ki->k", approx.conj(), exact)
     mag = np.abs(ov)

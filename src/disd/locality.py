@@ -18,8 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .evolve import Propagator, Trajectory
-from .model import InitialSpec, ModelSpec, assemble_hamiltonian, initial_state
+from .evolve import Trajectory
 from .qcore import (
     Dims,
     ValidationError,
@@ -52,9 +51,6 @@ class LocalityReport:
     signal_b_to_a: np.ndarray
     signal_a_to_b: np.ndarray
     tau_estimate: float | None
-    threshold_bits: float
-    n_samples: int
-    seed: int
 
 
 def mi_and_entropies(traj: Trajectory) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -109,22 +105,20 @@ def _signaling_curves(evolve, psi0: np.ndarray, ref_states: np.ndarray, dims: Di
     return out
 
 
-def signaling_test(spec: ModelSpec, init: InitialSpec, times, direction: str,
-                   n_samples: int = 64, seed: int = 0) -> np.ndarray:
+def signaling_test(traj: Trajectory, direction: str, n_samples: int = 64,
+                   seed: int = 0) -> np.ndarray:
     """Max reduced-state disturbance of the target side under sampled source unitaries.
 
     For each of ``n_samples`` Haar unitaries G on the source subsystem (B for
-    direction "b_to_a"), the initial state is modified by G at t = 0, both
-    variants are evolved, and the trace distance between the target's reduced
-    states is recorded; the per-time maximum over samples is returned. Sample
-    k's unitary depends only on (seed, direction, k), so enlarging n_samples
+    direction "b_to_a"), the trajectory's initial state is modified by G at
+    t = 0 and evolved over the trajectory's times, and the trace distance
+    between the target's reduced states and the trajectory's own is
+    recorded; the per-time maximum over samples is returned. Sample k's
+    unitary depends only on (seed, direction, k), so enlarging n_samples
     refines the same family.
     """
-    times = np.asarray(times, dtype=float)
-    psi0 = initial_state(init, spec.dims)
-    prop = Propagator(assemble_hamiltonian(spec))
-    evolve = lambda psi: prop.evolve_many(psi, times)
-    return _signaling_curves(evolve, psi0, evolve(psi0), spec.dims, direction, n_samples, seed)
+    return _signaling_curves(traj.evolve, traj.psi0, traj.states, traj.model.dims,
+                             direction, n_samples, seed)
 
 
 def signaling_test_unitary(u: np.ndarray, psi0: np.ndarray, dims: Dims,
@@ -157,21 +151,13 @@ def tau_estimate(times, mi_ab_bits, threshold_bits: float) -> float | None:
     return float(t[k - 1] + frac * (t[k] - t[k - 1]))
 
 
-def locality_report(spec: ModelSpec, init: InitialSpec, times,
-                    n_samples: int = 64, threshold_bits: float = 0.01,
+def locality_report(traj: Trajectory, n_samples: int = 64, threshold_bits: float = 0.01,
                     seed: int = 0) -> LocalityReport:
-    """Mutual information, both signaling directions, and the onset estimate."""
-    times = np.asarray(times, dtype=float)
-    dims = spec.dims
-    psi0 = initial_state(init, dims)
-    prop = Propagator(assemble_hamiltonian(spec))
-    evolve = lambda psi: prop.evolve_many(psi, times)
-    states = evolve(psi0)
-    mi = mi_trajectory(Trajectory(times=times, states=states, model=spec))
-    sig_ba = _signaling_curves(evolve, psi0, states, dims, "b_to_a", n_samples, seed)
-    sig_ab = _signaling_curves(evolve, psi0, states, dims, "a_to_b", n_samples, seed)
+    """Mutual information, both signaling directions, and the onset estimate of one trajectory."""
+    mi = mi_trajectory(traj)
     return LocalityReport(
-        times=times, mi_ab_bits=mi, signal_b_to_a=sig_ba, signal_a_to_b=sig_ab,
-        tau_estimate=tau_estimate(times, mi, threshold_bits),
-        threshold_bits=threshold_bits, n_samples=n_samples, seed=seed,
+        times=traj.times, mi_ab_bits=mi,
+        signal_b_to_a=signaling_test(traj, "b_to_a", n_samples, seed),
+        signal_a_to_b=signaling_test(traj, "a_to_b", n_samples, seed),
+        tau_estimate=tau_estimate(traj.times, mi, threshold_bits),
     )

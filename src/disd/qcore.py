@@ -1,7 +1,7 @@
 """Dense complex linear algebra for small multipartite Hilbert spaces.
 
-Partial traces, ordered eigendecompositions, entropies, distances, and
-reproducible Haar sampling, all as pure functions on numpy arrays.
+Reduced states of pure states, ordered eigendecompositions, entropies,
+distances, and reproducible Haar sampling, all as pure functions on numpy arrays.
 Subsystem order is fixed to A, C, B throughout the package; a composite basis
 index decomposes as ``idx = a * (d_c * d_b) + c * d_b + b``. Units: hbar = 1,
 energies dimensionless, entropies in bits (log base 2).
@@ -24,8 +24,6 @@ __all__ = [
     "derive_seed",
     "eigh_ordered",
     "haar_unitary",
-    "mutual_information",
-    "partial_trace",
     "random_hermitian",
     "rdm_from_state",
     "spectral_norm",
@@ -131,41 +129,8 @@ def check_hermitian(m: np.ndarray, name: str = "matrix") -> None:
 
 
 # ---------------------------------------------------------------------------
-# partial traces
+# reduced states
 # ---------------------------------------------------------------------------
-
-def partial_trace(rho: np.ndarray, dims: Sequence[int],
-                  keep: Iterable[int]) -> np.ndarray:
-    """Reduced density operator on a subset of tensor factors.
-
-    Parameters
-    ----------
-    rho : square array on the full product space.
-    dims : factor dimensions in tensor order; their product must equal
-        ``rho.shape[0]``.
-    keep : indices of the factors to keep. Factor order is preserved.
-    """
-    dims = [int(d) for d in dims]
-    keep_set = sorted(set(int(k) for k in keep))
-    n = len(dims)
-    if not keep_set:
-        raise ValueError("keep set must not be empty")
-    if any(k < 0 or k >= n for k in keep_set):
-        raise ValueError(f"keep indices {keep_set} out of range for {n} factors")
-    total = math.prod(dims)
-    rho = np.asarray(rho)
-    if rho.shape != (total, total):
-        raise ValueError(f"rho shape {rho.shape} inconsistent with dims {dims}")
-    t = rho.reshape(dims + dims)
-    m = n
-    for ax in range(n - 1, -1, -1):
-        if ax in keep_set:
-            continue
-        t = np.trace(t, axis1=ax, axis2=ax + m)
-        m -= 1
-    d_keep = math.prod(dims[k] for k in keep_set)
-    return t.reshape(d_keep, d_keep)
-
 
 def rdm_from_state(psi: np.ndarray, dims: Sequence[int],
                    keep: Iterable[int]) -> np.ndarray:
@@ -253,20 +218,6 @@ def vn_entropy(rho: np.ndarray) -> float | np.ndarray:
     s = -(p * np.log2(p)).sum(axis=-1)
     s = np.where(s > 0.0, s, 0.0)
     return float(s) if s.ndim == 0 else s
-
-
-def mutual_information(rho_ab: np.ndarray, d_a: int, d_b: int) -> float:
-    """I(A:B) = S(rho_A) + S(rho_B) - S(rho_AB) in bits, clamped at zero."""
-    rho_ab = np.asarray(rho_ab)
-    if rho_ab.shape != (d_a * d_b, d_a * d_b):
-        raise ValueError(f"rho_ab shape {rho_ab.shape} does not match d_a*d_b = {d_a * d_b}")
-    s_a = vn_entropy(partial_trace(rho_ab, (d_a, d_b), (0,)))
-    s_b = vn_entropy(partial_trace(rho_ab, (d_a, d_b), (1,)))
-    s_ab = vn_entropy(rho_ab)
-    mi = s_a + s_b - s_ab
-    if mi < -1e-9:
-        raise ValidationError(f"mutual information {mi:.3e} below -1e-9")
-    return max(mi, 0.0)
 
 
 def trace_distance(rho: np.ndarray, sigma: np.ndarray) -> float | np.ndarray:

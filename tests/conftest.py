@@ -2,6 +2,21 @@ import numpy as np
 import pytest
 
 import disd
+from disd.evolve import Propagator
+
+
+@pytest.fixture
+def propagator_builds(monkeypatch):
+    """A list that gains one entry per ``Propagator`` built (one ``eigh`` each) during the test."""
+    builds = []
+    build = Propagator.__init__
+
+    def counted(self, h):
+        builds.append(np.shape(h))
+        build(self, h)
+
+    monkeypatch.setattr(Propagator, "__init__", counted)
+    return builds
 
 
 @pytest.fixture

@@ -5,16 +5,64 @@ These recompute quantities along different numerical routes than the package
 the two sides is evidence, not tautology.
 """
 
+import math
+
 import numpy as np
 
 from disd.qcore import (
+    ValidationError,
     derive_seed,
     haar_unitary,
-    mutual_information,
-    partial_trace,
     rdm_from_state,
     trace_distance,
+    vn_entropy,
 )
+
+
+def partial_trace(rho, dims, keep):
+    """Reduced density operator on a subset of tensor factors.
+
+    Parameters
+    ----------
+    rho : square array on the full product space.
+    dims : factor dimensions in tensor order; their product must equal
+        ``rho.shape[0]``.
+    keep : indices of the factors to keep. Factor order is preserved.
+    """
+    dims = [int(d) for d in dims]
+    keep_set = sorted(set(int(k) for k in keep))
+    n = len(dims)
+    if not keep_set:
+        raise ValueError("keep set must not be empty")
+    if any(k < 0 or k >= n for k in keep_set):
+        raise ValueError(f"keep indices {keep_set} out of range for {n} factors")
+    total = math.prod(dims)
+    rho = np.asarray(rho)
+    if rho.shape != (total, total):
+        raise ValueError(f"rho shape {rho.shape} inconsistent with dims {dims}")
+    t = rho.reshape(dims + dims)
+    m = n
+    for ax in range(n - 1, -1, -1):
+        if ax in keep_set:
+            continue
+        t = np.trace(t, axis1=ax, axis2=ax + m)
+        m -= 1
+    d_keep = math.prod(dims[k] for k in keep_set)
+    return t.reshape(d_keep, d_keep)
+
+
+def mutual_information(rho_ab, d_a, d_b):
+    """I(A:B) = S(rho_A) + S(rho_B) - S(rho_AB) in bits, clamped at zero."""
+    rho_ab = np.asarray(rho_ab)
+    if rho_ab.shape != (d_a * d_b, d_a * d_b):
+        raise ValueError(f"rho_ab shape {rho_ab.shape} does not match d_a*d_b = {d_a * d_b}")
+    s_a = vn_entropy(partial_trace(rho_ab, (d_a, d_b), (0,)))
+    s_b = vn_entropy(partial_trace(rho_ab, (d_a, d_b), (1,)))
+    s_ab = vn_entropy(rho_ab)
+    mi = s_a + s_b - s_ab
+    if mi < -1e-9:
+        raise ValidationError(f"mutual information {mi:.3e} below -1e-9")
+    return max(mi, 0.0)
 
 
 def _ordered_eigh_desc(h):

@@ -20,13 +20,12 @@ from disd.model import build_canonical, initial_state
 from disd.qcore import (
     Dims,
     haar_unitary,
-    mutual_information,
     random_hermitian,
     rdm_from_state,
     vn_entropy,
 )
 
-from oracles import loglog_slope, rs2_table_bruteforce, spearman_rank
+from oracles import loglog_slope, mutual_information, rs2_table_bruteforce, spearman_rank
 
 DEFAULT_SEED = 1
 DIMS = Dims(2, 3, 3)
@@ -50,15 +49,14 @@ def _uniform_init(dims):
 
 def _scaling_data():
     init = _uniform_init(DIMS)
-    psi0 = initial_state(init, DIMS)
     times = np.linspace(0.0, 5.0, 200)
     c1_grid = [1.0, 4.0, 16.0, 64.0, 256.0]
     max_res, lam_sup, warn_total = [], [], 0
     for c1 in c1_grid:
         spec = build_canonical(DIMS, DEFAULT_SEED, c1, 0.05)
         pd = perturbation_data(spec)
-        traj = propagate(spec, psi0, times)
-        max_res.append(residuals_along(traj, init, pd).max())
+        traj = propagate(spec, init, times)
+        max_res.append(residuals_along(traj, pd).max())
         lam_sup.append(pd.lambda_sup)
         warn_total += len(pd.gap_warnings)
     return c1_grid, max_res, lam_sup, warn_total
@@ -89,14 +87,11 @@ def test_criterion_2_lambda_scaling(scaling_data):
 def test_criterion_3_exact_decoupling():
     init = _uniform_init(DIMS)
     spec = build_canonical(DIMS, DEFAULT_SEED, 4.0, 0.0)
-    psi0 = initial_state(init, DIMS)
-    times = np.linspace(0.0, 5.0, 101)
-    traj = propagate(spec, psi0, times)
+    traj = propagate(spec, init, np.linspace(0.0, 5.0, 101))
     pd = perturbation_data(spec)
     mi_max = mi_trajectory(traj).max()
-    res_max = residuals_along(traj, init, pd).max()
-    sig_max = signaling_test(spec, init, times, "b_to_a",
-                             n_samples=64, seed=DEFAULT_SEED).max()
+    res_max = residuals_along(traj, pd).max()
+    sig_max = signaling_test(traj, "b_to_a", n_samples=64, seed=DEFAULT_SEED).max()
     ok = mi_max <= 1e-10 and sig_max <= 1e-10 and res_max <= 1e-9
     _report("criterion 3: exact decoupling at c2 = 0", ok,
             f"max mi = {mi_max:.1e}, max signal = {sig_max:.1e}, max residual = {res_max:.1e}")
@@ -105,14 +100,13 @@ def test_criterion_3_exact_decoupling():
 
 def test_criterion_4_correlation_onset():
     init = _uniform_init(DIMS)
-    psi0 = initial_state(init, DIMS)
     c1_grid = [1.0, 2.0, 4.0, 8.0, 16.0]
     taus = []
     mi_smallest_c1 = None
     for c1 in c1_grid:
         spec = build_canonical(DIMS, DEFAULT_SEED, c1, 0.2)
         times = np.linspace(0.0, 50.0 * c1, 1001)
-        traj = propagate(spec, psi0, times)
+        traj = propagate(spec, init, times)
         mi = mi_trajectory(traj)
         taus.append(tau_estimate(times, mi, 0.01))
         if c1 == c1_grid[0]:
@@ -177,7 +171,6 @@ def test_criterion_7_perturbation_oracle():
 def test_criterion_8_numerical_hygiene(tmp_path):
     init = _uniform_init(DIMS)
     spec = build_canonical(DIMS, DEFAULT_SEED, 8.0, 0.3)
-    psi0 = initial_state(init, DIMS)
     times = np.linspace(0.0, 10.0, 101)
 
     h = random_hermitian(12, DEFAULT_SEED)
@@ -185,7 +178,7 @@ def test_criterion_8_numerical_hygiene(tmp_path):
     u = np.column_stack([prop.apply(e, 1.3) for e in np.eye(12, dtype=complex)])
     unitarity = float(np.abs(u.conj().T @ u - np.eye(12)).max())
 
-    traj = propagate(spec, psi0, times)
+    traj = propagate(spec, init, times)
     drift = float(np.abs(np.linalg.norm(traj.states, axis=1) - 1.0).max())
 
     h_full = disd.assemble_hamiltonian(spec)

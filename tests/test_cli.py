@@ -192,6 +192,11 @@ class TestLocality:
         for a, b in zip(outs[1]["signal_b_to_a"], outs[8]["signal_b_to_a"]):
             assert b >= a - 1e-15
 
+    def test_one_eigensystem_per_run(self, tmp_path, propagator_builds):
+        cfg = write_config(tmp_path, base_config())
+        assert main(["locality", "--config", cfg, "--out", str(tmp_path / "loc.csv")]) == 0
+        assert len(propagator_builds) == 1
+
     def test_deterministic(self, tmp_path):
         cfg = write_config(tmp_path, base_config())
         out1, out2 = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
@@ -379,6 +384,16 @@ BAD_FIELDS = [
     ("simulate", "time", "steps", True, "time.steps"),
     ("simulate", "initial", "alpha", [[float("nan"), 0.0], [1.0, 0.0]], "initial.alpha"),
     ("simulate", "output", "format", "json", "output.format"),
+    ("locality", "locality", "n_sample", 8, "locality.n_sample"),
+    ("simulate", "dims", "d", 5, "dims.d"),
+    ("simulate", "couplings", "c3", 1.0, "couplings.c3"),
+    ("simulate", "model", "familly", "explicit", "model.familly"),
+    ("simulate", "initial", "beta", [1.0], "initial.beta"),
+    ("simulate", "time", "dt", 0.1, "time.dt"),
+    ("sweep", "sweep", "c2_values", [0.1], "sweep.c2_values"),
+    ("simulate", "output", "paths", "x.csv", "output.paths"),
+    ("simulate", "dims", "a", 3, "initial.alpha has shape (2,), expected (3,)"),
+    ("simulate", "dims", "b", 2, "initial.chi has shape (3,), expected (2,)"),
 ]
 
 
@@ -468,6 +483,61 @@ class TestExitCodes:
     def test_n_samples_cap_is_accepted(self):
         doc = base_config(locality={"n_samples": MAX_SAMPLES, "threshold_bits": 0.01})
         assert parse_config(doc).n_samples == MAX_SAMPLES
+
+    def test_unknown_matrix_key_is_named_config_error(self, tmp_path, capsys):
+        cfg = parse_config(base_config())
+        matrices = dict(cmd_make_model(cfg)["matrices"], h_ab=[[0.0]])
+        doc = base_config(model={"family": "explicit", "matrices": matrices})
+        assert main(["simulate", "--config", write_config(tmp_path, doc)]) == 1
+        assert "model.matrices.h_ab" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["h_a", "h_c", "h_b", "h_ac", "h_cb"])
+    def test_matrix_of_wrong_size_is_named_config_error(self, tmp_path, capsys, name):
+        # dims 2x3x3 want sizes 2, 3, 3, 6, 9; the named matrix is one larger
+        sizes = {"h_a": 2, "h_c": 3, "h_b": 3, "h_ac": 6, "h_cb": 9}
+        sizes[name] += 1
+        matrices = {k: [[[float(i == j), 0.0] for j in range(n)] for i in range(n)]
+                    for k, n in sizes.items()}
+        doc = base_config(model={"family": "explicit", "matrices": matrices})
+        assert main(["simulate", "--config", write_config(tmp_path, doc)]) == 1
+        n = sizes[name]
+        assert capsys.readouterr().err == (f"config error: model.matrices.{name} has shape "
+                                           f"({n}, {n}), expected ({n - 1}, {n - 1}) from dims\n")
+
+    @pytest.mark.parametrize("command", ["simulate", "decompose"])
+    def test_deeply_nested_json_is_config_error(self, tmp_path, capsys, command):
+        path = tmp_path / "deep.json"
+        path.write_text('{"u": ' + "[" * 100_000 + "]" * 100_000 + "}")
+        args = [str(path)] if command == "decompose" else ["--config", str(path)]
+        assert main([command, *args]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "nested too deeply" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("value", [1e308, -1e308, 1.7e308])
+    def test_huge_unitary_entries_are_not_unitary(self, tmp_path, capsys, value):
+        doc = {"dims": {"a": 2, "c": 2, "b": 2},
+               "u": [[[value, value]] * 8 for _ in range(8)]}
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(doc))
+        assert main(["decompose", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "not unitary" in err and "Traceback" not in err
+
+    def test_linalg_error_is_numerical_error(self, monkeypatch, capsys):
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr("disd.cli.sequential_residual", fail)
+        assert main(["decompose", "--plant", "seed=1"]) == 2
+        assert capsys.readouterr().err == "numerical error: SVD did not converge\n"
+
+    @pytest.mark.parametrize("command", ["simulate", "sweep", "locality"])
+    def test_lost_phase_precision_is_validation_error(self, tmp_path, capsys, command):
+        doc = base_config(time={"t_max": 1e13, "steps": 5}, sweep={"c1_values": [8.0]})
+        assert main([command, "--config", write_config(tmp_path, doc)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("validation error: phases lose their precision")
 
     @pytest.mark.parametrize("command, section, key, value, field", BAD_FIELDS,
                              ids=[case[-1] for case in BAD_FIELDS])

@@ -39,9 +39,9 @@ def diagonal_explicit_spec():
 
 class TestPropagate:
     def test_time_zero(self, spec233, init233):
-        psi0 = initial_state(init233, spec233.dims)
-        traj = propagate(spec233, psi0, [0.0, 0.5])
-        assert np.array_equal(traj.states[0], psi0)
+        traj = propagate(spec233, init233, [0.0, 0.5])
+        assert np.array_equal(traj.psi0, initial_state(init233, spec233.dims))
+        assert np.array_equal(traj.states[0], traj.psi0)
 
     def test_zero_hamiltonian(self, dims233, init233):
         psi0 = initial_state(init233, dims233)
@@ -58,25 +58,23 @@ class TestPropagate:
         assert np.linalg.norm(one - two) <= 1e-9
 
     def test_norm_preserved(self, spec233, init233):
-        psi0 = initial_state(init233, spec233.dims)
-        traj = propagate(spec233, psi0, np.linspace(0, 20, 50))
+        traj = propagate(spec233, init233, np.linspace(0, 20, 50))
         assert np.abs(np.linalg.norm(traj.states, axis=1) - 1.0).max() <= 1e-9
 
     def test_energy_conserved(self, spec233, init233):
-        psi0 = initial_state(init233, spec233.dims)
         h = assemble_hamiltonian(spec233)
-        traj = propagate(spec233, psi0, np.linspace(0, 10, 30))
+        traj = propagate(spec233, init233, np.linspace(0, 10, 30))
         energies = [np.vdot(s, h @ s).real for s in traj.states]
         assert max(energies) - min(energies) <= 1e-8
 
     def test_rejects_unsorted_times(self, spec233, init233):
-        psi0 = initial_state(init233, spec233.dims)
         with pytest.raises(ValueError):
-            propagate(spec233, psi0, [0.0, 2.0, 1.0])
+            propagate(spec233, init233, [0.0, 2.0, 1.0])
 
-    def test_rejects_wrong_state_dim(self, spec233):
-        with pytest.raises(ValueError):
-            propagate(spec233, np.zeros(5, dtype=complex), [0.0])
+    def test_rejects_wrong_state_dim(self, spec233, init233):
+        wrong = dataclasses.replace(init233, alpha=np.array([1.0, 0.0, 0.0]))
+        with pytest.raises(ValueError, match="alpha has length"):
+            propagate(spec233, wrong, [0.0])
 
     def test_evolve_many_matches_apply(self, spec233, init233):
         psi0 = initial_state(init233, spec233.dims)
@@ -185,34 +183,30 @@ class TestProductApprox:
     def test_exact_when_c2_zero(self, dims233, init233):
         spec = build_canonical(dims233, 2, 3.0, 0.0)
         pd = perturbation_data(spec)
-        psi0 = initial_state(init233, dims233)
-        times = np.linspace(0, 8, 40)
-        traj = propagate(spec, psi0, times)
-        res = residuals_along(traj, init233, pd)
+        traj = propagate(spec, init233, np.linspace(0, 8, 40))
+        res = residuals_along(traj, pd)
         assert res.max() <= 1e-9
 
     def test_rejects_foreign_pd(self, spec233, dims233, init233):
         other = build_canonical(dims233, 3, 8.0, 0.3)
         pd = perturbation_data(other)
-        traj = propagate(spec233, initial_state(init233, dims233), [0.0, 1.0])
+        traj = propagate(spec233, init233, [0.0, 1.0])
         with pytest.raises(ValueError, match="different model"):
-            residuals_along(traj, init233, pd)
+            residuals_along(traj, pd)
 
 
 class TestApproxResidual:
     def test_zero_at_time_zero(self, spec233, init233):
         pd = perturbation_data(spec233)
-        traj = propagate(spec233, initial_state(init233, spec233.dims), [0.0, 2.0])
-        assert residuals_along(traj, init233, pd)[0] <= 1e-12
+        traj = propagate(spec233, init233, [0.0, 2.0])
+        assert residuals_along(traj, pd)[0] <= 1e-12
 
     def test_chi_phase_invariance(self, spec233, init233):
         pd = perturbation_data(spec233)
         shifted = dataclasses.replace(init233, chi=init233.chi * np.exp(0.77j))
         times = [0.0, 2.0, 5.5]
-        traj1 = propagate(spec233, initial_state(init233, spec233.dims), times)
-        traj2 = propagate(spec233, initial_state(shifted, spec233.dims), times)
-        r1 = residuals_along(traj1, init233, pd)
-        r2 = residuals_along(traj2, shifted, pd)
+        r1 = residuals_along(propagate(spec233, init233, times), pd)
+        r2 = residuals_along(propagate(spec233, shifted, times), pd)
         assert np.abs(r1 - r2).max() <= 1e-12
         assert r1[1] > 1e-6
 
@@ -222,8 +216,8 @@ class TestApproxResidual:
         for c1 in (4.0, 40.0):
             spec = build_canonical(dims233, 1, c1, 0.3)
             pd = perturbation_data(spec)
-            traj = propagate(spec, initial_state(init233, dims233), times)
-            psi_res[c1] = residuals_along(traj, init233, pd).max()
+            traj = propagate(spec, init233, times)
+            psi_res[c1] = residuals_along(traj, pd).max()
         assert psi_res[40.0] < psi_res[4.0]
 
 
@@ -232,9 +226,9 @@ class TestResidualsAgainstOracle:
     def test_stacked_matches_per_row_route(self, factors, c2):
         spec, init, times = oracle_case(factors, c2)
         pd = perturbation_data(spec)
-        traj = propagate(spec, initial_state(init, spec.dims), times)
+        traj = propagate(spec, init, times)
         expected = residuals_per_row(spec, init, pd, traj.times, traj.states)
-        assert_allclose(residuals_along(traj, init, pd), expected, rtol=0, atol=1e-12)
+        assert_allclose(residuals_along(traj, pd), expected, rtol=0, atol=1e-12)
         if c2 == 0:
             assert expected.max() <= 1e-9
         else:

@@ -4,7 +4,7 @@ from numpy.testing import assert_allclose
 
 import disd
 from disd.decompose import planted_sequential
-from disd.evolve import Propagator, propagate
+from disd.evolve import Propagator, perturbation_data, propagate, residuals_along
 from disd.locality import (
     locality_report,
     mi_trajectory,
@@ -19,25 +19,21 @@ from oracles import mi_per_row, signaling_per_row
 
 class TestMiTrajectory:
     def test_zero_at_start(self, spec233, init233):
-        psi0 = initial_state(init233, spec233.dims)
-        traj = propagate(spec233, psi0, [0.0])
+        traj = propagate(spec233, init233, [0.0])
         assert mi_trajectory(traj)[0] <= 1e-12
 
     def test_decoupled_when_c2_zero(self, dims233, init233):
         spec = build_canonical(dims233, 4, 3.0, 0.0)
-        psi0 = initial_state(init233, dims233)
-        traj = propagate(spec, psi0, np.linspace(0, 20, 60))
+        traj = propagate(spec, init233, np.linspace(0, 20, 60))
         assert mi_trajectory(traj).max() <= 1e-10
 
     def test_correlations_appear_at_long_horizon(self, dims233, init233):
         spec = build_canonical(dims233, 1, 1.0, 0.2)
-        psi0 = initial_state(init233, dims233)
-        traj = propagate(spec, psi0, np.linspace(0, 50, 400))
+        traj = propagate(spec, init233, np.linspace(0, 50, 400))
         assert mi_trajectory(traj).max() > 0.01
 
     def test_bounded_by_smaller_subsystem(self, spec233, init233):
-        psi0 = initial_state(init233, spec233.dims)
-        traj = propagate(spec233, psi0, np.linspace(0, 30, 40))
+        traj = propagate(spec233, init233, np.linspace(0, 30, 40))
         bound = 2 * min(np.log2(spec233.dims.a), np.log2(spec233.dims.b))
         assert mi_trajectory(traj).max() <= bound + 1e-9
 
@@ -45,56 +41,56 @@ class TestMiTrajectory:
 class TestSignaling:
     def test_decoupled_b_to_a(self, dims233, init233):
         spec = build_canonical(dims233, 4, 3.0, 0.0)
-        out = signaling_test(spec, init233, np.linspace(0, 10, 20), "b_to_a",
-                             n_samples=16, seed=5)
+        traj = propagate(spec, init233, np.linspace(0, 10, 20))
+        out = signaling_test(traj, "b_to_a", n_samples=16, seed=5)
         assert out.max() <= 1e-10
 
     def test_no_signaling_when_a_uncorrelated(self, dims233, init233):
         # I(A:CB) stays zero without the A-C coupling, so B cannot reach A
         spec = build_canonical(dims233, 4, 3.0, 0.0)
-        psi0 = initial_state(init233, dims233)
-        times = np.linspace(0, 10, 20)
-        traj = propagate(spec, psi0, times)
+        traj = propagate(spec, init233, np.linspace(0, 10, 20))
         d = dims233
         for s in traj.states:
             s_a = vn_entropy(rdm_from_state(s, d.factors, (0,)))
             assert 2 * s_a <= 1e-10  # I(A:CB) = 2 S(A) for a pure global state
-        out = signaling_test(spec, init233, times, "b_to_a", n_samples=8, seed=1)
+        out = signaling_test(traj, "b_to_a", n_samples=8, seed=1)
         assert out.max() <= 1e-10
 
     def test_canonical_signaling_appears(self, dims233, init233):
         spec = build_canonical(dims233, 1, 1.0, 0.2)
-        out = signaling_test(spec, init233, np.linspace(0, 50, 60), "b_to_a",
-                             n_samples=8, seed=2)
+        traj = propagate(spec, init233, np.linspace(0, 50, 60))
+        out = signaling_test(traj, "b_to_a", n_samples=8, seed=2)
         assert out.max() > 1e-3
 
     def test_sample_max_nested_in_n_samples(self, spec233, init233):
-        times = np.linspace(0, 5, 10)
-        small = signaling_test(spec233, init233, times, "b_to_a", n_samples=1, seed=9)
-        large = signaling_test(spec233, init233, times, "b_to_a", n_samples=8, seed=9)
+        traj = propagate(spec233, init233, np.linspace(0, 5, 10))
+        small = signaling_test(traj, "b_to_a", n_samples=1, seed=9)
+        large = signaling_test(traj, "b_to_a", n_samples=8, seed=9)
         assert np.all(large >= small - 1e-15)
 
     def test_deterministic_for_fixed_seed(self, spec233, init233):
-        times = np.linspace(0, 5, 6)
-        a = signaling_test(spec233, init233, times, "a_to_b", n_samples=4, seed=3)
-        b = signaling_test(spec233, init233, times, "a_to_b", n_samples=4, seed=3)
+        traj = propagate(spec233, init233, np.linspace(0, 5, 6))
+        a = signaling_test(traj, "a_to_b", n_samples=4, seed=3)
+        b = signaling_test(traj, "a_to_b", n_samples=4, seed=3)
         assert np.array_equal(a, b)
 
     def test_global_phase_invariance(self, spec233, init233):
         import dataclasses
         times = np.linspace(0, 5, 6)
         shifted = dataclasses.replace(init233, alpha=init233.alpha * np.exp(0.3j))
-        a = signaling_test(spec233, init233, times, "b_to_a", n_samples=4, seed=3)
-        b = signaling_test(spec233, shifted, times, "b_to_a", n_samples=4, seed=3)
+        a = signaling_test(propagate(spec233, init233, times), "b_to_a", n_samples=4, seed=3)
+        b = signaling_test(propagate(spec233, shifted, times), "b_to_a", n_samples=4, seed=3)
         assert np.abs(a - b).max() <= 1e-12
 
     def test_rejects_bad_direction(self, spec233, init233):
+        traj = propagate(spec233, init233, [0.0])
         with pytest.raises(ValueError):
-            signaling_test(spec233, init233, [0.0], "c_to_a", n_samples=1)
+            signaling_test(traj, "c_to_a", n_samples=1)
 
     def test_rejects_zero_samples(self, spec233, init233):
+        traj = propagate(spec233, init233, [0.0])
         with pytest.raises(ValueError):
-            signaling_test(spec233, init233, [0.0], "b_to_a", n_samples=0)
+            signaling_test(traj, "b_to_a", n_samples=0)
 
 
 class TestSignalingOneShot:
@@ -147,9 +143,8 @@ class TestTauEstimate:
         taus = []
         for c1 in (1.0, 2.0, 4.0):
             spec = build_canonical(dims233, 1, c1, 0.2)
-            psi0 = initial_state(init233, dims233)
             times = np.linspace(0, 50 * c1, 600)
-            traj = propagate(spec, psi0, times)
+            traj = propagate(spec, init233, times)
             taus.append(tau_estimate(times, mi_trajectory(traj), 0.01))
         assert all(t is not None for t in taus)
         assert taus[0] < taus[1] < taus[2]
@@ -159,22 +154,36 @@ class TestTauEstimate:
             tau_estimate([0.0], [0.0], 0.0)
 
 
+class TestOneEigensystem:
+    def test_one_trajectory_serves_every_diagnostic(self, spec233, init233, propagator_builds):
+        traj = propagate(spec233, init233, np.linspace(0, 5, 12))
+        mi_trajectory(traj)
+        residuals_along(traj, perturbation_data(spec233))
+        for direction in ("b_to_a", "a_to_b"):
+            signaling_test(traj, direction, n_samples=3, seed=1)
+        locality_report(traj, n_samples=3, seed=1)
+        assert propagator_builds == [(spec233.dims.total, spec233.dims.total)]
+
+    def test_evolve_reuses_the_trajectory_eigensystem(self, spec233, init233):
+        traj = propagate(spec233, init233, np.linspace(0, 5, 12))
+        assert np.array_equal(traj.evolve(traj.psi0), traj.states)
+
+
 class TestLocalityReport:
     def test_fields_consistent(self, spec233, init233):
         times = np.linspace(0, 5, 12)
-        rep = locality_report(spec233, init233, times, n_samples=4,
+        rep = locality_report(propagate(spec233, init233, times), n_samples=4,
                               threshold_bits=0.01, seed=6)
         assert rep.times.shape == rep.mi_ab_bits.shape
         assert rep.signal_b_to_a.shape == rep.signal_a_to_b.shape == rep.times.shape
         assert np.all(rep.mi_ab_bits >= 0)
         assert np.all((rep.signal_b_to_a >= 0) & (rep.signal_b_to_a <= 1))
-        assert rep.n_samples == 4
         assert rep.tau_estimate == tau_estimate(times, rep.mi_ab_bits, 0.01)
 
     def test_matches_standalone_calls(self, spec233, init233):
-        times = np.linspace(0, 4, 8)
-        rep = locality_report(spec233, init233, times, n_samples=3, seed=11)
-        direct = signaling_test(spec233, init233, times, "b_to_a", n_samples=3, seed=11)
+        traj = propagate(spec233, init233, np.linspace(0, 4, 8))
+        rep = locality_report(traj, n_samples=3, seed=11)
+        direct = signaling_test(traj, "b_to_a", n_samples=3, seed=11)
         assert np.array_equal(rep.signal_b_to_a, direct)
 
 
@@ -197,7 +206,7 @@ class TestBatchedAgainstOracles:
     @pytest.mark.parametrize("factors, c2", ORACLE_CASES, ids=ORACLE_IDS)
     def test_mi_matches_per_row_route(self, factors, c2):
         spec, init, times = oracle_case(factors, c2)
-        traj = propagate(spec, initial_state(init, spec.dims), times)
+        traj = propagate(spec, init, times)
         expected = mi_per_row(traj.states, spec.dims)
         assert_allclose(mi_trajectory(traj), expected, rtol=0, atol=1e-12)
         if c2 == 0:
@@ -214,7 +223,18 @@ class TestBatchedAgainstOracles:
         psi0 = initial_state(init, spec.dims)
         expected = signaling_per_row(evolve, psi0, evolve(psi0), spec.dims,
                                              direction, n_samples=5, seed=2)
-        got = signaling_test(spec, init, times, direction, n_samples=5, seed=2)
+        got = signaling_test(propagate(spec, init, times), direction, n_samples=5, seed=2)
+        assert_allclose(got, expected, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("direction", ["b_to_a", "a_to_b"])
+    @pytest.mark.parametrize("factors, c2", ORACLE_CASES, ids=ORACLE_IDS)
+    def test_signaling_through_trajectory_evolve_matches_per_row_loop(self, factors, c2,
+                                                                       direction):
+        spec, init, times = oracle_case(factors, c2)
+        traj = propagate(spec, init, times)
+        expected = signaling_per_row(traj.evolve, traj.psi0, traj.states, spec.dims,
+                                     direction, n_samples=5, seed=2)
+        got = signaling_test(traj, direction, n_samples=5, seed=2)
         assert_allclose(got, expected, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("direction", ["b_to_a", "a_to_b"])

@@ -14,10 +14,11 @@ from disd.model import (
 from disd.qcore import (
     Dims,
     ValidationError,
-    mutual_information,
     rdm_from_state,
     spectral_norm,
 )
+
+from oracles import mutual_information
 
 
 def zero_spec(dims):

@@ -9,13 +9,13 @@ from disd.qcore import (
     derive_seed,
     eigh_ordered,
     haar_unitary,
-    mutual_information,
-    partial_trace,
     random_hermitian,
     rdm_from_state,
     trace_distance,
     vn_entropy,
 )
+
+from oracles import mutual_information, partial_trace
 
 SZ = np.array([[1, 0], [0, -1]], dtype=complex)
 
