@@ -34,7 +34,7 @@ print("bitwise reproducible:", all(
     for n in ("h_a", "h_c", "h_b", "h_ac", "h_cb")))
 
 init = disd.InitialSpec(alpha=np.ones(2) / np.sqrt(2), chi=np.ones(3) / np.sqrt(3))
-psi0 = disd.initial_state(init, dims)
+psi0 = disd.initial_state(init, dims, spec.robust_index)
 # I(A:B) = S(A) + S(B) - S(AB), each from a reduced state of psi0
 s_a, s_b, s_ab = (vn_entropy(disd.rdm_from_state(psi0, dims.factors, keep))
                   for keep in ((0,), (2,), (0, 2)))

@@ -11,7 +11,7 @@ import numpy as np
 
 import disd
 from disd.evolve import perturbation_data, propagate
-from disd.locality import locality_report, mi_trajectory, tau_estimate
+from disd.locality import mi_trajectory, signaling_test, tau_estimate
 
 dims = disd.Dims(2, 3, 3)
 init = disd.InitialSpec(alpha=np.ones(2) / np.sqrt(2), chi=np.ones(3) / np.sqrt(3))
@@ -21,12 +21,13 @@ pd = perturbation_data(spec)
 print(f"sup|lambda_i0j| = {pd.lambda_sup:.4f}   1/sup = {1 / pd.lambda_sup:.1f}")
 
 times = np.linspace(0.0, 120.0, 241)
-rep = locality_report(propagate(spec, init, times), n_samples=16, threshold_bits=0.01, seed=1)
-print(f"onset estimate tau (0.01 bit threshold): {rep.tau_estimate:.2f}")
+traj = propagate(spec, init, times)
+mi = mi_trajectory(traj)
+b_to_a, a_to_b = (signaling_test(traj, d, n_samples=16, seed=1) for d in ("b_to_a", "a_to_b"))
+print(f"onset estimate tau (0.01 bit threshold): {tau_estimate(times, mi, 0.01):.2f}")
 print(f"{'t':>7}  {'I(A:B) bits':>12}  {'B->A signal':>12}  {'A->B signal':>12}")
 for k in range(0, 241, 30):
-    print(f"{times[k]:7.1f}  {rep.mi_ab_bits[k]:12.5f}  "
-          f"{rep.signal_b_to_a[k]:12.5f}  {rep.signal_a_to_b[k]:12.5f}")
+    print(f"{times[k]:7.1f}  {mi[k]:12.5f}  {b_to_a[k]:12.5f}  {a_to_b[k]:12.5f}")
 
 print()
 print("onset time vs coupling strength (c2 = 0.2 fixed):")

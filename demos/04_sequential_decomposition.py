@@ -16,7 +16,7 @@ from disd.locality import signaling_test_unitary
 dims = disd.Dims(2, 2, 2)
 init = disd.InitialSpec(alpha=np.array([1.0, 1.0]) / np.sqrt(2),
                         chi=np.array([1.0, 1.0j]) / np.sqrt(2))
-psi0 = disd.initial_state(init, dims)
+psi0 = disd.initial_state(init, dims, 0)  # C starts in |0>
 
 print("planted sequential unitaries:")
 for seed in range(4):

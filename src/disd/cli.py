@@ -31,8 +31,7 @@ from .config import (
 )
 from .decompose import planted_sequential, sequential_residual
 from .evolve import perturbation_data, propagate, residuals_along
-from .locality import locality_report, mi_and_entropies, mi_trajectory, tau_estimate
-from .model import build_canonical
+from .locality import mi_and_entropies, mi_trajectory, signaling_test, tau_estimate
 from .qcore import Dims, ValidationError
 
 __all__ = [
@@ -141,11 +140,11 @@ def cmd_sweep(cfg: RunConfig) -> str:
 
 def cmd_locality(cfg: RunConfig) -> str:
     traj = propagate(model_from_config(cfg), initial_from_config(cfg), times_from_config(cfg))
-    rep = locality_report(traj, n_samples=cfg.n_samples,
-                          threshold_bits=cfg.threshold_bits, seed=cfg.seed)
+    mi = mi_trajectory(traj)
+    b_to_a, a_to_b = (signaling_test(traj, d, cfg.n_samples, cfg.seed) for d in ("b_to_a", "a_to_b"))
     header = "t,signal_b_to_a,signal_a_to_b,mi_ab_bits"
-    rows = [[_fmt(t), _fmt(rep.signal_b_to_a[k]), _fmt(rep.signal_a_to_b[k]),
-             _fmt(rep.mi_ab_bits[k])] for k, t in enumerate(rep.times)]
+    rows = [[_fmt(t), _fmt(b_to_a[k]), _fmt(a_to_b[k]), _fmt(mi[k])]
+            for k, t in enumerate(traj.times)]
     return _csv(header, rows)
 
 
@@ -165,10 +164,10 @@ def cmd_decompose(u: np.ndarray, dims: Dims, seed: int = 0,
 
 
 def cmd_make_model(cfg: RunConfig) -> dict:
-    spec = build_canonical(cfg.dims, cfg.seed, cfg.c1, cfg.c2, cfg.model_robust_index)
+    spec = model_from_config(cfg)
     return {
         "dims": {"a": cfg.dims.a, "c": cfg.dims.c, "b": cfg.dims.b},
-        "family": "disd-canonical",
+        "family": cfg.model_family,
         "seed": cfg.seed,
         "c1": spec.c1,
         "c2": spec.c2,

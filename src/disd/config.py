@@ -9,13 +9,14 @@ this format because json serializes them via repr.
 from __future__ import annotations
 
 import json
+import reprlib
 import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .model import InitialSpec, ModelSpec, build_canonical
-from .qcore import Dims
+from .qcore import Dims, ValidationError
 
 __all__ = [
     "ConfigError",
@@ -41,6 +42,8 @@ class ConfigError(ValueError):
 
 
 _REAL = (int, float)  # compared by exact type: a bool is not a number here
+_BRIEF = reprlib.Repr()  # echoes a rejected value: short ones whole, large or deep ones cut
+_BRIEF.maxlevel, _BRIEF.maxstring, _BRIEF.maxother = 2, 40, 40
 
 
 def _entry_to_complex(x) -> complex:
@@ -49,7 +52,7 @@ def _entry_to_complex(x) -> complex:
     if isinstance(x, (list, tuple)) and len(x) == 2 \
             and type(x[0]) in _REAL and type(x[1]) in _REAL:
         return complex(x[0], x[1])
-    raise ConfigError(f"expected a number or [re, im] pair, got {x!r}")
+    raise ConfigError(f"expected a number or [re, im] pair, got {_BRIEF.repr(x)}")
 
 
 def vector_from_json(data) -> np.ndarray:
@@ -109,7 +112,7 @@ def _check(val, kind, name: str):
         return float(val)
     if kind is not float and isinstance(val, kind) and (kind is bool or type(val) is not bool):
         return val
-    raise ConfigError(f"{name} must be {_KIND_NAMES[kind]}, got {val!r}")
+    raise ConfigError(f"{name} must be {_KIND_NAMES[kind]}, got {_BRIEF.repr(val)}")
 
 
 def _require(doc: dict, key: str, kind, where: str):
@@ -169,7 +172,7 @@ def parse_config(doc: dict) -> RunConfig:
 
     seed = _optional(doc, "seed", int, "config", 0)
     if seed < 0:
-        raise ConfigError(f"seed must be a non-negative integer, got {seed!r}")
+        raise ConfigError(f"seed must be a non-negative integer, got {_BRIEF.repr(seed)}")
 
     coup = _require(doc, "couplings", dict, "config")
     _known(coup, ("c1", "c2"), "couplings")
@@ -184,10 +187,10 @@ def parse_config(doc: dict) -> RunConfig:
     _known(model, ("family", "robust_index", "matrices"), "model")
     family = _require(model, "family", str, "model")
     if family not in MODEL_FAMILIES:
-        raise ConfigError(f"model.family must be one of {MODEL_FAMILIES}, got {family!r}")
+        raise ConfigError(f"model.family must be one of {MODEL_FAMILIES}, got {_BRIEF.repr(family)}")
     robust_index = _optional(model, "robust_index", int, "model", 0)
     if not 0 <= robust_index < dims.c:
-        raise ConfigError(f"model.robust_index {robust_index!r} out of range for d_c = {dims.c}")
+        raise ConfigError(f"model.robust_index {_BRIEF.repr(robust_index)} out of range for d_c = {dims.c}")
     matrices = None
     if family == "explicit":
         raw = _require(model, "matrices", dict, "model")
@@ -204,15 +207,24 @@ def parse_config(doc: dict) -> RunConfig:
     init = _optional(doc, "initial", dict, "config", None)
     if init is not None:
         _known(init, ("alpha", "chi", "robust_index", "normalize"), "initial")
-        alpha = _wire("initial.alpha", vector_from_json,
-                      _require(init, "alpha", list, "initial"), (dims.a,))
-        chi = _wire("initial.chi", vector_from_json,
-                    _require(init, "chi", list, "initial"), (dims.b,))
-        init_robust = _optional(init, "robust_index", int, "initial", robust_index)
-        if init_robust != robust_index:
+        normalize = _optional(init, "normalize", bool, "initial", False)
+        vectors = {}
+        for key, dim in (("alpha", dims.a), ("chi", dims.b)):
+            v = _wire(f"initial.{key}", vector_from_json, _require(init, key, list, "initial"), (dim,))
+            if normalize:  # parts scaled into [-1, 1] first, so the norm cannot overflow
+                scale = np.abs(np.stack([v.real, v.imag])).max()
+                if scale == 0:
+                    raise ConfigError(f"initial.{key} is zero and cannot be normalized")
+                v = v.real / scale + 1j * (v.imag / scale)
+                v = v / np.linalg.norm(v)
+            vectors[key] = v
+        # accepted for the configs that carry it; the model alone fixes the C state
+        if _optional(init, "robust_index", int, "initial", robust_index) != robust_index:
             raise ConfigError("initial.robust_index must match model.robust_index")
-        initial = InitialSpec(alpha=alpha, chi=chi, robust_index=robust_index,
-                              normalize=_optional(init, "normalize", bool, "initial", False))
+        try:
+            initial = InitialSpec(**vectors)
+        except ValidationError as exc:
+            raise ValidationError(f"initial.{exc}") from None
 
     t_max = steps = None
     tsec = _optional(doc, "time", dict, "config", None)
@@ -231,7 +243,7 @@ def parse_config(doc: dict) -> RunConfig:
     threshold_bits = _optional(loc, "threshold_bits", float, "locality", 0.01)
     if not 1 <= n_samples <= MAX_SAMPLES:
         raise ConfigError(
-            f"locality.n_samples must be an integer in [1, {MAX_SAMPLES}], got {n_samples!r}")
+            f"locality.n_samples must be an integer in [1, {MAX_SAMPLES}], got {_BRIEF.repr(n_samples)}")
     if not threshold_bits > 0:
         raise ConfigError(f"locality.threshold_bits must be positive, got {threshold_bits}")
 
@@ -260,7 +272,7 @@ def parse_config(doc: dict) -> RunConfig:
     if output_path is not None and not isinstance(output_path, str):
         raise ConfigError("output.path must be a string")
     if out.get("format", "csv") != "csv":
-        raise ConfigError(f"output.format must be 'csv', got {out['format']!r}")
+        raise ConfigError(f"output.format must be 'csv', got {_BRIEF.repr(out['format'])}")
 
     return RunConfig(
         dims=dims, seed=seed, c1=c1, c2=c2,

@@ -35,6 +35,8 @@ __all__ = [
 
 UNITARY_TOL = 1e-9
 GAIN_TOL = 1e-12  # a restart stops once an iteration gains less fidelity than this
+RESTARTS = 5  # starts of the alternating search; the best one wins
+MAX_ITERS = 200  # alternating-polar iterations per restart
 
 
 @dataclass(frozen=True, eq=False)
@@ -80,14 +82,13 @@ def _env_w(u6: np.ndarray, v: np.ndarray, dims: Dims) -> np.ndarray:
     return np.einsum("acbxyk,adxy->cbdk", u6, v.reshape(a, c, a, c).conj()).reshape(c * b, c * b)
 
 
-def sequential_residual(u: np.ndarray, dims: Dims, restarts: int = 5,
-                        max_iters: int = 200, seed: int = 0) -> DecompositionResult:
+def sequential_residual(u: np.ndarray, dims: Dims, seed: int = 0) -> DecompositionResult:
     """Alternating-polar search for the best sequential factorization of u.
 
-    Restart 0 starts from identity factors (exact for inputs already of the
-    form V x I_B); the remaining restarts start from seeded Haar factors.
+    Restart 0 of ``RESTARTS`` starts from identity factors (exact for inputs
+    already of the form V x I_B); the others start from seeded Haar factors.
     Each restart alternates the two closed-form updates until the fidelity
-    gain drops below 1e-12 or ``max_iters`` is reached; the best restart
+    gain drops below 1e-12 or ``MAX_ITERS`` is reached; the best restart
     wins. The search stops early once F is within 1e-12 of its ceiling.
     """
     u = np.asarray(u, dtype=complex)
@@ -102,13 +103,11 @@ def sequential_residual(u: np.ndarray, dims: Dims, restarts: int = 5,
     dev = float(np.abs(u.conj().T @ u - np.eye(n)).max())
     if dev > UNITARY_TOL:
         raise ValidationError(f"input is not unitary: max |U+U - I| = {dev:.3e}")
-    if restarts < 1:
-        raise ValueError("restarts must be >= 1")
 
     u6 = u.reshape(dims.factors * 2)
     best = None
     restarts_used = 0
-    for r in range(restarts):
+    for r in range(RESTARTS):
         if r == 0:
             v = np.eye(dims.a * dims.c, dtype=complex)
             w = np.eye(dims.c * dims.b, dtype=complex)
@@ -119,7 +118,7 @@ def sequential_residual(u: np.ndarray, dims: Dims, restarts: int = 5,
         history = [f]
         converged = False
         iters = 0
-        for it in range(max_iters):
+        for it in range(MAX_ITERS):
             v, _ = _polar_unitary(_env_v(u6, w, dims))
             w, trace = _polar_unitary(_env_w(u6, v, dims))
             # W is the polar factor of its environment, so tr(X+ U) = sum(sigma) >= 0

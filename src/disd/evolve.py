@@ -116,17 +116,18 @@ class PerturbationData:
 def propagate(spec: ModelSpec, init: InitialSpec, times) -> Trajectory:
     """Exact evolution of the product state of ``init``: the one route from a model to states.
 
-    The eigenvalues of H carry an absolute error of about eps * ||H||, so the
-    phases e^{-iEt} carry about eps * ||H|| * t. A grid with eps * max|E| *
-    max|t| above 1e-8 would leave fewer than eight correct digits in them,
-    and raises ``ValidationError`` before any state is computed.
+    C starts in the model's robust state. The eigenvalues of H carry an
+    absolute error of about eps * ||H||, so the phases e^{-iEt} carry about
+    eps * ||H|| * t. A grid with eps * max|E| * max|t| above 1e-8 would leave
+    fewer than eight correct digits in them, and raises ``ValidationError``
+    before any state is computed.
     """
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size < 1:
         raise ValueError("times must be a non-empty 1-D sequence")
     if times.size > 1 and not np.all(np.diff(times) > 0):
         raise ValueError("times must be strictly increasing")
-    psi0 = initial_state(init, spec.dims)
+    psi0 = initial_state(init, spec.dims, spec.robust_index)
     prop = Propagator(assemble_hamiltonian(spec))
     phase_error = np.finfo(float).eps * np.abs(prop._evals).max() * np.abs(times).max()
     if not phase_error <= PHASE_ERROR_TOL:
@@ -230,13 +231,10 @@ def product_approx(init: InitialSpec, pd: PerturbationData, times) -> np.ndarray
     leaves the robust C state.
     """
     spec = pd.spec
-    if init.robust_index != spec.robust_index:
-        raise ValueError("initial robust_index differs from the model's")
     dims = spec.dims
     t = np.asarray(times, dtype=float).reshape(-1, 1)
-    alpha, chi = init.amplitudes(dims)
-    a_amp = pd.a_vecs.conj().T @ alpha
-    b_amp = pd.b_vecs.conj().T @ chi
+    a_amp = pd.a_vecs.conj().T @ init.alpha
+    b_amp = pd.b_vecs.conj().T @ init.chi
     phase_a = np.exp(-1j * t * (pd.h_a_diag + pd.a_vals))
     phase_b = np.exp(-1j * t * (pd.b_vals + pd.h_b_diag))
     m = ((a_amp * phase_a)[:, :, None]

@@ -14,8 +14,6 @@ term is computed for all sample times in one stacked call.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .evolve import Trajectory
@@ -30,8 +28,6 @@ from .qcore import (
 )
 
 __all__ = [
-    "LocalityReport",
-    "locality_report",
     "mi_and_entropies",
     "mi_trajectory",
     "signaling_test",
@@ -40,17 +36,6 @@ __all__ = [
 ]
 
 DIRECTIONS = ("b_to_a", "a_to_b")
-
-
-@dataclass(frozen=True, eq=False)
-class LocalityReport:
-    """Per-time locality metrics plus the estimated correlation onset time."""
-
-    times: np.ndarray
-    mi_ab_bits: np.ndarray
-    signal_b_to_a: np.ndarray
-    signal_a_to_b: np.ndarray
-    tau_estimate: float | None
 
 
 def mi_and_entropies(traj: Trajectory) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -149,15 +134,3 @@ def tau_estimate(times, mi_ab_bits, threshold_bits: float) -> float | None:
         return float(t[0])
     frac = (threshold_bits - m[k - 1]) / (m[k] - m[k - 1])
     return float(t[k - 1] + frac * (t[k] - t[k - 1]))
-
-
-def locality_report(traj: Trajectory, n_samples: int = 64, threshold_bits: float = 0.01,
-                    seed: int = 0) -> LocalityReport:
-    """Mutual information, both signaling directions, and the onset estimate of one trajectory."""
-    mi = mi_trajectory(traj)
-    return LocalityReport(
-        times=traj.times, mi_ab_bits=mi,
-        signal_b_to_a=signaling_test(traj, "b_to_a", n_samples, seed),
-        signal_a_to_b=signaling_test(traj, "a_to_b", n_samples, seed),
-        tau_estimate=tau_estimate(traj.times, mi, threshold_bits),
-    )

@@ -147,9 +147,8 @@ def residuals_per_row(spec, init, pd, times, states):
     the exact state is taken at the phase of their overlap.
     """
     dims = spec.dims
-    alpha, chi = init.amplitudes(dims)
-    a_amp = pd.a_vecs.conj().T @ alpha
-    b_amp = pd.b_vecs.conj().T @ chi
+    a_amp = pd.a_vecs.conj().T @ init.alpha
+    b_amp = pd.b_vecs.conj().T @ init.chi
     out = np.empty(len(times))
     for k, t in enumerate(times):
         phase_a = np.exp(-1j * t * (pd.h_a_diag + pd.a_vals))

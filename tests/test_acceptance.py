@@ -123,7 +123,7 @@ def test_criterion_4_correlation_onset():
 def test_criterion_5_sequential_locality():
     init = disd.InitialSpec(alpha=np.array([1.0, 1.0]) / np.sqrt(2),
                             chi=np.array([1.0, 1.0j]) / np.sqrt(2))
-    psi0 = initial_state(init, DIMS_SMALL)
+    psi0 = initial_state(init, DIMS_SMALL, 0)
     worst_ba = 0.0
     best_ab = 0.0
     for seed in range(10):
@@ -144,12 +144,12 @@ def test_criterion_6_decomposition_recovery():
     worst_planted = 0.0
     for seed in range(20):
         u = planted_sequential(DIMS_SMALL, seed)
-        r = sequential_residual(u, DIMS_SMALL, restarts=5, max_iters=200, seed=seed)
+        r = sequential_residual(u, DIMS_SMALL, seed=seed)
         worst_planted = max(worst_planted, r.residual)
     lowest_haar = 1.0
     for seed in range(20):
         u = haar_unitary(DIMS_SMALL.total, seed)
-        r = sequential_residual(u, DIMS_SMALL, restarts=5, max_iters=200, seed=seed)
+        r = sequential_residual(u, DIMS_SMALL, seed=seed)
         lowest_haar = min(lowest_haar, r.residual)
     ok = worst_planted <= 1e-6 and lowest_haar >= HAAR_RESIDUAL_FLOOR
     _report("criterion 6: planted recovered, generic stays far", ok,

@@ -353,6 +353,89 @@ class TestMakeModel:
         assert set(dump["matrices"]) == {"h_a", "h_c", "h_b", "h_ac", "h_cb"}
 
 
+    def test_explicit_model_is_dumped_bit_for_bit(self, tmp_path):
+        # the seed-5 canonical matrices, given explicitly in a seed-1 config
+        matrices = cmd_make_model(parse_config(base_config(seed=5)))["matrices"]
+        doc = base_config(model={"family": "explicit", "matrices": matrices})
+        out = tmp_path / "model.json"
+        assert main(["make-model", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 0
+        dump = json.loads(out.read_text())
+        assert dump["family"] == "explicit"
+        assert json.dumps(dump["matrices"]) == json.dumps(matrices)
+
+    def test_invalid_explicit_matrices_are_validation_error(self, tmp_path, capsys):
+        matrices = cmd_make_model(parse_config(base_config()))["matrices"]
+        matrices["h_a"][0][1] = [0.5, 0.0]  # no longer Hermitian
+        doc = base_config(model={"family": "explicit", "matrices": matrices})
+        assert main(["make-model", "--config", write_config(tmp_path, doc)]) == 2
+        assert capsys.readouterr().err.startswith("validation error: h_a is not Hermitian")
+
+
+class TestInitialSection:
+    @pytest.mark.parametrize("entry", [1e200, 1e-200, 5e-324])
+    def test_normalize_scales_extreme_vectors(self, tmp_path, entry):
+        doc = base_config()
+        doc["initial"].update(alpha=[[entry, 0.0], [0.0, entry]], normalize=True)
+        assert np.array_equal(parse_config(doc).initial.alpha, np.array([1.0, 1j]) / np.sqrt(2))
+        assert main(["simulate", "--config", write_config(tmp_path, doc),
+                     "--out", str(tmp_path / "out.csv")]) == 0
+
+    @pytest.mark.parametrize("key, n", [("alpha", 2), ("chi", 3)])
+    def test_normalize_rejects_zero_vector(self, tmp_path, capsys, key, n):
+        doc = base_config()
+        doc["initial"].update({key: [[0.0, 0.0]] * n, "normalize": True})
+        assert main(["simulate", "--config", write_config(tmp_path, doc)]) == 1
+        assert capsys.readouterr().err == (
+            f"config error: initial.{key} is zero and cannot be normalized\n")
+
+    @pytest.mark.parametrize("args", [["simulate"], ["make-model"],
+                                      ["decompose", "--plant", "seed=1"]],
+                             ids=["simulate", "make-model", "decompose"])
+    def test_non_unit_vector_is_named_validation_error(self, tmp_path, capsys, args):
+        doc = base_config()
+        doc["initial"]["alpha"] = [[1.0, 0.0], [1.0, 0.0]]
+        assert main([*args, "--config", write_config(tmp_path, doc)]) == 2
+        assert capsys.readouterr().err == "validation error: initial.alpha norm off by 4.142e-01\n"
+
+    def test_robust_index_must_match_the_model(self, tmp_path, capsys):
+        doc = base_config()
+        doc["initial"]["robust_index"] = 1
+        assert main(["simulate", "--config", write_config(tmp_path, doc)]) == 1
+        assert "initial.robust_index must match model.robust_index" in capsys.readouterr().err
+
+
+def _nested(depth):
+    value = []
+    for _ in range(depth):
+        value = [value]
+    return value
+
+
+class TestBoundedErrorValues:
+    """An error line that echoes a rejected value stays short, whatever the value's size."""
+
+    @pytest.mark.parametrize("section, key, value, field", [
+        (None, "time", _nested(980), "config.time"),
+        ("output", "format", [1] * 10**5, "output.format"),
+        ("model", "family", "x" * 10**5, "model.family"),
+        ("initial", "alpha", [[0.5] * 10**5, [0.5, 0.0]], "initial.alpha"),
+        (None, "seed", -10**4000, "seed"),
+    ], ids=["deep-list", "long-list", "long-string", "long-entry", "long-int"])
+    def test_error_line_is_short_and_names_the_field(self, section, key, value, field):
+        doc = base_config()
+        (doc if section is None else doc.setdefault(section, {}))[key] = value
+        with pytest.raises(ConfigError) as info:
+            parse_config(doc)
+        assert len(f"config error: {info.value}") < 200
+        assert field in str(info.value)
+
+    def test_long_list_from_a_file(self, tmp_path, capsys):
+        doc = base_config(output={"format": [1] * 10**5})
+        assert main(["simulate", "--config", write_config(tmp_path, doc)]) == 1
+        err = capsys.readouterr().err
+        assert len(err) < 200 and err.startswith("config error: output.format must be 'csv'")
+
+
 class TestPreset:
     def test_ion_cage_preset_loads_and_runs(self, tmp_path):
         import pathlib
@@ -531,6 +614,13 @@ class TestExitCodes:
         monkeypatch.setattr("disd.cli.sequential_residual", fail)
         assert main(["decompose", "--plant", "seed=1"]) == 2
         assert capsys.readouterr().err == "numerical error: SVD did not converge\n"
+
+    def test_overflowing_sweep_coupling_is_validation_error(self, tmp_path, capsys):
+        # c2 = 1e308 * c1 overflows to inf; the model rejects it before numpy computes with it
+        doc = base_config(sweep={"ratio_values": [1e308]})
+        assert main(["sweep", "--config", write_config(tmp_path, doc)]) == 2
+        assert capsys.readouterr().err == (
+            "validation error: c2 must be non-negative and finite, got inf\n")
 
     @pytest.mark.parametrize("command", ["simulate", "sweep", "locality"])
     def test_lost_phase_precision_is_validation_error(self, tmp_path, capsys, command):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from disd.decompose import (
+    RESTARTS,
     planted_sequential,
     sequential_residual,
     sequential_unitary,
@@ -39,8 +40,9 @@ class TestSequentialResidual:
     @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
     def test_planted_recovery(self, dims222, seed):
         u = planted_sequential(dims222, seed)
-        r = sequential_residual(u, dims222, restarts=5, max_iters=50, seed=seed)
+        r = sequential_residual(u, dims222, seed=seed)
         assert r.residual <= 1e-6
+        assert r.iterations <= 50
 
     def test_recovered_product_matches_input(self, dims222):
         u = planted_sequential(dims222, 9)
@@ -104,8 +106,8 @@ class TestSequentialResidual:
 
     def test_restart_accounting(self, dims222):
         u = haar_unitary(8, 23)
-        r = sequential_residual(u, dims222, restarts=3, seed=5)
-        assert r.restarts_used == 3
+        r = sequential_residual(u, dims222, seed=5)
+        assert r.restarts_used == RESTARTS
         assert r.iterations >= 1
 
     def test_nontrivial_dims(self):

@@ -40,17 +40,17 @@ def diagonal_explicit_spec():
 class TestPropagate:
     def test_time_zero(self, spec233, init233):
         traj = propagate(spec233, init233, [0.0, 0.5])
-        assert np.array_equal(traj.psi0, initial_state(init233, spec233.dims))
+        assert np.array_equal(traj.psi0, initial_state(init233, spec233.dims, spec233.robust_index))
         assert np.array_equal(traj.states[0], traj.psi0)
 
     def test_zero_hamiltonian(self, dims233, init233):
-        psi0 = initial_state(init233, dims233)
+        psi0 = initial_state(init233, dims233, 0)
         prop = Propagator(np.zeros((dims233.total, dims233.total)))
         for s in prop.evolve_many(psi0, [0.0, 1.0, 2.0]):
             assert_allclose(s, psi0, atol=1e-12)
 
     def test_two_step_group_law(self, spec233, init233):
-        psi0 = initial_state(init233, spec233.dims)
+        psi0 = initial_state(init233, spec233.dims, spec233.robust_index)
         t1, t2 = 0.9, 1.4
         prop = Propagator(assemble_hamiltonian(spec233))
         one = prop.apply(psi0, t1 + t2)
@@ -77,12 +77,27 @@ class TestPropagate:
             propagate(spec233, wrong, [0.0])
 
     def test_evolve_many_matches_apply(self, spec233, init233):
-        psi0 = initial_state(init233, spec233.dims)
+        psi0 = initial_state(init233, spec233.dims, spec233.robust_index)
         prop = Propagator(assemble_hamiltonian(spec233))
         times = np.array([0.0, 0.3, 1.1])
         stacked = prop.evolve_many(psi0, times)
         for k, t in enumerate(times):
             assert_allclose(stacked[k], prop.apply(psi0, t), atol=1e-12)
+
+
+class TestRobustInitialState:
+    """C starts in the model's robust state, whichever basis index that is."""
+
+    def test_trajectory_starts_in_the_model_robust_state(self, init233):
+        spec = build_canonical(Dims(2, 3, 3), 1, 8.0, 0.3, robust_index=1)
+        traj = propagate(spec, init233, np.linspace(0, 5, 12))
+        psi0 = traj.psi0.reshape(spec.dims.factors)
+        assert np.count_nonzero(psi0[:, [0, 2], :]) == 0
+        assert np.array_equal(psi0[:, 1, :], np.outer(init233.alpha, init233.chi))
+        pd = perturbation_data(spec)
+        expected = residuals_per_row(spec, init233, pd, traj.times, traj.states)
+        assert_allclose(residuals_along(traj, pd), expected, rtol=0, atol=1e-12)
+        assert expected[0] <= 1e-12
 
 
 class TestPerturbationData:
@@ -171,7 +186,7 @@ class TestProductApprox:
     def test_time_zero_equals_initial(self, spec233, init233):
         pd = perturbation_data(spec233)
         psi = product_approx(init233, pd, [0.0])
-        psi0 = initial_state(init233, spec233.dims)
+        psi0 = initial_state(init233, spec233.dims, spec233.robust_index)
         assert psi.shape == (1, spec233.dims.total)
         assert np.abs(psi[0] - psi0).max() <= 1e-12
 

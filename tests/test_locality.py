@@ -6,7 +6,6 @@ import disd
 from disd.decompose import planted_sequential
 from disd.evolve import Propagator, perturbation_data, propagate, residuals_along
 from disd.locality import (
-    locality_report,
     mi_trajectory,
     signaling_test,
     signaling_test_unitary,
@@ -95,7 +94,7 @@ class TestSignaling:
 
 class TestSignalingOneShot:
     def test_sequential_unitary_blocks_b_to_a(self, dims222, init222):
-        psi0 = initial_state(init222, dims222)
+        psi0 = initial_state(init222, dims222, 0)
         for seed in range(5):
             u = planted_sequential(dims222, seed)
             out = signaling_test_unitary(u, psi0, dims222, "b_to_a",
@@ -103,14 +102,14 @@ class TestSignalingOneShot:
             assert out <= 1e-10
 
     def test_sequential_unitary_is_one_directional(self, dims222, init222):
-        psi0 = initial_state(init222, dims222)
+        psi0 = initial_state(init222, dims222, 0)
         forward = [signaling_test_unitary(planted_sequential(dims222, s), psi0,
                                           dims222, "a_to_b", n_samples=32, seed=s)
                    for s in range(5)]
         assert max(forward) > 1e-3
 
     def test_generic_unitary_signals_both_ways(self, dims222, init222):
-        psi0 = initial_state(init222, dims222)
+        psi0 = initial_state(init222, dims222, 0)
         u = haar_unitary(dims222.total, 77)
         ba = signaling_test_unitary(u, psi0, dims222, "b_to_a", n_samples=16, seed=0)
         ab = signaling_test_unitary(u, psi0, dims222, "a_to_b", n_samples=16, seed=0)
@@ -120,7 +119,7 @@ class TestSignalingOneShot:
 class TestSamplerSanity:
     def test_local_unitary_preserves_target_spectrum(self, dims233, init233):
         # applying G on B must not change S(rho_B) of the unevolved state
-        psi0 = initial_state(init233, dims233)
+        psi0 = initial_state(init233, dims233, 0)
         base = vn_entropy(rdm_from_state(psi0, dims233.factors, (2,)))
         from disd.locality import _apply_local
         for k in range(8):
@@ -161,30 +160,11 @@ class TestOneEigensystem:
         residuals_along(traj, perturbation_data(spec233))
         for direction in ("b_to_a", "a_to_b"):
             signaling_test(traj, direction, n_samples=3, seed=1)
-        locality_report(traj, n_samples=3, seed=1)
         assert propagator_builds == [(spec233.dims.total, spec233.dims.total)]
 
     def test_evolve_reuses_the_trajectory_eigensystem(self, spec233, init233):
         traj = propagate(spec233, init233, np.linspace(0, 5, 12))
         assert np.array_equal(traj.evolve(traj.psi0), traj.states)
-
-
-class TestLocalityReport:
-    def test_fields_consistent(self, spec233, init233):
-        times = np.linspace(0, 5, 12)
-        rep = locality_report(propagate(spec233, init233, times), n_samples=4,
-                              threshold_bits=0.01, seed=6)
-        assert rep.times.shape == rep.mi_ab_bits.shape
-        assert rep.signal_b_to_a.shape == rep.signal_a_to_b.shape == rep.times.shape
-        assert np.all(rep.mi_ab_bits >= 0)
-        assert np.all((rep.signal_b_to_a >= 0) & (rep.signal_b_to_a <= 1))
-        assert rep.tau_estimate == tau_estimate(times, rep.mi_ab_bits, 0.01)
-
-    def test_matches_standalone_calls(self, spec233, init233):
-        traj = propagate(spec233, init233, np.linspace(0, 4, 8))
-        rep = locality_report(traj, n_samples=3, seed=11)
-        direct = signaling_test(traj, "b_to_a", n_samples=3, seed=11)
-        assert np.array_equal(rep.signal_b_to_a, direct)
 
 
 # (dims, c2): d_A*d_B > d_C in all but 2x5x2; c2 = 0 keeps A and B uncorrelated
@@ -196,9 +176,8 @@ ORACLE_IDS = ["2x2x2", "2x3x4", "3x2x2", "2x5x2", "2x3x4-c2-zero"]
 def oracle_case(factors, c2):
     dims = Dims(*factors)
     rng = np.random.default_rng(sum(factors))
-    init = InitialSpec(alpha=rng.standard_normal(dims.a) + 1j * rng.standard_normal(dims.a),
-                       chi=rng.standard_normal(dims.b) + 1j * rng.standard_normal(dims.b),
-                       normalize=True)
+    alpha, chi = (rng.standard_normal(n) + 1j * rng.standard_normal(n) for n in (dims.a, dims.b))
+    init = InitialSpec(alpha=alpha / np.linalg.norm(alpha), chi=chi / np.linalg.norm(chi))
     return build_canonical(dims, 3, 2.0, c2), init, np.linspace(0, 12, 25)
 
 
@@ -220,7 +199,7 @@ class TestBatchedAgainstOracles:
         spec, init, times = oracle_case(factors, c2)
         prop = Propagator(assemble_hamiltonian(spec))
         evolve = lambda psi: prop.evolve_many(psi, times)
-        psi0 = initial_state(init, spec.dims)
+        psi0 = initial_state(init, spec.dims, spec.robust_index)
         expected = signaling_per_row(evolve, psi0, evolve(psi0), spec.dims,
                                              direction, n_samples=5, seed=2)
         got = signaling_test(propagate(spec, init, times), direction, n_samples=5, seed=2)
@@ -243,7 +222,7 @@ class TestBatchedAgainstOracles:
         _, init, _ = oracle_case(factors, 0.5)
         dims = Dims(*factors)
         u = haar_unitary(dims.total, 4)
-        psi0 = initial_state(init, dims)
+        psi0 = initial_state(init, dims, 0)
         evolve = lambda psi: (u @ psi)[None, :]
         expected = signaling_per_row(evolve, psi0, evolve(psi0), dims,
                                              direction, n_samples=5, seed=2)

@@ -187,9 +187,12 @@ class TestModelSpecValidate:
             dataclasses.replace(spec233, h_cb=h)
 
     @pytest.mark.parametrize("field, value, exc, message", [
-        ("c1", 0.0, ValidationError, "c1 must be positive, got 0.0"),
-        ("c1", -2.0, ValidationError, "c1 must be positive, got -2.0"),
-        ("c2", -0.1, ValidationError, "c2 must be non-negative, got -0.1"),
+        ("c1", 0.0, ValidationError, "c1 must be positive and finite, got 0.0"),
+        ("c1", -2.0, ValidationError, "c1 must be positive and finite, got -2.0"),
+        ("c1", float("inf"), ValidationError, "c1 must be positive and finite, got inf"),
+        ("c2", -0.1, ValidationError, "c2 must be non-negative and finite, got -0.1"),
+        ("c2", float("inf"), ValidationError, "c2 must be non-negative and finite, got inf"),
+        ("c2", float("nan"), ValidationError, "c2 must be non-negative and finite, got nan"),
         ("robust_index", 3, ValueError, "robust_index 3 out of range for d_c = 3"),
         ("robust_index", -1, ValueError, "robust_index -1 out of range for d_c = 3"),
     ])
@@ -200,53 +203,74 @@ class TestModelSpecValidate:
         assert str(info.value) == message
 
 
+class TestInitialSpec:
+    def test_fields_are_the_two_amplitude_vectors(self, init233):
+        assert [f.name for f in dataclasses.fields(InitialSpec)] == ["alpha", "chi"]
+        assert init233.alpha.dtype == init233.chi.dtype == complex
+
+    @pytest.mark.parametrize("name", ["alpha", "chi"])
+    def test_rejects_non_unit_vector(self, name):
+        vectors = {"alpha": np.array([1.0, 0.0]), "chi": np.array([1.0, 0.0, 0.0])}
+        vectors[name] = 2 * vectors[name]
+        with pytest.raises(ValidationError, match=rf"^{name} norm off by 1\.000e\+00$"):
+            InitialSpec(**vectors)
+
+    def test_replace_rechecks(self, init233):
+        with pytest.raises(ValidationError, match="^alpha norm off by"):
+            dataclasses.replace(init233, alpha=np.array([1.0, 1.0]))
+
+    def test_within_tolerance_is_accepted(self, dims222):
+        # each factor is 0.9e-10 off unit norm, inside the 1e-10 check; the
+        # product state is off by 1.8e-10 and is still accepted
+        init = InitialSpec(alpha=np.array([1 + 0.9e-10, 0.0]), chi=np.array([1 + 0.9e-10, 0.0]))
+        psi = initial_state(init, dims222, 0)
+        assert psi[0] == (1 + 0.9e-10) ** 2
+        assert np.count_nonzero(psi) == 1
+
+    @pytest.mark.parametrize("alpha", [
+        [1e200, 1e200], [1e-200, 1e-200], [1.7e308 + 1.7e308j, 0], [5e-324, 0],
+        [0.0, 0.0], [np.nan, 1.0], [np.inf, 0.0],
+    ], ids=["huge", "tiny", "largest", "subnormal", "zero", "nan", "inf"])
+    def test_off_norm_is_rejected_without_a_numpy_warning(self, alpha):
+        # filterwarnings = error turns any numpy warning into a failure here
+        with pytest.raises(ValidationError, match="^alpha norm off by"):
+            InitialSpec(alpha=np.array(alpha), chi=np.array([1.0]))
+
+
 class TestInitialState:
     def test_basis_vector_case(self):
         dims = Dims(2, 2, 2)
         init = InitialSpec(alpha=np.array([1.0, 0.0]), chi=np.array([1.0, 0.0]))
-        psi = initial_state(init, dims)
+        psi = initial_state(init, dims, 0)
         expected = np.zeros(8, dtype=complex)
         expected[0] = 1.0
         assert_allclose(psi, expected)
 
+    def test_c_factor_is_the_given_robust_state(self, dims233, init233):
+        psi = initial_state(init233, dims233, 2).reshape(dims233.factors)
+        assert np.count_nonzero(psi[:, :2, :]) == 0
+        assert_allclose(psi[:, 2, :], np.outer(init233.alpha, init233.chi), rtol=0, atol=0)
+
     def test_product_state_has_zero_mi(self, dims233, init233):
-        psi = initial_state(init233, dims233)
+        psi = initial_state(init233, dims233, 0)
         rho_ab = rdm_from_state(psi, dims233.factors, (0, 2))
         assert mutual_information(rho_ab, dims233.a, dims233.b) <= 1e-12
 
-    def test_normalize_flag(self, dims233):
-        raw = InitialSpec(alpha=np.array([1.0, 1.0]), chi=np.array([2.0, 0.0, 0.0]),
-                          normalize=True)
-        ref = InitialSpec(alpha=np.array([1.0, 1.0]) / np.sqrt(2),
-                          chi=np.array([1.0, 0.0, 0.0]))
-        assert_allclose(initial_state(raw, dims233), initial_state(ref, dims233),
-                        atol=1e-12)
-
-    def test_rejects_unnormalized_without_flag(self, dims233):
-        init = InitialSpec(alpha=np.array([1.0, 1.0]), chi=np.array([1.0, 0.0, 0.0]))
-        with pytest.raises(ValidationError):
-            initial_state(init, dims233)
-
-    def test_amplitudes_within_tolerance_are_accepted(self, dims222):
-        # each factor is 0.9e-10 off unit norm, inside the amplitude check's
-        # 1e-10; the product state is off by 1.8e-10 and is still accepted
-        init = InitialSpec(alpha=np.array([1 + 0.9e-10, 0.0]), chi=np.array([1 + 0.9e-10, 0.0]))
-        psi = initial_state(init, dims222)
-        assert psi[0] == (1 + 0.9e-10) ** 2
-        assert np.count_nonzero(psi) == 1
-
     def test_rejects_robust_index_out_of_range(self, dims233, init233):
-        init = dataclasses.replace(init233, robust_index=5)
         with pytest.raises(ValueError):
-            initial_state(init, dims233)
+            initial_state(init233, dims233, 5)
 
-    def test_rejects_wrong_lengths(self, dims233):
-        init = InitialSpec(alpha=np.array([1.0, 0.0, 0.0]), chi=np.array([1.0, 0.0, 0.0]))
-        with pytest.raises(ValueError):
-            initial_state(init, dims233)
+    @pytest.mark.parametrize("dims, message", [
+        (Dims(3, 3, 3), "alpha has length (2,), expected 3"),
+        (Dims(2, 3, 2), "chi has length (3,), expected 2"),
+    ])
+    def test_rejects_wrong_lengths(self, init233, dims, message):
+        with pytest.raises(ValueError) as info:
+            initial_state(init233, dims, 0)
+        assert str(info.value) == message
 
     def test_schmidt_rank_one_across_a_splits(self, dims233, init233):
-        psi = initial_state(init233, dims233)
+        psi = initial_state(init233, dims233, 0)
         d_a, d_c, d_b = dims233.factors
         for shape in [(d_a, d_c * d_b), (d_a * d_c, d_b)]:
             sv = np.linalg.svd(psi.reshape(shape), compute_uv=False)
