@@ -114,7 +114,7 @@ def sweep_rows(cfg: RunConfig) -> list[SweepRow]:
         traj = propagate(spec, init, times)
         max_residual = float(residuals_along(traj, pd).max())
         mi = mi_trajectory(traj)
-        del traj  # frees this point's eigensystem before the next one is built
+        del traj  # frees this point's states (and eigensystem, if one was built) before the next
         out.append(SweepRow(
             c1=float(c1), c2=float(c2), ratio=float(c2) / float(c1),
             lambda_sup=pd.lambda_sup,

@@ -264,6 +264,10 @@ def parse_config(doc: dict) -> RunConfig:
             ratio_values = _values(sweep, "ratio_values")
             if not ratio_values or any(v < 0 for v in ratio_values):
                 raise ConfigError("sweep.ratio_values must be a non-empty list of non-negative numbers")
+            for i, r in enumerate(ratio_values):
+                if not np.isfinite(r * c1):
+                    raise ConfigError(f"sweep.ratio_values[{i}] times couplings.c1 must be "
+                                      f"finite, got {r!r} * {c1!r}")
             grid = [(c1, r * c1) for r in ratio_values]
 
     out = _optional(doc, "output", dict, "config", {})

@@ -36,6 +36,7 @@ __all__ = [
     "RobustnessReport",
     "assemble_hamiltonian",
     "build_canonical",
+    "hamiltonian_blocks",
     "initial_state",
     "validate_robustness",
 ]
@@ -208,16 +209,26 @@ def build_canonical(dims: Dims, seed: int, c1: float, c2: float,
                      c1=float(c1), c2=float(c2), robust_index=robust_index)
 
 
+def hamiltonian_blocks(spec: ModelSpec) -> tuple[np.ndarray, np.ndarray]:
+    """The two blocks of H = on_ac x I_B + I_A x on_cb.
+
+    ``on_ac = h_a x I_C + c2 * h_ac`` is (d_A d_C)^2 and
+    ``on_cb = h_c x I_B + I_C x h_b + c1 * h_cb`` is (d_C d_B)^2: every term
+    of H acts on A x C or on C x B, and none on A x B.
+    """
+    d = spec.dims
+    i_c = np.eye(d.c, dtype=complex)
+    i_b = np.eye(d.b, dtype=complex)
+    on_ac = np.kron(spec.h_a, i_c) + spec.c2 * spec.h_ac
+    on_cb = np.kron(spec.h_c, i_b) + np.kron(i_c, spec.h_b) + spec.c1 * spec.h_cb
+    return on_ac, on_cb
+
+
 def assemble_hamiltonian(spec: ModelSpec) -> np.ndarray:
     """Full Hamiltonian on A x C x B; contains no A-B cross term by construction."""
     d = spec.dims
-    i_a = np.eye(d.a, dtype=complex)
-    i_c = np.eye(d.c, dtype=complex)
-    i_b = np.eye(d.b, dtype=complex)
-    # every term acts on A x C or on C x B, so two full-size products suffice
-    on_ac = np.kron(spec.h_a, i_c) + spec.c2 * spec.h_ac
-    on_cb = np.kron(spec.h_c, i_b) + np.kron(i_c, spec.h_b) + spec.c1 * spec.h_cb
-    return np.kron(on_ac, i_b) + np.kron(i_a, on_cb)
+    on_ac, on_cb = hamiltonian_blocks(spec)
+    return np.kron(on_ac, np.eye(d.b, dtype=complex)) + np.kron(np.eye(d.a, dtype=complex), on_cb)
 
 
 def initial_state(init: InitialSpec, dims: Dims, robust_index: int) -> np.ndarray:

@@ -3,14 +3,18 @@ import dataclasses
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from disd import evolve
 from disd.evolve import (
+    CHEB_Z_MAX,
+    Chebyshev,
     Propagator,
     perturbation_data,
     product_approx,
     propagate,
     residuals_along,
 )
-from disd.model import ModelSpec, assemble_hamiltonian, build_canonical, initial_state
+from disd.locality import signaling_test
+from disd.model import InitialSpec, ModelSpec, assemble_hamiltonian, build_canonical, initial_state
 from disd.qcore import Dims, ValidationError
 
 from oracles import residuals_per_row, rs2_table_bruteforce
@@ -248,3 +252,93 @@ class TestResidualsAgainstOracle:
             assert expected.max() <= 1e-9
         else:
             assert expected.max() > 1e-3
+
+
+def uniform_case(factors, c1=50.0):
+    """The benchmark's simulate model at other sizes: seed 7, c2 = 0.5, uniform amplitudes."""
+    dims = Dims(*factors)
+    init = InitialSpec(alpha=np.full(dims.a, dims.a ** -0.5), chi=np.full(dims.b, dims.b ** -0.5))
+    return build_canonical(dims, 7, c1, 0.5), init
+
+
+def both_routes(spec, init, times):
+    """(Chebyshev, spectral) states of the product state of ``init`` on ``times``."""
+    psi0 = initial_state(init, spec.dims, spec.robust_index)
+    return (Chebyshev(spec).evolve_many(psi0, times),
+            Propagator(assemble_hamiltonian(spec)).evolve_many(psi0, times))
+
+
+class TestChebyshev:
+    """The matrix-free stepper, called directly, against the spectral Propagator to 1e-12."""
+
+    @pytest.mark.parametrize("factors, c2", ORACLE_CASES, ids=ORACLE_IDS)
+    def test_oracle_models(self, factors, c2):
+        spec, init, times = oracle_case(factors, c2)
+        cheb, spectral = both_routes(spec, init, times)
+        assert_allclose(cheb, spectral, rtol=0, atol=1e-12)
+        assert np.array_equal(cheb[0], initial_state(init, spec.dims, spec.robust_index))
+
+    @pytest.mark.parametrize("factors", [(8, 4, 16), (8, 4, 32)], ids=["8x4x16", "8x4x32"])
+    def test_benchmark_grid(self, factors):
+        spec, init = uniform_case(factors)
+        cheb, spectral = both_routes(spec, init, np.linspace(0, 20, 200))
+        assert_allclose(cheb, spectral, rtol=0, atol=1e-12)
+        assert np.abs(np.linalg.norm(cheb, axis=1) - 1).max() <= 1e-12
+
+    @pytest.mark.parametrize("times", [
+        [0.0, 0.013, 0.2, 0.21, 1.7, 4.0, 9.5],
+        [-3.0, -1.1, 0.0, 0.4, 2.5],
+    ], ids=["non-uniform", "through-zero"])
+    def test_non_uniform_grid(self, times):
+        spec, init, _ = oracle_case((2, 3, 4), 0.5)
+        cheb, spectral = both_routes(spec, init, times)
+        assert_allclose(cheb, spectral, rtol=0, atol=1e-12)
+        psi0 = initial_state(init, spec.dims, spec.robust_index)
+        assert np.array_equal(cheb[times.index(0.0)], psi0)
+
+    def test_grid_far_from_zero(self):
+        spec, init, _ = oracle_case((3, 2, 2), 0.5)
+        cheb, spectral = both_routes(spec, init, 40.0 + np.linspace(0, 3, 9))
+        assert_allclose(cheb, spectral, rtol=0, atol=1e-12)
+
+    def test_long_interval_is_sub_stepped(self):
+        spec, init = uniform_case((2, 3, 4), c1=8.0)
+        cheb = Chebyshev(spec)
+        t = 10 * CHEB_Z_MAX / cheb._half
+        (sub_steps, coeffs), = cheb._plans(np.array([t]))
+        assert sub_steps == 10
+        assert len(coeffs) <= 50
+        got, spectral = both_routes(spec, init, [0.0, t])
+        assert_allclose(got, spectral, rtol=0, atol=1e-12)
+
+    def test_spectral_bounds_contain_the_spectrum(self, spec233):
+        cheb = Chebyshev(spec233)
+        evals = np.linalg.eigvalsh(assemble_hamiltonian(spec233))
+        assert cheb.lo <= evals[0] and evals[-1] <= cheb.hi
+        assert cheb.max_abs_energy == max(abs(cheb.lo), abs(cheb.hi))
+
+    def test_phase_guard_uses_the_spectral_bounds(self, spec233, init233, monkeypatch):
+        monkeypatch.setattr(evolve, "EIGH_FLOPS_PER_N3", np.inf)  # every grid prefers Chebyshev
+        limit = evolve.PHASE_ERROR_TOL / (np.finfo(float).eps * Chebyshev(spec233).max_abs_energy)
+        assert isinstance(evolve._route(spec233, np.array([0.0, 0.99 * limit])), Chebyshev)
+        assert isinstance(evolve._route(spec233, np.array([0.0, 1.01 * limit])), Propagator)
+        with pytest.raises(ValidationError, match="phases lose their precision"):
+            propagate(spec233, init233, [0.0, 1e3 * limit])
+
+
+class TestRoute:
+    def test_large_model_builds_no_eigensystem_until_asked(self, propagator_builds, monkeypatch):
+        spec, init = uniform_case((16, 2, 16))
+        times = np.linspace(0, 20, 200)
+        traj = propagate(spec, init, times)
+        assert propagator_builds == []
+        got = [signaling_test(traj, d, n_samples=2, seed=1) for d in ("b_to_a", "a_to_b")]
+        assert len(propagator_builds) == 1
+
+        monkeypatch.setattr(evolve, "EIGH_FLOPS_PER_N3", 0.0)  # every grid prefers eigh
+        spectral = propagate(spec, init, times)
+        assert len(propagator_builds) == 2
+        assert_allclose(traj.states, spectral.states, rtol=0, atol=1e-12)
+        want = [signaling_test(spectral, d, n_samples=2, seed=1) for d in ("b_to_a", "a_to_b")]
+        assert len(propagator_builds) == 2
+        assert_allclose(got, want, rtol=0, atol=1e-12)
