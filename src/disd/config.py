@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import InitialSpec, ModelSpec, build_canonical
-from .qcore import Dims, ValidationError
+from .qcore import Dims, ValidationError, _norm_and_unit
 
 __all__ = [
     "ConfigError",
@@ -211,12 +211,10 @@ def parse_config(doc: dict) -> RunConfig:
         vectors = {}
         for key, dim in (("alpha", dims.a), ("chi", dims.b)):
             v = _wire(f"initial.{key}", vector_from_json, _require(init, key, list, "initial"), (dim,))
-            if normalize:  # parts scaled into [-1, 1] first, so the norm cannot overflow
-                scale = np.abs(np.stack([v.real, v.imag])).max()
-                if scale == 0:
+            if normalize:
+                norm, v = _norm_and_unit(v)
+                if norm == 0:
                     raise ConfigError(f"initial.{key} is zero and cannot be normalized")
-                v = v.real / scale + 1j * (v.imag / scale)
-                v = v / np.linalg.norm(v)
             vectors[key] = v
         # accepted for the configs that carry it; the model alone fixes the C state
         if _optional(init, "robust_index", int, "initial", robust_index) != robust_index:

@@ -63,20 +63,19 @@ class Propagator:
         h = np.asarray(h, dtype=complex)
         check_hermitian(h, name="Hamiltonian")
         self._evals, self._vecs = np.linalg.eigh(h)
-        self._vecs_h = self._vecs.conj().T
         self.max_abs_energy = float(np.abs(self._evals).max())
 
     def apply(self, psi: np.ndarray, t: float) -> np.ndarray:
         """Evolve a single state to time t."""
-        coeff = self._vecs_h @ np.asarray(psi, dtype=complex)
-        return self._vecs @ (np.exp(-1j * self._evals * t) * coeff)
+        return self.evolve_many(psi, [t])[0]
 
-    def evolve_many(self, psi: np.ndarray, times: np.ndarray) -> np.ndarray:
+    def evolve_many(self, psi: np.ndarray, times) -> np.ndarray:
         """Stack of evolved states, one row per time; rows at t = 0 are psi exactly."""
         psi = np.asarray(psi, dtype=complex)
         times = np.asarray(times, float)
         phases = np.exp(-1j * np.outer(times, self._evals))
-        states = (phases * (self._vecs_h @ psi)) @ self._vecs.T
+        coeff = (self._vecs.T @ psi.conj()).conj()  # V+ psi through a transposed view of V
+        states = (phases * coeff) @ self._vecs.T
         states[times == 0] = psi
         return states
 
@@ -209,9 +208,10 @@ def _route(spec: ModelSpec, times: np.ndarray) -> Propagator | Chebyshev:
 class Trajectory:
     """The product state of ``init`` under one model, at strictly increasing times.
 
-    Its ``eigensystem`` is the model's spectral ``Propagator``, built on first
-    use (or kept from a spectral ``propagate``), so :meth:`evolve` carries any
-    number of other states over the same times with one diagonalization.
+    ``route`` is the ``Propagator`` or ``Chebyshev`` that made the states. The
+    ``eigensystem`` is that route when it is spectral, else a ``Propagator``
+    built on first use, so :meth:`evolve` carries any number of other states
+    over the same times with at most one diagonalization.
     """
 
     times: np.ndarray
@@ -219,9 +219,12 @@ class Trajectory:
     model: ModelSpec
     init: InitialSpec
     psi0: np.ndarray
+    route: Propagator | Chebyshev
 
     @functools.cached_property
     def eigensystem(self) -> Propagator:
+        if isinstance(self.route, Propagator):
+            return self.route
         return Propagator(assemble_hamiltonian(self.model))
 
     def evolve(self, psi: np.ndarray) -> np.ndarray:
@@ -231,25 +234,23 @@ class Trajectory:
 
 @dataclass(frozen=True, eq=False)
 class PerturbationData:
-    """Eigenbases and phase tables for the product-form approximation.
+    """Eigenbases |a_i> of A0 = c2 <r|h_ac|r> and |b_j> of B0 = <r|h_cb|r>, and one energy table.
 
-    ``a_vals`` are the first-order A shifts (eigenvalues of the robust block
-    of c2 * h_ac); ``b_vals`` are the robust-sector eigenvalues of c1 * h_cb;
-    ``lambda_i0j`` is the real d_A x d_B table of second-order shifts and
-    ``lambda_sup`` its largest magnitude. ``gap_warnings`` lists skipped
-    near-degenerate denominators as (b_index, perp_index, gap) tuples.
+    In the product form the basis pair (i, j) evolves with one real rate,
+    ``energies[i, j]`` = E_ij = eps^A_i + eps^B_j + lambda_i0j + lambda0, where
+    eps^A_i = <a_i|h_a + A0|a_i>, eps^B_j = <b_j|h_b + c1 B0|b_j> and lambda0 =
+    <r|h_c|r> at the robust C index r. ``lambda_i0j`` is the real d_A x d_B
+    table of second-order shifts and ``lambda_sup`` its largest magnitude.
+    ``gap_warnings`` lists skipped near-degenerate denominators as
+    (b_index, perp_index, gap) tuples.
     """
 
     spec: ModelSpec
-    a_vals: np.ndarray
     a_vecs: np.ndarray
-    b_vals: np.ndarray
     b_vecs: np.ndarray
-    lambda0: float
+    energies: np.ndarray
     lambda_i0j: np.ndarray
     lambda_sup: float
-    h_a_diag: np.ndarray
-    h_b_diag: np.ndarray
     gap_warnings: list
 
 
@@ -280,43 +281,38 @@ def propagate(spec: ModelSpec, init: InitialSpec, times) -> Trajectory:
     drift = float(np.abs(np.linalg.norm(states, axis=1) - 1.0).max())
     if drift > NORM_DRIFT_TOL:
         raise ValidationError(f"propagation norm drift {drift:.3e} > {NORM_DRIFT_TOL:.1e}")
-    traj = Trajectory(times=times, states=states, model=spec, init=init, psi0=psi0)
-    if isinstance(prop, Propagator):
-        vars(traj)["eigensystem"] = prop  # already built: fill the cache of the lazy property
-    return traj
-
-
-def _comm_norm(x: np.ndarray, y: np.ndarray) -> float:
-    return spectral_norm(x @ y - y @ x)
+    return Trajectory(times=times, states=states, model=spec, init=init, psi0=psi0, route=prop)
 
 
 def perturbation_data(spec: ModelSpec) -> PerturbationData:
-    """Eigenbases, phase tables, and second-order shifts for one model.
+    """Eigenbases, dressed energies, and second-order shifts for one model.
 
     Every ``ModelSpec`` has the robust block structure of ``h_cb``; this
     also requires the commutation constraints that make every phase in the
-    approximation well defined: ``[h_a, A0] ~ 0``, ``[h_b, B0] ~ 0``, and
-    the robust C state an approximate eigenvector of ``h_c`` (all to 1e-8).
+    approximation well defined: ``[h_a, A0] ~ 0`` and ``[h_b, B0] ~ 0``, each
+    as ||[X, Y]|| <= 1e-8 ||X|| ||Y|| so that no coupling strength moves the
+    bar, and the robust C state an eigenvector of ``h_c`` to 1e-8.
     Degenerate blocks of A0 (B0) are resolved by diagonalizing h_a (h_b)
     inside the block, so the c2 = 0 limit reproduces the exact free phases.
 
     Denominators below ``1e-8 * c1`` in magnitude are skipped; scaling the
     cutoff with c1 keeps the set of skipped denominators invariant under
-    coupling sweeps.
+    coupling sweeps. A c1 so small for c2 that the second-order shifts
+    overflow raises ``ValidationError``.
     """
     d_a, d_c, d_b = spec.dims.factors
     r = spec.robust_index
     e0 = basis_vector(d_c, r)
 
-    a0 = spec.c2 * spec.robust_block_a()
-    b0_shape = spec.robust_block_b()
-
-    c_a = _comm_norm(spec.h_a, a0)
-    if c_a > COMMUTATOR_TOL:
-        raise ValidationError(f"[h_a, A0] norm {c_a:.3e} > {COMMUTATOR_TOL:.1e}")
-    c_b = _comm_norm(spec.h_b, b0_shape)
-    if c_b > COMMUTATOR_TOL:
-        raise ValidationError(f"[h_b, B0] norm {c_b:.3e} > {COMMUTATOR_TOL:.1e}")
+    a0_shape, b0_shape = spec.robust_block_a(), spec.robust_block_b()
+    # the bound is scale-free, so [h_a, c2 A0] is checked as [h_a, A0]; c2 = 0 leaves no A0
+    checks = [("[h_a, A0]", spec.h_a, a0_shape)] if spec.c2 > 0 else []
+    for name, x, y in checks + [("[h_b, B0]", spec.h_b, b0_shape)]:
+        comm = spectral_norm(x @ y - y @ x)
+        bound = COMMUTATOR_TOL * np.linalg.norm(x, 2) * np.linalg.norm(y, 2)
+        if comm > bound:
+            raise ValidationError(
+                f"{name} norm {comm:.3e} > {COMMUTATOR_TOL:.0e} ||X|| ||Y|| = {bound:.3e}")
     hc_e0 = spec.h_c @ e0
     lambda0 = float(np.real(np.vdot(e0, hc_e0)))
     leak = float(np.linalg.norm(hc_e0 - lambda0 * e0))
@@ -324,12 +320,9 @@ def perturbation_data(spec: ModelSpec) -> PerturbationData:
         raise ValidationError(
             f"robust state is not an eigenvector of h_c: leakage {leak:.3e} > {COMMUTATOR_TOL:.1e}")
 
-    a_vals, a_vecs = eigh_ordered(a0, secondary=spec.h_a)
+    a_vals, a_vecs = eigh_ordered(spec.c2 * a0_shape, secondary=spec.h_a)
     b_shape_vals, b_vecs = eigh_ordered(b0_shape, secondary=spec.h_b)
     b_vals = spec.c1 * b_shape_vals
-
-    h_a_diag = np.real(np.diagonal(a_vecs.conj().T @ spec.h_a @ a_vecs)).copy()
-    h_b_diag = np.real(np.diagonal(b_vecs.conj().T @ spec.h_b @ b_vecs)).copy()
 
     # Eigensystem of c1 * h_cb on the sector orthogonal to the robust C state.
     # Together with the robust-sector pairs (b_vals, |0>|j>) this is the full
@@ -350,45 +343,40 @@ def perturbation_data(spec: ModelSpec) -> PerturbationData:
     pv = perp_vecs.reshape(d_c, d_b, perp_vecs.shape[1])
     me = np.einsum("cbm,ipc,bj->ipjm", pv.conj(), g, b_vecs, optimize=True)
 
-    gaps = b_vals[:, None] - e_perp[None, :]
-    ok = np.abs(gaps) >= 1e-8 * spec.c1
-    warnings = [(int(j), int(m), float(gaps[j, m]))
-                for j, m in np.argwhere(~ok)]
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # checked below
+        gaps = b_vals[:, None] - e_perp[None, :]
+        ok = np.abs(gaps) >= 1e-8 * spec.c1
+        weights = np.divide(1.0, gaps, out=np.zeros_like(gaps), where=ok)
+        lam = np.einsum("ipjm,jm->ij", np.abs(me) ** 2, weights)
+    if not np.isfinite(lam).all():
+        raise ValidationError(f"c1 = {spec.c1:.3e} is too small for c2 = {spec.c2:.3e}: "
+                              f"the second-order shifts overflow")
+    warnings = [(int(j), int(m), float(gaps[j, m])) for j, m in np.argwhere(~ok)]
     if spec.c2 != 0 and gaps.size > 0 and not ok.any():
         raise ValidationError("all denominators degenerate: perturbation theory undefined")
 
-    weights = np.divide(1.0, gaps, out=np.zeros_like(gaps), where=ok)
-    lam = np.einsum("ipjm,jm->ij", np.abs(me) ** 2, weights)
-    lambda_sup = float(np.abs(lam).max()) if lam.size else 0.0
-
+    eps_a = np.real(np.diagonal(a_vecs.conj().T @ spec.h_a @ a_vecs)) + a_vals
+    eps_b = b_vals + np.real(np.diagonal(b_vecs.conj().T @ spec.h_b @ b_vecs))
     return PerturbationData(
-        spec=spec, a_vals=a_vals, a_vecs=a_vecs, b_vals=b_vals, b_vecs=b_vecs,
-        lambda0=lambda0, lambda_i0j=lam, lambda_sup=lambda_sup,
-        h_a_diag=h_a_diag, h_b_diag=h_b_diag, gap_warnings=warnings,
+        spec=spec, a_vecs=a_vecs, b_vecs=b_vecs,
+        energies=eps_a[:, None] + eps_b[None, :] + lam + lambda0,
+        lambda_i0j=lam, lambda_sup=float(np.abs(lam).max()), gap_warnings=warnings,
     )
 
 
 def product_approx(init: InitialSpec, pd: PerturbationData, times) -> np.ndarray:
     """Phase-dressed product-form states of ``pd.spec``, one row per time (unit norm).
 
-    The B phases carry the second-order shift table, which depends on the A
-    label, so each row is generally A-B correlated even though it never
-    leaves the robust C state.
+    The amplitude of the basis pair (i, j) turns with its dressed energy
+    ``pd.energies[i, j]``, whose second-order shift depends on both labels,
+    so each row is generally A-B correlated even though it never leaves the
+    robust C state.
     """
-    spec = pd.spec
-    dims = spec.dims
-    t = np.asarray(times, dtype=float).reshape(-1, 1)
-    a_amp = pd.a_vecs.conj().T @ init.alpha
-    b_amp = pd.b_vecs.conj().T @ init.chi
-    phase_a = np.exp(-1j * t * (pd.h_a_diag + pd.a_vals))
-    phase_b = np.exp(-1j * t * (pd.b_vals + pd.h_b_diag))
-    m = ((a_amp * phase_a)[:, :, None]
-         * (b_amp * phase_b)[:, None, :]
-         * np.exp(-1j * t[:, :, None] * pd.lambda_i0j))
-    m = m * np.exp(-1j * t[:, :, None] * pd.lambda0)
-    ab = pd.a_vecs @ m @ pd.b_vecs.T
-    psi = np.zeros((len(t), dims.a, dims.c, dims.b), dtype=complex)
-    psi[:, :, spec.robust_index, :] = ab
+    t = np.asarray(times, dtype=float).reshape(-1, 1, 1)
+    amp = np.outer(pd.a_vecs.conj().T @ init.alpha, pd.b_vecs.conj().T @ init.chi)
+    psi = np.zeros((len(t), *pd.spec.dims.factors), dtype=complex)
+    ab = pd.a_vecs @ (amp * np.exp(-1j * t * pd.energies)) @ pd.b_vecs.T
+    psi[:, :, pd.spec.robust_index, :] = ab
     return psi.reshape(len(t), -1)
 
 

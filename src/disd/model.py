@@ -22,6 +22,7 @@ import numpy as np
 from .qcore import (
     Dims,
     ValidationError,
+    _norm_and_unit,
     basis_vector,
     check_hermitian,
     derive_seed,
@@ -120,12 +121,7 @@ class InitialSpec:
         for name in ("alpha", "chi"):
             v = np.asarray(getattr(self, name), dtype=complex)
             object.__setattr__(self, name, v)
-            # dividing the real and imaginary parts by the largest one puts them in
-            # [-1, 1], so the norm of finite entries neither overflows nor underflows
-            parts = np.stack([v.real, v.imag])
-            scale = float(np.abs(parts).max(initial=0.0))
-            norm = scale * float(np.linalg.norm(parts / scale)) if 0 < scale < np.inf else scale
-            err = abs(norm - 1.0)
+            err = abs(_norm_and_unit(v)[0] - 1.0)
             if not err <= UNIT_NORM_TOL:
                 raise ValidationError(f"{name} norm off by {err:.3e}")
 

@@ -117,6 +117,22 @@ def spectral_norm(m: np.ndarray) -> float:
     return float(np.linalg.norm(m, 2))
 
 
+def _norm_and_unit(v: np.ndarray) -> tuple[float, np.ndarray]:
+    """||v|| and v / ||v||, neither overflowing nor underflowing for finite entries.
+
+    The real and imaginary parts are divided by the largest of them first,
+    which puts them in [-1, 1]. A zero vector, or one with an infinite or nan
+    entry, comes back as (that largest part, v).
+    """
+    v = np.asarray(v, dtype=complex)
+    scale = float(np.abs(np.stack([v.real, v.imag])).max(initial=0.0))
+    if not 0 < scale < np.inf:
+        return scale, v
+    unit = v.real / scale + 1j * (v.imag / scale)
+    norm = float(np.linalg.norm(unit))
+    return scale * norm, unit / norm
+
+
 def check_hermitian(m: np.ndarray, name: str = "matrix") -> None:
     """Raise ValidationError unless max |M - M+| <= 1e-12 entrywise."""
     m = np.asarray(m)

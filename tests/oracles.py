@@ -110,6 +110,24 @@ def rs2_table_bruteforce(spec, gap_tol=None):
     return table
 
 
+def dense_exponential(h, t):
+    """e^{-iHt} as a matrix: a 30-term Taylor series, scaled and squared.
+
+    No eigendecomposition is involved: the series runs on -iHt / 2^s with
+    ||Ht|| / 2^s <= 1/2, and the result is squared s times.
+    """
+    a = -1j * t * np.asarray(h, dtype=complex)
+    s = max(0, int(np.ceil(np.log2(max(np.linalg.norm(a, 1), 1e-300)))) + 1)
+    a = a / 2 ** s
+    u = term = np.eye(len(a), dtype=complex)
+    for k in range(1, 30):
+        term = term @ a / k
+        u = u + term
+    for _ in range(s):
+        u = u @ u
+    return u
+
+
 def mi_per_row(states, dims):
     """A:B mutual information one state at a time, through the d_A*d_B reduced state."""
     return np.array([mutual_information(rdm_from_state(s, dims.factors, (0, 2)), dims.a, dims.b)
@@ -140,21 +158,35 @@ def signaling_per_row(evolve, psi0, ref_states, dims, direction, n_samples, seed
     return out
 
 
+def energy_table(spec, pd):
+    """Dressed energies E_ij = eps^A_i + eps^B_j + lambda_i0j + lambda0 from the spec.
+
+    Only the bases |a_i>, |b_j> and the second-order table are read from
+    ``pd``: eps^A_i = <a_i|h_a + c2 A0|a_i>, eps^B_j = <b_j|h_b + c1 B0|b_j>
+    and lambda0 = <r|h_c|r> are rebuilt from the model's own matrices.
+    """
+    r = spec.robust_index
+    h_a = spec.h_a + spec.c2 * spec.robust_block_a()
+    h_b = spec.h_b + spec.c1 * spec.robust_block_b()
+    eps_a = np.array([np.vdot(v, h_a @ v).real for v in pd.a_vecs.T])
+    eps_b = np.array([np.vdot(v, h_b @ v).real for v in pd.b_vecs.T])
+    return eps_a[:, None] + eps_b[None, :] + pd.lambda_i0j + spec.h_c[r, r].real
+
+
 def residuals_per_row(spec, init, pd, times, states):
     """Phase-aligned residual one time at a time, from the scalar product form.
 
-    Each product-form state is built for a single time t, and the distance to
-    the exact state is taken at the phase of their overlap.
+    Each product-form state is built for a single time t from
+    :func:`energy_table`, and the distance to the exact state is taken at
+    the phase of their overlap.
     """
     dims = spec.dims
     a_amp = pd.a_vecs.conj().T @ init.alpha
     b_amp = pd.b_vecs.conj().T @ init.chi
+    energies = energy_table(spec, pd)
     out = np.empty(len(times))
     for k, t in enumerate(times):
-        phase_a = np.exp(-1j * t * (pd.h_a_diag + pd.a_vals))
-        phase_b = np.exp(-1j * t * (pd.b_vals + pd.h_b_diag))
-        m = ((a_amp * phase_a)[:, None] * (b_amp * phase_b)[None, :]
-             * np.exp(-1j * t * pd.lambda_i0j) * np.exp(-1j * t * pd.lambda0))
+        m = np.outer(a_amp, b_amp) * np.exp(-1j * t * energies)
         psi = np.zeros((dims.a, dims.c, dims.b), dtype=complex)
         psi[:, spec.robust_index, :] = pd.a_vecs @ m @ pd.b_vecs.T
         approx = psi.reshape(-1)

@@ -654,6 +654,29 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("validation error: phases lose their precision")
 
+    @pytest.mark.parametrize("c1", [1e-310, 5e-324])
+    @pytest.mark.parametrize("command", ["simulate", "sweep"])
+    def test_tiny_c1_is_named_validation_error(self, tmp_path, capsys, command, c1):
+        # 1/(c1 * gap) overflows: the shift table would hold inf and nan
+        doc = base_config(couplings={"c1": c1, "c2": 0.1}, sweep={"c1_values": [c1]})
+        out = tmp_path / "out.csv"
+        assert main([command, "--config", write_config(tmp_path, doc), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"validation error: c1 = {c1:.3e} is too small for c2 = 1.000e-01: "
+            f"the second-order shifts overflow\n")
+        assert not out.exists()
+
+    def test_large_couplings_pass_the_commutator_bound(self, tmp_path):
+        # the canonical model commutes to ~1e-17 relative, while the absolute
+        # norm of [h_a, c2 A0] at c2 = 1e10 is ~1e-7
+        root = Path(__file__).resolve().parent.parent
+        doc = json.loads((root / "presets" / "ion-cage.json").read_text())
+        doc.update(couplings={"c1": 1e13, "c2": 1e10}, time={"t_max": 1e-12, "steps": 5})
+        out = tmp_path / "out.csv"
+        assert main(["simulate", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 0
+        _, cols = parse_csv(out.read_text())
+        assert all(np.isfinite(v).all() for v in cols.values())
+
     @pytest.mark.parametrize("command, section, key, value, field", BAD_FIELDS,
                              ids=[case[-1] for case in BAD_FIELDS])
     def test_bad_field_is_named_config_error(self, tmp_path, capsys,

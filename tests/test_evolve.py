@@ -7,6 +7,7 @@ from disd import evolve
 from disd.evolve import (
     CHEB_Z_MAX,
     Chebyshev,
+    PerturbationData,
     Propagator,
     perturbation_data,
     product_approx,
@@ -17,7 +18,7 @@ from disd.locality import signaling_test
 from disd.model import InitialSpec, ModelSpec, assemble_hamiltonian, build_canonical, initial_state
 from disd.qcore import Dims, ValidationError
 
-from oracles import residuals_per_row, rs2_table_bruteforce
+from oracles import dense_exponential, energy_table, residuals_per_row, rs2_table_bruteforce
 from test_locality import ORACLE_CASES, ORACLE_IDS, oracle_case
 
 # Frozen from the brute-force oracle for seed 1, dims (2,2,2), c1=4, c2=0.5.
@@ -80,13 +81,16 @@ class TestPropagate:
         with pytest.raises(ValueError, match="alpha has length"):
             propagate(spec233, wrong, [0.0])
 
-    def test_evolve_many_matches_apply(self, spec233, init233):
+    def test_apply_and_evolve_many_match_a_dense_exponential(self, spec233, init233):
         psi0 = initial_state(init233, spec233.dims, spec233.robust_index)
-        prop = Propagator(assemble_hamiltonian(spec233))
-        times = np.array([0.0, 0.3, 1.1])
+        h = assemble_hamiltonian(spec233)
+        prop = Propagator(h)
+        times = np.array([0.0, 0.3, 1.1, 7.5])
         stacked = prop.evolve_many(psi0, times)
         for k, t in enumerate(times):
-            assert_allclose(stacked[k], prop.apply(psi0, t), atol=1e-12)
+            expected = dense_exponential(h, t) @ psi0
+            assert_allclose(stacked[k], expected, rtol=0, atol=1e-12)
+            assert_allclose(prop.apply(psi0, t), expected, rtol=0, atol=1e-12)
 
 
 class TestRobustInitialState:
@@ -143,11 +147,16 @@ class TestPerturbationData:
             gram = vecs.conj().T @ vecs
             assert np.abs(gram - np.eye(vecs.shape[1])).max() <= 1e-10
 
-    def test_lambda0_is_robust_eigenvalue(self, spec233):
-        pd = perturbation_data(spec233)
-        e0 = np.zeros(spec233.dims.c)
-        e0[spec233.robust_index] = 1.0
-        assert pd.lambda0 == pytest.approx(np.vdot(e0, spec233.h_c @ e0).real, abs=1e-12)
+    def test_fields(self):
+        assert [f.name for f in dataclasses.fields(PerturbationData)] == [
+            "spec", "a_vecs", "b_vecs", "energies", "lambda_i0j", "lambda_sup", "gap_warnings"]
+
+    @pytest.mark.parametrize("robust_index", [0, 2])
+    def test_energies_match_the_spec(self, dims233, robust_index):
+        spec = build_canonical(dims233, 4, 6.0, 0.7, robust_index=robust_index)
+        pd = perturbation_data(spec)
+        assert pd.energies.dtype == np.float64
+        assert_allclose(pd.energies, energy_table(spec, pd), rtol=0, atol=1e-12)
 
     def test_gap_warnings_on_planted_collision(self):
         spec = diagonal_explicit_spec()
@@ -161,6 +170,37 @@ class TestPerturbationData:
         bad_h_a = np.array([[0.2, 0.5], [0.5, -0.2]], dtype=complex)
         with pytest.raises(ValidationError):
             perturbation_data(dataclasses.replace(spec, h_a=bad_h_a))
+
+    @pytest.mark.parametrize("scale", [1e-12, 1e12])
+    def test_rejects_commutator_violation_at_any_scale(self, scale):
+        spec = diagonal_explicit_spec()
+        bad_h_a = scale * np.array([[0.2, 0.5], [0.5, -0.2]], dtype=complex)
+        message = r"^\[h_a, A0\] norm .* > 1e-08 \|\|X\|\| \|\|Y\|\| = "
+        with pytest.raises(ValidationError, match=message):
+            perturbation_data(dataclasses.replace(spec, h_a=bad_h_a))
+
+    @pytest.mark.parametrize("c1, c2, h_a_scale", [
+        (1e13, 1e10, 1.0), (1e13, 1e-300, 1.0), (4.0, 1e6, 1.0), (4.0, 0.5, 1e12)])
+    def test_commutator_bound_is_scale_free(self, dims233, c1, c2, h_a_scale):
+        # the canonical h_a commutes with A0 to ~1e-17 relative; at c2 = 1e10, or
+        # with h_a scaled by 1e12, the absolute norm of [h_a, c2 A0] is above 1e-8
+        spec = build_canonical(dims233, 1, c1, c2)
+        spec = dataclasses.replace(spec, h_a=h_a_scale * spec.h_a)
+        a0 = c2 * spec.robust_block_a()
+        assert (np.linalg.norm(spec.h_a @ a0 - a0 @ spec.h_a, 2)
+                <= 1e-14 * np.linalg.norm(spec.h_a, 2) * np.linalg.norm(a0, 2))
+        assert np.isfinite(perturbation_data(spec).energies).all()
+
+    def test_c2_zero_leaves_no_a0_to_commute_with(self):
+        spec = dataclasses.replace(diagonal_explicit_spec(), c2=0.0,
+                                   h_a=np.array([[0.2, 0.5], [0.5, -0.2]], dtype=complex))
+        assert perturbation_data(spec).lambda_sup == 0.0
+
+    @pytest.mark.parametrize("c1", [1e-310, 5e-324])
+    def test_tiny_c1_is_named_validation_error(self, dims233, c1):
+        # 1/(c1 * gap) overflows, so the shift table would hold inf and nan
+        with pytest.raises(ValidationError, match=rf"^c1 = {c1:.3e} is too small for c2"):
+            perturbation_data(build_canonical(dims233, 2, c1, 0.4))
 
     def test_rejects_hc_leakage(self):
         spec = diagonal_explicit_spec()
@@ -332,12 +372,14 @@ class TestRoute:
         times = np.linspace(0, 20, 200)
         traj = propagate(spec, init, times)
         assert propagator_builds == []
+        assert isinstance(traj.route, Chebyshev)
         got = [signaling_test(traj, d, n_samples=2, seed=1) for d in ("b_to_a", "a_to_b")]
         assert len(propagator_builds) == 1
 
         monkeypatch.setattr(evolve, "EIGH_FLOPS_PER_N3", 0.0)  # every grid prefers eigh
         spectral = propagate(spec, init, times)
         assert len(propagator_builds) == 2
+        assert isinstance(spectral.route, Propagator) and spectral.eigensystem is spectral.route
         assert_allclose(traj.states, spectral.states, rtol=0, atol=1e-12)
         want = [signaling_test(spectral, d, n_samples=2, seed=1) for d in ("b_to_a", "a_to_b")]
         assert len(propagator_builds) == 2

@@ -33,7 +33,7 @@ COMMANDS = ("simulate", "locality", "sweep", "make-model")
 EXIT_CODES = {0, 1, 2, 3}
 
 VALUES = [
-    None, True, False, 0, 1, -1, 3, 10**30, 0.5, -2.5, 1e308, float("inf"), float("nan"),
+    None, True, False, 0, 1, -1, 3, 10**30, 0.5, -2.5, 1e308, 1e-310, float("inf"), float("nan"),
     "", "explicit", [], {}, [0, 0], [1e200, 1e200], [1e-200, 1e-200], [[1, 0], [0, 1]],
     [[1e200, 0], [1e200, 0]], {"a": 2, "c": 2, "b": 2},
 ]
