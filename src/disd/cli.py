@@ -13,7 +13,6 @@ import argparse
 import dataclasses
 import json
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,117 +34,84 @@ from .locality import mi_and_entropies, mi_trajectory, signaling_test, tau_estim
 from .qcore import Dims, ValidationError
 
 __all__ = [
-    "SweepRow",
     "cmd_decompose",
     "cmd_locality",
     "cmd_make_model",
     "cmd_simulate",
     "cmd_sweep",
     "main",
-    "sweep_rows",
+    "sweep_columns",
 ]
 
 
-@dataclass(frozen=True)
-class SweepRow:
-    """One coupling grid point of a sweep."""
+def _csv(columns: dict) -> str:
+    """CSV text of named, equally long columns: a header of the names, then one row per index.
 
-    c1: float
-    c2: float
-    ratio: float
-    lambda_sup: float
-    max_residual: float
-    tau_est: float | None
-    gap_warnings: int
-
-
-def _fmt(x) -> str:
-    return format(float(x), ".17g")
-
-
-def _csv(header: str, rows: list[list[str]]) -> str:
-    lines = [header] + [",".join(r) for r in rows]
+    Values are written with 17 significant digits and None as an empty field.
+    """
+    lines = [",".join(columns)]
+    for row in zip(*columns.values()):
+        lines.append(",".join("" if x is None else format(float(x), ".17g") for x in row))
     return "\n".join(lines) + "\n"
 
 
-def cmd_simulate(cfg: RunConfig) -> str:
-    spec = model_from_config(cfg)
-    init = initial_from_config(cfg)
-    times = times_from_config(cfg)
+def _run_model(spec, init, times):
+    """One model's perturbation data, exact trajectory, and product-form residual at each time."""
     pd = perturbation_data(spec)
     traj = propagate(spec, init, times)
+    return pd, traj, residuals_along(traj, pd)
 
+
+def cmd_simulate(cfg: RunConfig) -> str:
+    pd, traj, residuals = _run_model(model_from_config(cfg), initial_from_config(cfg),
+                                     times_from_config(cfg))
     mi, s_a, s_b = mi_and_entropies(traj)
-    residuals = residuals_along(traj, pd)
-    norms = np.linalg.norm(traj.states, axis=1)
-    warn = len(pd.gap_warnings)
-
-    header = "t,mi_ab_bits,entropy_a_bits,entropy_b_bits,residual_eq4,norm_error"
-    if warn:
-        header += ",warn"
-    rows = []
-    for k, t in enumerate(times):
-        row = [
-            _fmt(t),
-            _fmt(mi[k]),
-            _fmt(s_a[k]),
-            _fmt(s_b[k]),
-            _fmt(residuals[k]),
-            _fmt(abs(norms[k] - 1.0)),
-        ]
-        if warn:
-            row.append(str(warn))
-        rows.append(row)
-    return _csv(header, rows)
+    columns = {"t": traj.times, "mi_ab_bits": mi, "entropy_a_bits": s_a, "entropy_b_bits": s_b,
+               "residual_eq4": residuals,
+               "norm_error": np.abs(np.linalg.norm(traj.states, axis=1) - 1.0)}
+    if pd.gap_warnings:
+        columns["warn"] = [len(pd.gap_warnings)] * len(traj.times)
+    return _csv(columns)
 
 
-def sweep_rows(cfg: RunConfig) -> list[SweepRow]:
-    """Evaluate every coupling grid point; rows come back in grid order."""
+def sweep_columns(cfg: RunConfig) -> dict[str, list]:
+    """Evaluate every coupling grid point; each column holds one value per point, in grid order.
+
+    ``tau_est`` is None where the mutual information never crosses the threshold.
+    """
     if cfg.sweep_grid is None:
         raise ConfigError("sweep requires a 'sweep' section")
     base = model_from_config(cfg)
     init = initial_from_config(cfg)
     times = times_from_config(cfg)
 
-    out = []
+    columns = {name: [] for name in ("c1", "c2", "ratio", "lambda_sup", "max_residual",
+                                     "tau_est", "gap_warnings")}
     for c1, c2 in cfg.sweep_grid:
-        spec = dataclasses.replace(base, c1=float(c1), c2=float(c2))
-        pd = perturbation_data(spec)
-        traj = propagate(spec, init, times)
-        max_residual = float(residuals_along(traj, pd).max())
-        mi = mi_trajectory(traj)
+        pd, traj, residuals = _run_model(dataclasses.replace(base, c1=c1, c2=c2), init, times)
+        columns["c1"].append(c1)
+        columns["c2"].append(c2)
+        columns["ratio"].append(c2 / c1)
+        columns["lambda_sup"].append(pd.lambda_sup)
+        columns["max_residual"].append(float(residuals.max()))
+        columns["tau_est"].append(tau_estimate(times, mi_trajectory(traj), cfg.threshold_bits))
+        columns["gap_warnings"].append(len(pd.gap_warnings))
         del traj  # frees this point's states (and eigensystem, if one was built) before the next
-        out.append(SweepRow(
-            c1=float(c1), c2=float(c2), ratio=float(c2) / float(c1),
-            lambda_sup=pd.lambda_sup,
-            max_residual=max_residual,
-            tau_est=tau_estimate(times, mi, cfg.threshold_bits),
-            gap_warnings=len(pd.gap_warnings),
-        ))
-    return out
+    return columns
 
 
 def cmd_sweep(cfg: RunConfig) -> str:
-    header = "c1,c2,ratio,lambda_sup,max_residual,tau_est,gap_warnings"
-    rows = []
-    for r in sweep_rows(cfg):
-        rows.append([
-            _fmt(r.c1), _fmt(r.c2), _fmt(r.ratio), _fmt(r.lambda_sup),
-            _fmt(r.max_residual),
-            "" if r.tau_est is None else _fmt(r.tau_est),
-            str(r.gap_warnings),
-        ])
-    return _csv(header, rows)
+    return _csv(sweep_columns(cfg))
 
 
 def cmd_locality(cfg: RunConfig) -> str:
     traj = propagate(model_from_config(cfg), initial_from_config(cfg), times_from_config(cfg))
-    mi = mi_trajectory(traj)
-    b_to_a, a_to_b = (signaling_test(traj, d, cfg.n_samples, cfg.seed) for d in ("b_to_a", "a_to_b"))
-    header = "t,signal_b_to_a,signal_a_to_b,mi_ab_bits"
-    rows = [[_fmt(t), _fmt(b_to_a[k]), _fmt(a_to_b[k]), _fmt(mi[k])]
-            for k, t in enumerate(traj.times)]
-    return _csv(header, rows)
+    return _csv({
+        "t": traj.times,
+        "signal_b_to_a": signaling_test(traj, "b_to_a", cfg.n_samples, cfg.seed),
+        "signal_a_to_b": signaling_test(traj, "a_to_b", cfg.n_samples, cfg.seed),
+        "mi_ab_bits": mi_trajectory(traj),
+    })
 
 
 def cmd_decompose(u: np.ndarray, dims: Dims, seed: int = 0,

@@ -234,6 +234,10 @@ def parse_config(doc: dict) -> RunConfig:
             raise ConfigError(f"time.t_max must be positive, got {t_max}")
         if steps < 2:
             raise ConfigError(f"time.steps must be >= 2, got {steps}")
+        # a subnormal step has lost digits and can repeat grid times; int < float compares exactly
+        if steps - 1 > t_max / sys.float_info.min:
+            raise ConfigError(f"time.t_max {t_max!r} is too small for time.steps "
+                              f"{_BRIEF.repr(steps)}: the step t_max/(steps-1) underflows")
 
     loc = _optional(doc, "locality", dict, "config", {})
     _known(loc, ("n_samples", "threshold_bits"), "locality")

@@ -370,9 +370,15 @@ def product_approx(init: InitialSpec, pd: PerturbationData, times) -> np.ndarray
     The amplitude of the basis pair (i, j) turns with its dressed energy
     ``pd.energies[i, j]``, whose second-order shift depends on both labels,
     so each row is generally A-B correlated even though it never leaves the
-    robust C state.
+    robust C state. The same phase guard as :func:`propagate` applies to these
+    energies: lambda_i0j grows like c2^2 / c1, so a small c1 can leave the
+    phases with fewer than eight correct digits, which raises ``ValidationError``.
     """
     t = np.asarray(times, dtype=float).reshape(-1, 1, 1)
+    phase_error = _phase_error(float(np.abs(pd.energies).max()), t)
+    if not phase_error <= PHASE_ERROR_TOL:
+        raise ValidationError(f"product-form phases lose their precision at c1 = {pd.spec.c1:.3e}: "
+                              f"eps*max|E|*max|t| = {phase_error:.3e} > {PHASE_ERROR_TOL:.1e}")
     amp = np.outer(pd.a_vecs.conj().T @ init.alpha, pd.b_vecs.conj().T @ init.chi)
     psi = np.zeros((len(t), *pd.spec.dims.factors), dtype=complex)
     ab = pd.a_vecs @ (amp * np.exp(-1j * t * pd.energies)) @ pd.b_vecs.T

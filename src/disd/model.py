@@ -55,6 +55,10 @@ class ModelSpec:
     ``h_cb`` on C x B. Construction checks the whole model contract (shapes,
     hermiticity, couplings, robust index, unit shape norms, robustness), so
     every instance is valid, including one made by ``dataclasses.replace``.
+    Each term accepted within 1e-12 of Hermitian is stored as its Hermitian
+    part, m/2 + m+/2 where m differs from m+ and m bit for bit elsewhere, so
+    every route through H (``eigh`` reads one triangle, the Chebyshev steps
+    both) sees one exactly Hermitian operator at any coupling strength.
     """
 
     dims: Dims
@@ -78,6 +82,7 @@ class ModelSpec:
             if m.shape != (dim, dim):
                 raise ValueError(f"{name} has shape {m.shape}, expected {(dim, dim)}")
             check_hermitian(m, name=name)
+            object.__setattr__(self, name, np.where(m == m.conj().T, m, 0.5 * m + 0.5 * m.conj().T))
         if not 0 < self.c1 < np.inf:
             raise ValidationError(f"c1 must be positive and finite, got {self.c1}")
         if not 0 <= self.c2 < np.inf:

@@ -6,7 +6,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import disd
-from disd.cli import cmd_make_model, cmd_simulate, main, sweep_rows
+from disd.cli import cmd_make_model, cmd_simulate, main, sweep_columns
 from disd.config import (
     MAX_SAMPLES,
     ConfigError,
@@ -44,6 +44,10 @@ def write_config(tmp_path, doc, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(doc))
     return str(path)
+
+
+def _preset():
+    return json.loads((Path(__file__).resolve().parent.parent / "presets" / "ion-cage.json").read_text())
 
 
 def parse_csv(text):
@@ -132,25 +136,39 @@ class TestSweep:
     def test_single_point_matches_simulate(self, tmp_path):
         doc = base_config(sweep={"c1_values": [8.0]})
         cfg = parse_config(doc)
-        rows = sweep_rows(cfg)
-        assert len(rows) == 1
-        _, cols = parse_csv(cmd_simulate(cfg))
-        assert rows[0].max_residual == pytest.approx(max(cols["residual_eq4"]), abs=1e-15)
+        cols = sweep_columns(cfg)
+        assert len(cols["c1"]) == 1
+        _, sim = parse_csv(cmd_simulate(cfg))
+        assert cols["max_residual"][0] == pytest.approx(max(sim["residual_eq4"]), abs=1e-15)
         spec = disd.build_canonical(cfg.dims, cfg.seed, 8.0, 0.1)
-        assert rows[0].lambda_sup == perturbation_data(spec).lambda_sup
+        assert cols["lambda_sup"][0] == perturbation_data(spec).lambda_sup
 
     def test_grid_order_and_ratio(self, tmp_path):
         doc = base_config(sweep={"c1_values": [2.0, 16.0, 4.0]})
-        rows = sweep_rows(parse_config(doc))
-        assert [r.c1 for r in rows] == [2.0, 16.0, 4.0]
-        for r in rows:
-            assert r.ratio == pytest.approx(r.c2 / r.c1, abs=1e-12)
+        cols = sweep_columns(parse_config(doc))
+        assert cols["c1"] == [2.0, 16.0, 4.0]
+        for c1, c2, ratio in zip(cols["c1"], cols["c2"], cols["ratio"]):
+            assert ratio == pytest.approx(c2 / c1, abs=1e-12)
 
     def test_ratio_sweep_varies_c2(self):
         doc = base_config(sweep={"ratio_values": [0.0, 0.05]})
-        rows = sweep_rows(parse_config(doc))
-        assert [r.c2 for r in rows] == [0.0, pytest.approx(0.4)]
-        assert rows[0].lambda_sup == 0.0
+        cols = sweep_columns(parse_config(doc))
+        assert cols["c2"] == [0.0, pytest.approx(0.4)]
+        assert cols["lambda_sup"][0] == 0.0
+
+    def test_raw_fields_of_a_ratio_sweep(self, tmp_path):
+        # read as text: ratio 0 never correlates A and B, so its tau_est field is empty,
+        # and gap_warnings is an integer count
+        doc = base_config(sweep={"ratio_values": [0.0, 0.05]},
+                          time={"t_max": 20.0, "steps": 41})
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 0
+        lines = out.read_text().split("\n")
+        assert lines[0] == "c1,c2,ratio,lambda_sup,max_residual,tau_est,gap_warnings"
+        assert lines[-1] == "" and len(lines) == 4
+        zero, coupled = (line.split(",") for line in lines[1:3])
+        assert zero[:3] == ["8", "0", "0"] and zero[5:] == ["", "0"]
+        assert coupled[5] != "" and coupled[6] == "0"
 
     def test_csv_output(self, tmp_path):
         doc = base_config(sweep={"c1_values": [2.0, 8.0]})
@@ -170,13 +188,13 @@ class TestSweep:
         doc = base_config(couplings={"c1": 1.0, "c2": 0.05},
                           time={"t_max": 5.0, "steps": 200},
                           sweep={"c1_values": [1.0, 4.0, 16.0, 64.0]})
-        rows = sweep_rows(parse_config(doc))
-        logs = np.log([r.c1 for r in rows])
-        slope_res = np.polyfit(logs, np.log([r.max_residual for r in rows]), 1)[0]
-        slope_lam = np.polyfit(logs, np.log([r.lambda_sup for r in rows]), 1)[0]
+        cols = sweep_columns(parse_config(doc))
+        logs = np.log(cols["c1"])
+        slope_res = np.polyfit(logs, np.log(cols["max_residual"]), 1)[0]
+        slope_lam = np.polyfit(logs, np.log(cols["lambda_sup"]), 1)[0]
         assert -1.3 <= slope_res <= -0.7
         assert -1.3 <= slope_lam <= -0.7
-        assert all(r.gap_warnings == 0 for r in rows)
+        assert cols["gap_warnings"] == [0, 0, 0, 0]
 
 
 class TestLocality:
@@ -509,6 +527,7 @@ BAD_FIELDS = [
     ("simulate", "output", "paths", "x.csv", "output.paths"),
     ("simulate", "dims", "a", 3, "initial.alpha has shape (2,), expected (3,)"),
     ("simulate", "dims", "b", 2, "initial.chi has shape (3,), expected (2,)"),
+    ("simulate", "time", "t_max", 5e-324, "time.t_max"),
 ]
 
 
@@ -666,11 +685,40 @@ class TestExitCodes:
             f"the second-order shifts overflow\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, code", [("simulate", 2), ("sweep", 2), ("locality", 0)])
+    def test_product_form_phase_guard(self, tmp_path, capsys, command, code):
+        # lambda_i0j ~ c2^2 / c1 = 2.5e9 leaves about five correct digits in the
+        # product-form phases; locality reads no product form
+        doc = _preset()
+        doc.update(couplings={"c1": 1e-10, "c2": 0.5}, time={"t_max": 20.0, "steps": 5},
+                   sweep={"c1_values": [1e-10]})
+        out = tmp_path / "out.csv"
+        assert main([command, "--config", write_config(tmp_path, doc), "--out", str(out)]) == code
+        err = capsys.readouterr().err
+        if code:
+            assert err.startswith("validation error: product-form phases lose their precision "
+                                  "at c1 = 1.000e-10: eps*max|E|*max|t| = 2.709e-05")
+            assert not out.exists()
+        else:
+            assert err == "" and out.exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "locality"])
+    def test_nearly_hermitian_explicit_model_runs(self, tmp_path, command):
+        # h_cb is accepted 0.9e-12 from Hermitian; c1 = 50 would scale that past the
+        # Hamiltonian's own bound unless the model keeps the Hermitian part
+        doc = _preset()
+        matrices = cmd_make_model(parse_config(doc))["matrices"]
+        matrices["h_cb"][0][1][0] += 0.9e-12
+        doc["model"] = {"family": "explicit", "matrices": matrices}
+        doc["time"] = {"t_max": 2.0, "steps": 5}
+        doc["locality"]["n_samples"] = 2
+        out = tmp_path / "out.csv"
+        assert main([command, "--config", write_config(tmp_path, doc), "--out", str(out)]) == 0
+
     def test_large_couplings_pass_the_commutator_bound(self, tmp_path):
         # the canonical model commutes to ~1e-17 relative, while the absolute
         # norm of [h_a, c2 A0] at c2 = 1e10 is ~1e-7
-        root = Path(__file__).resolve().parent.parent
-        doc = json.loads((root / "presets" / "ion-cage.json").read_text())
+        doc = _preset()
         doc.update(couplings={"c1": 1e13, "c2": 1e10}, time={"t_max": 1e-12, "steps": 5})
         out = tmp_path / "out.csv"
         assert main(["simulate", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 0

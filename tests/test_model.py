@@ -174,6 +174,20 @@ class TestModelSpecValidate:
         with pytest.raises(ValidationError):
             dataclasses.replace(spec233, h_ac=h)
 
+    def test_stores_the_hermitian_part(self, spec233):
+        h = spec233.h_cb.copy()
+        h[0, 1] += 0.9e-12
+        h[2, 2] += 0.5e-12j
+        kept = dataclasses.replace(spec233, h_cb=h).h_cb
+        assert np.array_equal(kept, kept.conj().T)
+        assert_allclose(kept, (h + h.conj().T) / 2, rtol=0, atol=1e-16)
+        assert kept[0, 2] == h[0, 2] and kept[2, 2].imag == 0
+
+    @pytest.mark.parametrize("scale", [1.0, 1e308])
+    def test_exactly_hermitian_term_is_stored_bit_for_bit(self, spec233, scale):
+        h = spec233.h_a * scale  # no overflow, hence no warning, at the largest entries
+        assert np.array_equal(dataclasses.replace(spec233, h_a=h).h_a, h)
+
     def test_rejects_unnormalized_shape(self, spec233):
         with pytest.raises(ValidationError):
             dataclasses.replace(spec233, h_cb=0.5 * spec233.h_cb)

@@ -15,7 +15,7 @@ import os
 import tempfile
 from pathlib import Path
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from disd.cli import main
@@ -33,8 +33,8 @@ COMMANDS = ("simulate", "locality", "sweep", "make-model")
 EXIT_CODES = {0, 1, 2, 3}
 
 VALUES = [
-    None, True, False, 0, 1, -1, 3, 10**30, 0.5, -2.5, 1e308, 1e-310, float("inf"), float("nan"),
-    "", "explicit", [], {}, [0, 0], [1e200, 1e200], [1e-200, 1e-200], [[1, 0], [0, 1]],
+    None, True, False, 0, 1, -1, 3, 10**30, 0.5, -2.5, 1e308, 1e-10, 1e-310, 5e-324,
+    float("inf"), float("nan"), "", "explicit", [], {}, [0, 0], [1e200, 1e200], [1e-200, 1e-200], [[1, 0], [0, 1]],
     [[1e200, 0], [1e200, 0]], {"a": 2, "c": 2, "b": 2},
 ]
 DELETE = object()
@@ -76,6 +76,9 @@ mutations = st.lists(st.tuples(st.sampled_from(PATHS), st.sampled_from(VALUES + 
 
 @settings(max_examples=300, derandomize=True, database=None, deadline=None)
 @given(mutations)
+# the derandomized draws miss these pairs; each reaches a guard of its own
+@example([(("time", "t_max"), 5e-324)])
+@example([(("couplings", "c1"), 1e-10)])
 def test_mutated_preset_exits_with_a_documented_code(changes):
     doc = copy.deepcopy(BASE)
     for path, value in changes:
