@@ -16,14 +16,14 @@ from disd.locality import signaling_test_unitary
 dims = disd.Dims(2, 2, 2)
 init = disd.InitialSpec(alpha=np.array([1.0, 1.0]) / np.sqrt(2),
                         chi=np.array([1.0, 1.0j]) / np.sqrt(2))
-psi0 = disd.initial_state(init, dims, 0)  # C starts in |0>
+robust_index = 0  # C starts in |0>
 
 print("planted sequential unitaries:")
 for seed in range(4):
     u = planted_sequential(dims, seed)
     r = sequential_residual(u, dims, seed=seed)
-    ba = signaling_test_unitary(u, psi0, dims, "b_to_a", n_samples=32, seed=seed)
-    ab = signaling_test_unitary(u, psi0, dims, "a_to_b", n_samples=32, seed=seed)
+    ba = signaling_test_unitary(u, init, dims, robust_index, "b_to_a", n_samples=32, seed=seed)
+    ab = signaling_test_unitary(u, init, dims, robust_index, "a_to_b", n_samples=32, seed=seed)
     print(f"  seed {seed}: residual = {r.residual:.2e}  ({r.iterations} iters, "
           f"converged={r.converged})   signal B->A = {ba:.1e}   A->B = {ab:.3f}")
 
@@ -32,7 +32,7 @@ print("generic (Haar) unitaries:")
 for seed in range(4):
     u = disd.haar_unitary(dims.total, seed)
     r = sequential_residual(u, dims, seed=seed)
-    ba = signaling_test_unitary(u, psi0, dims, "b_to_a", n_samples=32, seed=seed)
+    ba = signaling_test_unitary(u, init, dims, robust_index, "b_to_a", n_samples=32, seed=seed)
     print(f"  seed {seed}: residual = {r.residual:.3f}   signal B->A = {ba:.3f}")
 
 print()

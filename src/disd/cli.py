@@ -58,6 +58,7 @@ def _csv(columns: dict) -> str:
 def _run_model(spec, init, times):
     """One model's perturbation data, exact trajectory, and product-form residual at each time."""
     pd = perturbation_data(spec)
+    pd.check_phases(times)  # before any propagation
     traj = propagate(spec, init, times)
     return pd, traj, residuals_along(traj, pd)
 

@@ -34,7 +34,7 @@ __all__ = [
 ]
 
 MODEL_FAMILIES = ("disd-canonical", "explicit")
-MAX_SAMPLES = 100_000  # cap on locality.n_samples; each sample evolves one trajectory per direction
+MAX_SAMPLES = 100_000  # cap on locality.n_samples; each sample combines the evolved source basis
 
 
 class ConfigError(ValueError):

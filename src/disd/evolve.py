@@ -70,12 +70,13 @@ class Propagator:
         return self.evolve_many(psi, [t])[0]
 
     def evolve_many(self, psi: np.ndarray, times) -> np.ndarray:
-        """Stack of evolved states, one row per time; rows at t = 0 are psi exactly."""
+        """psi, (n,) or (k, n), at each time: (T, n) or (T, k, n); rows at t = 0 are psi exactly."""
         psi = np.asarray(psi, dtype=complex)
         times = np.asarray(times, float)
-        phases = np.exp(-1j * np.outer(times, self._evals))
-        coeff = (self._vecs.T @ psi.conj()).conj()  # V+ psi through a transposed view of V
-        states = (phases * coeff) @ self._vecs.T
+        phases = np.exp(-1j * np.outer(times, self._evals))[:, None, :]
+        coeff = (self._vecs.T @ psi.T.conj()).T.conj()  # V+ psi through a transposed view of V
+        terms = (phases * coeff.reshape(-1, phases.shape[-1])).reshape(-1, phases.shape[-1])
+        states = (terms @ self._vecs.T).reshape(len(times), *psi.shape)
         states[times == 0] = psi
         return states
 
@@ -146,24 +147,24 @@ class Chebyshev:
         return sum(m * len(coeffs) for m, coeffs in filter(None, self._plans(times)))
 
     def evolve_many(self, psi: np.ndarray, times) -> np.ndarray:
-        """Stack of evolved states, one row per time; rows at t = 0 are psi exactly.
+        """psi, (n,) or (k, n), at each time: (T, n) or (T, k, n); rows at t = 0 are psi exactly.
 
         Each row is stepped from the previous one (the first from psi at t = 0),
         so any strictly increasing grid works.
         """
         psi = np.asarray(psi, dtype=complex)
         times = np.asarray(times, dtype=float)
-        states = np.empty((len(times), psi.size), dtype=complex)
-        cur = psi[None, :]
+        start = cur = psi.reshape(-1, psi.shape[-1])
+        states = np.empty((len(times), *start.shape), dtype=complex)
         for row, plan in enumerate(self._plans(times)):
             if plan is None:
-                cur = psi[None, :]
+                cur = start
             else:
                 m, coeffs = plan
                 for _ in range(m):
                     cur = self._step(cur, coeffs)
-            states[row] = cur[0]
-        return states
+            states[row] = cur
+        return states.reshape(len(times), *psi.shape)
 
     def _step(self, v: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
         """sum_k coeffs[k] T_k(X) v by the three-term recurrence T_{k+1} = 2X T_k - T_{k-1}."""
@@ -180,6 +181,13 @@ class Chebyshev:
 def _phase_error(max_abs_energy: float, times: np.ndarray) -> float:
     """eps * max|E| * max|t|: the absolute error of the phases e^{-iEt} on this grid."""
     return np.finfo(float).eps * max_abs_energy * np.abs(times).max()
+
+
+def _check_phases(max_abs_energy: float, times, what: str) -> None:
+    """Raise ``ValidationError`` where the phases keep fewer than eight correct digits."""
+    err = _phase_error(max_abs_energy, times)
+    if not err <= PHASE_ERROR_TOL:
+        raise ValidationError(f"{what}: eps*max|E|*max|t| = {err:.3e} > {PHASE_ERROR_TOL:.1e}")
 
 
 def _route(spec: ModelSpec, times: np.ndarray) -> Propagator | Chebyshev:
@@ -210,15 +218,14 @@ class Trajectory:
 
     ``route`` is the ``Propagator`` or ``Chebyshev`` that made the states. The
     ``eigensystem`` is that route when it is spectral, else a ``Propagator``
-    built on first use, so :meth:`evolve` carries any number of other states
-    over the same times with at most one diagonalization.
+    built on first use, so other states evolve under the same model with at
+    most one diagonalization.
     """
 
     times: np.ndarray
     states: np.ndarray  # shape (n_times, total_dim)
     model: ModelSpec
     init: InitialSpec
-    psi0: np.ndarray
     route: Propagator | Chebyshev
 
     @functools.cached_property
@@ -226,10 +233,6 @@ class Trajectory:
         if isinstance(self.route, Propagator):
             return self.route
         return Propagator(assemble_hamiltonian(self.model))
-
-    def evolve(self, psi: np.ndarray) -> np.ndarray:
-        """States of ``psi`` evolved under the same model, one row per trajectory time."""
-        return self.eigensystem.evolve_many(psi, self.times)
 
 
 @dataclass(frozen=True, eq=False)
@@ -253,6 +256,11 @@ class PerturbationData:
     lambda_sup: float
     gap_warnings: list
 
+    def check_phases(self, times) -> None:
+        """The phase guard of :func:`propagate` on these energies; it needs no state."""
+        _check_phases(np.abs(self.energies).max(), times,
+                      f"product-form phases lose their precision at c1 = {self.spec.c1:.3e}")
+
 
 def propagate(spec: ModelSpec, init: InitialSpec, times) -> Trajectory:
     """Exact evolution of the product state of ``init``: the one route from a model to states.
@@ -273,15 +281,12 @@ def propagate(spec: ModelSpec, init: InitialSpec, times) -> Trajectory:
         raise ValueError("times must be strictly increasing")
     psi0 = initial_state(init, spec.dims, spec.robust_index)
     prop = _route(spec, times)
-    phase_error = _phase_error(prop.max_abs_energy, times)
-    if not phase_error <= PHASE_ERROR_TOL:
-        raise ValidationError(f"phases lose their precision: eps*max|E|*max|t| = "
-                              f"{phase_error:.3e} > {PHASE_ERROR_TOL:.1e}")
+    _check_phases(prop.max_abs_energy, times, "phases lose their precision")
     states = prop.evolve_many(psi0, times)
     drift = float(np.abs(np.linalg.norm(states, axis=1) - 1.0).max())
     if drift > NORM_DRIFT_TOL:
         raise ValidationError(f"propagation norm drift {drift:.3e} > {NORM_DRIFT_TOL:.1e}")
-    return Trajectory(times=times, states=states, model=spec, init=init, psi0=psi0, route=prop)
+    return Trajectory(times=times, states=states, model=spec, init=init, route=prop)
 
 
 def perturbation_data(spec: ModelSpec) -> PerturbationData:
@@ -374,11 +379,8 @@ def product_approx(init: InitialSpec, pd: PerturbationData, times) -> np.ndarray
     energies: lambda_i0j grows like c2^2 / c1, so a small c1 can leave the
     phases with fewer than eight correct digits, which raises ``ValidationError``.
     """
+    pd.check_phases(times)
     t = np.asarray(times, dtype=float).reshape(-1, 1, 1)
-    phase_error = _phase_error(float(np.abs(pd.energies).max()), t)
-    if not phase_error <= PHASE_ERROR_TOL:
-        raise ValidationError(f"product-form phases lose their precision at c1 = {pd.spec.c1:.3e}: "
-                              f"eps*max|E|*max|t| = {phase_error:.3e} > {PHASE_ERROR_TOL:.1e}")
     amp = np.outer(pd.a_vecs.conj().T @ init.alpha, pd.b_vecs.conj().T @ init.chi)
     psi = np.zeros((len(t), *pd.spec.dims.factors), dtype=complex)
     ab = pd.a_vecs @ (amp * np.exp(-1j * t * pd.energies)) @ pd.b_vecs.T

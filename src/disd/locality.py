@@ -17,15 +17,9 @@ from __future__ import annotations
 import numpy as np
 
 from .evolve import Trajectory
-from .qcore import (
-    Dims,
-    ValidationError,
-    derive_seed,
-    haar_unitary,
-    rdm_from_state,
-    trace_distance,
-    vn_entropy,
-)
+from .model import InitialSpec, initial_state
+from .qcore import (Dims, ValidationError, basis_vector, derive_seed, haar_unitary,
+                    rdm_from_state, trace_distance, vn_entropy)
 
 __all__ = [
     "mi_and_entropies",
@@ -34,9 +28,6 @@ __all__ = [
     "signaling_test_unitary",
     "tau_estimate",
 ]
-
-DIRECTIONS = ("b_to_a", "a_to_b")
-
 
 def mi_and_entropies(traj: Trajectory) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """I(A:B), S(A) and S(B) in bits at each trajectory time.
@@ -57,37 +48,33 @@ def mi_trajectory(traj: Trajectory) -> np.ndarray:
     return mi_and_entropies(traj)[0]
 
 
-def _apply_local(psi: np.ndarray, g: np.ndarray, dims: Dims, factor: int) -> np.ndarray:
-    t = psi.reshape(dims.factors)
-    t = np.moveaxis(np.tensordot(g, t, axes=(1, factor)), 0, factor)
-    return t.reshape(-1)
-
-
-def _direction_layout(direction: str, dims: Dims) -> tuple[int, int, tuple[int]]:
-    """(source factor index, source dim, target keep tuple) for a direction."""
+def _source_stack(init: InitialSpec, dims: Dims, robust_index: int, direction: str):
+    """(amplitudes, basis, keep): G on the source makes psi0 into (G @ amplitudes) @ basis."""
+    c = basis_vector(dims.c, robust_index)  # basis rows: alpha x |r> x |j> or |i> x |r> x chi
     if direction == "b_to_a":
-        return 2, dims.b, (0,)
+        return init.chi, np.kron(np.kron(init.alpha, c), np.eye(dims.b)), (0,)
     if direction == "a_to_b":
-        return 0, dims.a, (2,)
-    raise ValueError(f"direction must be one of {DIRECTIONS}, got {direction!r}")
+        return init.alpha, np.kron(np.eye(dims.a), np.kron(c, init.chi)), (2,)
+    raise ValueError(f"direction must be 'b_to_a' or 'a_to_b', got {direction!r}")
 
 
-def _signaling_curves(evolve, psi0: np.ndarray, ref_states: np.ndarray, dims: Dims,
+def _signaling_curves(chunks, amplitudes: np.ndarray, keep: tuple[int], dims: Dims,
                       direction: str, n_samples: int, seed: int) -> np.ndarray:
-    """Per-row max target disturbance; ``evolve`` maps a state to a stack of rows."""
+    """Per-row max target disturbance of the sample states (G_k @ amplitudes) @ phi."""
+    # chunks yields (phi, ref) for consecutive rows: the evolved source basis, shape
+    # (rows, d_source, n), and the unmodified states, shape (rows, n)
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
-    src, src_dim, keep = _direction_layout(direction, dims)
-    ref_rdms = rdm_from_state(ref_states, dims.factors, keep)
-    out = np.zeros(len(ref_rdms))
-    # one sample at a time: stacking the samples too would hold n_samples
-    # trajectories at once
-    for k in range(n_samples):
-        g = haar_unitary(src_dim, derive_seed(seed, "signaling", direction, k))
-        mod_states = evolve(_apply_local(psi0, g, dims, src))
-        rdms = rdm_from_state(mod_states, dims.factors, keep)
-        out = np.maximum(out, trace_distance(rdms, ref_rdms))
-    return out
+    weights = np.stack([haar_unitary(len(amplitudes), derive_seed(seed, "signaling", direction, k))
+                        @ amplitudes for k in range(n_samples)])
+    out = []
+    for phi, ref in chunks:
+        ref_rdms = rdm_from_state(ref, dims.factors, keep)[:, None]
+        step = max(1, phi.shape[0] * phi.shape[1] // n_samples)  # sample states no larger than phi
+        for i in range(0, len(phi), step):
+            rdms = rdm_from_state(weights @ phi[i:i + step], dims.factors, keep)
+            out.append(trace_distance(rdms, np.broadcast_to(ref_rdms[i:i + step], rdms.shape)))
+    return np.concatenate(out).max(axis=1)
 
 
 def signaling_test(traj: Trajectory, direction: str, n_samples: int = 64,
@@ -100,18 +87,25 @@ def signaling_test(traj: Trajectory, direction: str, n_samples: int = 64,
     between the target's reduced states and the trajectory's own is
     recorded; the per-time maximum over samples is returned. Sample k's
     unitary depends only on (seed, direction, k), so enlarging n_samples
-    refines the same family.
+    refines the same family. Only the d_source source basis states evolve,
+    T // d_source times (at least one) at a time, through the eigensystem.
     """
-    return _signaling_curves(traj.evolve, traj.psi0, traj.states, traj.model.dims,
-                             direction, n_samples, seed)
+    model = traj.model
+    amplitudes, basis, keep = _source_stack(traj.init, model.dims, model.robust_index, direction)
+    rows = max(1, len(traj.times) // len(basis))
+    chunks = ((traj.eigensystem.evolve_many(basis, traj.times[i:i + rows]), traj.states[i:i + rows])
+              for i in range(0, len(traj.times), rows))
+    return _signaling_curves(chunks, amplitudes, keep, model.dims, direction, n_samples, seed)
 
 
-def signaling_test_unitary(u: np.ndarray, psi0: np.ndarray, dims: Dims,
+def signaling_test_unitary(u: np.ndarray, init: InitialSpec, dims: Dims, robust_index: int,
                            direction: str, n_samples: int = 64, seed: int = 0) -> float:
-    """Signaling probe when the dynamics is a single global unitary applied once."""
+    """Signaling probe when the dynamics is one global unitary ``u`` applied once."""
+    psi0 = initial_state(init, dims, robust_index)  # checks the amplitudes against dims
+    amplitudes, basis, keep = _source_stack(init, dims, robust_index, direction)
     u = np.asarray(u, dtype=complex)
-    evolve = lambda psi: (u @ psi)[None, :]
-    return float(_signaling_curves(evolve, psi0, evolve(psi0), dims, direction, n_samples, seed)[0])
+    chunk = ((basis @ u.T)[None], (u @ psi0)[None])
+    return float(_signaling_curves([chunk], amplitudes, keep, dims, direction, n_samples, seed)[0])
 
 
 def tau_estimate(times, mi_ab_bits, threshold_bits: float) -> float | None:

@@ -16,7 +16,7 @@ from disd.cli import main
 from disd.decompose import planted_sequential, sequential_residual
 from disd.evolve import perturbation_data, propagate, residuals_along
 from disd.locality import mi_trajectory, signaling_test, signaling_test_unitary, tau_estimate
-from disd.model import build_canonical, initial_state
+from disd.model import build_canonical
 from disd.qcore import (
     Dims,
     haar_unitary,
@@ -123,14 +123,13 @@ def test_criterion_4_correlation_onset():
 def test_criterion_5_sequential_locality():
     init = disd.InitialSpec(alpha=np.array([1.0, 1.0]) / np.sqrt(2),
                             chi=np.array([1.0, 1.0j]) / np.sqrt(2))
-    psi0 = initial_state(init, DIMS_SMALL, 0)
     worst_ba = 0.0
     best_ab = 0.0
     for seed in range(10):
         u = planted_sequential(DIMS_SMALL, seed)
-        ba = signaling_test_unitary(u, psi0, DIMS_SMALL, "b_to_a",
+        ba = signaling_test_unitary(u, init, DIMS_SMALL, 0, "b_to_a",
                                     n_samples=64, seed=seed)
-        ab = signaling_test_unitary(u, psi0, DIMS_SMALL, "a_to_b",
+        ab = signaling_test_unitary(u, init, DIMS_SMALL, 0, "a_to_b",
                                     n_samples=64, seed=seed)
         worst_ba = max(worst_ba, ba)
         best_ab = max(best_ab, ab)
@@ -175,7 +174,7 @@ def test_criterion_8_numerical_hygiene(tmp_path):
 
     h = random_hermitian(12, DEFAULT_SEED)
     prop = disd.Propagator(h)
-    u = np.column_stack([prop.apply(e, 1.3) for e in np.eye(12, dtype=complex)])
+    u = prop.evolve_many(np.eye(12), [1.3])[0].T
     unitarity = float(np.abs(u.conj().T @ u - np.eye(12)).max())
 
     traj = propagate(spec, init, times)

@@ -16,8 +16,8 @@ from disd.config import (
     parse_config,
     times_from_config,
 )
-from disd.evolve import Propagator, perturbation_data, propagate
-from disd.model import assemble_hamiltonian
+from disd.evolve import Chebyshev, Propagator, perturbation_data, propagate
+from disd.model import assemble_hamiltonian, initial_state
 from disd.qcore import haar_unitary
 
 
@@ -256,7 +256,8 @@ class TestLocalityGolden:
         cfg = parse_config(json.loads((root / "presets" / "ion-cage.json").read_text()))
         spec, init, times = model_from_config(cfg), initial_from_config(cfg), times_from_config(cfg)
         traj = propagate(spec, init, times)
-        spectral = Propagator(assemble_hamiltonian(spec)).evolve_many(traj.psi0, times)
+        psi0 = initial_state(init, spec.dims, spec.robust_index)
+        spectral = Propagator(assemble_hamiltonian(spec)).evolve_many(psi0, times)
         assert np.array_equal(traj.states, spectral)
 
 
@@ -666,12 +667,17 @@ class TestExitCodes:
         assert main(["decompose", "--plant", "seed=1"]) == 2
         assert capsys.readouterr().err == "numerical error: SVD did not converge\n"
 
-    @pytest.mark.parametrize("command", ["simulate", "sweep", "locality"])
-    def test_lost_phase_precision_is_validation_error(self, tmp_path, capsys, command):
+    @pytest.mark.parametrize("command, guard", [
+        ("simulate", "product-form phases lose their precision at c1 = 8.000e+00"),
+        ("sweep", "product-form phases lose their precision at c1 = 8.000e+00"),
+        ("locality", "phases lose their precision")])
+    def test_lost_phase_precision_is_validation_error(self, tmp_path, capsys, command, guard):
+        # both guards fail here; simulate and sweep check the product form's first,
+        # before any propagation, and locality reads no product form
         doc = base_config(time={"t_max": 1e13, "steps": 5}, sweep={"c1_values": [8.0]})
         assert main([command, "--config", write_config(tmp_path, doc)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("validation error: phases lose their precision")
+        assert err.startswith(f"validation error: {guard}: eps*max|E|*max|t| = ")
 
     @pytest.mark.parametrize("c1", [1e-310, 5e-324])
     @pytest.mark.parametrize("command", ["simulate", "sweep"])
@@ -701,6 +707,30 @@ class TestExitCodes:
             assert not out.exists()
         else:
             assert err == "" and out.exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "sweep"])
+    def test_product_form_guard_runs_before_any_route(self, tmp_path, capsys, monkeypatch,
+                                                      propagator_builds, command):
+        # the benchmark's dim-1024 simulate input at c1 = 1e-10 fails the product-form
+        # guard, which needs only pd.energies and the times: no route is built
+        cheb_builds = []
+        build = Chebyshev.__init__
+
+        def counted(self, spec):
+            cheb_builds.append(spec.dims.total)
+            build(self, spec)
+
+        monkeypatch.setattr(Chebyshev, "__init__", counted)
+        doc = dense_config()
+        doc["couplings"]["c1"] = 1e-10
+        doc["sweep"] = {"c1_values": [1e-10]}
+        out = tmp_path / "out.csv"
+        assert main([command, "--config", write_config(tmp_path, doc), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "validation error: product-form phases lose their precision at c1 = 1.000e-10: "
+            "eps*max|E|*max|t| = 8.835e-05 > 1.0e-08\n")
+        assert propagator_builds == [] and cheb_builds == []
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["simulate", "locality"])
     def test_nearly_hermitian_explicit_model_runs(self, tmp_path, command):

@@ -1,4 +1,7 @@
 import dataclasses
+import importlib
+import importlib.util
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -45,8 +48,8 @@ def diagonal_explicit_spec():
 class TestPropagate:
     def test_time_zero(self, spec233, init233):
         traj = propagate(spec233, init233, [0.0, 0.5])
-        assert np.array_equal(traj.psi0, initial_state(init233, spec233.dims, spec233.robust_index))
-        assert np.array_equal(traj.states[0], traj.psi0)
+        psi0 = initial_state(init233, spec233.dims, spec233.robust_index)
+        assert np.array_equal(traj.states[0], psi0)
 
     def test_zero_hamiltonian(self, dims233, init233):
         psi0 = initial_state(init233, dims233, 0)
@@ -99,7 +102,7 @@ class TestRobustInitialState:
     def test_trajectory_starts_in_the_model_robust_state(self, init233):
         spec = build_canonical(Dims(2, 3, 3), 1, 8.0, 0.3, robust_index=1)
         traj = propagate(spec, init233, np.linspace(0, 5, 12))
-        psi0 = traj.psi0.reshape(spec.dims.factors)
+        psi0 = traj.states[0].reshape(spec.dims.factors)
         assert np.count_nonzero(psi0[:, [0, 2], :]) == 0
         assert np.array_equal(psi0[:, 1, :], np.outer(init233.alpha, init233.chi))
         pd = perturbation_data(spec)
@@ -364,6 +367,59 @@ class TestChebyshev:
         assert isinstance(evolve._route(spec233, np.array([0.0, 1.01 * limit])), Propagator)
         with pytest.raises(ValidationError, match="phases lose their precision"):
             propagate(spec233, init233, [0.0, 1e3 * limit])
+
+
+def random_stack(n, k=3, seed=0):
+    """k random unit states of length n, as the rows of a (k, n) array."""
+    rng = np.random.default_rng(seed)
+    psi = rng.standard_normal((k, n)) + 1j * rng.standard_normal((k, n))
+    return psi / np.linalg.norm(psi, axis=1, keepdims=True)
+
+
+STACK_CASES = [(oracle_case(f, c2)[0], np.linspace(0, 12, 25)) for f, c2 in ORACLE_CASES] + [
+    (uniform_case((8, 4, 16))[0], np.linspace(0, 20, 200))]
+STACK_IDS = ORACLE_IDS + ["8x4x16"]
+
+
+class TestStackContract:
+    """Both routes take psi of shape (n,) or (k, n) and return (T, n) or (T, k, n)."""
+
+    @pytest.mark.parametrize("spec, times", STACK_CASES, ids=STACK_IDS)
+    def test_stack_matches_one_state_calls(self, spec, times):
+        psi = random_stack(spec.dims.total)
+        stacks = []
+        for route in (Chebyshev(spec), Propagator(assemble_hamiltonian(spec))):
+            stack = route.evolve_many(psi, times)
+            assert stack.shape == (len(times), *psi.shape)
+            assert np.array_equal(stack[0], psi)
+            for k, state in enumerate(psi):
+                one = route.evolve_many(state, times)
+                assert one.shape == (len(times), len(state))
+                assert_allclose(stack[:, k], one, rtol=0, atol=1e-15)
+            stacks.append(stack)
+        assert_allclose(stacks[0], stacks[1], rtol=0, atol=1e-12)
+
+    def test_unitary_from_the_identity_stack(self, spec233):
+        h = assemble_hamiltonian(spec233)
+        u = Propagator(h).evolve_many(np.eye(len(h)), [0.0, 1.3])
+        assert np.array_equal(u[0], np.eye(len(h)))
+        assert_allclose(u[1].T, dense_exponential(h, 1.3), rtol=0, atol=1e-12)
+
+
+class TestTracerNames:
+    def test_every_traced_method_exists(self):
+        # bench/tracer.py patches these methods by name; it is read here, never changed
+        path = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
+        spec = importlib.util.spec_from_file_location("bench_tracer", path)
+        tracer = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracer)
+        assert tracer.CLASS_METHODS
+        for layer, classes in tracer.CLASS_METHODS.items():
+            module = importlib.import_module(f"disd.{layer}")
+            for cls_name, methods in classes.items():
+                for method in methods:
+                    assert callable(vars(getattr(module, cls_name)).get(method)), \
+                        f"{layer}.{cls_name}.{method}"
 
 
 class TestRoute:

@@ -4,8 +4,10 @@ from numpy.testing import assert_allclose
 
 import disd
 from disd.decompose import planted_sequential
-from disd.evolve import Propagator, perturbation_data, propagate, residuals_along
+from disd import evolve as evolve_module
+from disd.evolve import Chebyshev, Propagator, perturbation_data, propagate, residuals_along
 from disd.locality import (
+    _source_stack,
     mi_trajectory,
     signaling_test,
     signaling_test_unitary,
@@ -94,38 +96,56 @@ class TestSignaling:
 
 class TestSignalingOneShot:
     def test_sequential_unitary_blocks_b_to_a(self, dims222, init222):
-        psi0 = initial_state(init222, dims222, 0)
         for seed in range(5):
             u = planted_sequential(dims222, seed)
-            out = signaling_test_unitary(u, psi0, dims222, "b_to_a",
+            out = signaling_test_unitary(u, init222, dims222, 0, "b_to_a",
                                          n_samples=32, seed=seed)
             assert out <= 1e-10
 
     def test_sequential_unitary_is_one_directional(self, dims222, init222):
-        psi0 = initial_state(init222, dims222, 0)
-        forward = [signaling_test_unitary(planted_sequential(dims222, s), psi0,
-                                          dims222, "a_to_b", n_samples=32, seed=s)
+        forward = [signaling_test_unitary(planted_sequential(dims222, s), init222,
+                                          dims222, 0, "a_to_b", n_samples=32, seed=s)
                    for s in range(5)]
         assert max(forward) > 1e-3
 
     def test_generic_unitary_signals_both_ways(self, dims222, init222):
-        psi0 = initial_state(init222, dims222, 0)
         u = haar_unitary(dims222.total, 77)
-        ba = signaling_test_unitary(u, psi0, dims222, "b_to_a", n_samples=16, seed=0)
-        ab = signaling_test_unitary(u, psi0, dims222, "a_to_b", n_samples=16, seed=0)
+        ba = signaling_test_unitary(u, init222, dims222, 0, "b_to_a", n_samples=16, seed=0)
+        ab = signaling_test_unitary(u, init222, dims222, 0, "a_to_b", n_samples=16, seed=0)
         assert ba > 1e-3 and ab > 1e-3
+
+    def test_rejects_amplitudes_of_the_wrong_length(self, dims222):
+        init = InitialSpec(alpha=np.ones(3) / np.sqrt(3), chi=np.ones(2) / np.sqrt(2))
+        with pytest.raises(ValueError, match="alpha has length"):
+            signaling_test_unitary(np.eye(dims222.total), init, dims222, 0, "b_to_a")
 
 
 class TestSamplerSanity:
     def test_local_unitary_preserves_target_spectrum(self, dims233, init233):
-        # applying G on B must not change S(rho_B) of the unevolved state
-        psi0 = initial_state(init233, dims233, 0)
-        base = vn_entropy(rdm_from_state(psi0, dims233.factors, (2,)))
-        from disd.locality import _apply_local
-        for k in range(8):
-            g = haar_unitary(dims233.b, disd.derive_seed(3, "sanity", k))
-            mod = _apply_local(psi0, g, dims233, 2)
-            assert abs(vn_entropy(rdm_from_state(mod, dims233.factors, (2,))) - base) <= 1e-10
+        # G on the source, as (G @ amplitudes) @ basis, is the Kronecker-lifted G of
+        # signaling_per_row on the product state; at t = 0 it leaves the target's
+        # reduced state and the source's spectrum as they were
+        lifts = {"b_to_a": lambda g: np.kron(np.eye(dims233.a * dims233.c), g),
+                 "a_to_b": lambda g: np.kron(g, np.eye(dims233.c * dims233.b))}
+        cases = [(d, r) for d in ("b_to_a", "a_to_b") for r in (0, 2)]
+        for direction, robust_index in cases:
+            src, target = (2, 0) if direction == "b_to_a" else (0, 2)
+            psi0 = initial_state(init233, dims233, robust_index)
+            amplitudes, basis, keep = _source_stack(init233, dims233, robust_index, direction)
+            assert keep == (target,)
+            assert_allclose(amplitudes @ basis, psi0, rtol=0, atol=1e-15)
+            base_src, base_target = (rdm_from_state(psi0, dims233.factors, (k,))
+                                     for k in (src, target))
+            for k in range(8):
+                g = haar_unitary(len(amplitudes), disd.derive_seed(3, "sanity", k))
+                mod = (g @ amplitudes) @ basis
+                assert_allclose(mod, lifts[direction](g) @ psi0, rtol=0, atol=1e-14)
+                rho_src, rho_target = (rdm_from_state(mod, dims233.factors, (k,))
+                                       for k in (src, target))
+                assert_allclose(rho_target, base_target, rtol=0, atol=1e-14)
+                assert_allclose(np.linalg.eigvalsh(rho_src), np.linalg.eigvalsh(base_src),
+                                rtol=0, atol=1e-14)
+                assert abs(vn_entropy(rho_src) - vn_entropy(base_src)) <= 1e-10
 
 
 class TestTauEstimate:
@@ -164,7 +184,31 @@ class TestOneEigensystem:
 
     def test_evolve_reuses_the_trajectory_eigensystem(self, spec233, init233):
         traj = propagate(spec233, init233, np.linspace(0, 5, 12))
-        assert np.array_equal(traj.evolve(traj.psi0), traj.states)
+        assert traj.eigensystem is traj.route
+        assert np.array_equal(traj.eigensystem.evolve_many(traj.states[0], traj.times),
+                              traj.states)
+
+
+class TestSignalingByLinearity:
+    def test_evolved_blocks_never_outgrow_the_trajectory(self, spec233, init233, monkeypatch):
+        # the d_source basis states evolve once at each time, in blocks of T // d_source times
+        times = np.linspace(0, 5, 40)
+        traj = propagate(spec233, init233, times)
+        sizes = []
+        evolve_many = Propagator.evolve_many
+
+        def counted(self, psi, times):
+            out = evolve_many(self, psi, times)
+            sizes.append(out.size)
+            return out
+
+        monkeypatch.setattr(Propagator, "evolve_many", counted)
+        for direction in ("b_to_a", "a_to_b"):
+            signaling_test(traj, direction, n_samples=64, seed=1)
+        n = spec233.dims.total
+        assert len(sizes) == 4 + 2  # 40 times in blocks of 13 (B to A, d_B = 3) and 20 (d_A = 2)
+        assert max(sizes) <= len(times) * n
+        assert sum(sizes) == len(times) * (spec233.dims.b + spec233.dims.a) * n
 
 
 # (dims, c2): d_A*d_B > d_C in all but 2x5x2; c2 = 0 keeps A and B uncorrelated
@@ -207,11 +251,16 @@ class TestBatchedAgainstOracles:
 
     @pytest.mark.parametrize("direction", ["b_to_a", "a_to_b"])
     @pytest.mark.parametrize("factors, c2", ORACLE_CASES, ids=ORACLE_IDS)
-    def test_signaling_through_trajectory_evolve_matches_per_row_loop(self, factors, c2,
-                                                                       direction):
+    def test_signaling_on_the_chebyshev_route_matches_per_row_loop(self, factors, c2,
+                                                                    direction, monkeypatch):
+        # the trajectory and the oracle's states come from Chebyshev steps, while
+        # signaling_test evolves the source basis through the eigensystem it builds
+        monkeypatch.setattr(evolve_module, "EIGH_FLOPS_PER_N3", np.inf)
         spec, init, times = oracle_case(factors, c2)
         traj = propagate(spec, init, times)
-        expected = signaling_per_row(traj.evolve, traj.psi0, traj.states, spec.dims,
+        assert isinstance(traj.route, Chebyshev)
+        evolve = lambda psi: traj.route.evolve_many(psi, traj.times)
+        expected = signaling_per_row(evolve, traj.states[0], traj.states, spec.dims,
                                      direction, n_samples=5, seed=2)
         got = signaling_test(traj, direction, n_samples=5, seed=2)
         assert_allclose(got, expected, rtol=0, atol=1e-12)
@@ -226,5 +275,5 @@ class TestBatchedAgainstOracles:
         evolve = lambda psi: (u @ psi)[None, :]
         expected = signaling_per_row(evolve, psi0, evolve(psi0), dims,
                                              direction, n_samples=5, seed=2)
-        got = signaling_test_unitary(u, psi0, dims, direction, n_samples=5, seed=2)
+        got = signaling_test_unitary(u, init, dims, 0, direction, n_samples=5, seed=2)
         assert abs(got - expected[0]) <= 1e-12

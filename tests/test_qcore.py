@@ -93,9 +93,8 @@ class TestPartialTrace:
 
 
 def propagator_matrix(h, t):
-    """exp(-i h t) from ``Propagator``, built column by column."""
-    prop = Propagator(h)
-    return np.column_stack([prop.apply(e, t) for e in np.eye(len(h), dtype=complex)])
+    """exp(-i h t) from ``Propagator``: the columns are the evolved basis states."""
+    return Propagator(h).evolve_many(np.eye(len(h)), [t])[0].T
 
 
 class TestHermPropagator:
