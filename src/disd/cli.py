@@ -19,14 +19,13 @@ import numpy as np
 from .config import (
     ConfigError,
     RunConfig,
-    dims_from_json,
     initial_from_config,
     load_config,
-    matrix_from_json,
     matrix_to_json,
     model_from_config,
     read_json,
     times_from_config,
+    unitary_from_json,
 )
 from .decompose import planted_sequential, sequential_residual
 from .evolve import perturbation_data, propagate, residuals_along
@@ -219,12 +218,7 @@ def _run_decompose(args) -> None:
     if args.plant:
         u = planted_sequential(dims, _parse_plant(args.plant))
     elif args.unitary:
-        doc = read_json(args.unitary)
-        if not isinstance(doc, dict) or "u" not in doc:
-            raise ConfigError("unitary file must be an object with a 'u' matrix")
-        if "dims" in doc:
-            dims = dims_from_json(doc, "unitary file")
-        u = matrix_from_json(doc["u"])
+        dims, u = unitary_from_json(read_json(args.unitary), dims)
     else:
         raise ConfigError("decompose needs a unitary file or --plant seed=<int>")
 

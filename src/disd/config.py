@@ -30,6 +30,7 @@ __all__ = [
     "parse_config",
     "read_json",
     "times_from_config",
+    "unitary_from_json",
     "vector_from_json",
 ]
 
@@ -157,6 +158,16 @@ def dims_from_json(doc: dict, where: str) -> Dims:
         return Dims(*factors)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+
+
+def unitary_from_json(doc, dims: Dims) -> tuple[Dims, np.ndarray]:
+    """A unitary file's ``dims`` (``dims`` itself when the file has none) and its ``u``."""
+    if not isinstance(doc, dict) or "u" not in doc:
+        raise ConfigError("unitary file must be an object with a 'u' matrix")
+    _known(doc, ("dims", "u"))
+    if "dims" in doc:
+        dims = dims_from_json(doc, "unitary file")
+    return dims, _wire("u", matrix_from_json, doc["u"], (dims.total, dims.total))
 
 
 _TOP_KEYS = {"dims", "seed", "couplings", "model", "initial", "time",

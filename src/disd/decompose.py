@@ -70,16 +70,18 @@ def _polar_unitary(m: np.ndarray) -> tuple[np.ndarray, float]:
     return u @ vh, float(s.sum())
 
 
-def _env_v(u6: np.ndarray, w: np.ndarray, dims: Dims) -> np.ndarray:
-    """Tr_B[(I_A x W)+ U], the environment of V: tr(V+ env) = tr(X+ U)."""
+def _env_v(uv: np.ndarray, w: np.ndarray, dims: Dims) -> np.ndarray:
+    """Tr_B[(I_A x W)+ U], the environment of V: tr(V+ env) = tr(X+ U); one GEMM on uv."""
     a, c, b = dims.factors
-    return np.einsum("pqcb,apqldb->acld", w.reshape(c, b, c, b).conj(), u6).reshape(a * c, a * c)
+    wt = w.conj().reshape(c, b, c, b).transpose(0, 1, 3, 2).reshape(c * b * b, c)
+    return (uv @ wt).reshape(a, a, c, c).transpose(0, 3, 1, 2).reshape(a * c, a * c)
 
 
-def _env_w(u6: np.ndarray, v: np.ndarray, dims: Dims) -> np.ndarray:
-    """Tr_A[U (V x I_B)+], the environment of W: tr(W+ env) = tr(X+ U)."""
+def _env_w(uv: np.ndarray, v: np.ndarray, dims: Dims) -> np.ndarray:
+    """Tr_A[U (V x I_B)+], the environment of W: tr(W+ env) = tr(X+ U); one GEMM on uv.T."""
     a, c, b = dims.factors
-    return np.einsum("acbxyk,adxy->cbdk", u6, v.reshape(a, c, a, c).conj()).reshape(c * b, c * b)
+    vt = v.conj().reshape(a, c, a, c).transpose(0, 2, 3, 1).reshape(a * a * c, c)
+    return (uv.T @ vt).reshape(c, b, b, c).transpose(0, 1, 3, 2).reshape(c * b, c * b)
 
 
 def sequential_residual(u: np.ndarray, dims: Dims, seed: int = 0) -> DecompositionResult:
@@ -90,6 +92,9 @@ def sequential_residual(u: np.ndarray, dims: Dims, seed: int = 0) -> Decompositi
     Each restart alternates the two closed-form updates until the fidelity
     gain drops below 1e-12 or ``MAX_ITERS`` is reached; the best restart
     wins. The search stops early once F is within 1e-12 of its ceiling.
+
+    It holds one extra n x n complex copy of U, ``uv``, with rows (a, a', c')
+    and columns (c, b, b'), primes marking inputs: each environment is one GEMM.
     """
     u = np.asarray(u, dtype=complex)
     n = dims.total
@@ -104,32 +109,28 @@ def sequential_residual(u: np.ndarray, dims: Dims, seed: int = 0) -> Decompositi
     if dev > UNITARY_TOL:
         raise ValidationError(f"input is not unitary: max |U+U - I| = {dev:.3e}")
 
-    u6 = u.reshape(dims.factors * 2)
+    a, c, b = dims.factors
+    uv = u.reshape(a, c, b, a, c, b).transpose(0, 3, 4, 1, 2, 5).reshape(a * a * c, c * b * b)
     best = None
     restarts_used = 0
     for r in range(RESTARTS):
         if r == 0:
-            v = np.eye(dims.a * dims.c, dtype=complex)
-            w = np.eye(dims.c * dims.b, dtype=complex)
+            v = np.eye(a * c, dtype=complex)
+            w = np.eye(c * b, dtype=complex)
         else:
-            v = haar_unitary(dims.a * dims.c, derive_seed(seed, "restart", r, "v"))
-            w = haar_unitary(dims.c * dims.b, derive_seed(seed, "restart", r, "w"))
-        f = float(abs(np.vdot(w, _env_w(u6, v, dims)))) / n
+            v = haar_unitary(a * c, derive_seed(seed, "restart", r, "v"))
+            w = haar_unitary(c * b, derive_seed(seed, "restart", r, "w"))
+        f = float(abs(np.vdot(w, _env_w(uv, v, dims)))) / n
         history = [f]
-        converged = False
-        iters = 0
-        for it in range(MAX_ITERS):
-            v, _ = _polar_unitary(_env_v(u6, w, dims))
-            w, trace = _polar_unitary(_env_w(u6, v, dims))
+        for iters in range(1, MAX_ITERS + 1):
+            v, _ = _polar_unitary(_env_v(uv, w, dims))
+            w, trace = _polar_unitary(_env_w(uv, v, dims))
             # W is the polar factor of its environment, so tr(X+ U) = sum(sigma) >= 0
-            f_new = trace / n
-            history.append(f_new)
-            iters = it + 1
-            if f_new - f < GAIN_TOL:
-                converged = True
-                f = max(f, f_new)
+            history.append(trace / n)
+            converged = history[-1] - f < GAIN_TOL
+            f = max(f, history[-1])
+            if converged:
                 break
-            f = f_new
         restarts_used += 1
         if best is None or f > best[0]:
             best = (f, v, w, iters, converged, np.asarray(history))
@@ -137,7 +138,5 @@ def sequential_residual(u: np.ndarray, dims: Dims, seed: int = 0) -> Decompositi
             break
 
     f, v, w, iters, converged, history = best
-    return DecompositionResult(
-        residual=max(0.0, 1.0 - f), v_ac=v, w_cb=w, iterations=iters,
-        converged=converged, restarts_used=restarts_used, f_history=history,
-    )
+    return DecompositionResult(residual=max(0.0, 1.0 - f), v_ac=v, w_cb=w, iterations=iters,
+                               converged=converged, restarts_used=restarts_used, f_history=history)

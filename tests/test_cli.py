@@ -360,6 +360,19 @@ class TestDecompose:
         path.write_text(json.dumps(doc))
         assert main(["decompose", str(path)]) == 1
 
+    @pytest.mark.parametrize("doc, message", [
+        ({"u": [["x"] * 8] * 8}, "u: expected a number or [re, im] pair, got 'x'"),
+        ({"u": [[[1.0, 0.0]] * 8] * 7 + [[[1.0, 0.0]] * 7]}, "u: matrix rows have inconsistent lengths"),
+        ({"dims": {"a": 2, "c": 3, "b": 2}, "u": [[[1.0, 0.0]] * 8] * 8},
+         "u has shape (8, 8), expected (12, 12) from dims"),
+        ({"u": [[[1.0, 0.0]] * 8] * 8, "seed": 3}, "unknown configuration keys: ['seed']"),
+    ], ids=["entry", "ragged", "shape", "unknown-key"])
+    def test_bad_unitary_file_names_the_field(self, tmp_path, capsys, doc, message):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert main(["decompose", str(path)]) == 1
+        assert capsys.readouterr().err == f"config error: {message}\n"
+
 
 class TestMakeModel:
     def test_roundtrip_identical_hamiltonian(self, tmp_path):

@@ -3,11 +3,24 @@ import pytest
 
 from disd.decompose import (
     RESTARTS,
+    _env_v,
+    _env_w,
     planted_sequential,
     sequential_residual,
     sequential_unitary,
 )
 from disd.qcore import Dims, ValidationError, haar_unitary
+from oracles import env_v_einsum, env_w_einsum, sequential_search_einsum
+
+
+def _dims_id(d):
+    return "x".join(map(str, d.factors))
+
+
+def _gemm_layout(u, dims):
+    """U with rows (a, a', c') and columns (c, b, b'), primes marking inputs."""
+    a, c, b = dims.factors
+    return u.reshape(a, c, b, a, c, b).transpose(0, 3, 4, 1, 2, 5).reshape(a * a * c, c * b * b)
 
 
 class TestPlantedSequential:
@@ -22,6 +35,40 @@ class TestPlantedSequential:
 
     def test_deterministic(self, dims222):
         assert np.array_equal(planted_sequential(dims222, 5), planted_sequential(dims222, 5))
+
+
+class TestEnvironments:
+    # asymmetric dims catch an axis-order slip in the GEMM layouts
+    @pytest.mark.parametrize("dims", [Dims(2, 2, 2), Dims(3, 2, 2), Dims(2, 2, 3), Dims(5, 2, 3),
+                                      Dims(3, 4, 2), Dims(4, 4, 8)], ids=_dims_id)
+    def test_gemm_environments_match_einsum(self, dims):
+        u = haar_unitary(dims.total, 41)
+        v = haar_unitary(dims.a * dims.c, 42)
+        w = haar_unitary(dims.c * dims.b, 43)
+        u6 = u.reshape(dims.factors * 2)
+        uv = _gemm_layout(u, dims)
+        assert np.abs(_env_v(uv, w, dims) - env_v_einsum(u6, w, dims)).max() <= 1e-12
+        assert np.abs(_env_w(uv, v, dims) - env_w_einsum(u6, v, dims)).max() <= 1e-12
+
+    @pytest.mark.parametrize("dims", [Dims(2, 3, 2), Dims(3, 2, 4)], ids=_dims_id)
+    def test_environments_give_the_overlap_with_the_sequential_unitary(self, dims):
+        u = haar_unitary(dims.total, 44)
+        v = haar_unitary(dims.a * dims.c, 45)
+        w = haar_unitary(dims.c * dims.b, 46)
+        uv = _gemm_layout(u, dims)
+        overlap = np.vdot(sequential_unitary(v, w, dims), u)
+        assert abs(np.vdot(v, _env_v(uv, w, dims)) - overlap) <= 1e-12
+        assert abs(np.vdot(w, _env_w(uv, v, dims)) - overlap) <= 1e-12
+
+    @pytest.mark.parametrize("dims", [Dims(2, 3, 2), Dims(3, 2, 4)], ids=_dims_id)
+    @pytest.mark.parametrize("seed", [3, 8])
+    def test_search_takes_the_einsum_iterates(self, dims, seed):
+        u = haar_unitary(dims.total, 50 + seed)
+        r = sequential_residual(u, dims, seed=seed)
+        history, iterations, restarts_used = sequential_search_einsum(u, dims, seed)
+        assert (r.iterations, r.restarts_used) == (iterations, restarts_used)
+        assert r.f_history.shape == history.shape
+        assert np.abs(r.f_history - history).max() <= 1e-12
 
 
 class TestSequentialResidual:
@@ -64,7 +111,7 @@ class TestSequentialResidual:
         assert np.abs(r.w_cb.conj().T @ r.w_cb - np.eye(4)).max() <= 1e-9
 
     @pytest.mark.parametrize("dims", [Dims(2, 2, 2), Dims(2, 3, 4), Dims(3, 2, 2)],
-                             ids=lambda d: "x".join(map(str, d.factors)))
+                             ids=_dims_id)
     def test_residual_recomputable_from_factors(self, dims):
         # asymmetric dims catch index-order slips in the environment contractions
         u = haar_unitary(dims.total, 13)
