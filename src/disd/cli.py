@@ -170,6 +170,14 @@ def _seed(text: str) -> int:
     return seed
 
 
+def _plant(text: str) -> int:
+    """The value of ``--plant``: seed=<int>, a seed that obeys the rule of ``--seed``."""
+    key, _, raw = text.partition("=")
+    if key != "seed":
+        raise argparse.ArgumentTypeError(f"expects seed=<int>, got {text!r}")
+    return _seed(raw)
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="disd", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -181,8 +189,9 @@ def _build_parser() -> _Parser:
         p.add_argument("--seed", type=_seed)
 
     p = sub.add_parser("decompose")
-    p.add_argument("unitary", nargs="?")
-    p.add_argument("--plant", metavar="seed=<int>")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("unitary", nargs="?")
+    source.add_argument("--plant", metavar="seed=<int>", type=_plant)
     p.add_argument("--config")
     p.add_argument("--out")
     p.add_argument("--seed", type=_seed)
@@ -198,16 +207,6 @@ def _emit(text: str, path: str | None) -> None:
             fh.write(text)
 
 
-def _parse_plant(value: str) -> int:
-    key, _, raw = value.partition("=")
-    if key != "seed" or not raw:
-        raise ConfigError(f"--plant expects seed=<int>, got {value!r}")
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise ConfigError(f"--plant seed must be an integer, got {raw!r}") from exc
-
-
 def _run_decompose(args) -> None:
     cfg = None
     if args.config:
@@ -215,12 +214,10 @@ def _run_decompose(args) -> None:
     dims = cfg.dims if cfg is not None else Dims(2, 2, 2)
     seed = args.seed if args.seed is not None else (cfg.seed if cfg else 0)
 
-    if args.plant:
-        u = planted_sequential(dims, _parse_plant(args.plant))
-    elif args.unitary:
-        dims, u = unitary_from_json(read_json(args.unitary), dims)
+    if args.plant is not None:
+        u = planted_sequential(dims, args.plant)
     else:
-        raise ConfigError("decompose needs a unitary file or --plant seed=<int>")
+        dims, u = unitary_from_json(read_json(args.unitary), dims)
 
     report = cmd_decompose(u, dims, seed=seed, dump_factors=args.dump_factors)
     _emit(json.dumps(report, indent=2) + "\n", args.out)
@@ -237,9 +234,6 @@ def main(argv=None) -> int:
             if args.seed is not None:
                 cfg = dataclasses.replace(cfg, seed=args.seed)
             _emit(_CONFIG_COMMANDS[args.command](cfg), args.out or cfg.output_path)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
     except ValidationError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return 2

@@ -24,8 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import InitialSpec, ModelSpec, assemble_hamiltonian, hamiltonian_blocks, initial_state
-from .qcore import ValidationError, basis_vector, check_hermitian, eigh_ordered, spectral_norm
+from .model import (InitialSpec, ModelSpec, assemble_hamiltonian, hamiltonian_blocks, initial_state,
+                    place_robust)
+from .qcore import ValidationError, check_hermitian, eigh_ordered, spectral_norm
 
 __all__ = [
     "Chebyshev",
@@ -307,7 +308,7 @@ def perturbation_data(spec: ModelSpec) -> PerturbationData:
     """
     d_a, d_c, d_b = spec.dims.factors
     r = spec.robust_index
-    e0 = basis_vector(d_c, r)
+    others = np.delete(np.arange(d_c), r)  # the C states orthogonal to the robust one
 
     a0_shape, b0_shape = spec.robust_block_a(), spec.robust_block_b()
     # the bound is scale-free, so [h_a, c2 A0] is checked as [h_a, A0]; c2 = 0 leaves no A0
@@ -318,9 +319,8 @@ def perturbation_data(spec: ModelSpec) -> PerturbationData:
         if comm > bound:
             raise ValidationError(
                 f"{name} norm {comm:.3e} > {COMMUTATOR_TOL:.0e} ||X|| ||Y|| = {bound:.3e}")
-    hc_e0 = spec.h_c @ e0
-    lambda0 = float(np.real(np.vdot(e0, hc_e0)))
-    leak = float(np.linalg.norm(hc_e0 - lambda0 * e0))
+    lambda0 = float(spec.h_c[r, r].real)
+    leak = float(np.linalg.norm(spec.h_c[others, r]))
     if leak > COMMUTATOR_TOL:
         raise ValidationError(
             f"robust state is not an eigenvector of h_c: leakage {leak:.3e} > {COMMUTATOR_TOL:.1e}")
@@ -329,27 +329,21 @@ def perturbation_data(spec: ModelSpec) -> PerturbationData:
     b_shape_vals, b_vecs = eigh_ordered(b0_shape, secondary=spec.h_b)
     b_vals = spec.c1 * b_shape_vals
 
-    # Eigensystem of c1 * h_cb on the sector orthogonal to the robust C state.
-    # Together with the robust-sector pairs (b_vals, |0>|j>) this is the full
+    # Eigensystem (c1 perp_vals, |phi_m>) of c1 * h_cb on the sector orthogonal to the robust
+    # C state. Together with the robust-sector pairs (b_vals, |r>|j>) this is the full
     # eigensystem, because validated robustness makes the two blocks exact.
-    qc = np.delete(np.eye(d_c, dtype=complex), r, axis=1)
-    emb = np.kron(qc, np.eye(d_b, dtype=complex))
-    perp_block = emb.conj().T @ spec.h_cb @ emb
-    perp_vals, perp_vecs_small = np.linalg.eigh(perp_block)
-    e_perp = spec.c1 * perp_vals
-    perp_vecs = emb @ perp_vecs_small
+    h_perp = spec.h_cb.reshape(d_c, d_b, d_c, d_b)[np.ix_(others, range(d_b), others, range(d_b))]
+    perp_vals, phi = np.linalg.eigh(h_perp.reshape((d_c - 1) * d_b, -1))
 
-    # Matrix elements <i'| x <phi_m| (c2 h_ac x I_B) |i> x |0, j>. Robust-sector
+    # Matrix elements <a_p| x <phi_m| (c2 h_ac x I_B) |a_i> x |r, b_j>. Robust-sector
     # intermediate states with j' != j drop out exactly (the element carries a
     # delta in j), so only the orthogonal sector contributes to the sum.
-    t4 = (spec.c2 * spec.h_ac).reshape(d_a, d_c, d_a, d_c)
-    m1 = np.einsum("xcy,yi->ixc", t4[:, :, :, r], a_vecs)
-    g = np.einsum("xp,ixc->ipc", a_vecs.conj(), m1)
-    pv = perp_vecs.reshape(d_c, d_b, perp_vecs.shape[1])
-    me = np.einsum("cbm,ipc,bj->ipjm", pv.conj(), g, b_vecs, optimize=True)
+    h_ac = spec.c2 * spec.h_ac.reshape(d_a, d_c, d_a, d_c)[..., r][:, others]
+    me = np.einsum("xp,xcy,yi,cbm,bj->ipjm", a_vecs.conj(), h_ac, a_vecs,
+                   phi.reshape(d_c - 1, d_b, -1).conj(), b_vecs, optimize=True)
 
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # checked below
-        gaps = b_vals[:, None] - e_perp[None, :]
+        gaps = b_vals[:, None] - spec.c1 * perp_vals[None, :]
         ok = np.abs(gaps) >= 1e-8 * spec.c1
         weights = np.divide(1.0, gaps, out=np.zeros_like(gaps), where=ok)
         lam = np.einsum("ipjm,jm->ij", np.abs(me) ** 2, weights)
@@ -382,10 +376,8 @@ def product_approx(init: InitialSpec, pd: PerturbationData, times) -> np.ndarray
     pd.check_phases(times)
     t = np.asarray(times, dtype=float).reshape(-1, 1, 1)
     amp = np.outer(pd.a_vecs.conj().T @ init.alpha, pd.b_vecs.conj().T @ init.chi)
-    psi = np.zeros((len(t), *pd.spec.dims.factors), dtype=complex)
     ab = pd.a_vecs @ (amp * np.exp(-1j * t * pd.energies)) @ pd.b_vecs.T
-    psi[:, :, pd.spec.robust_index, :] = ab
-    return psi.reshape(len(t), -1)
+    return place_robust(ab, pd.spec.dims, pd.spec.robust_index)
 
 
 def residuals_along(traj: Trajectory, pd: PerturbationData) -> np.ndarray:
@@ -401,8 +393,9 @@ def residuals_along(traj: Trajectory, pd: PerturbationData) -> np.ndarray:
     if pd.spec is not traj.model:
         raise ValueError("perturbation data was built from a different model")
     approx = product_approx(traj.init, pd, traj.times)
-    exact = traj.states
-    ov = np.einsum("ki,ki->k", approx.conj(), exact)
+    ov = np.einsum("ki,ki->k", approx.conj(), traj.states)
     mag = np.abs(ov)
     phase = np.divide(ov, mag, out=np.ones_like(ov), where=mag > 0)
-    return np.linalg.norm(exact - phase[:, None] * approx, axis=1)
+    # e^{i phi} approx - exact, in place: fl(y - x) = -fl(x - y), so the norms are unchanged
+    np.subtract(np.multiply(phase[:, None], approx, out=approx), traj.states, out=approx)
+    return np.linalg.norm(approx, axis=1)

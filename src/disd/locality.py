@@ -17,9 +17,9 @@ from __future__ import annotations
 import numpy as np
 
 from .evolve import Trajectory
-from .model import InitialSpec, initial_state
-from .qcore import (Dims, ValidationError, basis_vector, derive_seed, haar_unitary,
-                    rdm_from_state, trace_distance, vn_entropy)
+from .model import InitialSpec, initial_state, place_robust
+from .qcore import (Dims, ValidationError, derive_seed, haar_unitary, rdm_from_state,
+                    trace_distance, vn_entropy)
 
 __all__ = [
     "mi_and_entropies",
@@ -50,12 +50,13 @@ def mi_trajectory(traj: Trajectory) -> np.ndarray:
 
 def _source_stack(init: InitialSpec, dims: Dims, robust_index: int, direction: str):
     """(amplitudes, basis, keep): G on the source makes psi0 into (G @ amplitudes) @ basis."""
-    c = basis_vector(dims.c, robust_index)  # basis rows: alpha x |r> x |j> or |i> x |r> x chi
-    if direction == "b_to_a":
-        return init.chi, np.kron(np.kron(init.alpha, c), np.eye(dims.b)), (0,)
-    if direction == "a_to_b":
-        return init.alpha, np.kron(np.eye(dims.a), np.kron(c, init.chi)), (2,)
-    raise ValueError(f"direction must be 'b_to_a' or 'a_to_b', got {direction!r}")
+    if direction == "b_to_a":  # basis rows alpha x |r> x |j>
+        amplitudes, ab, keep = init.chi, init.alpha[:, None] * np.eye(dims.b)[:, None], (0,)
+    elif direction == "a_to_b":  # basis rows |i> x |r> x chi
+        amplitudes, ab, keep = init.alpha, np.eye(dims.a)[:, :, None] * init.chi, (2,)
+    else:
+        raise ValueError(f"direction must be 'b_to_a' or 'a_to_b', got {direction!r}")
+    return amplitudes, place_robust(ab, dims, robust_index), keep
 
 
 def _signaling_curves(chunks, amplitudes: np.ndarray, keep: tuple[int], dims: Dims,

@@ -23,7 +23,6 @@ from .qcore import (
     Dims,
     ValidationError,
     _norm_and_unit,
-    basis_vector,
     check_hermitian,
     derive_seed,
     eigh_ordered,
@@ -39,6 +38,7 @@ __all__ = [
     "build_canonical",
     "hamiltonian_blocks",
     "initial_state",
+    "place_robust",
     "validate_robustness",
 ]
 
@@ -166,7 +166,7 @@ def build_canonical(dims: Dims, seed: int, c1: float, c2: float,
 
     The family is built so that the structural assumptions hold exactly:
 
-    * ``h_cb`` is block diagonal in the C basis, ``|0><0| x B0`` on the robust
+    * ``h_cb`` is block diagonal in the C basis, ``|r><r| x B0`` on the robust
       sector plus an independent random Hermitian on the orthogonal sector,
       so the robust state is exactly invariant;
     * ``h_ac`` is a generic random Hermitian on A x C (it may push C out of
@@ -183,14 +183,16 @@ def build_canonical(dims: Dims, seed: int, c1: float, c2: float,
     rng = np.random.default_rng(derive_seed(seed, "canonical-model"))
     d_a, d_c, d_b = dims.factors
 
-    e0 = basis_vector(d_c, robust_index)
-    proj0 = np.outer(e0, e0.conj())
-    qc = np.delete(np.eye(d_c, dtype=complex), robust_index, axis=1)
-    emb = np.kron(qc, np.eye(d_b, dtype=complex))
+    if not 0 <= robust_index < d_c:
+        raise ValueError(f"robust_index {robust_index} out of range for d_c = {d_c}")
+    others = np.delete(np.arange(d_c), robust_index)  # the C states orthogonal to the robust one
 
     b0 = random_hermitian(d_b, rng)
     h_perp = random_hermitian((d_c - 1) * d_b, rng)
-    h_cb = _unit_shape(np.kron(proj0, b0) + emb @ h_perp @ emb.conj().T)
+    h_cb = np.zeros((d_c, d_b, d_c, d_b), dtype=complex)
+    h_cb[robust_index, :, robust_index] = b0
+    h_cb[np.ix_(others, range(d_b), others, range(d_b))] = h_perp.reshape(d_c - 1, d_b, d_c - 1, d_b)
+    h_cb = _unit_shape(h_cb.reshape(d_c * d_b, d_c * d_b))
 
     h_ac = _unit_shape(random_hermitian(d_a * d_c, rng))
 
@@ -200,7 +202,10 @@ def build_canonical(dims: Dims, seed: int, c1: float, c2: float,
 
     lam0 = rng.standard_normal()
     m_c = random_hermitian(d_c - 1, rng)
-    h_c = _unit_shape(lam0 * proj0 + qc @ m_c @ qc.conj().T)
+    h_c = np.zeros((d_c, d_c), dtype=complex)
+    h_c[robust_index, robust_index] = lam0
+    h_c[np.ix_(others, others)] = m_c
+    h_c = _unit_shape(h_c)
 
     b0_eff = h_cb.reshape(d_c, d_b, d_c, d_b)[robust_index, :, robust_index, :]
     _, b_vecs = eigh_ordered(b0_eff)
@@ -232,9 +237,18 @@ def assemble_hamiltonian(spec: ModelSpec) -> np.ndarray:
     return np.kron(on_ac, np.eye(d.b, dtype=complex)) + np.kron(np.eye(d.a, dtype=complex), on_cb)
 
 
+def place_robust(ab: np.ndarray, dims: Dims, robust_index: int) -> np.ndarray:
+    """A x B amplitudes, shape (..., d_A, d_B), with C in |robust_index>: flat states (..., n)."""
+    psi = np.zeros((*ab.shape[:-2], *dims.factors), dtype=complex)
+    psi[..., robust_index, :] = ab
+    return psi.reshape(*ab.shape[:-2], dims.total)
+
+
 def initial_state(init: InitialSpec, dims: Dims, robust_index: int) -> np.ndarray:
     """Product state (sum_i alpha_i |i>_A) x |robust_index>_C x |chi>_B as a flat vector."""
     for name, v, dim in (("alpha", init.alpha, dims.a), ("chi", init.chi, dims.b)):
         if v.shape != (dim,):
             raise ValueError(f"{name} has length {v.shape}, expected {dim}")
-    return np.kron(np.kron(init.alpha, basis_vector(dims.c, robust_index)), init.chi)
+    if not 0 <= robust_index < dims.c:
+        raise ValueError(f"robust_index {robust_index} out of range for d_c = {dims.c}")
+    return place_robust(np.outer(init.alpha, init.chi), dims, robust_index)

@@ -19,7 +19,6 @@ import numpy as np
 __all__ = [
     "Dims",
     "ValidationError",
-    "basis_vector",
     "check_hermitian",
     "derive_seed",
     "eigh_ordered",
@@ -57,10 +56,9 @@ class Dims:
         for name, d in (("a", self.a), ("c", self.c), ("b", self.b)):
             if not isinstance(d, (int, np.integer)) or d < 2:
                 raise ValueError(f"dims.{name} must be an integer >= 2, got {d!r}")
+            object.__setattr__(self, name, int(d))  # a numpy product could wrap past the cap
         if self.total > self.MAX_TOTAL:
-            raise ValueError(
-                f"total dimension {self.total} exceeds the cap {self.MAX_TOTAL}"
-            )
+            raise ValueError(f"total dimension {self.total} exceeds the cap {self.MAX_TOTAL}")
 
     @property
     def total(self) -> int:
@@ -103,15 +101,6 @@ def derive_seed(master: int, *parts: int | str) -> int:
 # ---------------------------------------------------------------------------
 # construction and validation helpers
 # ---------------------------------------------------------------------------
-
-def basis_vector(dim: int, index: int) -> np.ndarray:
-    """Computational basis vector |index> in dimension ``dim``."""
-    if not 0 <= index < dim:
-        raise ValueError(f"basis index {index} out of range for dim {dim}")
-    v = np.zeros(dim, dtype=complex)
-    v[index] = 1.0
-    return v
-
 
 def spectral_norm(m: np.ndarray) -> float:
     return float(np.linalg.norm(m, 2))

@@ -342,8 +342,10 @@ class TestDecompose:
     def test_requires_input(self):
         assert main(["decompose"]) == 1
 
-    def test_bad_plant_syntax(self):
-        assert main(["decompose", "--plant", "7"]) == 1
+    @pytest.mark.parametrize("value", ["7", "seed=x", "seed=", "seed=-3"])
+    def test_bad_plant_syntax(self, capsys, value):
+        assert main(["decompose", "--plant", value]) == 1
+        assert capsys.readouterr().err.startswith("config error: argument --plant: ")
 
     def test_non_unitary_file(self, tmp_path):
         doc = {"dims": {"a": 2, "c": 2, "b": 2},
@@ -596,6 +598,16 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "--seed" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [
+        ["--plant", "seed=1", "/nonexistent.json"],
+        ["/nonexistent.json", "--plant", "seed=1"],
+    ], ids=["plant-first", "file-first"])
+    def test_unitary_file_with_plant_is_config_error(self, capsys, argv):
+        assert main(["decompose", *argv]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: argument ")
+        assert "not allowed with argument" in err
 
     def test_unallocatable_time_grid_is_config_error(self, tmp_path, capsys):
         # 10**13 float64 times need 72.8 TiB; the allocator refuses that at once

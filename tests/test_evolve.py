@@ -125,9 +125,12 @@ class TestPerturbationData:
         ratio = pd1.lambda_sup / pd10.lambda_sup
         assert ratio == pytest.approx(10.0, rel=0.15)
 
+    @pytest.mark.parametrize("dims, robust_index", [
+        ((2, 2, 2), 0), *(((2, 3, 4), r) for r in range(3)), *(((3, 4, 2), r) for r in range(4)),
+    ])
     @pytest.mark.parametrize("seed", [1, 2, 3, 11])
-    def test_matches_bruteforce_oracle(self, dims222, seed):
-        spec = build_canonical(dims222, seed, 4.0, 0.5)
+    def test_matches_bruteforce_oracle(self, dims, robust_index, seed):
+        spec = build_canonical(Dims(*dims), seed, 4.0, 0.5, robust_index)
         pd = perturbation_data(spec)
         oracle = rs2_table_bruteforce(spec)
         assert np.abs(pd.lambda_i0j - oracle).max() <= 1e-9

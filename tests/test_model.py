@@ -9,6 +9,7 @@ from disd.model import (
     assemble_hamiltonian,
     build_canonical,
     initial_state,
+    place_robust,
     validate_robustness,
 )
 from disd.qcore import (
@@ -80,6 +81,11 @@ class TestBuildCanonical:
         spec = build_canonical(dims, 9, 2.0, 0.3, robust_index=2)
         assert spec.robust_index == 2
         assert validate_robustness(spec.h_cb, dims, 2).passed
+
+    @pytest.mark.parametrize("robust_index", [3, -1])
+    def test_rejects_robust_index_out_of_range(self, dims233, robust_index):
+        with pytest.raises(ValueError, match=f"robust_index {robust_index} out of range for d_c = 3"):
+            build_canonical(dims233, 0, 1.0, 0.1, robust_index=robust_index)
 
     def test_rejects_bad_couplings(self, dims233):
         with pytest.raises(ValidationError):
@@ -265,14 +271,27 @@ class TestInitialState:
         assert np.count_nonzero(psi[:, :2, :]) == 0
         assert_allclose(psi[:, 2, :], np.outer(init233.alpha, init233.chi), rtol=0, atol=0)
 
+    @pytest.mark.parametrize("robust_index", [0, 1, 2])
+    def test_place_robust_matches_the_kronecker_product(self, dims233, robust_index):
+        rng = np.random.default_rng(3)
+        ab = rng.standard_normal((4, 2, 3)) + 1j * rng.standard_normal((4, 2, 3))
+        c = np.eye(3)[robust_index]
+        psi = place_robust(ab, dims233, robust_index)
+        assert psi.shape == (4, 18)
+        for k in range(4):
+            kron = sum(ab[k, i, j] * np.kron(np.kron(np.eye(2)[i], c), np.eye(3)[j])
+                       for i in range(2) for j in range(3))
+            assert np.array_equal(psi[k], kron)
+
     def test_product_state_has_zero_mi(self, dims233, init233):
         psi = initial_state(init233, dims233, 0)
         rho_ab = rdm_from_state(psi, dims233.factors, (0, 2))
         assert mutual_information(rho_ab, dims233.a, dims233.b) <= 1e-12
 
-    def test_rejects_robust_index_out_of_range(self, dims233, init233):
-        with pytest.raises(ValueError):
-            initial_state(init233, dims233, 5)
+    @pytest.mark.parametrize("robust_index", [5, -1])
+    def test_rejects_robust_index_out_of_range(self, dims233, init233, robust_index):
+        with pytest.raises(ValueError, match=f"robust_index {robust_index} out of range for d_c = 3"):
+            initial_state(init233, dims233, robust_index)
 
     @pytest.mark.parametrize("dims, message", [
         (Dims(3, 3, 3), "alpha has length (2,), expected 3"),

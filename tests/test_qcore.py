@@ -5,7 +5,6 @@ from disd.evolve import Propagator
 from disd.qcore import (
     Dims,
     ValidationError,
-    basis_vector,
     derive_seed,
     eigh_ordered,
     haar_unitary,
@@ -44,9 +43,17 @@ class TestDims:
         with pytest.raises(ValueError):
             Dims(*bad)
 
-    def test_rejects_oversized_product(self):
-        with pytest.raises(ValueError):
-            Dims(16, 16, 17)
+    @pytest.mark.parametrize("dims", [
+        (16, 16, 17),
+        (np.int64(2**21), np.int64(2**21), np.int64(2**22)),  # the int64 product wraps to 0
+    ], ids=["int", "int64-wraps"])
+    def test_rejects_oversized_product(self, dims):
+        with pytest.raises(ValueError, match="exceeds the cap 4096"):
+            Dims(*dims)
+
+    def test_stores_python_ints(self):
+        d = Dims(np.int64(2), np.int32(3), 4)
+        assert all(type(x) is int for x in d.factors)
 
 
 class TestPartialTrace:
@@ -291,10 +298,3 @@ class TestEighOrdered:
         off = d - np.diag(np.diagonal(d))
         assert np.abs(off).max() <= 1e-10
         assert np.all(np.diff(np.real(np.diagonal(d))) <= 1e-12)
-
-
-def test_basis_vector_bounds():
-    v = basis_vector(3, 1)
-    assert_allclose(v, [0, 1, 0])
-    with pytest.raises(ValueError):
-        basis_vector(3, 3)
