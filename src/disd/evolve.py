@@ -44,12 +44,15 @@ NORM_DRIFT_TOL = 1e-8
 PHASE_ERROR_TOL = 1e-8  # bound on eps * max|E| * max|t|, the phase error of e^{-iEt}
 
 CHEB_TOL = 1e-15  # last kept Chebyshev coefficient; the FFT noise floor is ~1e-16
-CHEB_Z_MAX = 20.0  # largest half-width * dt of one Chebyshev step; longer intervals are sub-stepped
+CHEB_Z_MAX = 20.0  # largest half-width * (t - t_anchor) one recurrence serves; longer ones sub-step
 _CHEB_POINTS = 256  # FFT samples; at z <= CHEB_Z_MAX the terms stop by k = 50
-# One complex eigh of H takes as long as EIGH_FLOPS_PER_N3 * n^3 flops of Chebyshev steps.
-# Fitted at n = 512 (8x4x16, 200 steps to t = 20, c1 = 50), the measured crossover, on one
-# OpenBLAS 0.3.31 thread of a 2-vCPU Xeon VM: eigh took 0.22-0.25 s while the steps ran
-# at 12-14 Gflop/s, so eigh_s * rate / n^3 = 21-24. (At n = 1024: 1.6 s against 0.3 s.)
+# One complex eigh of H takes as long as EIGH_FLOPS_PER_N3 * n^3 flops of Chebyshev terms.
+# Fitted at n = 512 (8x4x16, c1 = 50) on one OpenBLAS 0.3.31 thread of a 2-vCPU Xeon VM:
+# eigh took 0.22-0.25 s while the terms ran at 12-14 Gflop/s, so eigh_s * rate / n^3 = 21-24.
+# With one recurrence per block, 200 steps to t = 20 take about 2450 terms at any n, so by
+# this count the crossover is near n = 240. Measured on the same thread, the routes tie near
+# n = 384 (0.06-0.08 s each): below n = 512 the block GEMMs run at 6-9 Gflop/s and eigh
+# beats its n^3 count, so eigh is still 2x faster at n = 256. At n = 1024: 1.5 s against 0.19 s.
 EIGH_FLOPS_PER_N3 = 21.0
 
 
@@ -82,30 +85,54 @@ class Propagator:
         return states
 
 
-def _chebyshev_coefficients(z: float) -> np.ndarray:
-    """a_k with e^{-izx} = sum_k a_k T_k(x) on [-1, 1].
+def _chebyshev_coefficients(z) -> tuple[np.ndarray, np.ndarray]:
+    """The series a_k with e^{-izx} = sum_k a_k T_k(x) on [-1, 1], for one z or an array of z.
 
     By Jacobi-Anger the FFT of e^{-iz cos(theta)} gives (-i)^k J_k(z), so
-    a_0 = J_0(z) and a_k = 2 (-i)^k J_k(z). The series is cut at the first
-    k > |z| with |a_k| < CHEB_TOL.
+    a_0 = J_0(z) and a_k = 2 (-i)^k J_k(z); one batched FFT serves every z.
+    Each series is cut at its first k > |z| with |a_k| < CHEB_TOL, which is
+    its length. Returns (a, lengths): ``a`` has shape (*z.shape, K), K the
+    longest length, with zeros past each series' own length. A z whose series
+    does not fall below CHEB_TOL within the _CHEB_POINTS // 2 coefficients
+    (|z| above about 79) raises ``ValueError``.
     """
+    z = np.asarray(z, dtype=float)
     theta = 2 * np.pi * np.arange(_CHEB_POINTS) / _CHEB_POINTS
-    c = np.fft.fft(np.exp(-1j * z * np.cos(theta)))[:_CHEB_POINTS // 2] / _CHEB_POINTS
-    a = np.concatenate((c[:1], 2 * c[1:]))
-    k = np.arange(a.size)
-    return a[:np.argmax((k > abs(z)) & (np.abs(a) < CHEB_TOL))]
+    x = np.multiply.outer(z, np.cos(theta))
+    samples = np.empty(x.shape, dtype=complex)  # e^{-ix}, without a complex temporary
+    np.cos(x, out=samples.real)
+    np.negative(np.sin(x, out=x), out=samples.imag)
+    a = np.fft.fft(samples)[..., :_CHEB_POINTS // 2] / _CHEB_POINTS
+    a[..., 1:] *= 2
+    k = np.arange(a.shape[-1])
+    cut = (k > np.abs(z)[..., None]) & (np.abs(a) < CHEB_TOL)
+    if not cut.any(axis=-1).all():
+        raise ValueError(f"no Chebyshev series of {_CHEB_POINTS} points converges at "
+                         f"|z| = {np.abs(z).max():.6g}")
+    lengths = np.argmax(cut, axis=-1)
+    a[k >= lengths[..., None]] = 0
+    return a[..., :lengths.max(initial=0)], lengths
 
 
 class Chebyshev:
-    """Matrix-free propagator: Chebyshev steps of e^{-iH dt} between consecutive grid times.
+    """Matrix-free propagator: one Chebyshev recurrence serves every grid time of a block.
 
     H = on_ac x I_B + I_A x on_cb (``model.hamiltonian_blocks``), so H @ psi
     is two reshaped GEMMs and H is never formed or diagonalized. By Weyl's
     inequality the spectrum of H lies in [lo, hi], the sums of the blocks'
     extreme eigenvalues; H = center + half * X puts that of X in [-1, 1].
-    A step of length dt is e^{-i center dt} times the Chebyshev series of
-    e^{-i z X}, z = half * dt. An interval with |z| > CHEB_Z_MAX is split into
-    equal sub-steps, so no step sums more than about 50 terms.
+    Then e^{-iH delta} v = e^{-i center delta} sum_k a_k(z) T_k(X) v with
+    z = half * delta: the vectors T_k(X) v do not depend on delta, only the
+    coefficients do (Tal-Ezer and Kosloff, J. Chem. Phys. 81, 3967, 1984).
+    So one three-term recurrence from an anchor state gives every following
+    grid row within |z| <= CHEB_Z_MAX of it, each with its own coefficients,
+    and the last of those rows anchors the next block. A row farther than
+    that from its predecessor is reached in equal sub-steps, so no
+    recurrence sums more than about 50 terms. On 200 steps to t = 20 at
+    c1 = 50 that is about 2450 terms, half the count of one series per
+    interval: by the operation count of ``_route`` the route beats ``eigh``
+    above total dim 240, and measured from about dim 384 (see
+    EIGH_FLOPS_PER_N3).
     """
 
     def __init__(self, spec: ModelSpec):
@@ -117,7 +144,7 @@ class Chebyshev:
         self._center = (self.lo + self.hi) / 2
         self._half = (self.hi - self.lo) / 2
         # the blocks of 2X, the operator of the recurrence; a zero half-width
-        # gives z = 0, where no step applies it
+        # gives z = 0, where no series applies it
         scale = 2 / self._half if self._half > 0 else 0.0
         self._ac = (on_ac - (ac[0] + ac[-1]) / 2 * np.eye(len(ac))) * scale
         self._cb_t = ((on_cb - (cb[0] + cb[-1]) / 2 * np.eye(len(cb))) * scale).T.copy()
@@ -126,56 +153,87 @@ class Chebyshev:
         """2X @ v for a stack of rows v, shape (k, n): one GEMM per block."""
         d_a, d_c, d_b = self._dims.factors
         k = len(v)
-        on_ac = self._ac @ v.reshape(k, d_a * d_c, d_b)
-        on_cb = v.reshape(k, d_a, d_c * d_b) @ self._cb_t
-        return on_ac.reshape(k, -1) + on_cb.reshape(k, -1)
+        out = (self._ac @ v.reshape(k, d_a * d_c, d_b)).reshape(k, -1)
+        out += (v.reshape(k, d_a, d_c * d_b) @ self._cb_t).reshape(k, -1)
+        return out
 
-    def _plans(self, times: np.ndarray) -> list[tuple[int, np.ndarray] | None]:
-        """(sub-steps, coefficients of one sub-step) from each grid time's predecessor.
+    def _plans(self, times: np.ndarray) -> list[tuple[int, slice, np.ndarray | None]]:
+        """(sub-steps, rows, coefficients) of each recurrence that :meth:`evolve_many` runs.
 
-        The first time's predecessor is t = 0; a time t = 0 needs no step (None).
+        A recurrence starts from the anchor, psi at t = 0 or the last row
+        computed, and serves the consecutive rows at delta = t - t_anchor with
+        |half * delta| <= CHEB_Z_MAX. Row rows[j] takes coefficients[j], the
+        series of e^{-i half delta X} times e^{-i center delta}, padded with
+        zeros to the block's longest. A row out of that reach is served alone,
+        in ``sub-steps`` equal steps of the one series coefficients[0]. A row at
+        t = 0 is psi and restarts the anchor: (0, rows, None).
         """
-        plans = []
-        for t, dt in zip(times, np.diff(times, prepend=0.0)):
-            m = max(1, int(np.ceil(abs(self._half * dt) / CHEB_Z_MAX)))
-            sub = dt / m
-            plans.append(None if t == 0 else (m, np.exp(-1j * self._center * sub)
-                                             * _chebyshev_coefficients(self._half * sub)))
-        return plans
+        spans, deltas = [], []
+        anchor, row = 0.0, 0
+        while row < len(times):
+            dt, end, first = times[row] - anchor, row + 1, len(deltas)
+            steps = int(np.ceil(abs(self._half * dt) / CHEB_Z_MAX))
+            if times[row] == 0:
+                steps = 0
+            elif steps > 1:
+                deltas.append(dt / steps)
+            else:
+                steps = 1
+                while (end < len(times) and times[end] != 0
+                       and abs(self._half * (times[end] - anchor)) <= CHEB_Z_MAX):
+                    end += 1
+                deltas.extend(times[row:end] - anchor)
+            spans.append((steps, slice(row, end), slice(first, len(deltas))))
+            anchor, row = times[end - 1], end
+        deltas = np.array(deltas)
+        series, lengths = _chebyshev_coefficients(self._half * deltas)
+        phases = np.exp(-1j * self._center * deltas)
+        return [(steps, rows, None if steps == 0 else
+                 phases[block, None] * series[block, :lengths[block].max()])
+                for steps, rows, block in spans]
 
     def terms(self, times: np.ndarray) -> int:
-        """Chebyshev terms that :meth:`evolve_many` sums on ``times``, over all its sub-steps."""
-        return sum(m * len(coeffs) for m, coeffs in filter(None, self._plans(times)))
+        """The terms past T_0 = v that :meth:`evolve_many` sums on ``times``: its uses of 2X."""
+        return sum(steps * (coeffs.shape[1] - 1)
+                   for steps, _, coeffs in self._plans(times) if coeffs is not None)
 
     def evolve_many(self, psi: np.ndarray, times) -> np.ndarray:
         """psi, (n,) or (k, n), at each time: (T, n) or (T, k, n); rows at t = 0 are psi exactly.
 
-        Each row is stepped from the previous one (the first from psi at t = 0),
-        so any strictly increasing grid works.
+        The rows are computed in grid order, block by block (see :meth:`_plans`),
+        each block from the last row before it or from psi at t = 0, so any
+        strictly increasing grid works. A stack (k, n) goes through each
+        recurrence together.
         """
         psi = np.asarray(psi, dtype=complex)
         times = np.asarray(times, dtype=float)
-        start = cur = psi.reshape(-1, psi.shape[-1])
+        start = anchor = psi.reshape(-1, psi.shape[-1])
+        plans = self._plans(times)
         states = np.empty((len(times), *start.shape), dtype=complex)
-        for row, plan in enumerate(self._plans(times)):
-            if plan is None:
-                cur = start
-            else:
-                m, coeffs = plan
-                for _ in range(m):
-                    cur = self._step(cur, coeffs)
-            states[row] = cur
+        for steps, rows, coeffs in plans:
+            if coeffs is None:  # a row at t = 0 is psi and restarts the anchor
+                states[rows] = anchor = start
+                continue
+            for _ in range(steps - 1):  # the first sub-steps of a long interval
+                anchor = self._block(anchor, coeffs, np.empty_like(states[rows]))[0]
+            anchor = self._block(anchor, coeffs, states[rows])[-1]
         return states.reshape(len(times), *psi.shape)
 
-    def _step(self, v: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-        """sum_k coeffs[k] T_k(X) v by the three-term recurrence T_{k+1} = 2X T_k - T_{k-1}."""
-        out = coeffs[0] * v
-        if len(coeffs) > 1:
+    def _block(self, v: np.ndarray, coeffs: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """out[j] = sum_k coeffs[j, k] T_k(X) v for every row j, by one recurrence.
+
+        T_{k+1} = 2X T_k - T_{k-1}; each term is added to every row as soon as
+        it is formed, so only two of them are ever kept.
+        """
+        np.multiply(coeffs[:, 0, None, None], v, out=out)
+        if coeffs.shape[1] > 1:
             prev, cur = v, self._x2(v) / 2
-            out += coeffs[1] * cur
-            for a in coeffs[2:]:
-                prev, cur = cur, self._x2(cur) - prev
-                out += a * cur
+            out += coeffs[:, 1, None, None] * cur
+            for c in coeffs.T[2:]:
+                nxt = self._x2(cur)
+                nxt -= prev
+                prev, cur = cur, nxt
+                out += c[:, None, None] * cur
         return out
 
 
@@ -194,22 +252,26 @@ def _check_phases(max_abs_energy: float, times, what: str) -> None:
 def _route(spec: ModelSpec, times: np.ndarray) -> Propagator | Chebyshev:
     """The cheaper way to propagate ``spec`` over ``times``, by operation count.
 
-    Each Chebyshev term costs 8 n (d_A d_C + d_C d_B) real flops (two complex
-    block GEMMs); one ``eigh`` of H costs about EIGH_FLOPS_PER_N3 * n^3. Each
-    interval takes at least one term, so the step count alone can rule the
-    Chebyshev route out before its term count is worked out. The Chebyshev
-    route also needs its spectral bounds to pass the phase guard: where they
-    do not, the tighter eigenvalues of the spectral route may still pass it.
+    Each Chebyshev term, one application of 2X, costs 8 n (d_A d_C + d_C d_B)
+    real flops (two complex block GEMMs); one ``eigh`` of H costs about
+    EIGH_FLOPS_PER_N3 * n^3. A series at z is cut past the first integer
+    k > |z|, where |a_k| is still far above CHEB_TOL (unless |z| < 1e-14),
+    so a recurrence that reaches z applies 2X at least |z| times, and the
+    recurrences from t = 0 to the grid time farthest from it at least
+    half * max|t| times. That bound can rule the Chebyshev route out before
+    its plan is worked out. The Chebyshev route also needs its
+    spectral bounds to pass the phase guard: where they do not, the tighter
+    eigenvalues of the spectral route may still pass it.
     """
     d_a, d_c, d_b = spec.dims.factors
     n = spec.dims.total
     per_term = 8 * n * (d_a * d_c + d_c * d_b)
     eigh_cost = EIGH_FLOPS_PER_N3 * n ** 3
-    if per_term * (len(times) - 1) < eigh_cost:
-        cheb = Chebyshev(spec)
-        if (_phase_error(cheb.max_abs_energy, times) <= PHASE_ERROR_TOL
-                and per_term * cheb.terms(times) < eigh_cost):
-            return cheb
+    cheb = Chebyshev(spec)
+    if (per_term * cheb._half * np.abs(times).max() < eigh_cost
+            and _phase_error(cheb.max_abs_energy, times) <= PHASE_ERROR_TOL
+            and per_term * cheb.terms(times) < eigh_cost):
+        return cheb
     return Propagator(assemble_hamiltonian(spec))
 
 
@@ -393,9 +455,11 @@ def residuals_along(traj: Trajectory, pd: PerturbationData) -> np.ndarray:
     if pd.spec is not traj.model:
         raise ValueError("perturbation data was built from a different model")
     approx = product_approx(traj.init, pd, traj.times)
-    ov = np.einsum("ki,ki->k", approx.conj(), traj.states)
+    # <approx|exact> row by row: vdot conjugates its first argument without a copy of it
+    ov = np.fromiter(map(np.vdot, approx, traj.states), dtype=complex, count=len(approx))
     mag = np.abs(ov)
     phase = np.divide(ov, mag, out=np.ones_like(ov), where=mag > 0)
     # e^{i phi} approx - exact, in place: fl(y - x) = -fl(x - y), so the norms are unchanged
     np.subtract(np.multiply(phase[:, None], approx, out=approx), traj.states, out=approx)
-    return np.linalg.norm(approx, axis=1)
+    diff = approx.view(float)  # each row's norm from its real and imaginary parts, with no copy
+    return np.sqrt(np.einsum("ki,ki->k", diff, diff))

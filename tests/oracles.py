@@ -6,6 +6,7 @@ the two sides is evidence, not tautology.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -127,6 +128,22 @@ def dense_exponential(h, t):
     for _ in range(s):
         u = u @ u
     return u
+
+
+def chebyshev_series_exact(z, count):
+    """The first ``count`` a_k of e^{-izx} = sum_k a_k T_k(x), from the power series of J_k.
+
+    a_0 = J_0(z), a_k = 2 (-i)^k J_k(z), with J_k(z) = sum_m (-1)^m (z/2)^(2m+k) / (m! (m+k)!)
+    summed in exact rational arithmetic, so no cancellation; |z| <= 40 keeps the
+    truncation below 1e-30.
+    """
+    half = Fraction(z) / 2
+    out = np.empty(count, dtype=complex)
+    for k in range(count):
+        j = sum(Fraction((-1) ** m) * half ** (2 * m + k)
+                / (math.factorial(m) * math.factorial(m + k)) for m in range(120))
+        out[k] = (1 if k == 0 else 2) * (-1j) ** k * float(j)
+    return out
 
 
 def mi_per_row(states, dims):

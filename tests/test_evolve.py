@@ -8,6 +8,7 @@ import pytest
 from numpy.testing import assert_allclose
 from disd import evolve
 from disd.evolve import (
+    CHEB_TOL,
     CHEB_Z_MAX,
     Chebyshev,
     PerturbationData,
@@ -21,7 +22,8 @@ from disd.locality import signaling_test
 from disd.model import InitialSpec, ModelSpec, assemble_hamiltonian, build_canonical, initial_state
 from disd.qcore import Dims, ValidationError
 
-from oracles import dense_exponential, energy_table, residuals_per_row, rs2_table_bruteforce
+from oracles import (chebyshev_series_exact, dense_exponential, energy_table, residuals_per_row,
+                     rs2_table_bruteforce)
 from test_locality import ORACLE_CASES, ORACLE_IDS, oracle_case
 
 # Frozen from the brute-force oracle for seed 1, dims (2,2,2), c1=4, c2=0.5.
@@ -351,11 +353,77 @@ class TestChebyshev:
         spec, init = uniform_case((2, 3, 4), c1=8.0)
         cheb = Chebyshev(spec)
         t = 10 * CHEB_Z_MAX / cheb._half
-        (sub_steps, coeffs), = cheb._plans(np.array([t]))
+        (sub_steps, rows, coeffs), = cheb._plans(np.array([t]))
         assert sub_steps == 10
-        assert len(coeffs) <= 50
+        assert rows == slice(0, 1) and coeffs.shape[0] == 1
+        assert coeffs.shape[1] <= 50
         got, spectral = both_routes(spec, init, [0.0, t])
         assert_allclose(got, spectral, rtol=0, atol=1e-12)
+
+    def test_mixed_grid(self):
+        # short intervals, a row at t = 0 in the middle, and one interval of 3 sub-steps
+        spec, init = uniform_case((2, 3, 4), c1=8.0)
+        cheb = Chebyshev(spec)
+        long = 2.5 * CHEB_Z_MAX / cheb._half
+        times = [-0.3, -0.2, -0.05, 0.0, 0.01, 0.1, 0.1 + long, 0.1 + long + 0.02, 0.1 + long + 0.5]
+        plans = cheb._plans(np.array(times))
+        assert (0, slice(3, 4), None) in plans
+        assert [steps for steps, _, _ in plans].count(3) == 1
+        got, spectral = both_routes(spec, init, times)
+        assert_allclose(got, spectral, rtol=0, atol=1e-12)
+        assert np.array_equal(got[3], initial_state(init, spec.dims, spec.robust_index))
+
+    def test_series_at_the_largest_step(self):
+        a, length = evolve._chebyshev_coefficients(CHEB_Z_MAX)
+        assert 0 < len(a) == length <= 51
+        # against the exact series: the kept part agrees to the FFT's roundoff (1.2e-15
+        # here), the cut tail is below CHEB_TOL
+        exact = chebyshev_series_exact(CHEB_Z_MAX, 90)
+        assert_allclose(a, exact[:length], rtol=0, atol=4e-15)
+        assert np.abs(exact[length:]).max() < CHEB_TOL
+        x = np.cos(np.linspace(0, np.pi, 7))
+        series = np.polynomial.chebyshev.chebval(x, a)
+        assert_allclose(series, np.exp(-1j * CHEB_Z_MAX * x), rtol=0, atol=1e-13)
+
+    def test_batched_series_match_one_at_a_time(self):
+        z = np.array([0.0, 1e-3, -2.5, 7.0, CHEB_Z_MAX])
+        a, lengths = evolve._chebyshev_coefficients(z)
+        assert a.shape == (len(z), lengths.max())
+        for row, zi, length in zip(a, z, lengths):
+            one, one_length = evolve._chebyshev_coefficients(zi)
+            assert one_length == length and len(one) == length
+            assert_allclose(row[:length], one, rtol=0, atol=1e-16)
+            assert not row[length:].any()
+
+    def test_unconverged_series_raises(self):
+        with pytest.raises(ValueError, match="no Chebyshev series of 256 points converges"):
+            evolve._chebyshev_coefficients(160.0)
+        with pytest.raises(ValueError, match=r"at \|z\| = 160$"):
+            evolve._chebyshev_coefficients([1.0, -160.0])
+
+    @pytest.mark.parametrize("factors, times", [
+        ((8, 4, 32), np.linspace(0, 20, 200)),
+        ((2, 3, 4), [0.0, 0.013, 0.2, 0.21, 1.7, 4.0, 9.5]),
+        ((2, 3, 4), [-3.0, -1.1, 0.0, 0.4, 2.5]),
+        ((2, 3, 4), [10 * CHEB_Z_MAX / 48.0, 11 * CHEB_Z_MAX / 48.0]),
+    ], ids=["benchmark", "non-uniform", "through-zero", "long-interval"])
+    def test_terms_count_the_applications_of_2x(self, factors, times, monkeypatch):
+        spec, init = uniform_case(factors)
+        cheb = Chebyshev(spec)
+        calls = []
+        x2 = Chebyshev._x2
+
+        def counted(self, v):
+            calls.append(len(v))
+            return x2(self, v)
+
+        monkeypatch.setattr(Chebyshev, "_x2", counted)
+        cheb.evolve_many(initial_state(init, spec.dims, spec.robust_index), times)
+        terms = cheb.terms(np.array(times))
+        assert terms == len(calls)
+        assert terms >= cheb._half * np.abs(times).max()  # the lower bound of the route's pre-check
+        if factors == (8, 4, 32):
+            assert terms <= 2500  # one series per interval took 4975 coefficients here
 
     def test_spectral_bounds_contain_the_spectrum(self, spec233):
         cheb = Chebyshev(spec233)
