@@ -28,7 +28,7 @@ from .config import (
     unitary_from_json,
 )
 from .decompose import planted_sequential, sequential_residual
-from .evolve import perturbation_data, propagate, residuals_along
+from .evolve import perturbation_data, propagate, residuals_along, row_norms
 from .locality import mi_and_entropies, mi_trajectory, signaling_test, tau_estimate
 from .qcore import Dims, ValidationError
 
@@ -68,7 +68,7 @@ def cmd_simulate(cfg: RunConfig) -> str:
     mi, s_a, s_b = mi_and_entropies(traj)
     columns = {"t": traj.times, "mi_ab_bits": mi, "entropy_a_bits": s_a, "entropy_b_bits": s_b,
                "residual_eq4": residuals,
-               "norm_error": np.abs(np.linalg.norm(traj.states, axis=1) - 1.0)}
+               "norm_error": np.abs(row_norms(traj.states) - 1.0)}
     if pd.gap_warnings:
         columns["warn"] = [len(pd.gap_warnings)] * len(traj.times)
     return _csv(columns)

@@ -37,6 +37,7 @@ __all__ = [
     "product_approx",
     "propagate",
     "residuals_along",
+    "row_norms",
 ]
 
 COMMUTATOR_TOL = 1e-8
@@ -44,16 +45,24 @@ NORM_DRIFT_TOL = 1e-8
 PHASE_ERROR_TOL = 1e-8  # bound on eps * max|E| * max|t|, the phase error of e^{-iEt}
 
 CHEB_TOL = 1e-15  # last kept Chebyshev coefficient; the FFT noise floor is ~1e-16
-CHEB_Z_MAX = 20.0  # largest half-width * (t - t_anchor) one recurrence serves; longer ones sub-step
-_CHEB_POINTS = 256  # FFT samples; at z <= CHEB_Z_MAX the terms stop by k = 50
-# One complex eigh of H takes as long as EIGH_FLOPS_PER_N3 * n^3 flops of Chebyshev terms.
-# Fitted at n = 512 (8x4x16, c1 = 50) on one OpenBLAS 0.3.31 thread of a 2-vCPU Xeon VM:
-# eigh took 0.22-0.25 s while the terms ran at 12-14 Gflop/s, so eigh_s * rate / n^3 = 21-24.
-# With one recurrence per block, 200 steps to t = 20 take about 2450 terms at any n, so by
-# this count the crossover is near n = 240. Measured on the same thread, the routes tie near
-# n = 384 (0.06-0.08 s each): below n = 512 the block GEMMs run at 6-9 Gflop/s and eigh
-# beats its n^3 count, so eigh is still 2x faster at n = 256. At n = 1024: 1.5 s against 0.19 s.
-EIGH_FLOPS_PER_N3 = 21.0
+CHEB_Z_MAX = 150.0  # largest half-width * (t - t_anchor) one recurrence serves; longer sub-step
+_CHEB_POINTS = 512  # FFT samples; at z <= CHEB_Z_MAX the terms stop by k = 210
+_CHEB_CHUNK = 32  # terms a recurrence buffers before one GEMM adds them to every row
+# cos(2 pi j / _CHEB_POINTS) over the first quarter of the circle, in long double (80-bit on
+# x86): the series of _chebyshev_coefficients need their arguments past double precision
+_CHEB_QUARTER = np.cos(2 * np.arccos(np.longdouble(-1)) / _CHEB_POINTS
+                       * np.arange(_CHEB_POINTS // 4 + 1))
+# Each route is priced in flops at the rate of the Chebyshev GEMMs. The spectral route (the
+# assembly of H, its complex eigh and the evolution) costs EIGH_FLOPS_PER_N3 * n^3. A Chebyshev
+# term costs its two block GEMMs, 8 n (d_A d_C + d_C d_B) flops, plus CHEB_TERM_FLOPS, the fixed
+# cost of its Python and BLAS calls. Fitted on 200 steps to t = 20 at c1 = 50, dims 8x4x{4..32},
+# on one OpenBLAS 0.3.31 thread of a 2-vCPU Xeon VM: past a fixed 14-20 us, the terms ran at
+# about 30 Gflop/s, and the spectral route took 1.3-1.5 ns * n^3 from n = 256 up. That grid
+# takes about 1370 terms at any n, and the routes tie at n = 256 (21-32 ms each, so this
+# count gives it to eigh): the spectral route is 1.7x faster at n = 192, Chebyshev 1.4x
+# faster at 320, 2.7x at 384, 5-6x at 512 and 18x at 1024.
+EIGH_FLOPS_PER_N3 = 42.0
+CHEB_TERM_FLOPS = 5e5
 
 
 class Propagator:
@@ -94,14 +103,28 @@ def _chebyshev_coefficients(z) -> tuple[np.ndarray, np.ndarray]:
     its length. Returns (a, lengths): ``a`` has shape (*z.shape, K), K the
     longest length, with zeros past each series' own length. A z whose series
     does not fall below CHEB_TOL within the _CHEB_POINTS // 2 coefficients
-    (|z| above about 79) raises ``ValueError``.
+    (|z| above about 190) raises ``ValueError``.
+
+    The arguments z cos(theta) are formed in long double. Rounded to double,
+    they would move the coefficients at z = 150 by 1.6e-15 (by 6e-15 with
+    cos(theta) from pi rounded to double), more than CHEB_TOL, so the cut
+    would fall short of it; these stay within 1e-16 of the exact series. Only
+    the samples over the first quarter of the circle are computed; the
+    others follow by symmetry.
     """
     z = np.asarray(z, dtype=float)
-    theta = 2 * np.pi * np.arange(_CHEB_POINTS) / _CHEB_POINTS
-    x = np.multiply.outer(z, np.cos(theta))
-    samples = np.empty(x.shape, dtype=complex)  # e^{-ix}, without a complex temporary
-    np.cos(x, out=samples.real)
-    np.negative(np.sin(x, out=x), out=samples.imag)
+    x = np.multiply.outer(z.astype(np.longdouble), _CHEB_QUARTER)
+    hi = x.astype(float)
+    lo = (x - hi).astype(float)  # e^{-ix} = e^{-i hi} (1 - i lo) to roundoff, as |lo| < 1e-13
+    quarter = np.empty(hi.shape, dtype=complex)
+    np.cos(hi, out=quarter.real)
+    np.negative(np.sin(hi, out=hi), out=quarter.imag)
+    quarter -= 1j * lo * quarter
+    q = _CHEB_POINTS // 4
+    samples = np.empty((*z.shape, _CHEB_POINTS), dtype=complex)
+    samples[..., :q + 1] = quarter
+    samples[..., q:2 * q + 1] = quarter[..., ::-1].conj()  # cos(pi - theta) = -cos(theta)
+    samples[..., 2 * q + 1:] = samples[..., 2 * q - 1:0:-1]  # cos(2 pi - theta) = cos(theta)
     a = np.fft.fft(samples)[..., :_CHEB_POINTS // 2] / _CHEB_POINTS
     a[..., 1:] *= 2
     k = np.arange(a.shape[-1])
@@ -128,11 +151,11 @@ class Chebyshev:
     grid row within |z| <= CHEB_Z_MAX of it, each with its own coefficients,
     and the last of those rows anchors the next block. A row farther than
     that from its predecessor is reached in equal sub-steps, so no
-    recurrence sums more than about 50 terms. On 200 steps to t = 20 at
-    c1 = 50 that is about 2450 terms, half the count of one series per
-    interval: by the operation count of ``_route`` the route beats ``eigh``
-    above total dim 240, and measured from about dim 384 (see
-    EIGH_FLOPS_PER_N3).
+    recurrence sums more than about 210 terms. The terms are added to the
+    rows _CHEB_CHUNK at a time by one GEMM. On 200 steps to t = 20 at c1 = 50
+    that is 1373 terms in 7 recurrences at total dim 1024, where one series
+    per interval took 4776, and the route beats ``eigh`` above total dim 256
+    (see EIGH_FLOPS_PER_N3).
     """
 
     def __init__(self, spec: ModelSpec):
@@ -149,11 +172,14 @@ class Chebyshev:
         self._ac = (on_ac - (ac[0] + ac[-1]) / 2 * np.eye(len(ac))) * scale
         self._cb_t = ((on_cb - (cb[0] + cb[-1]) / 2 * np.eye(len(cb))) * scale).T.copy()
 
-    def _x2(self, v: np.ndarray) -> np.ndarray:
-        """2X @ v for a stack of rows v, shape (k, n): one GEMM per block."""
+    def _x2(self, v: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """2X @ v for a stack of rows v, shape (k, n), into ``out``: one GEMM per block.
+
+        ``out`` is C-contiguous, so the first GEMM writes into it through a view.
+        """
         d_a, d_c, d_b = self._dims.factors
         k = len(v)
-        out = (self._ac @ v.reshape(k, d_a * d_c, d_b)).reshape(k, -1)
+        np.matmul(self._ac, v.reshape(k, d_a * d_c, d_b), out=out.reshape(k, d_a * d_c, d_b))
         out += (v.reshape(k, d_a, d_c * d_b) @ self._cb_t).reshape(k, -1)
         return out
 
@@ -222,18 +248,30 @@ class Chebyshev:
     def _block(self, v: np.ndarray, coeffs: np.ndarray, out: np.ndarray) -> np.ndarray:
         """out[j] = sum_k coeffs[j, k] T_k(X) v for every row j, by one recurrence.
 
-        T_{k+1} = 2X T_k - T_{k-1}; each term is added to every row as soon as
-        it is formed, so only two of them are ever kept.
+        T_{k+1} = 2X T_k - T_{k-1}. The terms are written into a buffer of at
+        most _CHEB_CHUNK of them after the two carried from the chunk before,
+        and each chunk is added to every row by one GEMM, so the recurrence
+        holds (_CHEB_CHUNK + 2) stacks like v whatever its length.
         """
-        np.multiply(coeffs[:, 0, None, None], v, out=out)
-        if coeffs.shape[1] > 1:
-            prev, cur = v, self._x2(v) / 2
-            out += coeffs[:, 1, None, None] * cur
-            for c in coeffs.T[2:]:
-                nxt = self._x2(cur)
-                nxt -= prev
-                prev, cur = cur, nxt
-                out += c[:, None, None] * cur
+        length = coeffs.shape[1]
+        size = min(length, _CHEB_CHUNK)
+        buf = np.empty((size + 2, *v.shape), dtype=complex)
+        chunk = buf[2:].reshape(size, -1)
+        out[...] = 0
+        for start in range(0, length, size):
+            m = min(size, length - start)
+            for i in range(2, m + 2):  # buf[i] is T_k
+                k = start + i - 2
+                if k == 0:
+                    buf[i] = v
+                else:
+                    self._x2(buf[i - 1], buf[i])
+                    if k == 1:
+                        buf[i] /= 2
+                    else:
+                        buf[i] -= buf[i - 2]
+            out += (coeffs[:, start:start + m] @ chunk[:m]).reshape(out.shape)
+            buf[:2] = buf[m:m + 2]
         return out
 
 
@@ -250,22 +288,22 @@ def _check_phases(max_abs_energy: float, times, what: str) -> None:
 
 
 def _route(spec: ModelSpec, times: np.ndarray) -> Propagator | Chebyshev:
-    """The cheaper way to propagate ``spec`` over ``times``, by operation count.
+    """The cheaper way to propagate ``spec`` over ``times``, by a fitted operation count.
 
     Each Chebyshev term, one application of 2X, costs 8 n (d_A d_C + d_C d_B)
-    real flops (two complex block GEMMs); one ``eigh`` of H costs about
-    EIGH_FLOPS_PER_N3 * n^3. A series at z is cut past the first integer
-    k > |z|, where |a_k| is still far above CHEB_TOL (unless |z| < 1e-14),
-    so a recurrence that reaches z applies 2X at least |z| times, and the
-    recurrences from t = 0 to the grid time farthest from it at least
-    half * max|t| times. That bound can rule the Chebyshev route out before
-    its plan is worked out. The Chebyshev route also needs its
+    real flops (two complex block GEMMs) plus CHEB_TERM_FLOPS; the spectral
+    route costs about EIGH_FLOPS_PER_N3 * n^3. A series at z is cut past the
+    first integer k > |z|, where |a_k| is still far above CHEB_TOL (unless
+    |z| < 1e-14), so a recurrence that reaches z applies 2X at least |z|
+    times, and the recurrences from t = 0 to the grid time farthest from it
+    at least half * max|t| times. That bound can rule the Chebyshev route out
+    before its plan is worked out. The Chebyshev route also needs its
     spectral bounds to pass the phase guard: where they do not, the tighter
     eigenvalues of the spectral route may still pass it.
     """
     d_a, d_c, d_b = spec.dims.factors
     n = spec.dims.total
-    per_term = 8 * n * (d_a * d_c + d_c * d_b)
+    per_term = 8 * n * (d_a * d_c + d_c * d_b) + CHEB_TERM_FLOPS
     eigh_cost = EIGH_FLOPS_PER_N3 * n ** 3
     cheb = Chebyshev(spec)
     if (per_term * cheb._half * np.abs(times).max() < eigh_cost
@@ -325,6 +363,15 @@ class PerturbationData:
                       f"product-form phases lose their precision at c1 = {self.spec.c1:.3e}")
 
 
+def row_norms(states: np.ndarray) -> np.ndarray:
+    """The 2-norm of each row of a C-contiguous complex (T, n) array, with no copy of it.
+
+    Each row's norm comes from the real and imaginary parts of a real view.
+    """
+    parts = states.view(float)
+    return np.sqrt(np.einsum("ki,ki->k", parts, parts))
+
+
 def propagate(spec: ModelSpec, init: InitialSpec, times) -> Trajectory:
     """Exact evolution of the product state of ``init``: the one route from a model to states.
 
@@ -346,7 +393,7 @@ def propagate(spec: ModelSpec, init: InitialSpec, times) -> Trajectory:
     prop = _route(spec, times)
     _check_phases(prop.max_abs_energy, times, "phases lose their precision")
     states = prop.evolve_many(psi0, times)
-    drift = float(np.abs(np.linalg.norm(states, axis=1) - 1.0).max())
+    drift = float(np.abs(row_norms(states) - 1.0).max())
     if drift > NORM_DRIFT_TOL:
         raise ValidationError(f"propagation norm drift {drift:.3e} > {NORM_DRIFT_TOL:.1e}")
     return Trajectory(times=times, states=states, model=spec, init=init, route=prop)
@@ -461,5 +508,4 @@ def residuals_along(traj: Trajectory, pd: PerturbationData) -> np.ndarray:
     phase = np.divide(ov, mag, out=np.ones_like(ov), where=mag > 0)
     # e^{i phi} approx - exact, in place: fl(y - x) = -fl(x - y), so the norms are unchanged
     np.subtract(np.multiply(phase[:, None], approx, out=approx), traj.states, out=approx)
-    diff = approx.view(float)  # each row's norm from its real and imaginary parts, with no copy
-    return np.sqrt(np.einsum("ki,ki->k", diff, diff))
+    return row_norms(approx)

@@ -134,15 +134,24 @@ def chebyshev_series_exact(z, count):
     """The first ``count`` a_k of e^{-izx} = sum_k a_k T_k(x), from the power series of J_k.
 
     a_0 = J_0(z), a_k = 2 (-i)^k J_k(z), with J_k(z) = sum_m (-1)^m (z/2)^(2m+k) / (m! (m+k)!)
-    summed in exact rational arithmetic, so no cancellation; |z| <= 40 keeps the
-    truncation below 1e-30.
+    summed in integer fixed point with 600 binary places, so the cancellation of terms
+    up to e^|z| costs nothing and each term is off by at most 2^-600. The sum stops
+    once its terms shrink and the next is below 2^-140 (about 1e-42): past
+    m (m + k) > (z/2)^2 they alternate and shrink, so the first term left out bounds
+    the truncation at any z.
     """
     half = Fraction(z) / 2
+    num, den = half.numerator ** 2, half.denominator ** 2  # (z/2)^2 = num / den
+    one = 1 << 600
     out = np.empty(count, dtype=complex)
     for k in range(count):
-        j = sum(Fraction((-1) ** m) * half ** (2 * m + k)
-                / (math.factorial(m) * math.factorial(m + k)) for m in range(120))
-        out[k] = (1 if k == 0 else 2) * (-1j) ** k * float(j)
+        term = int(half ** k * one / math.factorial(k))
+        j, m = 0, 0
+        while m * (m + k) * den <= num or abs(term) >= one >> 140:
+            j += term
+            m += 1
+            term = -term * num // (den * m * (m + k))
+        out[k] = (1 if k == 0 else 2) * (1, -1j, -1, 1j)[k % 4] * (j / one)  # (-i)^k exactly
     return out
 
 

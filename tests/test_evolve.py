@@ -1,6 +1,7 @@
 import dataclasses
 import importlib
 import importlib.util
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -8,6 +9,8 @@ import pytest
 from numpy.testing import assert_allclose
 from disd import evolve
 from disd.evolve import (
+    _CHEB_CHUNK,
+    _CHEB_POINTS,
     CHEB_TOL,
     CHEB_Z_MAX,
     Chebyshev,
@@ -17,6 +20,7 @@ from disd.evolve import (
     product_approx,
     propagate,
     residuals_along,
+    row_norms,
 )
 from disd.locality import signaling_test
 from disd.model import InitialSpec, ModelSpec, assemble_hamiltonian, build_canonical, initial_state
@@ -288,6 +292,18 @@ class TestApproxResidual:
         assert psi_res[40.0] < psi_res[4.0]
 
 
+class TestRowNorms:
+    def test_matches_numpy_with_no_copy_of_the_states(self):
+        rng = np.random.default_rng(3)
+        states = rng.standard_normal((200, 1024)) + 1j * rng.standard_normal((200, 1024))
+        tracemalloc.start()
+        got = row_norms(states)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert peak < states.nbytes / 100  # np.linalg.norm allocates a copy the size of states
+        assert_allclose(got, np.linalg.norm(states, axis=1), rtol=1e-15, atol=0)
+
+
 class TestResidualsAgainstOracle:
     @pytest.mark.parametrize("factors, c2", ORACLE_CASES, ids=ORACLE_IDS)
     def test_stacked_matches_per_row_route(self, factors, c2):
@@ -356,7 +372,7 @@ class TestChebyshev:
         (sub_steps, rows, coeffs), = cheb._plans(np.array([t]))
         assert sub_steps == 10
         assert rows == slice(0, 1) and coeffs.shape[0] == 1
-        assert coeffs.shape[1] <= 50
+        assert coeffs.shape[1] <= 210
         got, spectral = both_routes(spec, init, [0.0, t])
         assert_allclose(got, spectral, rtol=0, atol=1e-12)
 
@@ -375,15 +391,23 @@ class TestChebyshev:
 
     def test_series_at_the_largest_step(self):
         a, length = evolve._chebyshev_coefficients(CHEB_Z_MAX)
-        assert 0 < len(a) == length <= 51
-        # against the exact series: the kept part agrees to the FFT's roundoff (1.2e-15
+        assert 0 < len(a) == length <= 210
+        # against the exact series: the kept part agrees to the FFT's roundoff (6.2e-17
         # here), the cut tail is below CHEB_TOL
-        exact = chebyshev_series_exact(CHEB_Z_MAX, 90)
+        exact = chebyshev_series_exact(CHEB_Z_MAX, _CHEB_POINTS // 2)
         assert_allclose(a, exact[:length], rtol=0, atol=4e-15)
         assert np.abs(exact[length:]).max() < CHEB_TOL
         x = np.cos(np.linspace(0, np.pi, 7))
         series = np.polynomial.chebyshev.chebval(x, a)
         assert_allclose(series, np.exp(-1j * CHEB_Z_MAX * x), rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("z", [1e-3, -2.5, 20.0, 100.0, CHEB_Z_MAX, 190.0])
+    def test_series_are_exact_well_below_the_cut(self, z):
+        # the cut is decided at CHEB_TOL = 1e-15, so the kept coefficients must be far closer
+        a, length = evolve._chebyshev_coefficients(z)
+        exact = chebyshev_series_exact(z, _CHEB_POINTS // 2)
+        assert_allclose(a, exact[:length], rtol=0, atol=2e-16)
+        assert np.abs(exact[length:]).max() < CHEB_TOL
 
     def test_batched_series_match_one_at_a_time(self):
         z = np.array([0.0, 1e-3, -2.5, 7.0, CHEB_Z_MAX])
@@ -396,10 +420,10 @@ class TestChebyshev:
             assert not row[length:].any()
 
     def test_unconverged_series_raises(self):
-        with pytest.raises(ValueError, match="no Chebyshev series of 256 points converges"):
-            evolve._chebyshev_coefficients(160.0)
-        with pytest.raises(ValueError, match=r"at \|z\| = 160$"):
-            evolve._chebyshev_coefficients([1.0, -160.0])
+        with pytest.raises(ValueError, match="no Chebyshev series of 512 points converges"):
+            evolve._chebyshev_coefficients(250.0)
+        with pytest.raises(ValueError, match=r"at \|z\| = 250$"):
+            evolve._chebyshev_coefficients([1.0, -250.0])
 
     @pytest.mark.parametrize("factors, times", [
         ((8, 4, 32), np.linspace(0, 20, 200)),
@@ -413,9 +437,9 @@ class TestChebyshev:
         calls = []
         x2 = Chebyshev._x2
 
-        def counted(self, v):
+        def counted(self, v, out):
             calls.append(len(v))
-            return x2(self, v)
+            return x2(self, v, out)
 
         monkeypatch.setattr(Chebyshev, "_x2", counted)
         cheb.evolve_many(initial_state(init, spec.dims, spec.robust_index), times)
@@ -423,7 +447,34 @@ class TestChebyshev:
         assert terms == len(calls)
         assert terms >= cheb._half * np.abs(times).max()  # the lower bound of the route's pre-check
         if factors == (8, 4, 32):
-            assert terms <= 2500  # one series per interval took 4975 coefficients here
+            assert terms <= 1373  # one series per interval took 4776 here
+
+    @pytest.mark.parametrize("length", [1, _CHEB_CHUNK, _CHEB_CHUNK + 1, 2 * _CHEB_CHUNK + 1])
+    def test_block_across_chunk_boundaries(self, length):
+        # the first z with a series of this length; one block serves z / 2 and z
+        zs = np.linspace(0, 40, 4001)
+        z = zs[np.argmax(evolve._chebyshev_coefficients(zs)[1] == length)]
+        series, lengths = evolve._chebyshev_coefficients([z / 2, z])
+        assert lengths[1] == series.shape[1] == length
+        spec, _ = uniform_case((2, 3, 4), c1=8.0)
+        cheb = Chebyshev(spec)
+        deltas = np.array([z / 2, z]) / cheb._half
+        coeffs = np.exp(-1j * cheb._center * deltas)[:, None] * series
+        psi = random_stack(spec.dims.total, k=2)
+        got = cheb._block(psi, coeffs, np.empty((2, *psi.shape), dtype=complex))
+        want = Propagator(assemble_hamiltonian(spec)).evolve_many(psi, deltas)
+        assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    def test_stack_through_a_multi_chunk_block(self):
+        spec, _ = uniform_case((2, 3, 4), c1=8.0)
+        cheb = Chebyshev(spec)
+        times = np.array([0.3, 0.6, 0.9]) * CHEB_Z_MAX / cheb._half
+        (_, _, coeffs), = cheb._plans(times)
+        assert coeffs.shape[1] > 2 * _CHEB_CHUNK
+        psi = random_stack(spec.dims.total)
+        stack = cheb.evolve_many(psi, times)
+        for k, state in enumerate(psi):
+            assert_allclose(stack[:, k], cheb.evolve_many(state, times), rtol=0, atol=1e-14)
 
     def test_spectral_bounds_contain_the_spectrum(self, spec233):
         cheb = Chebyshev(spec233)
@@ -494,6 +545,13 @@ class TestTracerNames:
 
 
 class TestRoute:
+    @pytest.mark.parametrize("factors, route", [((8, 4, 6), Propagator), ((8, 4, 16), Chebyshev)],
+                             ids=["8x4x6", "8x4x16"])
+    def test_benchmark_grid_takes_the_faster_route(self, factors, route):
+        # measured at one BLAS thread: 8x4x6 is 2x faster by eigh, 8x4x16 5x by Chebyshev
+        spec, _ = uniform_case(factors)
+        assert isinstance(evolve._route(spec, np.linspace(0, 20, 200)), route)
+
     def test_large_model_builds_no_eigensystem_until_asked(self, propagator_builds, monkeypatch):
         spec, init = uniform_case((16, 2, 16))
         times = np.linspace(0, 20, 200)
