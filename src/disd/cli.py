@@ -2,7 +2,9 @@
 
 Subcommands: ``simulate``, ``sweep``, ``locality``, ``decompose``,
 ``make-model``. Every command is a pure function of its configuration bytes;
-at a fixed BLAS thread count re-running writes byte-identical output. Exit
+at a fixed BLAS thread count re-running writes byte-identical output. At
+another thread count the headers are the same and every number agrees within
+1e-12 (tested at one and two OpenBLAS threads). Exit
 codes: 0 ok, 1 config error (also a configured size too large to allocate),
 2 numerical/validation error, 3 I/O error.
 """

@@ -149,13 +149,13 @@ class Chebyshev:
     coefficients do (Tal-Ezer and Kosloff, J. Chem. Phys. 81, 3967, 1984).
     So one three-term recurrence from an anchor state gives every following
     grid row within |z| <= CHEB_Z_MAX of it, each with its own coefficients,
-    and the last of those rows anchors the next block. A row farther than
-    that from its predecessor is reached in equal sub-steps, so no
-    recurrence sums more than about 210 terms. The terms are added to the
-    rows _CHEB_CHUNK at a time by one GEMM. On 200 steps to t = 20 at c1 = 50
-    that is 1373 terms in 7 recurrences at total dim 1024, where one series
-    per interval took 4776, and the route beats ``eigh`` above total dim 256
-    (see EIGH_FLOPS_PER_N3).
+    and the last of those rows anchors the next block; rows at t = 0 are then
+    set to psi, as in the spectral route. A row farther than that from its
+    predecessor is reached in equal sub-steps, so no recurrence sums more
+    than about 210 terms. The terms are added to the rows _CHEB_CHUNK at a
+    time by one GEMM. On 200 steps to t = 20 at c1 = 50 that is 1373 terms
+    in 7 recurrences at total dim 1024, and the route beats ``eigh`` above
+    total dim 256 (see EIGH_FLOPS_PER_N3).
     """
 
     def __init__(self, spec: ModelSpec):
@@ -173,40 +173,34 @@ class Chebyshev:
         self._cb_t = ((on_cb - (cb[0] + cb[-1]) / 2 * np.eye(len(cb))) * scale).T.copy()
 
     def _x2(self, v: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """2X @ v for a stack of rows v, shape (k, n), into ``out``: one GEMM per block.
+        """2X @ v for v of shape (n,) or (k, n), into ``out``: one GEMM per block.
 
         ``out`` is C-contiguous, so the first GEMM writes into it through a view.
         """
         d_a, d_c, d_b = self._dims.factors
-        k = len(v)
-        np.matmul(self._ac, v.reshape(k, d_a * d_c, d_b), out=out.reshape(k, d_a * d_c, d_b))
-        out += (v.reshape(k, d_a, d_c * d_b) @ self._cb_t).reshape(k, -1)
+        np.matmul(self._ac, v.reshape(-1, d_a * d_c, d_b), out=out.reshape(-1, d_a * d_c, d_b))
+        out += (v.reshape(-1, d_a, d_c * d_b) @ self._cb_t).reshape(out.shape)
         return out
 
-    def _plans(self, times: np.ndarray) -> list[tuple[int, slice, np.ndarray | None]]:
+    def _plans(self, times: np.ndarray) -> list[tuple[int, slice, np.ndarray]]:
         """(sub-steps, rows, coefficients) of each recurrence that :meth:`evolve_many` runs.
 
-        A recurrence starts from the anchor, psi at t = 0 or the last row
-        computed, and serves the consecutive rows at delta = t - t_anchor with
-        |half * delta| <= CHEB_Z_MAX. Row rows[j] takes coefficients[j], the
-        series of e^{-i half delta X} times e^{-i center delta}, padded with
-        zeros to the block's longest. A row out of that reach is served alone,
-        in ``sub-steps`` equal steps of the one series coefficients[0]. A row at
-        t = 0 is psi and restarts the anchor: (0, rows, None).
+        A recurrence starts from psi (the first) or the last row computed, and
+        serves the consecutive rows, one at t = 0 like any other, at delta =
+        t - t_anchor with |half * delta| <= CHEB_Z_MAX. Row rows[j] takes
+        coefficients[j], the series of e^{-i half delta X} times e^{-i center
+        delta}, padded with zeros to the block's longest. A row out of that
+        reach is served alone, in ``sub-steps`` equal steps of coefficients[0].
         """
         spans, deltas = [], []
         anchor, row = 0.0, 0
         while row < len(times):
             dt, end, first = times[row] - anchor, row + 1, len(deltas)
-            steps = int(np.ceil(abs(self._half * dt) / CHEB_Z_MAX))
-            if times[row] == 0:
-                steps = 0
-            elif steps > 1:
+            steps = max(1, int(np.ceil(abs(self._half * dt) / CHEB_Z_MAX)))
+            if steps > 1:
                 deltas.append(dt / steps)
             else:
-                steps = 1
-                while (end < len(times) and times[end] != 0
-                       and abs(self._half * (times[end] - anchor)) <= CHEB_Z_MAX):
+                while end < len(times) and abs(self._half * (times[end] - anchor)) <= CHEB_Z_MAX:
                     end += 1
                 deltas.extend(times[row:end] - anchor)
             spans.append((steps, slice(row, end), slice(first, len(deltas))))
@@ -214,36 +208,29 @@ class Chebyshev:
         deltas = np.array(deltas)
         series, lengths = _chebyshev_coefficients(self._half * deltas)
         phases = np.exp(-1j * self._center * deltas)
-        return [(steps, rows, None if steps == 0 else
-                 phases[block, None] * series[block, :lengths[block].max()])
+        return [(steps, rows, phases[block, None] * series[block, :lengths[block].max()])
                 for steps, rows, block in spans]
 
     def terms(self, times: np.ndarray) -> int:
         """The terms past T_0 = v that :meth:`evolve_many` sums on ``times``: its uses of 2X."""
-        return sum(steps * (coeffs.shape[1] - 1)
-                   for steps, _, coeffs in self._plans(times) if coeffs is not None)
+        return sum(steps * (coeffs.shape[1] - 1) for steps, _, coeffs in self._plans(times))
 
     def evolve_many(self, psi: np.ndarray, times) -> np.ndarray:
         """psi, (n,) or (k, n), at each time: (T, n) or (T, k, n); rows at t = 0 are psi exactly.
 
         The rows are computed in grid order, block by block (see :meth:`_plans`),
-        each block from the last row before it or from psi at t = 0, so any
-        strictly increasing grid works. A stack (k, n) goes through each
-        recurrence together.
+        so any strictly increasing grid works, a stack (k, n) all together;
+        then rows at t = 0 are set to psi, as in ``Propagator.evolve_many``.
         """
-        psi = np.asarray(psi, dtype=complex)
+        anchor = psi = np.asarray(psi, dtype=complex)
         times = np.asarray(times, dtype=float)
-        start = anchor = psi.reshape(-1, psi.shape[-1])
-        plans = self._plans(times)
-        states = np.empty((len(times), *start.shape), dtype=complex)
-        for steps, rows, coeffs in plans:
-            if coeffs is None:  # a row at t = 0 is psi and restarts the anchor
-                states[rows] = anchor = start
-                continue
+        states = np.empty((len(times), *psi.shape), dtype=complex)
+        for steps, rows, coeffs in self._plans(times):
             for _ in range(steps - 1):  # the first sub-steps of a long interval
                 anchor = self._block(anchor, coeffs, np.empty_like(states[rows]))[0]
             anchor = self._block(anchor, coeffs, states[rows])[-1]
-        return states.reshape(len(times), *psi.shape)
+        states[times == 0] = psi
+        return states
 
     def _block(self, v: np.ndarray, coeffs: np.ndarray, out: np.ndarray) -> np.ndarray:
         """out[j] = sum_k coeffs[j, k] T_k(X) v for every row j, by one recurrence.
@@ -320,7 +307,12 @@ class Trajectory:
     ``route`` is the ``Propagator`` or ``Chebyshev`` that made the states. The
     ``eigensystem`` is that route when it is spectral, else a ``Propagator``
     built on first use, so other states evolve under the same model with at
-    most one diagonalization.
+    most one diagonalization. Signaling evolves its source stacks through it
+    even after a Chebyshev trajectory, as that is faster: on 200 steps to
+    t = 20 at c1 = 50 (seed 7, 64 samples, both directions, one OpenBLAS
+    thread) both signals took 0.34, 0.82 and 3.65 s with the ``eigh`` at
+    dims 8x4x10, 8x4x16 and 8x4x32, and 16-44% more by Chebyshev chunks,
+    each chained from the last row of the one before (signals within 2e-14).
     """
 
     times: np.ndarray

@@ -123,10 +123,14 @@ def _norm_and_unit(v: np.ndarray) -> tuple[float, np.ndarray]:
 
 
 def check_hermitian(m: np.ndarray, name: str = "matrix") -> None:
-    """Raise ValidationError unless max |M - M+| <= 1e-12 entrywise."""
+    """Raise ValidationError unless every entry is finite and max |M - M+| <= 1e-12 entrywise."""
     m = np.asarray(m)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"{name} must be square, got shape {m.shape}")
+    bad = np.argwhere(~np.isfinite(m))
+    if len(bad):  # before any arithmetic: inf - inf would warn, and LAPACK must see no NaN
+        row, col = bad[0]
+        raise ValidationError(f"{name} has a non-finite entry {m[row, col]} at ({row}, {col})")
     dev = np.abs(m - m.conj().T).max() if m.size else 0.0
     if dev > _HERMITIAN_TOL:
         raise ValidationError(

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -301,6 +304,32 @@ class TestSimulateGolden:
         assert main(["simulate", "--config", write_config(tmp_path, dense_config()),
                      "--out", str(tmp_path / "simulate.csv")]) == 0
         assert propagator_builds == []
+
+
+class TestThreadCount:
+    """Output at one and at two BLAS threads: the same header, every number within 1e-12."""
+
+    @staticmethod
+    def _run(args, threads):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads), OMP_NUM_THREADS=str(threads),
+                   PYTHONPATH=str(Path(disd.__file__).resolve().parents[1]))
+        proc = subprocess.run([sys.executable, "-m", "disd.cli", *args], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        return parse_csv(proc.stdout)
+
+    @pytest.mark.parametrize("command", ["simulate", "locality"])
+    def test_one_and_two_threads_agree(self, tmp_path, command):
+        # simulate on the dim-1024 config (the Chebyshev route), locality on the preset
+        config = (write_config(tmp_path, dense_config()) if command == "simulate"
+                  else str(Path(__file__).resolve().parent.parent / "presets" / "ion-cage.json"))
+        args = [command, "--config", config]
+        (header, one), (header_two, two) = (self._run(args, threads) for threads in (1, 2))
+        assert header == header_two
+        for h in header:
+            assert [x is None for x in one[h]] == [x is None for x in two[h]]
+            assert_allclose(np.array(one[h], dtype=float), np.array(two[h], dtype=float),
+                            rtol=0, atol=1e-12)
 
 
 class TestDecompose:

@@ -383,7 +383,9 @@ class TestChebyshev:
         long = 2.5 * CHEB_Z_MAX / cheb._half
         times = [-0.3, -0.2, -0.05, 0.0, 0.01, 0.1, 0.1 + long, 0.1 + long + 0.02, 0.1 + long + 0.5]
         plans = cheb._plans(np.array(times))
-        assert (0, slice(3, 4), None) in plans
+        # the row at t = 0 is a row like any other: every recurrence applies its series
+        assert all(steps >= 1 and isinstance(coeffs, np.ndarray) and coeffs.ndim == 2
+                   for steps, _, coeffs in plans)
         assert [steps for steps, _, _ in plans].count(3) == 1
         got, spectral = both_routes(spec, init, times)
         assert_allclose(got, spectral, rtol=0, atol=1e-12)
@@ -499,8 +501,9 @@ def random_stack(n, k=3, seed=0):
 
 
 STACK_CASES = [(oracle_case(f, c2)[0], np.linspace(0, 12, 25)) for f, c2 in ORACLE_CASES] + [
-    (uniform_case((8, 4, 16))[0], np.linspace(0, 20, 200))]
-STACK_IDS = ORACLE_IDS + ["8x4x16"]
+    (uniform_case((8, 4, 16))[0], np.linspace(0, 20, 200)),
+    (uniform_case((2, 3, 4))[0], np.linspace(-6, 6, 25))]  # a zero after negative times
+STACK_IDS = ORACLE_IDS + ["8x4x16", "2x3x4-through-zero"]
 
 
 class TestStackContract:
@@ -513,7 +516,7 @@ class TestStackContract:
         for route in (Chebyshev(spec), Propagator(assemble_hamiltonian(spec))):
             stack = route.evolve_many(psi, times)
             assert stack.shape == (len(times), *psi.shape)
-            assert np.array_equal(stack[0], psi)
+            assert np.array_equal(stack[times == 0], psi[None])
             for k, state in enumerate(psi):
                 one = route.evolve_many(state, times)
                 assert one.shape == (len(times), len(state))

@@ -180,6 +180,16 @@ class TestModelSpecValidate:
         with pytest.raises(ValidationError):
             dataclasses.replace(spec233, h_ac=h)
 
+    @pytest.mark.parametrize("name", ["h_a", "h_ac"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_entry(self, spec222, name, bad):
+        # a NaN deviation compares false against the Hermitian tolerance, and a NaN in h_ac
+        # would reach the SVD of the shape-norm check
+        h = getattr(spec222, name).copy()
+        h[1, 0] = bad
+        with pytest.raises(ValidationError, match=rf"^{name} has a non-finite entry .* at \(1, 0\)"):
+            dataclasses.replace(spec222, **{name: h})
+
     def test_stores_the_hermitian_part(self, spec233):
         h = spec233.h_cb.copy()
         h[0, 1] += 0.9e-12

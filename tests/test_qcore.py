@@ -127,6 +127,12 @@ class TestHermPropagator:
         with pytest.raises(ValidationError):
             Propagator(m)
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan, complex(0, np.inf)])
+    def test_rejects_non_finite_before_any_arithmetic(self, bad):
+        # the suite turns numpy warnings into errors, so inf - inf would fail here first
+        with pytest.raises(ValidationError, match=r"Hamiltonian has a non-finite entry .* \(0, 0\)"):
+            Propagator([[bad, 0], [0, 1]])
+
 
 class TestEntropy:
     def test_pure_projector(self):
