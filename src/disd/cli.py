@@ -98,7 +98,7 @@ def sweep_columns(cfg: RunConfig) -> dict[str, list]:
         columns["max_residual"].append(float(residuals.max()))
         columns["tau_est"].append(tau_estimate(times, mi_trajectory(traj), cfg.threshold_bits))
         columns["gap_warnings"].append(len(pd.gap_warnings))
-        del traj  # frees this point's states (and eigensystem, if one was built) before the next
+        del traj  # frees this point's states and route before the next
     return columns
 
 
@@ -107,7 +107,8 @@ def cmd_sweep(cfg: RunConfig) -> str:
 
 
 def cmd_locality(cfg: RunConfig) -> str:
-    traj = propagate(model_from_config(cfg), initial_from_config(cfg), times_from_config(cfg))
+    traj = propagate(model_from_config(cfg), initial_from_config(cfg), times_from_config(cfg),
+                     states=1 + cfg.dims.a + cfg.dims.b)  # its own, then both signals'
     return _csv({
         "t": traj.times,
         "signal_b_to_a": signaling_test(traj, "b_to_a", cfg.n_samples, cfg.seed),

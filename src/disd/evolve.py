@@ -19,7 +19,6 @@ skipped, counted, and surfaced, never regularized.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,17 +51,13 @@ _CHEB_CHUNK = 32  # terms a recurrence buffers before one GEMM adds them to ever
 # x86): the series of _chebyshev_coefficients need their arguments past double precision
 _CHEB_QUARTER = np.cos(2 * np.arccos(np.longdouble(-1)) / _CHEB_POINTS
                        * np.arange(_CHEB_POINTS // 4 + 1))
-# Each route is priced in flops at the rate of the Chebyshev GEMMs. The spectral route (the
-# assembly of H, its complex eigh and the evolution) costs EIGH_FLOPS_PER_N3 * n^3. A Chebyshev
-# term costs its two block GEMMs, 8 n (d_A d_C + d_C d_B) flops, plus CHEB_TERM_FLOPS, the fixed
-# cost of its Python and BLAS calls. Fitted on 200 steps to t = 20 at c1 = 50, dims 8x4x{4..32},
-# on one OpenBLAS 0.3.31 thread of a 2-vCPU Xeon VM: past a fixed 14-20 us, the terms ran at
-# about 30 Gflop/s, and the spectral route took 1.3-1.5 ns * n^3 from n = 256 up. That grid
-# takes about 1370 terms at any n, and the routes tie at n = 256 (21-32 ms each, so this
-# count gives it to eigh): the spectral route is 1.7x faster at n = 192, Chebyshev 1.4x
-# faster at 320, 2.7x at 384, 5-6x at 512 and 18x at 1024.
-EIGH_FLOPS_PER_N3 = 42.0
-CHEB_TERM_FLOPS = 5e5
+# The count of ``_route`` in flops at the rate of the Chebyshev GEMMs, fitted on 200 steps to
+# t = 20 at c1 = 50, dims 8x4x{6..32}, 1 to 41 states, one OpenBLAS 0.3.31 thread of a 2-vCPU
+# Xeon VM: past 13 us a term the Chebyshev GEMMs ran at 26 Gflop/s, the spectral evolve (one
+# large GEMM) at 38, and eigh took 1.0-1.4 ns * n^3 from n = 256 up. CHANGES.md has the ladder.
+EIGH_FLOPS_PER_N3 = 33.0
+EVOLVE_FLOPS_PER_N2 = 5.5
+CHEB_TERM_FLOPS = 3.5e5
 
 
 class Propagator:
@@ -154,8 +149,7 @@ class Chebyshev:
     predecessor is reached in equal sub-steps, so no recurrence sums more
     than about 210 terms. The terms are added to the rows _CHEB_CHUNK at a
     time by one GEMM. On 200 steps to t = 20 at c1 = 50 that is 1373 terms
-    in 7 recurrences at total dim 1024, and the route beats ``eigh`` above
-    total dim 256 (see EIGH_FLOPS_PER_N3).
+    in 7 recurrences at total dim 1024 (``_route`` prices it against ``eigh``).
     """
 
     def __init__(self, spec: ModelSpec):
@@ -274,46 +268,46 @@ def _check_phases(max_abs_energy: float, times, what: str) -> None:
         raise ValidationError(f"{what}: eps*max|E|*max|t| = {err:.3e} > {PHASE_ERROR_TOL:.1e}")
 
 
-def _route(spec: ModelSpec, times: np.ndarray) -> Propagator | Chebyshev:
-    """The cheaper way to propagate ``spec`` over ``times``, by a fitted operation count.
+def _block_grids(times: np.ndarray, k: int) -> list[tuple[slice, np.ndarray]]:
+    """(rows, grid) of each block in which :meth:`Trajectory.evolve` takes k states over ``times``.
 
-    Each Chebyshev term, one application of 2X, costs 8 n (d_A d_C + d_C d_B)
-    real flops (two complex block GEMMs) plus CHEB_TERM_FLOPS; the spectral
-    route costs about EIGH_FLOPS_PER_N3 * n^3. A series at z is cut past the
-    first integer k > |z|, where |a_k| is still far above CHEB_TOL (unless
-    |z| < 1e-14), so a recurrence that reaches z applies 2X at least |z|
-    times, and the recurrences from t = 0 to the grid time farthest from it
-    at least half * max|t| times. That bound can rule the Chebyshev route out
-    before its plan is worked out. The Chebyshev route also needs its
-    spectral bounds to pass the phase guard: where they do not, the tighter
-    eigenvalues of the spectral route may still pass it.
+    max(1, T // k) rows a block, so no block outgrows the T states of one; a
+    grid is its times less that of the row before, its start (t = 0 at first).
+    """
+    rows = max(1, len(times) // k)
+    return [(slice(i, i + rows), times[i:i + rows] - (times[i - 1] if i else 0.0))
+            for i in range(0, len(times), rows)]
+
+
+def _route(spec: ModelSpec, times: np.ndarray, states: int = 1) -> Propagator | Chebyshev:
+    """The cheaper way to evolve ``states`` states of ``spec`` over ``times``, by a fitted count.
+
+    It prices a stack of ``states`` states over the grids of ``_block_grids``.
+    The spectral route costs EIGH_FLOPS_PER_N3 * n^3 (assembly and ``eigh``)
+    plus EVOLVE_FLOPS_PER_N2 * n^2 per state and time. A Chebyshev term, one
+    2X, costs two complex block GEMMs, 8 n (d_A d_C + d_C d_B) real flops, per
+    state plus CHEB_TERM_FLOPS, and 8 n per state in each row's sum. A series
+    at z is cut past the first k > |z| (unless |z| < 1e-14), so half * max|t|
+    terms bound the plan from below and can rule it out unplanned. So can the
+    phase guard on its spectral bounds, looser than the eigenvalues of ``eigh``.
     """
     d_a, d_c, d_b = spec.dims.factors
     n = spec.dims.total
-    per_term = 8 * n * (d_a * d_c + d_c * d_b) + CHEB_TERM_FLOPS
-    eigh_cost = EIGH_FLOPS_PER_N3 * n ** 3
+    per_term = states * 8 * n * (d_a * d_c + d_c * d_b) + CHEB_TERM_FLOPS
+    spectral = (EIGH_FLOPS_PER_N3 * n + EVOLVE_FLOPS_PER_N2 * len(times) * states) * n ** 2
     cheb = Chebyshev(spec)
-    if (per_term * cheb._half * np.abs(times).max() < eigh_cost
+    if (per_term * cheb._half * np.abs(times).max() < spectral
             and _phase_error(cheb.max_abs_energy, times) <= PHASE_ERROR_TOL
-            and per_term * cheb.terms(times) < eigh_cost):
+            and sum(steps * ((c.shape[1] - 1) * per_term + 8 * n * states * c.size)
+                    for _, grid in _block_grids(times, states)
+                    for steps, _, c in cheb._plans(grid)) < spectral):
         return cheb
     return Propagator(assemble_hamiltonian(spec))
 
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """The product state of ``init`` under one model, at strictly increasing times.
-
-    ``route`` is the ``Propagator`` or ``Chebyshev`` that made the states. The
-    ``eigensystem`` is that route when it is spectral, else a ``Propagator``
-    built on first use, so other states evolve under the same model with at
-    most one diagonalization. Signaling evolves its source stacks through it
-    even after a Chebyshev trajectory, as that is faster: on 200 steps to
-    t = 20 at c1 = 50 (seed 7, 64 samples, both directions, one OpenBLAS
-    thread) both signals took 0.34, 0.82 and 3.65 s with the ``eigh`` at
-    dims 8x4x10, 8x4x16 and 8x4x32, and 16-44% more by Chebyshev chunks,
-    each chained from the last row of the one before (signals within 2e-14).
-    """
+    """The product state of ``init`` under one model at strictly increasing times, by ``route``."""
 
     times: np.ndarray
     states: np.ndarray  # shape (n_times, total_dim)
@@ -321,11 +315,16 @@ class Trajectory:
     init: InitialSpec
     route: Propagator | Chebyshev
 
-    @functools.cached_property
-    def eigensystem(self) -> Propagator:
-        if isinstance(self.route, Propagator):
-            return self.route
-        return Propagator(assemble_hamiltonian(self.model))
+    def evolve(self, psi: np.ndarray):
+        """psi, (k, n), over the trajectory's times on its route: yields (rows, states) blocks.
+
+        ``rows`` slices the times. The blocks are those ``_route`` prices, each from the
+        last row of the one before, so a Chebyshev recurrence never re-runs from t = 0.
+        """
+        for rows, grid in _block_grids(self.times, len(psi)):
+            block = self.route.evolve_many(psi, grid)
+            yield rows, block
+            psi = block[-1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -364,12 +363,13 @@ def row_norms(states: np.ndarray) -> np.ndarray:
     return np.sqrt(np.einsum("ki,ki->k", parts, parts))
 
 
-def propagate(spec: ModelSpec, init: InitialSpec, times) -> Trajectory:
+def propagate(spec: ModelSpec, init: InitialSpec, times, states: int = 1) -> Trajectory:
     """Exact evolution of the product state of ``init``: the one route from a model to states.
 
     C starts in the model's robust state. The states come from matrix-free
-    ``Chebyshev`` steps when these cost fewer operations than one ``eigh`` of
-    H, else from the spectral ``Propagator`` (see ``_route``). The phases
+    ``Chebyshev`` steps or from the spectral ``Propagator``, whichever costs
+    fewer operations for ``states`` states in all: this one and those the job
+    will take through :meth:`Trajectory.evolve` (see ``_route``). The phases
     e^{-iEt} carry an absolute error of about eps * max|E| * t, with max|E|
     from the eigenvalues or from the Chebyshev spectral bounds. A grid with
     eps * max|E| * max|t| above 1e-8 would leave fewer than eight correct
@@ -382,7 +382,7 @@ def propagate(spec: ModelSpec, init: InitialSpec, times) -> Trajectory:
     if times.size > 1 and not np.all(np.diff(times) > 0):
         raise ValueError("times must be strictly increasing")
     psi0 = initial_state(init, spec.dims, spec.robust_index)
-    prop = _route(spec, times)
+    prop = _route(spec, times, states)
     _check_phases(prop.max_abs_energy, times, "phases lose their precision")
     states = prop.evolve_many(psi0, times)
     drift = float(np.abs(row_norms(states) - 1.0).max())
@@ -430,9 +430,9 @@ def perturbation_data(spec: ModelSpec) -> PerturbationData:
     b_shape_vals, b_vecs = eigh_ordered(b0_shape, secondary=spec.h_b)
     b_vals = spec.c1 * b_shape_vals
 
-    # Eigensystem (c1 perp_vals, |phi_m>) of c1 * h_cb on the sector orthogonal to the robust
-    # C state. Together with the robust-sector pairs (b_vals, |r>|j>) this is the full
-    # eigensystem, because validated robustness makes the two blocks exact.
+    # Eigenpairs (c1 perp_vals, |phi_m>) of c1 * h_cb on the sector orthogonal to the robust
+    # C state. Together with the robust-sector pairs (b_vals, |r>|j>) these are all of its
+    # eigenpairs, because validated robustness makes the two blocks exact.
     h_perp = spec.h_cb.reshape(d_c, d_b, d_c, d_b)[np.ix_(others, range(d_b), others, range(d_b))]
     perp_vals, phi = np.linalg.eigh(h_perp.reshape((d_c - 1) * d_b, -1))
 

@@ -88,14 +88,12 @@ def signaling_test(traj: Trajectory, direction: str, n_samples: int = 64,
     between the target's reduced states and the trajectory's own is
     recorded; the per-time maximum over samples is returned. Sample k's
     unitary depends only on (seed, direction, k), so enlarging n_samples
-    refines the same family. Only the d_source source basis states evolve,
-    T // d_source times (at least one) at a time, through the eigensystem.
+    refines the same family. Only the d_source source basis states evolve, as
+    one stack on the trajectory's own route (``Trajectory.evolve``).
     """
     model = traj.model
     amplitudes, basis, keep = _source_stack(traj.init, model.dims, model.robust_index, direction)
-    rows = max(1, len(traj.times) // len(basis))
-    chunks = ((traj.eigensystem.evolve_many(basis, traj.times[i:i + rows]), traj.states[i:i + rows])
-              for i in range(0, len(traj.times), rows))
+    chunks = ((phi, traj.states[rows]) for rows, phi in traj.evolve(basis))
     return _signaling_curves(chunks, amplitudes, keep, model.dims, direction, n_samples, seed)
 
 

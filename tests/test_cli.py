@@ -221,6 +221,21 @@ class TestLocality:
         for a, b in zip(outs[1]["signal_b_to_a"], outs[8]["signal_b_to_a"]):
             assert b >= a - 1e-15
 
+    def test_route_is_priced_for_every_state_of_the_job(self, tmp_path, monkeypatch):
+        # the trajectory's state, then the d_B = 3 and d_A = 2 source states of the two signals
+        priced = []
+        route = disd.evolve._route
+
+        def spy(spec, times, states):
+            priced.append(states)
+            return route(spec, times, states)
+
+        monkeypatch.setattr(disd.evolve, "_route", spy)
+        for command, states in (("simulate", 1), ("locality", 1 + 2 + 3)):
+            cfg = write_config(tmp_path, base_config())
+            assert main([command, "--config", cfg, "--out", str(tmp_path / "out.csv")]) == 0
+            assert priced.pop() == states
+
     def test_one_eigensystem_per_run(self, tmp_path, propagator_builds):
         cfg = write_config(tmp_path, base_config())
         assert main(["locality", "--config", cfg, "--out", str(tmp_path / "loc.csv")]) == 0

@@ -547,28 +547,56 @@ class TestTracerNames:
                         f"{layer}.{cls_name}.{method}"
 
 
-class TestRoute:
-    @pytest.mark.parametrize("factors, route", [((8, 4, 6), Propagator), ((8, 4, 16), Chebyshev)],
-                             ids=["8x4x6", "8x4x16"])
-    def test_benchmark_grid_takes_the_faster_route(self, factors, route):
-        # measured at one BLAS thread: 8x4x6 is 2x faster by eigh, 8x4x16 5x by Chebyshev
-        spec, _ = uniform_case(factors)
-        assert isinstance(evolve._route(spec, np.linspace(0, 20, 200)), route)
+def locality_states(factors):
+    """The states a locality job evolves: the trajectory's, then d_B and d_A source states."""
+    return 1 + factors[0] + factors[2]
 
-    def test_large_model_builds_no_eigensystem_until_asked(self, propagator_builds, monkeypatch):
+
+class TestRoute:
+    @pytest.mark.parametrize("factors, states, steps, route", [
+        ((8, 4, 6), 1, 200, Propagator), ((8, 4, 9), 1, 200, Chebyshev),
+        ((8, 4, 16), 1, 200, Chebyshev), ((8, 4, 8), 1, 2000, Propagator),
+        *(((8, 4, b), locality_states((8, 4, b)), 200, Propagator) for b in (10, 16, 32))],
+        ids=["8x4x6", "8x4x9", "8x4x16", "8x4x8-2000-steps", "8x4x10-locality", "8x4x16-locality",
+             "8x4x32-locality"])
+    def test_benchmark_grid_takes_the_faster_route(self, factors, states, steps, route):
+        # measured at one BLAS thread (CHANGES.md has the ladder): one state is 2x faster by eigh
+        # at 8x4x6, 1.3x by Chebyshev at 8x4x9 and 6x at 8x4x16; at 2000 steps eigh is 1.36x
+        # faster at 8x4x8, as each Chebyshev row sums about 190 terms; a locality job is
+        # 1.3-1.5x faster by eigh at 8x4x{10, 16, 32}
+        spec, _ = uniform_case(factors)
+        assert isinstance(evolve._route(spec, np.linspace(0, 20, steps), states), route)
+
+    def test_the_count_prices_the_blocks_that_evolve_runs(self, spec233, init233, monkeypatch):
+        monkeypatch.setattr(evolve, "EIGH_FLOPS_PER_N3", np.inf)  # every grid prefers Chebyshev
+        grids = []
+        plans = Chebyshev._plans
+
+        def recorded(self, times):
+            grids.append(times)
+            return plans(self, times)
+
+        monkeypatch.setattr(Chebyshev, "_plans", recorded)
+        traj = propagate(spec233, init233, np.linspace(0, 5, 40), states=3)
+        priced = grids[:-1]  # the last plan is the trajectory's own
+        grids.clear()
+        list(traj.evolve(random_stack(spec233.dims.total)))
+        assert len(priced) == len(grids) == 4  # 40 times in blocks of 13
+        for got, want in zip(grids, priced):
+            assert np.array_equal(got, want)
+
+    def test_signaling_builds_no_propagator_on_a_chebyshev_trajectory(self, propagator_builds):
         spec, init = uniform_case((16, 2, 16))
         times = np.linspace(0, 20, 200)
         traj = propagate(spec, init, times)
-        assert propagator_builds == []
         assert isinstance(traj.route, Chebyshev)
         got = [signaling_test(traj, d, n_samples=2, seed=1) for d in ("b_to_a", "a_to_b")]
-        assert len(propagator_builds) == 1
+        assert propagator_builds == []
 
-        monkeypatch.setattr(evolve, "EIGH_FLOPS_PER_N3", 0.0)  # every grid prefers eigh
-        spectral = propagate(spec, init, times)
-        assert len(propagator_builds) == 2
-        assert isinstance(spectral.route, Propagator) and spectral.eigensystem is spectral.route
+        # priced for the whole locality job, the same model takes the spectral route
+        spectral = propagate(spec, init, times, states=locality_states(spec.dims.factors))
+        assert isinstance(spectral.route, Propagator) and len(propagator_builds) == 1
         assert_allclose(traj.states, spectral.states, rtol=0, atol=1e-12)
         want = [signaling_test(spectral, d, n_samples=2, seed=1) for d in ("b_to_a", "a_to_b")]
-        assert len(propagator_builds) == 2
+        assert len(propagator_builds) == 1
         assert_allclose(got, want, rtol=0, atol=1e-12)

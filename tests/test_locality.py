@@ -182,33 +182,54 @@ class TestOneEigensystem:
             signaling_test(traj, direction, n_samples=3, seed=1)
         assert propagator_builds == [(spec233.dims.total, spec233.dims.total)]
 
-    def test_evolve_reuses_the_trajectory_eigensystem(self, spec233, init233):
-        traj = propagate(spec233, init233, np.linspace(0, 5, 12))
-        assert traj.eigensystem is traj.route
-        assert np.array_equal(traj.eigensystem.evolve_many(traj.states[0], traj.times),
-                              traj.states)
+    def test_signaling_evolves_on_the_trajectory_route(self, spec233, init233, propagator_builds,
+                                                       monkeypatch):
+        times = np.linspace(0, 5, 12)
+        spectral = propagate(spec233, init233, times)
+        want = [signaling_test(spectral, d, n_samples=3, seed=1) for d in ("b_to_a", "a_to_b")]
+        monkeypatch.setattr(evolve_module, "EIGH_FLOPS_PER_N3", np.inf)
+        traj = propagate(spec233, init233, times)
+        assert isinstance(traj.route, Chebyshev)
+        # blocks of T // 2 rows, each from the last row of the one before, rebuild the trajectory
+        rows, blocks = zip(*traj.evolve(np.stack([traj.states[0]] * 2)))
+        assert rows == (slice(0, 6), slice(6, 12))
+        assert_allclose(np.concatenate(blocks)[:, 1], traj.states, rtol=0, atol=1e-13)
+        got = [signaling_test(traj, d, n_samples=3, seed=1) for d in ("b_to_a", "a_to_b")]
+        assert len(propagator_builds) == 1  # the spectral trajectory's own
+        assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+def evolved_sizes(monkeypatch, route):
+    """A list that gains the size of each array ``route.evolve_many`` returns during the test."""
+    sizes = []
+    evolve_many = route.evolve_many
+
+    def counted(self, psi, times):
+        out = evolve_many(self, psi, times)
+        sizes.append(out.size)
+        return out
+
+    monkeypatch.setattr(route, "evolve_many", counted)
+    return sizes
 
 
 class TestSignalingByLinearity:
     def test_evolved_blocks_never_outgrow_the_trajectory(self, spec233, init233, monkeypatch):
-        # the d_source basis states evolve once at each time, in blocks of T // d_source times
+        # the d_source basis states evolve once at each time, by one evolve_many call for each
+        # block of T // d_source times, on the spectral route and on the Chebyshev route
         times = np.linspace(0, 5, 40)
-        traj = propagate(spec233, init233, times)
-        sizes = []
-        evolve_many = Propagator.evolve_many
-
-        def counted(self, psi, times):
-            out = evolve_many(self, psi, times)
-            sizes.append(out.size)
-            return out
-
-        monkeypatch.setattr(Propagator, "evolve_many", counted)
-        for direction in ("b_to_a", "a_to_b"):
-            signaling_test(traj, direction, n_samples=64, seed=1)
         n = spec233.dims.total
-        assert len(sizes) == 4 + 2  # 40 times in blocks of 13 (B to A, d_B = 3) and 20 (d_A = 2)
-        assert max(sizes) <= len(times) * n
-        assert sum(sizes) == len(times) * (spec233.dims.b + spec233.dims.a) * n
+        for eigh_cost, route in ((evolve_module.EIGH_FLOPS_PER_N3, Propagator),
+                                 (np.inf, Chebyshev)):
+            monkeypatch.setattr(evolve_module, "EIGH_FLOPS_PER_N3", eigh_cost)
+            traj = propagate(spec233, init233, times)
+            assert isinstance(traj.route, route)
+            sizes = evolved_sizes(monkeypatch, route)
+            for direction in ("b_to_a", "a_to_b"):
+                signaling_test(traj, direction, n_samples=64, seed=1)
+            assert len(sizes) == 4 + 2  # 40 times in blocks of 13 (B to A, d_B = 3) and 20 (d_A = 2)
+            assert max(sizes) <= len(times) * n
+            assert sum(sizes) == len(times) * (spec233.dims.b + spec233.dims.a) * n
 
 
 # (dims, c2): d_A*d_B > d_C in all but 2x5x2; c2 = 0 keeps A and B uncorrelated
@@ -253,8 +274,8 @@ class TestBatchedAgainstOracles:
     @pytest.mark.parametrize("factors, c2", ORACLE_CASES, ids=ORACLE_IDS)
     def test_signaling_on_the_chebyshev_route_matches_per_row_loop(self, factors, c2,
                                                                     direction, monkeypatch):
-        # the trajectory and the oracle's states come from Chebyshev steps, while
-        # signaling_test evolves the source basis through the eigensystem it builds
+        # the oracle evolves every state over the whole grid by Chebyshev steps, while
+        # signaling_test takes the source basis in blocks, each from the one before
         monkeypatch.setattr(evolve_module, "EIGH_FLOPS_PER_N3", np.inf)
         spec, init, times = oracle_case(factors, c2)
         traj = propagate(spec, init, times)
