@@ -18,8 +18,8 @@ import numpy as np
 
 from .evolve import Trajectory
 from .model import InitialSpec, initial_state, place_robust
-from .qcore import (Dims, ValidationError, derive_seed, haar_unitary, rdm_from_state,
-                    trace_distance, vn_entropy)
+from .qcore import (Dims, ValidationError, derive_seed, haar_unitary, max_trace_distance,
+                    rdm_from_state, vn_entropy)
 
 __all__ = [
     "mi_and_entropies",
@@ -60,22 +60,25 @@ def _source_stack(init: InitialSpec, dims: Dims, robust_index: int, direction: s
 
 
 def _signaling_curves(chunks, amplitudes: np.ndarray, keep: tuple[int], dims: Dims,
-                      direction: str, n_samples: int, seed: int) -> np.ndarray:
+                      direction: str, n_samples: int, seed: int, budget: int) -> np.ndarray:
     """Per-row max target disturbance of the sample states (G_k @ amplitudes) @ phi."""
     # chunks yields (phi, ref) for consecutive rows: the evolved source basis, shape
-    # (rows, d_source, n), and the unmodified states, shape (rows, n)
+    # (rows, d_source, n), and the unmodified states, shape (rows, n); no stack of
+    # sample states holds more than budget states: step rows x per samples at a time
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     weights = np.stack([haar_unitary(len(amplitudes), derive_seed(seed, "signaling", direction, k))
                         @ amplitudes for k in range(n_samples)])
+    per = min(n_samples, budget)
+    step = budget // per
     out = []
     for phi, ref in chunks:
         ref_rdms = rdm_from_state(ref, dims.factors, keep)[:, None]
-        step = max(1, phi.shape[0] * phi.shape[1] // n_samples)  # sample states no larger than phi
         for i in range(0, len(phi), step):
-            rdms = rdm_from_state(weights @ phi[i:i + step], dims.factors, keep)
-            out.append(trace_distance(rdms, np.broadcast_to(ref_rdms[i:i + step], rdms.shape)))
-    return np.concatenate(out).max(axis=1)
+            rdms = (rdm_from_state(weights[j:j + per] @ phi[i:i + step], dims.factors, keep)
+                    for j in range(0, n_samples, per))
+            out.append(np.max([max_trace_distance(r, ref_rdms[i:i + step]) for r in rdms], axis=0))
+    return np.concatenate(out)
 
 
 def signaling_test(traj: Trajectory, direction: str, n_samples: int = 64,
@@ -89,12 +92,19 @@ def signaling_test(traj: Trajectory, direction: str, n_samples: int = 64,
     recorded; the per-time maximum over samples is returned. Sample k's
     unitary depends only on (seed, direction, k), so enlarging n_samples
     refines the same family. Only the d_source source basis states evolve, as
-    one stack on the trajectory's own route (``Trajectory.evolve``).
+    one stack on the trajectory's own route (``Trajectory.evolve``); the
+    samples are formed from them a few times and a few samples at a time, so
+    that no stack holds more numbers than the trajectory, whatever
+    ``n_samples`` is. The maximum over samples is
+    ``qcore.max_trace_distance``, which runs ``eigvalsh`` only on the samples
+    that a Frobenius-norm bracket of the trace norm leaves in the running; it
+    equals the maximum of every sample's trace distance bit for bit.
     """
     model = traj.model
     amplitudes, basis, keep = _source_stack(traj.init, model.dims, model.robust_index, direction)
     chunks = ((phi, traj.states[rows]) for rows, phi in traj.evolve(basis))
-    return _signaling_curves(chunks, amplitudes, keep, model.dims, direction, n_samples, seed)
+    return _signaling_curves(chunks, amplitudes, keep, model.dims, direction, n_samples, seed,
+                             budget=len(traj.times))
 
 
 def signaling_test_unitary(u: np.ndarray, init: InitialSpec, dims: Dims, robust_index: int,
@@ -104,7 +114,8 @@ def signaling_test_unitary(u: np.ndarray, init: InitialSpec, dims: Dims, robust_
     amplitudes, basis, keep = _source_stack(init, dims, robust_index, direction)
     u = np.asarray(u, dtype=complex)
     chunk = ((basis @ u.T)[None], (u @ psi0)[None])
-    return float(_signaling_curves([chunk], amplitudes, keep, dims, direction, n_samples, seed)[0])
+    return float(_signaling_curves([chunk], amplitudes, keep, dims, direction, n_samples, seed,
+                                   budget=dims.total)[0])  # no stack larger than u
 
 
 def tau_estimate(times, mi_ab_bits, threshold_bits: float) -> float | None:

@@ -5,6 +5,7 @@ from numpy.testing import assert_allclose
 import disd
 from disd.decompose import planted_sequential
 from disd import evolve as evolve_module
+from disd import locality as locality_module
 from disd.evolve import Chebyshev, Propagator, perturbation_data, propagate, residuals_along
 from disd.locality import (
     _source_stack,
@@ -14,7 +15,8 @@ from disd.locality import (
     tau_estimate,
 )
 from disd.model import InitialSpec, assemble_hamiltonian, build_canonical, initial_state
-from disd.qcore import Dims, haar_unitary, rdm_from_state, vn_entropy
+from disd.qcore import (Dims, derive_seed, haar_unitary, rdm_from_state, trace_distance,
+                        vn_entropy)
 from oracles import mi_per_row, signaling_per_row
 
 
@@ -230,6 +232,46 @@ class TestSignalingByLinearity:
             assert len(sizes) == 4 + 2  # 40 times in blocks of 13 (B to A, d_B = 3) and 20 (d_A = 2)
             assert max(sizes) <= len(times) * n
             assert sum(sizes) == len(times) * (spec233.dims.b + spec233.dims.a) * n
+
+    @pytest.mark.parametrize("eigh_cost, route", [(evolve_module.EIGH_FLOPS_PER_N3, Propagator),
+                                                  (np.inf, Chebyshev)])
+    def test_sample_stacks_never_outgrow_the_trajectory(self, spec233, init233, monkeypatch,
+                                                         eigh_cost, route):
+        # 1000 samples against 5 times: the samples must go in slices of at most 5
+        times = np.linspace(0, 5, 5)
+        monkeypatch.setattr(evolve_module, "EIGH_FLOPS_PER_N3", eigh_cost)
+        traj = propagate(spec233, init233, times)
+        assert isinstance(traj.route, route)
+        sizes = []
+
+        def counted(psi, dims, keep):
+            sizes.append(np.size(psi))
+            return rdm_from_state(psi, dims, keep)
+
+        monkeypatch.setattr(locality_module, "rdm_from_state", counted)
+        for direction in ("b_to_a", "a_to_b"):
+            signaling_test(traj, direction, n_samples=1000, seed=1)
+        assert max(sizes) <= len(times) * spec233.dims.total
+
+    @pytest.mark.parametrize("eigh_cost", [evolve_module.EIGH_FLOPS_PER_N3, np.inf])
+    @pytest.mark.parametrize("direction", ["b_to_a", "a_to_b"])
+    def test_sliced_samples_give_the_unsliced_signal(self, spec233, init233, monkeypatch,
+                                                     eigh_cost, direction):
+        # 64 samples against 5 times: slices of the samples, combined by their maximum,
+        # give to the bit what one stack of all 64 samples for each block gives
+        monkeypatch.setattr(evolve_module, "EIGH_FLOPS_PER_N3", eigh_cost)
+        traj = propagate(spec233, init233, np.linspace(0, 5, 5))
+        dims = spec233.dims
+        amplitudes, basis, keep = _source_stack(init233, dims, spec233.robust_index, direction)
+        weights = np.stack([haar_unitary(len(amplitudes), derive_seed(1, "signaling", direction, k))
+                            @ amplitudes for k in range(64)])
+        want = []
+        for rows, phi in traj.evolve(basis):
+            rdms = rdm_from_state(weights @ phi, dims.factors, keep)
+            ref = rdm_from_state(traj.states[rows], dims.factors, keep)[:, None]
+            want.append(trace_distance(rdms, np.broadcast_to(ref, rdms.shape)).max(axis=1))
+        got = signaling_test(traj, direction, n_samples=64, seed=1)
+        assert np.array_equal(got, np.concatenate(want))
 
 
 # (dims, c2): d_A*d_B > d_C in all but 2x5x2; c2 = 0 keeps A and B uncorrelated

@@ -8,6 +8,7 @@ from disd.qcore import (
     derive_seed,
     eigh_ordered,
     haar_unitary,
+    max_trace_distance,
     random_hermitian,
     rdm_from_state,
     trace_distance,
@@ -203,6 +204,81 @@ class TestTraceDistance:
     def test_rejects_mismatch(self):
         with pytest.raises(ValueError):
             trace_distance(np.eye(2), np.eye(3))
+
+
+def density_stack(shape, dim, seed):
+    return np.array([random_density(dim, seed + i)
+                     for i in range(int(np.prod(shape)))]).reshape(shape + (dim, dim))
+
+
+class TestMaxTraceDistance:
+    """The bracketed maximum equals the maximum over every pair's trace distance, bit for bit."""
+
+    @staticmethod
+    def check(rho, sigma):
+        want = trace_distance(rho, np.broadcast_to(sigma, rho.shape)).max(axis=-1)
+        got = max_trace_distance(rho, sigma)
+        assert np.array_equal(got, want)
+        return got
+
+    @pytest.mark.parametrize("dim", [2, 3, 4, 8])
+    def test_random_density_stacks(self, dim):
+        self.check(density_stack((5, 16), dim, 0), density_stack((5, 16), dim, 500))
+
+    def test_broadcast_sigma(self):
+        self.check(density_stack((6, 20), 4, 0), density_stack((6, 1), 4, 500))
+        self.check(density_stack((3, 20), 3, 0), random_density(3, 9))
+
+    def test_rows_where_every_difference_is_zero(self):
+        # at t = 0 every sample state equals the reference
+        rho = density_stack((3, 8), 4, 0)
+        rho[1] = rho[1, 0]
+        got = self.check(rho, rho[:, :1])
+        assert got[1] == 0.0 and got[0] > 0.0
+
+    def test_exact_ties(self):
+        rho = density_stack((2, 1), 3, 0).repeat(6, axis=1)
+        self.check(rho, density_stack((2, 1), 3, 7))
+
+    def test_ties_up_to_roundoff(self):
+        # rotated orthogonal pure states lie at trace distance 1 in exact arithmetic; their
+        # computed Frobenius norms and trace distances differ in the last bits, in either order
+        u = np.stack([haar_unitary(2, k) for k in range(400)]).reshape(200, 2, 2, 2)
+        rho, sigma = (u[..., :, j, None] * u[..., None, :, j].conj() for j in (0, 1))
+        assert_allclose(self.check(rho, sigma), 1.0, rtol=0, atol=1e-14)
+
+    def test_trace_term_decides(self):
+        # D = diag(1, 0, 0, 0) beside D = 0.3 I: the second is the maximum (0.6 against 0.5),
+        # and only the tau^2 term keeps its bracket above the first's lower bound
+        rho = np.stack([np.diag([1.0, 0, 0, 0]), 0.3 * np.eye(4)]).astype(complex)
+        assert self.check(rho, np.zeros((4, 4))) == pytest.approx(0.6, abs=1e-15)
+
+    def test_nan_prunes_nothing(self):
+        # a nan bound compares false both ways, so its row goes to eigvalsh whole
+        rho = density_stack((2, 3), 2, 0)
+        rho[0, 1, 1, 1] = np.nan
+        self.check(rho, density_stack((2, 1), 2, 50))
+
+    def test_qubit_stacks_diagonalize_one_pair_per_row(self, monkeypatch):
+        # for a traceless 2x2 difference both bounds equal 2F^2, so only the largest F survives
+        rho, sigma = density_stack((7, 64), 2, 0), density_stack((7, 1), 2, 1000)
+        want = trace_distance(rho, np.broadcast_to(sigma, rho.shape)).max(axis=-1)
+        sizes = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counted(a):
+            sizes.append(a.shape[0])
+            return eigvalsh(a)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        assert np.array_equal(max_trace_distance(rho, sigma), want)
+        assert sizes == [7]
+
+    def test_one_stack_gives_a_float(self):
+        rho, sigma = density_stack((5,), 3, 0), density_stack((5,), 3, 50)
+        assert isinstance(max_trace_distance(rho, sigma), float)
+        with pytest.raises(ValueError):
+            max_trace_distance(np.eye(2), np.eye(2))
 
 
 class TestStackedInputs:
