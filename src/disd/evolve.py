@@ -165,6 +165,7 @@ class Chebyshev:
         scale = 2 / self._half if self._half > 0 else 0.0
         self._ac = (on_ac - (ac[0] + ac[-1]) / 2 * np.eye(len(ac))) * scale
         self._cb_t = ((on_cb - (cb[0] + cb[-1]) / 2 * np.eye(len(cb))) * scale).T.copy()
+        self._last_plans = (None, None)  # (grid bytes, plans) of the last grid planned
 
     def _x2(self, v: np.ndarray, out: np.ndarray) -> np.ndarray:
         """2X @ v for v of shape (n,) or (k, n), into ``out``: one GEMM per block.
@@ -185,7 +186,13 @@ class Chebyshev:
         coefficients[j], the series of e^{-i half delta X} times e^{-i center
         delta}, padded with zeros to the block's longest. A row out of that
         reach is served alone, in ``sub-steps`` equal steps of coefficients[0].
+        The plans of the last grid asked for are kept: ``_route`` prices a grid
+        that ``evolve_many`` then runs, and its series are worked out once.
         """
+        times = np.asarray(times, dtype=float)
+        grid, (last, plans) = times.tobytes(), self._last_plans  # one read of the pair
+        if last == grid:
+            return plans
         spans, deltas = [], []
         anchor, row = 0.0, 0
         while row < len(times):
@@ -202,8 +209,10 @@ class Chebyshev:
         deltas = np.array(deltas)
         series, lengths = _chebyshev_coefficients(self._half * deltas)
         phases = np.exp(-1j * self._center * deltas)
-        return [(steps, rows, phases[block, None] * series[block, :lengths[block].max()])
-                for steps, rows, block in spans]
+        plans = [(steps, rows, phases[block, None] * series[block, :lengths[block].max()])
+                 for steps, rows, block in spans]
+        self._last_plans = (grid, plans)
+        return plans
 
     def terms(self, times: np.ndarray) -> int:
         """The terms past T_0 = v that :meth:`evolve_many` sums on ``times``: its uses of 2X."""

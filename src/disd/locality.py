@@ -10,6 +10,15 @@ information, linearly interpolated.
 The global state is pure, so S(AB) = S(C) and the mutual information is
 I(A:B) = S(A) + S(B) - S(C): no d_A*d_B reduced state is formed, and every
 term is computed for all sample times in one stacked call.
+
+Signaling uses linearity twice. A unitary G on the source side maps the
+initial state to sum_j w_j phi_j, w = G @ amplitudes, over the d_s source
+basis states phi_j, so only those evolve. The target's reduced state is then
+quadratic in w: sum_jk w_j conj(w_k) Tr_rest |phi_j(t)><phi_k(t)|. So the
+d_s^2 cross reduced states of the evolved basis, formed once per time, give
+every sample's target state by one GEMM with the pair weights w_j conj(w_k);
+no sample state is ever formed. Per time that costs d_s^2 d_t n for the
+cross states and n_samples d_s^2 d_t^2 for the samples.
 """
 
 from __future__ import annotations
@@ -61,22 +70,38 @@ def _source_stack(init: InitialSpec, dims: Dims, robust_index: int, direction: s
 
 def _signaling_curves(chunks, amplitudes: np.ndarray, keep: tuple[int], dims: Dims,
                       direction: str, n_samples: int, seed: int, budget: int) -> np.ndarray:
-    """Per-row max target disturbance of the sample states (G_k @ amplitudes) @ phi."""
-    # chunks yields (phi, ref) for consecutive rows: the evolved source basis, shape
-    # (rows, d_source, n), and the unmodified states, shape (rows, n); no stack of
-    # sample states holds more than budget states: step rows x per samples at a time
+    """Per-row max target disturbance of the sample states (G_s @ amplitudes) @ phi.
+
+    Sample s's state is sum_j w_sj phi_j with w_s = G_s @ amplitudes, so its target
+    state is sum_jk w_sj conj(w_sk) Tr_rest |phi_j><phi_k|: one GEMM of the pair weights
+    w_sj conj(w_sk) with the d_s^2 cross reduced states, batched over a slice of rows.
+    ``chunks`` yields (phi, ref) for consecutive rows: the evolved source basis, shape
+    (rows, d_s, n), and the unmodified states, shape (rows, n). No stack of cross states,
+    rows x (d_s d_t)^2 numbers, and no stack of sample target states, rows x samples x
+    d_t^2, holds more than ``budget`` numbers, except one row's cross states, taken whole.
+    """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
-    weights = np.stack([haar_unitary(len(amplitudes), derive_seed(seed, "signaling", direction, k))
-                        @ amplitudes for k in range(n_samples)])
-    per = min(n_samples, budget)
-    step = budget // per
+    d_s, d_t = len(amplitudes), dims.factors[keep[0]]
+    seeds = [derive_seed(seed, "signaling", direction, k) for k in range(n_samples)]
+    weights = haar_unitary(d_s, seeds) @ amplitudes
+    pairs = (weights[:, :, None] * weights[:, None, :].conj()).reshape(n_samples, d_s ** 2)
+    per = max(1, min(n_samples, budget // d_t ** 2))
+    step = max(1, min(budget // (d_s * d_t) ** 2, budget // (per * d_t ** 2)))
+    # even slices: none is a lone sample (for per >= 3), whose product BLAS would round by
+    # another kernel, so the slicing leaves each sample's target state as it is, to the bit
+    slices = np.array_split(pairs, -(-n_samples // per))
     out = []
     for phi, ref in chunks:
         ref_rdms = rdm_from_state(ref, dims.factors, keep)[:, None]
         for i in range(0, len(phi), step):
-            rdms = (rdm_from_state(weights[j:j + per] @ phi[i:i + step], dims.factors, keep)
-                    for j in range(0, n_samples, per))
+            rows = phi[i:i + step]
+            m = len(rows)
+            cross = rdm_from_state(rows.reshape(m, -1), (d_s, *dims.factors),
+                                   (0, 1 + keep[0]))  # (m, (j, a), (k, b))
+            cross = cross.reshape(m, d_s, d_t, d_s, d_t).transpose(0, 1, 3, 2, 4)
+            cross = cross.reshape(m, d_s ** 2, d_t ** 2)
+            rdms = ((p @ cross).reshape(m, -1, d_t, d_t) for p in slices)
             out.append(np.max([max_trace_distance(r, ref_rdms[i:i + step]) for r in rdms], axis=0))
     return np.concatenate(out)
 
@@ -92,10 +117,15 @@ def signaling_test(traj: Trajectory, direction: str, n_samples: int = 64,
     recorded; the per-time maximum over samples is returned. Sample k's
     unitary depends only on (seed, direction, k), so enlarging n_samples
     refines the same family. Only the d_source source basis states evolve, as
-    one stack on the trajectory's own route (``Trajectory.evolve``); the
-    samples are formed from them a few times and a few samples at a time, so
-    that no stack holds more numbers than the trajectory, whatever
-    ``n_samples`` is. The maximum over samples is
+    one stack on the trajectory's own route (``Trajectory.evolve``). Every
+    sample's target state is the GEMM of its pair weights with the cross
+    reduced states of those basis states (see the module docstring). They go
+    a few times and a few samples at a time, so that neither a stack of cross
+    states (d_source^2 d_target^2 numbers a time) nor a stack of sample
+    target states (d_target^2 a sample and time) holds more numbers than the
+    trajectory, whatever ``n_samples`` is. The one exception: where a single
+    time's cross states outnumber the trajectory, they are formed one time at
+    a time. The maximum over samples is
     ``qcore.max_trace_distance``, which runs ``eigvalsh`` only on the samples
     that a Frobenius-norm bracket of the trace norm leaves in the running; it
     equals the maximum of every sample's trace distance bit for bit.
@@ -104,18 +134,24 @@ def signaling_test(traj: Trajectory, direction: str, n_samples: int = 64,
     amplitudes, basis, keep = _source_stack(traj.init, model.dims, model.robust_index, direction)
     chunks = ((phi, traj.states[rows]) for rows, phi in traj.evolve(basis))
     return _signaling_curves(chunks, amplitudes, keep, model.dims, direction, n_samples, seed,
-                             budget=len(traj.times))
+                             budget=traj.states.size)
 
 
 def signaling_test_unitary(u: np.ndarray, init: InitialSpec, dims: Dims, robust_index: int,
                            direction: str, n_samples: int = 64, seed: int = 0) -> float:
-    """Signaling probe when the dynamics is one global unitary ``u`` applied once."""
+    """Signaling probe when the dynamics is one global unitary ``u`` applied once.
+
+    The same probe as :func:`signaling_test` at the one time, with the evolved
+    state ``u @ psi0`` as its trajectory: no stack of sample target states
+    holds more numbers than that state, and the cross states, d_source^2
+    d_target^2 numbers, are formed whole even where they outnumber it.
+    """
     psi0 = initial_state(init, dims, robust_index)  # checks the amplitudes against dims
     amplitudes, basis, keep = _source_stack(init, dims, robust_index, direction)
     u = np.asarray(u, dtype=complex)
     chunk = ((basis @ u.T)[None], (u @ psi0)[None])
     return float(_signaling_curves([chunk], amplitudes, keep, dims, direction, n_samples, seed,
-                                   budget=dims.total)[0])  # no stack larger than u
+                                   budget=dims.total)[0])
 
 
 def tau_estimate(times, mi_ab_bits, threshold_bits: float) -> float | None:

@@ -275,20 +275,29 @@ def max_trace_distance(rho: np.ndarray, sigma: np.ndarray) -> float | np.ndarray
 # seeded random sampling
 # ---------------------------------------------------------------------------
 
-def haar_unitary(dim: int, seed: int) -> np.ndarray:
+def haar_unitary(dim: int, seed: int | Sequence[int]) -> np.ndarray:
     """Haar-distributed unitary, bitwise reproducible for a given seed.
 
     QR decomposition of a seeded complex Gaussian matrix, with the diagonal
     of R normalized to unit modulus so the distribution is exactly Haar.
+    ``seed`` may also be a 1-D sequence of k seeds: the result is then the
+    stack (k, dim, dim) of the unitaries those seeds give one at a time, bit
+    for bit, from one Gaussian generator per seed and one stacked QR.
     """
     if dim < 1:
         raise ValueError(f"dim must be >= 1, got {dim}")
-    rng = np.random.default_rng(seed)
-    z = (rng.standard_normal((dim, dim))
-         + 1j * rng.standard_normal((dim, dim))) / np.sqrt(2.0)
-    q, r = np.linalg.qr(z)
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))
+    axes = np.ndim(seed)
+    if axes > 1:
+        raise ValueError(f"seed must be an integer or a 1-D sequence, got {axes} axes")
+    seeds = seed if axes else [seed]
+    z = np.empty((len(seeds), dim, dim), dtype=complex)
+    for out, s in zip(z, seeds):
+        rng = np.random.default_rng(s)
+        out[...] = (rng.standard_normal((dim, dim))
+                    + 1j * rng.standard_normal((dim, dim))) / np.sqrt(2.0)
+    q, r = np.linalg.qr(z if axes else z[0])
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (d / np.abs(d))[..., None, :]
 
 
 def random_hermitian(dim: int, seed: int | np.random.Generator) -> np.ndarray:

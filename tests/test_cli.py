@@ -320,6 +320,20 @@ class TestSimulateGolden:
                      "--out", str(tmp_path / "simulate.csv")]) == 0
         assert propagator_builds == []
 
+    def test_dense_run_works_out_each_grid_plan_once(self, tmp_path, monkeypatch):
+        # the route's count prices the grid that the job then runs: one series per grid
+        grids = []
+        coefficients = disd.evolve._chebyshev_coefficients
+
+        def recorded(z):
+            grids.append(np.asarray(z).tobytes())
+            return coefficients(z)
+
+        monkeypatch.setattr(disd.evolve, "_chebyshev_coefficients", recorded)
+        assert main(["simulate", "--config", write_config(tmp_path, dense_config()),
+                     "--out", str(tmp_path / "simulate.csv")]) == 0
+        assert len(grids) == len(set(grids)) == 1
+
 
 class TestThreadCount:
     """Output at one and at two BLAS threads: the same header, every number within 1e-12."""

@@ -15,8 +15,7 @@ from disd.locality import (
     tau_estimate,
 )
 from disd.model import InitialSpec, assemble_hamiltonian, build_canonical, initial_state
-from disd.qcore import (Dims, derive_seed, haar_unitary, rdm_from_state, trace_distance,
-                        vn_entropy)
+from disd.qcore import Dims, haar_unitary, rdm_from_state, vn_entropy
 from oracles import mi_per_row, signaling_per_row
 
 
@@ -215,6 +214,34 @@ def evolved_sizes(monkeypatch, route):
     return sizes
 
 
+def spied(monkeypatch, name):
+    """A list that gains (args, result) of each call of ``locality.<name>`` during the test."""
+    calls = []
+    function = getattr(locality_module, name)
+
+    def recorded(*args):
+        calls.append((args, function(*args)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(locality_module, name, recorded)
+    return calls
+
+
+def sample_states(calls, n_samples):
+    """The (T, n_samples, d, d) target states that spied ``max_trace_distance`` calls took.
+
+    A row slice's sample slices come one after the other; they are joined by samples, then
+    the row slices by rows.
+    """
+    rows, part = [], []
+    for (rho, _), _ in calls:
+        part.append(rho)
+        if sum(p.shape[1] for p in part) == n_samples:
+            rows.append(np.concatenate(part, axis=1))
+            part = []
+    return np.concatenate(rows)
+
+
 class TestSignalingByLinearity:
     def test_evolved_blocks_never_outgrow_the_trajectory(self, spec233, init233, monkeypatch):
         # the d_source basis states evolve once at each time, by one evolve_many call for each
@@ -237,41 +264,51 @@ class TestSignalingByLinearity:
                                                   (np.inf, Chebyshev)])
     def test_sample_stacks_never_outgrow_the_trajectory(self, spec233, init233, monkeypatch,
                                                          eigh_cost, route):
-        # 1000 samples against 5 times: the samples must go in slices of at most 5
+        # 1000 samples against 5 times: no state, cross stack or stack of sample target states
+        # holds more than the trajectory's 5 x 18 numbers; at 2x2x5 one row's cross states,
+        # (2 x 5)^2 = 100 numbers, fill the trajectory's 5 x 20, so they go one row at a time
         times = np.linspace(0, 5, 5)
         monkeypatch.setattr(evolve_module, "EIGH_FLOPS_PER_N3", eigh_cost)
-        traj = propagate(spec233, init233, times)
-        assert isinstance(traj.route, route)
-        sizes = []
-
-        def counted(psi, dims, keep):
-            sizes.append(np.size(psi))
-            return rdm_from_state(psi, dims, keep)
-
-        monkeypatch.setattr(locality_module, "rdm_from_state", counted)
-        for direction in ("b_to_a", "a_to_b"):
-            signaling_test(traj, direction, n_samples=1000, seed=1)
-        assert max(sizes) <= len(times) * spec233.dims.total
+        spec225, init225, _ = oracle_case((2, 2, 5), 0.5)
+        for spec, init, n_samples in ((spec233, init233, 1000), (spec225, init225, 2)):
+            traj = propagate(spec, init, times)
+            assert isinstance(traj.route, route)
+            rdms = spied(monkeypatch, "rdm_from_state")
+            samples = spied(monkeypatch, "max_trace_distance")
+            for direction in ("b_to_a", "a_to_b"):
+                signaling_test(traj, direction, n_samples=n_samples, seed=1)
+            budget = len(times) * spec.dims.total
+            assert max(max(np.size(args[0]), out.size) for args, out in rdms) <= budget
+            assert max(np.size(args[0]) for args, _ in samples) <= budget
+            # every sample's target state at every time, d_A^2 or d_B^2 numbers, went once
+            d_a, _, d_b = spec.dims.factors
+            total = len(times) * n_samples * (d_a ** 2 + d_b ** 2)
+            assert sum(np.size(args[0]) for args, _ in samples) == total
 
     @pytest.mark.parametrize("eigh_cost", [evolve_module.EIGH_FLOPS_PER_N3, np.inf])
     @pytest.mark.parametrize("direction", ["b_to_a", "a_to_b"])
     def test_sliced_samples_give_the_unsliced_signal(self, spec233, init233, monkeypatch,
                                                      eigh_cost, direction):
-        # 64 samples against 5 times: slices of the samples, combined by their maximum,
-        # give to the bit what one stack of all 64 samples for each block gives
+        # 111 samples against 5 times: slices of the rows and of the samples give every
+        # sample's target state, and so the signal, to the bit as one GEMM of all 111
+        # samples' pair weights with each block's cross states does. 111 is one past a
+        # multiple of both directions' slice sizes, 22 and 10: the samples are split evenly,
+        # so no slice holds one lone sample, whose product BLAS would round by another kernel
         monkeypatch.setattr(evolve_module, "EIGH_FLOPS_PER_N3", eigh_cost)
         traj = propagate(spec233, init233, np.linspace(0, 5, 5))
         dims = spec233.dims
         amplitudes, basis, keep = _source_stack(init233, dims, spec233.robust_index, direction)
-        weights = np.stack([haar_unitary(len(amplitudes), derive_seed(1, "signaling", direction, k))
-                            @ amplitudes for k in range(64)])
-        want = []
-        for rows, phi in traj.evolve(basis):
-            rdms = rdm_from_state(weights @ phi, dims.factors, keep)
-            ref = rdm_from_state(traj.states[rows], dims.factors, keep)[:, None]
-            want.append(trace_distance(rdms, np.broadcast_to(ref, rdms.shape)).max(axis=1))
-        got = signaling_test(traj, direction, n_samples=64, seed=1)
-        assert np.array_equal(got, np.concatenate(want))
+        chunks = ((phi, traj.states[rows]) for rows, phi in traj.evolve(basis))
+        calls = spied(monkeypatch, "max_trace_distance")
+        whole = locality_module._signaling_curves(chunks, amplitudes, keep, dims, direction,
+                                                  111, 1, budget=10 ** 9)
+        assert all(args[0].shape[1] == 111 for args, _ in calls)
+        unsliced = sample_states(calls, 111)
+        calls.clear()
+        got = signaling_test(traj, direction, n_samples=111, seed=1)
+        assert all(args[0].shape[1] < 111 for args, _ in calls)  # the samples went in slices
+        assert np.array_equal(sample_states(calls, 111), unsliced)
+        assert np.array_equal(got, whole)
 
 
 # (dims, c2): d_A*d_B > d_C in all but 2x5x2; c2 = 0 keeps A and B uncorrelated
@@ -327,6 +364,39 @@ class TestBatchedAgainstOracles:
                                      direction, n_samples=5, seed=2)
         got = signaling_test(traj, direction, n_samples=5, seed=2)
         assert_allclose(got, expected, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("eigh_cost", [evolve_module.EIGH_FLOPS_PER_N3, np.inf])
+    @pytest.mark.parametrize("direction", ["b_to_a", "a_to_b"])
+    def test_fewer_samples_than_pair_weights(self, direction, eigh_cost, monkeypatch):
+        # 3 samples against d_source^2 = 25 (B to A) or 4 (A to B) pair weights, on both routes
+        monkeypatch.setattr(evolve_module, "EIGH_FLOPS_PER_N3", eigh_cost)
+        spec, init, times = oracle_case((2, 2, 5), 0.5)
+        traj = propagate(spec, init, times)
+        assert isinstance(traj.route, Chebyshev if eigh_cost == np.inf else Propagator)
+        evolve = lambda psi: traj.route.evolve_many(psi, traj.times)
+        expected = signaling_per_row(evolve, traj.states[0], traj.states, spec.dims,
+                                     direction, n_samples=3, seed=2)
+        assert expected.max() > 1e-3
+        got = signaling_test(traj, direction, n_samples=3, seed=2)
+        assert_allclose(got, expected, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("direction", ["b_to_a", "a_to_b"])
+    def test_one_shot_cross_states_outgrow_their_budget(self, dims222, init222, direction,
+                                                        monkeypatch):
+        # at 2x2x2 one row's cross states, (2 x 2)^2 = 16 numbers, outnumber the evolved
+        # state's 8: they are formed whole, while the samples go 8 // 4 = 2 at a time
+        u = haar_unitary(dims222.total, 8)
+        psi0 = initial_state(init222, dims222, 0)
+        evolve = lambda psi: (u @ psi)[None, :]
+        expected = signaling_per_row(evolve, psi0, evolve(psi0), dims222, direction,
+                                     n_samples=9, seed=3)
+        rdms = spied(monkeypatch, "rdm_from_state")
+        samples = spied(monkeypatch, "max_trace_distance")
+        got = signaling_test_unitary(u, init222, dims222, 0, direction, n_samples=9, seed=3)
+        assert [out.size for (_, dims, _), out in rdms if len(dims) == 4] == [16]
+        assert [args[0].size for args, _ in samples] == [8] * 4 + [4]
+        assert expected[0] > 1e-3
+        assert abs(got - expected[0]) <= 1e-12
 
     @pytest.mark.parametrize("direction", ["b_to_a", "a_to_b"])
     @pytest.mark.parametrize("factors", [c[0] for c in ORACLE_CASES[:4]], ids=ORACLE_IDS[:4])

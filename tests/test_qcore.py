@@ -341,6 +341,18 @@ class TestHaarUnitary:
         with pytest.raises(ValueError):
             haar_unitary(0, 1)
 
+    @pytest.mark.parametrize("dim", [1, 2, 4, 7])
+    def test_stacked_draws_are_the_per_seed_draws(self, dim):
+        seeds = [derive_seed(5, "stack", k) for k in range(16)]
+        stack = haar_unitary(dim, seeds)
+        assert stack.shape == (16, dim, dim)
+        for u, seed in zip(stack, seeds):
+            assert np.array_equal(u, haar_unitary(dim, seed))
+
+    def test_rejects_a_seed_array_of_two_axes(self):
+        with pytest.raises(ValueError, match="1-D"):
+            haar_unitary(2, [[1, 2], [3, 4]])
+
 
 class TestDeriveSeed:
     def test_deterministic(self):
