@@ -235,8 +235,14 @@ def env_w_einsum(u6, v, dims):
     return np.einsum("acbxyk,adxy->cbdk", u6, v.reshape(a, c, a, c).conj()).reshape(c * b, c * b)
 
 
+def polar_svd(m):
+    """Unitary polar factor U V+ of m = U diag(sigma) V+ and tr(Q+ m) = sum(sigma), by SVD."""
+    p, s, qh = np.linalg.svd(m)
+    return p @ qh, float(s.sum())
+
+
 def sequential_search_einsum(u, dims, seed):
-    """The alternating-polar search on the einsum environments.
+    """The alternating-polar search on the einsum environments, every polar step by SVD.
 
     Same starts, stopping rule and best-restart choice as
     ``sequential_residual``; returns the best restart's fidelity history,
@@ -256,11 +262,9 @@ def sequential_search_einsum(u, dims, seed):
         history = [f]
         iters = 0
         for it in range(MAX_ITERS):
-            p, _, qh = np.linalg.svd(env_v_einsum(u6, w, dims))
-            v = p @ qh
-            p, s, qh = np.linalg.svd(env_w_einsum(u6, v, dims))
-            w = p @ qh
-            f_new = float(s.sum()) / n
+            v, _ = polar_svd(env_v_einsum(u6, w, dims))
+            w, trace = polar_svd(env_w_einsum(u6, v, dims))
+            f_new = trace / n
             history.append(f_new)
             iters = it + 1
             if f_new - f < GAIN_TOL:

@@ -15,6 +15,7 @@ from disd.config import (
     ConfigError,
     initial_from_config,
     matrix_from_json,
+    matrix_to_json,
     model_from_config,
     parse_config,
     times_from_config,
@@ -345,7 +346,7 @@ class TestThreadCount:
         proc = subprocess.run([sys.executable, "-m", "disd.cli", *args], env=env,
                               capture_output=True, text=True, timeout=300)
         assert proc.returncode == 0, proc.stderr
-        return parse_csv(proc.stdout)
+        return proc.stdout
 
     @pytest.mark.parametrize("command", ["simulate", "locality"])
     def test_one_and_two_threads_agree(self, tmp_path, command):
@@ -353,12 +354,28 @@ class TestThreadCount:
         config = (write_config(tmp_path, dense_config()) if command == "simulate"
                   else str(Path(__file__).resolve().parent.parent / "presets" / "ion-cage.json"))
         args = [command, "--config", config]
-        (header, one), (header_two, two) = (self._run(args, threads) for threads in (1, 2))
+        (header, one), (header_two, two) = (parse_csv(self._run(args, threads)) for threads in (1, 2))
         assert header == header_two
         for h in header:
             assert [x is None for x in one[h]] == [x is None for x in two[h]]
             assert_allclose(np.array(one[h], dtype=float), np.array(two[h], dtype=float),
                             rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("source", ["haar-4x4x8", "plant"])
+    def test_decompose_one_and_two_threads_agree(self, tmp_path, source):
+        # the Haar unitary at the benchmark's dims runs the full 5 x 200 iterations
+        if source == "plant":
+            args = ["decompose", "--plant", "seed=7"]
+        else:
+            path = tmp_path / "haar.json"
+            path.write_text(json.dumps({"dims": {"a": 4, "c": 4, "b": 8},
+                                        "u": matrix_to_json(haar_unitary(128, 7))}))
+            args = ["decompose", str(path)]
+        one, two = (json.loads(self._run(args, threads)) for threads in (1, 2))
+        assert one.keys() == two.keys()
+        assert {k: v for k, v in one.items() if k != "residual"} == \
+            {k: v for k, v in two.items() if k != "residual"}
+        assert abs(one["residual"] - two["residual"]) <= 1e-12
 
 
 class TestDecompose:
@@ -380,7 +397,6 @@ class TestDecompose:
         assert report["residual"] <= 1e-10
 
     def test_haar_input_stays_far(self, tmp_path, capsys):
-        from disd.config import matrix_to_json
         u = haar_unitary(8, 5)
         doc = {"dims": {"a": 2, "c": 2, "b": 2}, "u": matrix_to_json(u)}
         path = tmp_path / "haar.json"

@@ -5,12 +5,13 @@ from disd.decompose import (
     RESTARTS,
     _env_v,
     _env_w,
+    _polar_unitary,
     planted_sequential,
     sequential_residual,
     sequential_unitary,
 )
 from disd.qcore import Dims, ValidationError, haar_unitary
-from oracles import env_v_einsum, env_w_einsum, sequential_search_einsum
+from oracles import env_v_einsum, env_w_einsum, polar_svd, sequential_search_einsum
 
 
 def _dims_id(d):
@@ -21,6 +22,58 @@ def _gemm_layout(u, dims):
     """U with rows (a, a', c') and columns (c, b, b'), primes marking inputs."""
     a, c, b = dims.factors
     return u.reshape(a, c, b, a, c, b).transpose(0, 3, 4, 1, 2, 5).reshape(a * a * c, c * b * b)
+
+
+def _count_svd_calls(monkeypatch):
+    """Wrap np.linalg.svd so that every call is recorded in the returned list."""
+    calls = []
+    svd = np.linalg.svd
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    return calls
+
+
+def _conditioned(n, kappa, seed):
+    """An n x n matrix with singular values spread geometrically from 1 down to 1/kappa."""
+    return (haar_unitary(n, seed) * np.geomspace(1.0, 1.0 / kappa, n)) @ haar_unitary(n, seed + 1)
+
+
+# the benchmark's environments are 16 x 16 (V) and 32 x 32 (W)
+_POLAR_CASES = {
+    "zero": (np.zeros((16, 16), dtype=complex), "svd"),
+    "rank-1": (np.outer(haar_unitary(16, 60)[:, 0], haar_unitary(16, 61)[0]), "svd"),
+    "kappa-1e3": (_conditioned(16, 1e3, 62), "svd"),
+    "kappa-1e6": (_conditioned(32, 1e6, 64), "svd"),
+    "kappa-1": (_conditioned(32, 1.0, 66), "gram"),
+    "kappa-10": (_conditioned(16, 10.0, 68), "gram"),
+    "kappa-99": (_conditioned(32, 99.0, 70), "gram"),
+}
+
+
+class TestPolarUnitary:
+    @pytest.mark.parametrize("case", list(_POLAR_CASES))
+    def test_route_and_agreement_with_svd(self, monkeypatch, case):
+        m, route = _POLAR_CASES[case]
+        q_ref, trace_ref = polar_svd(m)
+        calls = _count_svd_calls(monkeypatch)
+        q, trace = _polar_unitary(m)
+        assert len(calls) == (1 if route == "svd" else 0)
+        assert np.abs(q - q_ref).max() <= 1e-12
+        assert abs(trace - trace_ref) <= 1e-12
+        assert np.abs(q.conj().T @ q - np.eye(len(m))).max() <= 1e-12
+
+    def test_generic_search_never_takes_the_svd_route(self, monkeypatch):
+        # a guard that sent every step back to the SVD would pass every other test
+        dims = Dims(4, 4, 8)
+        u = haar_unitary(dims.total, 71)
+        calls = _count_svd_calls(monkeypatch)
+        r = sequential_residual(u, dims, seed=7)
+        assert r.restarts_used == RESTARTS
+        assert calls == []
 
 
 class TestPlantedSequential:
@@ -60,8 +113,11 @@ class TestEnvironments:
         assert abs(np.vdot(v, _env_v(uv, w, dims)) - overlap) <= 1e-12
         assert abs(np.vdot(w, _env_w(uv, v, dims)) - overlap) <= 1e-12
 
-    @pytest.mark.parametrize("dims", [Dims(2, 3, 2), Dims(3, 2, 4)], ids=_dims_id)
-    @pytest.mark.parametrize("seed", [3, 8])
+    # 4x4x8 is the benchmark's shape: there all but a few polar steps take the Gram route
+    @pytest.mark.parametrize("dims, seed", [
+        pytest.param(dims, seed, id=f"{seed}-{_dims_id(dims)}")
+        for dims, seed in [(Dims(2, 3, 2), 3), (Dims(2, 3, 2), 8), (Dims(3, 2, 4), 3),
+                           (Dims(3, 2, 4), 8), (Dims(4, 4, 8), 3)]])
     def test_search_takes_the_einsum_iterates(self, dims, seed):
         u = haar_unitary(dims.total, 50 + seed)
         r = sequential_residual(u, dims, seed=seed)
@@ -76,6 +132,16 @@ class TestSequentialResidual:
         r = sequential_residual(np.eye(8, dtype=complex), dims222)
         assert r.residual <= 1e-10
         assert r.converged
+
+    def test_zero_first_environment(self, dims222):
+        # Tr(Z_B) = 0, so restart 0's first environment of V is exactly zero
+        z = np.diag([1.0, -1.0]).astype(complex)
+        u = np.kron(np.eye(2, dtype=complex), np.kron(z, z))
+        assert not _env_v(_gemm_layout(u, dims222), np.eye(4, dtype=complex), dims222).any()
+        r = sequential_residual(u, dims222)
+        _, iterations, restarts_used = sequential_search_einsum(u, dims222, 0)
+        assert r.residual <= 1e-12
+        assert (r.iterations, r.restarts_used) == (iterations, restarts_used)
 
     def test_v_only_input_recovers_identity_w(self, dims222):
         v0 = haar_unitary(4, 21)
