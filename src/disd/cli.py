@@ -31,7 +31,7 @@ from .config import (
 )
 from .decompose import planted_sequential, sequential_residual
 from .evolve import perturbation_data, propagate, residuals_along, row_norms
-from .locality import mi_and_entropies, mi_trajectory, signaling_test, tau_estimate
+from .locality import mi_and_entropies, signaling_test, tau_estimate
 from .qcore import Dims, ValidationError
 
 __all__ = [
@@ -56,23 +56,31 @@ def _csv(columns: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
+_MODEL_COLUMNS = ("mi_ab_bits", "entropy_a_bits", "entropy_b_bits", "residual_eq4", "norm_error")
+
+
 def _run_model(spec, init, times):
-    """One model's perturbation data, exact trajectory, and product-form residual at each time."""
+    """One model's perturbation data and its ``_MODEL_COLUMNS`` at each time, from one evolve pass.
+
+    Each block of the exact trajectory is reduced as it arrives.
+    """
     pd = perturbation_data(spec)
     pd.check_phases(times)  # before any propagation
     traj = propagate(spec, init, times)
-    return pd, traj, residuals_along(traj, pd)
+    parts = []
+    for rows, states in traj.evolve():
+        psi = states[:, 0]
+        parts.append((*mi_and_entropies(psi, spec.dims), residuals_along(traj, pd, rows, psi),
+                      np.abs(row_norms(psi) - 1.0)))
+    return pd, dict(zip(_MODEL_COLUMNS, map(np.concatenate, zip(*parts))))
 
 
 def cmd_simulate(cfg: RunConfig) -> str:
-    pd, traj, residuals = _run_model(model_from_config(cfg), initial_from_config(cfg),
-                                     times_from_config(cfg))
-    mi, s_a, s_b = mi_and_entropies(traj)
-    columns = {"t": traj.times, "mi_ab_bits": mi, "entropy_a_bits": s_a, "entropy_b_bits": s_b,
-               "residual_eq4": residuals,
-               "norm_error": np.abs(row_norms(traj.states) - 1.0)}
+    times = times_from_config(cfg)
+    pd, columns = _run_model(model_from_config(cfg), initial_from_config(cfg), times)
+    columns = {"t": times, **columns}
     if pd.gap_warnings:
-        columns["warn"] = [len(pd.gap_warnings)] * len(traj.times)
+        columns["warn"] = [len(pd.gap_warnings)] * len(times)
     return _csv(columns)
 
 
@@ -90,15 +98,14 @@ def sweep_columns(cfg: RunConfig) -> dict[str, list]:
     columns = {name: [] for name in ("c1", "c2", "ratio", "lambda_sup", "max_residual",
                                      "tau_est", "gap_warnings")}
     for c1, c2 in cfg.sweep_grid:
-        pd, traj, residuals = _run_model(dataclasses.replace(base, c1=c1, c2=c2), init, times)
+        pd, point = _run_model(dataclasses.replace(base, c1=c1, c2=c2), init, times)
         columns["c1"].append(c1)
         columns["c2"].append(c2)
         columns["ratio"].append(c2 / c1)
         columns["lambda_sup"].append(pd.lambda_sup)
-        columns["max_residual"].append(float(residuals.max()))
-        columns["tau_est"].append(tau_estimate(times, mi_trajectory(traj), cfg.threshold_bits))
+        columns["max_residual"].append(float(point["residual_eq4"].max()))
+        columns["tau_est"].append(tau_estimate(times, point["mi_ab_bits"], cfg.threshold_bits))
         columns["gap_warnings"].append(len(pd.gap_warnings))
-        del traj  # frees this point's states and route before the next
     return columns
 
 
@@ -108,12 +115,15 @@ def cmd_sweep(cfg: RunConfig) -> str:
 
 def cmd_locality(cfg: RunConfig) -> str:
     traj = propagate(model_from_config(cfg), initial_from_config(cfg), times_from_config(cfg),
-                     states=1 + cfg.dims.a + cfg.dims.b)  # its own, then both signals'
+                     stacks=(1 + cfg.dims.b, 1 + cfg.dims.a))  # each signal's, psi0 in both
+    mi = []  # from the psi0 rows of the first signal's blocks
+    b_to_a = signaling_test(traj, "b_to_a", cfg.n_samples, cfg.seed,
+                            on_rows=lambda psi: mi.append(mi_and_entropies(psi, cfg.dims)[0]))
     return _csv({
         "t": traj.times,
-        "signal_b_to_a": signaling_test(traj, "b_to_a", cfg.n_samples, cfg.seed),
+        "signal_b_to_a": b_to_a,
         "signal_a_to_b": signaling_test(traj, "a_to_b", cfg.n_samples, cfg.seed),
-        "mi_ab_bits": mi_trajectory(traj),
+        "mi_ab_bits": np.concatenate(mi),
     })
 
 

@@ -58,6 +58,12 @@ _CHEB_QUARTER = np.cos(2 * np.arccos(np.longdouble(-1)) / _CHEB_POINTS
 EIGH_FLOPS_PER_N3 = 33.0
 EVOLVE_FLOPS_PER_N2 = 5.5
 CHEB_TERM_FLOPS = 3.5e5
+# The most complex numbers a block of evolved rows holds (16 MiB): a block of a k-state stack
+# over T times takes at most min(BLOCK_NUMBERS, T n) of them, whole rows, at least one. Every
+# recurrence of 200 steps to t = 20 at 8x4x32 (about 30 rows of 1024) stays whole; 2000 steps
+# at 8x8x64 go in 8 recurrences of at most 256 rows of 4096 instead of 7 of about 300, for
+# 1429 terms instead of 1393, while the peak RSS of that run fell from 475 to 106 MB.
+BLOCK_NUMBERS = 2 ** 20
 
 
 class Propagator:
@@ -87,6 +93,15 @@ class Propagator:
         states = (terms @ self._vecs.T).reshape(len(times), *psi.shape)
         states[times == 0] = psi
         return states
+
+    def blocks(self, psi: np.ndarray, times: np.ndarray, max_rows: int):
+        """(rows, states) of psi, (k, n), over ``times``, ``max_rows`` rows a block.
+
+        Each block is one :meth:`evolve_many` call from psi itself, at its own times.
+        """
+        for start in range(0, len(times), max_rows):
+            rows = slice(start, start + max_rows)
+            yield rows, self.evolve_many(psi, times[rows])
 
 
 def _chebyshev_coefficients(z) -> tuple[np.ndarray, np.ndarray]:
@@ -150,6 +165,8 @@ class Chebyshev:
     than about 210 terms. The terms are added to the rows _CHEB_CHUNK at a
     time by one GEMM. On 200 steps to t = 20 at c1 = 50 that is 1373 terms
     in 7 recurrences at total dim 1024 (``_route`` prices it against ``eigh``).
+    :meth:`blocks` yields each recurrence's rows as it ends, so a caller never
+    holds more than one of them.
     """
 
     def __init__(self, spec: ModelSpec):
@@ -165,7 +182,7 @@ class Chebyshev:
         scale = 2 / self._half if self._half > 0 else 0.0
         self._ac = (on_ac - (ac[0] + ac[-1]) / 2 * np.eye(len(ac))) * scale
         self._cb_t = ((on_cb - (cb[0] + cb[-1]) / 2 * np.eye(len(cb))) * scale).T.copy()
-        self._last_plans = (None, None)  # (grid bytes, plans) of the last grid planned
+        self._planned = {}  # (grid bytes, max_rows) -> plans
 
     def _x2(self, v: np.ndarray, out: np.ndarray) -> np.ndarray:
         """2X @ v for v of shape (n,) or (k, n), into ``out``: one GEMM per block.
@@ -177,41 +194,43 @@ class Chebyshev:
         out += (v.reshape(-1, d_a, d_c * d_b) @ self._cb_t).reshape(out.shape)
         return out
 
-    def _plans(self, times: np.ndarray) -> list[tuple[int, slice, np.ndarray]]:
-        """(sub-steps, rows, coefficients) of each recurrence that :meth:`evolve_many` runs.
+    def _plans(self, times: np.ndarray,
+               max_rows: int | None = None) -> list[tuple[int, slice, np.ndarray]]:
+        """(sub-steps, rows, coefficients) of each recurrence that :meth:`blocks` runs.
 
         A recurrence starts from psi (the first) or the last row computed, and
         serves the consecutive rows, one at t = 0 like any other, at delta =
-        t - t_anchor with |half * delta| <= CHEB_Z_MAX. Row rows[j] takes
-        coefficients[j], the series of e^{-i half delta X} times e^{-i center
-        delta}, padded with zeros to the block's longest. A row out of that
-        reach is served alone, in ``sub-steps`` equal steps of coefficients[0].
-        The plans of the last grid asked for are kept: ``_route`` prices a grid
-        that ``evolve_many`` then runs, and its series are worked out once.
+        t - t_anchor with |half * delta| <= CHEB_Z_MAX, up to ``max_rows`` of
+        them (no limit for None). Row rows[j] takes coefficients[j], the series
+        of e^{-i half delta X} times e^{-i center delta}, padded with zeros to
+        the recurrence's longest; the series are worked out one recurrence at a
+        time. A row out of that reach is served alone, in ``sub-steps`` equal
+        steps of coefficients[0]. The plans of each (grid, max_rows) asked for
+        are kept: ``_route`` prices the blocks that ``blocks`` then runs, and
+        their series are worked out once.
         """
         times = np.asarray(times, dtype=float)
-        grid, (last, plans) = times.tobytes(), self._last_plans  # one read of the pair
-        if last == grid:
+        key = (times.tobytes(), max_rows)
+        plans = self._planned.get(key)
+        if plans is not None:
             return plans
-        spans, deltas = [], []
-        anchor, row = 0.0, 0
+        limit = len(times) if max_rows is None else max_rows
+        plans, anchor, row = [], 0.0, 0
         while row < len(times):
-            dt, end, first = times[row] - anchor, row + 1, len(deltas)
+            dt, end = times[row] - anchor, row + 1
             steps = max(1, int(np.ceil(abs(self._half * dt) / CHEB_Z_MAX)))
             if steps > 1:
-                deltas.append(dt / steps)
+                deltas = np.array([dt / steps])
             else:
-                while end < len(times) and abs(self._half * (times[end] - anchor)) <= CHEB_Z_MAX:
+                while (end < len(times) and end - row < limit
+                       and abs(self._half * (times[end] - anchor)) <= CHEB_Z_MAX):
                     end += 1
-                deltas.extend(times[row:end] - anchor)
-            spans.append((steps, slice(row, end), slice(first, len(deltas))))
+                deltas = times[row:end] - anchor
+            series = _chebyshev_coefficients(self._half * deltas)[0]
+            plans.append((steps, slice(row, end),
+                          np.exp(-1j * self._center * deltas)[:, None] * series))
             anchor, row = times[end - 1], end
-        deltas = np.array(deltas)
-        series, lengths = _chebyshev_coefficients(self._half * deltas)
-        phases = np.exp(-1j * self._center * deltas)
-        plans = [(steps, rows, phases[block, None] * series[block, :lengths[block].max()])
-                 for steps, rows, block in spans]
-        self._last_plans = (grid, plans)
+        self._planned[key] = plans
         return plans
 
     def terms(self, times: np.ndarray) -> int:
@@ -221,19 +240,35 @@ class Chebyshev:
     def evolve_many(self, psi: np.ndarray, times) -> np.ndarray:
         """psi, (n,) or (k, n), at each time: (T, n) or (T, k, n); rows at t = 0 are psi exactly.
 
-        The rows are computed in grid order, block by block (see :meth:`_plans`),
-        so any strictly increasing grid works, a stack (k, n) all together;
-        then rows at t = 0 are set to psi, as in ``Propagator.evolve_many``.
+        The rows of :meth:`blocks` with no row limit, collected.
+        """
+        psi = np.asarray(psi, dtype=complex)
+        times = np.asarray(times, dtype=float)
+        states = np.empty((len(times), *psi.shape), dtype=complex)
+        for rows, block in self.blocks(psi, times, len(times)):
+            states[rows] = block
+        return states
+
+    def blocks(self, psi: np.ndarray, times: np.ndarray, max_rows: int):
+        """(rows, states) of psi, (n,) or (k, n), over ``times``: one recurrence a block.
+
+        The recurrences are those of ``_plans(times, max_rows)``, in grid order,
+        so any strictly increasing grid works, a stack (k, n) all together; rows
+        at t = 0 are set to psi, as in ``Propagator.evolve_many``. Every block is
+        a view of one buffer that the next overwrites: reduce it, or copy it.
         """
         anchor = psi = np.asarray(psi, dtype=complex)
         times = np.asarray(times, dtype=float)
-        states = np.empty((len(times), *psi.shape), dtype=complex)
-        for steps, rows, coeffs in self._plans(times):
+        plans = self._plans(times, max_rows)
+        buffer = np.empty((max((rows.stop - rows.start for _, rows, _ in plans), default=0),
+                           *psi.shape), dtype=complex)
+        for steps, rows, coeffs in plans:
+            block = buffer[:rows.stop - rows.start]
             for _ in range(steps - 1):  # the first sub-steps of a long interval
-                anchor = self._block(anchor, coeffs, np.empty_like(states[rows]))[0]
-            anchor = self._block(anchor, coeffs, states[rows])[-1]
-        states[times == 0] = psi
-        return states
+                anchor = self._block(anchor, coeffs, block)[0].copy()
+            anchor = self._block(anchor, coeffs, block)[-1].copy()
+            block[times[rows] == 0] = psi
+            yield rows, block
 
     def _block(self, v: np.ndarray, coeffs: np.ndarray, out: np.ndarray) -> np.ndarray:
         """out[j] = sum_k coeffs[j, k] T_k(X) v for every row j, by one recurrence.
@@ -277,63 +312,74 @@ def _check_phases(max_abs_energy: float, times, what: str) -> None:
         raise ValidationError(f"{what}: eps*max|E|*max|t| = {err:.3e} > {PHASE_ERROR_TOL:.1e}")
 
 
-def _block_grids(times: np.ndarray, k: int) -> list[tuple[slice, np.ndarray]]:
-    """(rows, grid) of each block in which :meth:`Trajectory.evolve` takes k states over ``times``.
+def _block_rows(times: np.ndarray, n: int, k: int) -> int:
+    """The rows of a block of a k-state stack over ``times``: min(BLOCK_NUMBERS, T n) numbers.
 
-    max(1, T // k) rows a block, so no block outgrows the T states of one; a
-    grid is its times less that of the row before, its start (t = 0 at first).
+    At least one row, so a stack of more than BLOCK_NUMBERS numbers goes one row a block.
     """
-    rows = max(1, len(times) // k)
-    return [(slice(i, i + rows), times[i:i + rows] - (times[i - 1] if i else 0.0))
-            for i in range(0, len(times), rows)]
+    return max(1, min(BLOCK_NUMBERS, len(times) * n) // (k * n))
 
 
-def _route(spec: ModelSpec, times: np.ndarray, states: int = 1) -> Propagator | Chebyshev:
-    """The cheaper way to evolve ``states`` states of ``spec`` over ``times``, by a fitted count.
+def _route(spec: ModelSpec, times: np.ndarray, stacks=(1,)) -> Propagator | Chebyshev:
+    """The cheaper way to evolve ``spec`` over ``times``, by a fitted count.
 
-    It prices a stack of ``states`` states over the grids of ``_block_grids``.
+    ``stacks`` holds the size of each stack the job evolves, and each is priced
+    over the blocks that :meth:`Trajectory.evolve` runs for it.
     The spectral route costs EIGH_FLOPS_PER_N3 * n^3 (assembly and ``eigh``)
     plus EVOLVE_FLOPS_PER_N2 * n^2 per state and time. A Chebyshev term, one
     2X, costs two complex block GEMMs, 8 n (d_A d_C + d_C d_B) real flops, per
     state plus CHEB_TERM_FLOPS, and 8 n per state in each row's sum. A series
     at z is cut past the first k > |z| (unless |z| < 1e-14), so half * max|t|
-    terms bound the plan from below and can rule it out unplanned. So can the
-    phase guard on its spectral bounds, looser than the eigenvalues of ``eigh``.
+    terms a stack bound the plans from below and can rule them out unplanned.
+    So can the phase guard on its spectral bounds, looser than the eigenvalues
+    of ``eigh``.
     """
     d_a, d_c, d_b = spec.dims.factors
     n = spec.dims.total
-    per_term = states * 8 * n * (d_a * d_c + d_c * d_b) + CHEB_TERM_FLOPS
-    spectral = (EIGH_FLOPS_PER_N3 * n + EVOLVE_FLOPS_PER_N2 * len(times) * states) * n ** 2
+    per_term = [k * 8 * n * (d_a * d_c + d_c * d_b) + CHEB_TERM_FLOPS for k in stacks]
+    spectral = (EIGH_FLOPS_PER_N3 * n + EVOLVE_FLOPS_PER_N2 * len(times) * sum(stacks)) * n ** 2
     cheb = Chebyshev(spec)
-    if (per_term * cheb._half * np.abs(times).max() < spectral
+    if (sum(per_term) * cheb._half * np.abs(times).max() < spectral
             and _phase_error(cheb.max_abs_energy, times) <= PHASE_ERROR_TOL
-            and sum(steps * ((c.shape[1] - 1) * per_term + 8 * n * states * c.size)
-                    for _, grid in _block_grids(times, states)
-                    for steps, _, c in cheb._plans(grid)) < spectral):
+            and sum(steps * ((c.shape[1] - 1) * cost + 8 * n * k * c.size)
+                    for k, cost in zip(stacks, per_term)
+                    for steps, _, c in cheb._plans(times, _block_rows(times, n, k))) < spectral):
         return cheb
     return Propagator(assemble_hamiltonian(spec))
 
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """The product state of ``init`` under one model at strictly increasing times, by ``route``."""
+    """The product state ``psi0`` of ``init`` under one model at strictly increasing times.
+
+    It holds no evolved state: :meth:`evolve` computes them, block by block, on ``route``.
+    """
 
     times: np.ndarray
-    states: np.ndarray  # shape (n_times, total_dim)
+    psi0: np.ndarray  # shape (total_dim,)
     model: ModelSpec
     init: InitialSpec
     route: Propagator | Chebyshev
 
-    def evolve(self, psi: np.ndarray):
-        """psi, (k, n), over the trajectory's times on its route: yields (rows, states) blocks.
+    def evolve(self, stack: np.ndarray | None = None):
+        """psi0 and a stack (k, n) over the trajectory's times: yields (rows, states) blocks.
 
-        ``rows`` slices the times. The blocks are those ``_route`` prices, each from the
-        last row of the one before, so a Chebyshev recurrence never re-runs from t = 0.
+        ``rows`` slices the times; ``states`` has shape (rows, 1 + k, n), psi0's rows
+        first, then the stack's. A block holds at most min(BLOCK_NUMBERS, T n) numbers
+        (whole rows, at least one), and is valid until the next is asked for: reduce
+        it, or copy it. On the Chebyshev route a block is one recurrence, cut only
+        where its rows would outgrow that limit; on the spectral route it takes as
+        many rows as the limit allows. These are the blocks ``_route`` prices. Before
+        a block is yielded, its psi0 rows must keep unit norm within NORM_DRIFT_TOL,
+        or ``ValidationError`` is raised.
         """
-        for rows, grid in _block_grids(self.times, len(psi)):
-            block = self.route.evolve_many(psi, grid)
-            yield rows, block
-            psi = block[-1]
+        psi = self.psi0[None] if stack is None else np.concatenate([self.psi0[None], stack])
+        max_rows = _block_rows(self.times, len(self.psi0), len(psi))
+        for rows, states in self.route.blocks(psi, self.times, max_rows):
+            drift = float(np.abs(row_norms(states[:, 0]) - 1.0).max())
+            if drift > NORM_DRIFT_TOL:
+                raise ValidationError(f"propagation norm drift {drift:.3e} > {NORM_DRIFT_TOL:.1e}")
+            yield rows, states
 
 
 @dataclass(frozen=True, eq=False)
@@ -364,7 +410,7 @@ class PerturbationData:
 
 
 def row_norms(states: np.ndarray) -> np.ndarray:
-    """The 2-norm of each row of a C-contiguous complex (T, n) array, with no copy of it.
+    """The 2-norm of each row of a complex (T, n) array with contiguous rows, with no copy of it.
 
     Each row's norm comes from the real and imaginary parts of a real view.
     """
@@ -372,18 +418,18 @@ def row_norms(states: np.ndarray) -> np.ndarray:
     return np.sqrt(np.einsum("ki,ki->k", parts, parts))
 
 
-def propagate(spec: ModelSpec, init: InitialSpec, times, states: int = 1) -> Trajectory:
+def propagate(spec: ModelSpec, init: InitialSpec, times, stacks=(1,)) -> Trajectory:
     """Exact evolution of the product state of ``init``: the one route from a model to states.
 
-    C starts in the model's robust state. The states come from matrix-free
-    ``Chebyshev`` steps or from the spectral ``Propagator``, whichever costs
-    fewer operations for ``states`` states in all: this one and those the job
-    will take through :meth:`Trajectory.evolve` (see ``_route``). The phases
-    e^{-iEt} carry an absolute error of about eps * max|E| * t, with max|E|
-    from the eigenvalues or from the Chebyshev spectral bounds. A grid with
-    eps * max|E| * max|t| above 1e-8 would leave fewer than eight correct
-    digits in them, and raises ``ValidationError`` before any state is
-    computed.
+    C starts in the model's robust state. It picks the route and runs the
+    phase guard, but evolves no state: :meth:`Trajectory.evolve` does, block by
+    block. The states come from matrix-free ``Chebyshev`` steps or from the
+    spectral ``Propagator``, whichever costs fewer operations for the job's
+    ``stacks``, the size of each stack, psi0 included, that it will evolve (see
+    ``_route``). The phases e^{-iEt} carry an absolute error of about eps *
+    max|E| * t, with max|E| from the eigenvalues or from the Chebyshev spectral
+    bounds. A grid with eps * max|E| * max|t| above 1e-8 would leave fewer than
+    eight correct digits in them, and raises ``ValidationError``.
     """
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size < 1:
@@ -391,13 +437,9 @@ def propagate(spec: ModelSpec, init: InitialSpec, times, states: int = 1) -> Tra
     if times.size > 1 and not np.all(np.diff(times) > 0):
         raise ValueError("times must be strictly increasing")
     psi0 = initial_state(init, spec.dims, spec.robust_index)
-    prop = _route(spec, times, states)
+    prop = _route(spec, times, stacks)
     _check_phases(prop.max_abs_energy, times, "phases lose their precision")
-    states = prop.evolve_many(psi0, times)
-    drift = float(np.abs(row_norms(states) - 1.0).max())
-    if drift > NORM_DRIFT_TOL:
-        raise ValidationError(f"propagation norm drift {drift:.3e} > {NORM_DRIFT_TOL:.1e}")
-    return Trajectory(times=times, states=states, model=spec, init=init, route=prop)
+    return Trajectory(times=times, psi0=psi0, model=spec, init=init, route=prop)
 
 
 def perturbation_data(spec: ModelSpec) -> PerturbationData:
@@ -445,18 +487,21 @@ def perturbation_data(spec: ModelSpec) -> PerturbationData:
     h_perp = spec.h_cb.reshape(d_c, d_b, d_c, d_b)[np.ix_(others, range(d_b), others, range(d_b))]
     perp_vals, phi = np.linalg.eigh(h_perp.reshape((d_c - 1) * d_b, -1))
 
-    # Matrix elements <a_p| x <phi_m| (c2 h_ac x I_B) |a_i> x |r, b_j>. Robust-sector
-    # intermediate states with j' != j drop out exactly (the element carries a
-    # delta in j), so only the orthogonal sector contributes to the sum.
+    # Matrix elements <a_p| x <phi_m| (c2 h_ac x I_B) |a_i> x |r, b_j>: a sum over the
+    # orthogonal C states c of <a_p, c|c2 h_ac|a_i, r> <phi_m|c, b_j>, formed one A index
+    # i at a time. Robust-sector intermediate states with j' != j drop out exactly (the
+    # element carries a delta in j), so only the orthogonal sector contributes to the sum.
     h_ac = spec.c2 * spec.h_ac.reshape(d_a, d_c, d_a, d_c)[..., r][:, others]
-    me = np.einsum("xp,xcy,yi,cbm,bj->ipjm", a_vecs.conj(), h_ac, a_vecs,
-                   phi.reshape(d_c - 1, d_b, -1).conj(), b_vecs, optimize=True)
+    a_part = np.tensordot(np.tensordot(h_ac, a_vecs.conj(), (0, 0)), a_vecs, (1, 0))  # (c, p, i)
+    cb_part = np.tensordot(b_vecs, phi.reshape(d_c - 1, d_b, -1).conj(), (0, 1))  # (j, c, m)
+    cb_part = cb_part.transpose(1, 0, 2)
 
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # checked below
         gaps = b_vals[:, None] - spec.c1 * perp_vals[None, :]
         ok = np.abs(gaps) >= 1e-8 * spec.c1
         weights = np.divide(1.0, gaps, out=np.zeros_like(gaps), where=ok)
-        lam = np.einsum("ipjm,jm->ij", np.abs(me) ** 2, weights)
+        me = (np.tensordot(a_part[..., i], cb_part, (0, 0)) for i in range(d_a))  # (p, j, m)
+        lam = np.array([np.einsum("pjm,jm->j", np.abs(me_i) ** 2, weights) for me_i in me])
     if not np.isfinite(lam).all():
         raise ValidationError(f"c1 = {spec.c1:.3e} is too small for c2 = {spec.c2:.3e}: "
                               f"the second-order shifts overflow")
@@ -490,23 +535,29 @@ def product_approx(init: InitialSpec, pd: PerturbationData, times) -> np.ndarray
     return place_robust(ab, pd.spec.dims, pd.spec.robust_index)
 
 
-def residuals_along(traj: Trajectory, pd: PerturbationData) -> np.ndarray:
-    """Approximation residual at every sample time of an exact trajectory.
+def residuals_along(traj: Trajectory, pd: PerturbationData, rows: slice | None = None,
+                    psi: np.ndarray | None = None) -> np.ndarray:
+    """Approximation residual of the exact states at the trajectory's sample times.
 
-    Each entry is the phase-aligned distance min over a global phase of
-    || psi_exact - e^{i phi} psi_approx ||, i.e. sqrt(2 - 2 |<approx|exact>|).
-    It is evaluated as a vector norm at the optimal phase rather than through
-    the overlap, which would floor the result at sqrt(machine eps). The
-    product form starts from the trajectory's own ``init``; ``pd`` must be
-    built from the trajectory's own model.
+    Given ``rows`` and ``psi``, psi0's rows of one block of :meth:`Trajectory.evolve`,
+    it is taken at ``traj.times[rows]``; given neither, at every time, block by
+    block in an evolve pass of its own. Each entry is the phase-aligned distance
+    min over a global phase of || psi_exact - e^{i phi} psi_approx ||, i.e.
+    sqrt(2 - 2 |<approx|exact>|). It is evaluated as a vector norm at the
+    optimal phase rather than through the overlap, which would floor the result
+    at sqrt(machine eps). The product form starts from the trajectory's own
+    ``init``; ``pd`` must be built from the trajectory's own model.
     """
     if pd.spec is not traj.model:
         raise ValueError("perturbation data was built from a different model")
-    approx = product_approx(traj.init, pd, traj.times)
+    if psi is None:
+        return np.concatenate([residuals_along(traj, pd, rows, states[:, 0])
+                               for rows, states in traj.evolve()])
+    approx = product_approx(traj.init, pd, traj.times[rows])
     # <approx|exact> row by row: vdot conjugates its first argument without a copy of it
-    ov = np.fromiter(map(np.vdot, approx, traj.states), dtype=complex, count=len(approx))
+    ov = np.fromiter(map(np.vdot, approx, psi), dtype=complex, count=len(approx))
     mag = np.abs(ov)
     phase = np.divide(ov, mag, out=np.ones_like(ov), where=mag > 0)
     # e^{i phi} approx - exact, in place: fl(y - x) = -fl(x - y), so the norms are unchanged
-    np.subtract(np.multiply(phase[:, None], approx, out=approx), traj.states, out=approx)
+    np.subtract(np.multiply(phase[:, None], approx, out=approx), psi, out=approx)
     return row_norms(approx)

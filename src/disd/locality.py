@@ -9,7 +9,7 @@ information, linearly interpolated.
 
 The global state is pure, so S(AB) = S(C) and the mutual information is
 I(A:B) = S(A) + S(B) - S(C): no d_A*d_B reduced state is formed, and every
-term is computed for all sample times in one stacked call.
+term is computed for a block of sample times in one stacked call.
 
 Signaling uses linearity twice. A unitary G on the source side maps the
 initial state to sum_j w_j phi_j, w = G @ amplitudes, over the d_s source
@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .evolve import Trajectory
+from .evolve import BLOCK_NUMBERS, Trajectory
 from .model import InitialSpec, initial_state, place_robust
 from .qcore import (Dims, ValidationError, derive_seed, haar_unitary, max_trace_distance,
                     rdm_from_state, vn_entropy)
@@ -38,13 +38,13 @@ __all__ = [
     "tau_estimate",
 ]
 
-def mi_and_entropies(traj: Trajectory) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """I(A:B), S(A) and S(B) in bits at each trajectory time.
+def mi_and_entropies(states: np.ndarray,
+                     dims: Dims) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """I(A:B), S(A) and S(B) in bits of each pure state, a row of ``states`` (T, n).
 
     S(A), S(C) and S(B) are one stacked call each, and I(A:B) = S(A)+S(B)-S(C).
     """
-    factors = traj.model.dims.factors
-    s_a, s_c, s_b = (vn_entropy(rdm_from_state(traj.states, factors, (k,))) for k in range(3))
+    s_a, s_c, s_b = (vn_entropy(rdm_from_state(states, dims.factors, (k,))) for k in range(3))
     mi = s_a + s_b - s_c
     lo = mi.min(initial=0.0)
     if lo < -1e-9:
@@ -53,8 +53,12 @@ def mi_and_entropies(traj: Trajectory) -> tuple[np.ndarray, np.ndarray, np.ndarr
 
 
 def mi_trajectory(traj: Trajectory) -> np.ndarray:
-    """A:B mutual information in bits at each trajectory time, S(A)+S(B)-S(C)."""
-    return mi_and_entropies(traj)[0]
+    """A:B mutual information in bits at each trajectory time, S(A)+S(B)-S(C).
+
+    The states are reduced block by block, in an evolve pass of its own.
+    """
+    return np.concatenate([mi_and_entropies(states[:, 0], traj.model.dims)[0]
+                           for _, states in traj.evolve()])
 
 
 def _source_stack(init: InitialSpec, dims: Dims, robust_index: int, direction: str):
@@ -107,7 +111,7 @@ def _signaling_curves(chunks, amplitudes: np.ndarray, keep: tuple[int], dims: Di
 
 
 def signaling_test(traj: Trajectory, direction: str, n_samples: int = 64,
-                   seed: int = 0) -> np.ndarray:
+                   seed: int = 0, on_rows=None) -> np.ndarray:
     """Max reduced-state disturbance of the target side under sampled source unitaries.
 
     For each of ``n_samples`` Haar unitaries G on the source subsystem (B for
@@ -116,25 +120,34 @@ def signaling_test(traj: Trajectory, direction: str, n_samples: int = 64,
     between the target's reduced states and the trajectory's own is
     recorded; the per-time maximum over samples is returned. Sample k's
     unitary depends only on (seed, direction, k), so enlarging n_samples
-    refines the same family. Only the d_source source basis states evolve, as
-    one stack on the trajectory's own route (``Trajectory.evolve``). Every
-    sample's target state is the GEMM of its pair weights with the cross
-    reduced states of those basis states (see the module docstring). They go
-    a few times and a few samples at a time, so that neither a stack of cross
-    states (d_source^2 d_target^2 numbers a time) nor a stack of sample
-    target states (d_target^2 a sample and time) holds more numbers than the
-    trajectory, whatever ``n_samples`` is. The one exception: where a single
-    time's cross states outnumber the trajectory, they are formed one time at
-    a time. The maximum over samples is
-    ``qcore.max_trace_distance``, which runs ``eigvalsh`` only on the samples
-    that a Frobenius-norm bracket of the trace norm leaves in the running; it
-    equals the maximum of every sample's trace distance bit for bit.
+    refines the same family. Only the d_source source basis states evolve, in
+    one stack with the trajectory's own state on its route
+    (``Trajectory.evolve``), whose rows in each block are the reference.
+    ``on_rows``, if given, is called with those rows of each block, (rows, n),
+    so a caller reduces them in the same pass. Every sample's target state is
+    the GEMM of its pair weights with the cross reduced states of those basis
+    states (see the module docstring). They go a few times and a few samples at
+    a time, so that neither a stack of cross states (d_source^2 d_target^2
+    numbers a time) nor a stack of sample target states (d_target^2 a sample
+    and time) holds more numbers than a block may, min(BLOCK_NUMBERS, T n),
+    whatever ``n_samples`` is. The one exception: where a single time's cross
+    states outnumber that, they are formed one time at a time. The maximum
+    over samples is ``qcore.max_trace_distance``, which runs ``eigvalsh`` only
+    on the samples that a Frobenius-norm bracket of the trace norm leaves in
+    the running; it equals the maximum of every sample's trace distance bit
+    for bit.
     """
     model = traj.model
     amplitudes, basis, keep = _source_stack(traj.init, model.dims, model.robust_index, direction)
-    chunks = ((phi, traj.states[rows]) for rows, phi in traj.evolve(basis))
-    return _signaling_curves(chunks, amplitudes, keep, model.dims, direction, n_samples, seed,
-                             budget=traj.states.size)
+
+    def chunks():
+        for _, states in traj.evolve(basis):
+            if on_rows is not None:
+                on_rows(states[:, 0])
+            yield states[:, 1:], states[:, 0]
+
+    return _signaling_curves(chunks(), amplitudes, keep, model.dims, direction, n_samples, seed,
+                             budget=min(BLOCK_NUMBERS, traj.psi0.size * len(traj.times)))
 
 
 def signaling_test_unitary(u: np.ndarray, init: InitialSpec, dims: Dims, robust_index: int,

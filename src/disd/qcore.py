@@ -27,7 +27,6 @@ __all__ = [
     "random_hermitian",
     "rdm_from_state",
     "spectral_norm",
-    "trace_distance",
     "vn_entropy",
 ]
 
@@ -231,25 +230,14 @@ def vn_entropy(rho: np.ndarray) -> float | np.ndarray:
     return float(s) if s.ndim == 0 else s
 
 
-def trace_distance(rho: np.ndarray, sigma: np.ndarray) -> float | np.ndarray:
-    """Half the trace norm of rho - sigma; in [0, 1] for density matrices.
-
-    Both arguments are one matrix ``(d, d)`` or equal-shaped stacks
-    ``(..., d, d)``; the result is a float or an array of the leading shape.
-    """
-    rho = np.asarray(rho)
-    sigma = np.asarray(sigma)
-    if rho.shape != sigma.shape:
-        raise ValueError(f"shape mismatch {rho.shape} vs {sigma.shape}")
-    d = 0.5 * np.abs(np.linalg.eigvalsh(rho - sigma)).sum(axis=-1)
-    return float(d) if d.ndim == 0 else d
-
-
 def max_trace_distance(rho: np.ndarray, sigma: np.ndarray) -> float | np.ndarray:
-    """``trace_distance(rho, sigma).max(axis=-1)`` bit for bit, diagonalizing fewer pairs.
+    """The largest trace distance of a stack of pairs, diagonalizing fewer of them.
 
     ``rho`` is a stack ``(..., k, d, d)`` and ``sigma`` broadcasts against it;
-    the result has the leading shape ``(...)``, a float when that is empty.
+    the result has the leading shape ``(...)``, a float when that is empty. It
+    equals the maximum over k of half the trace norm of rho - sigma from one
+    ``eigvalsh`` of every pair bit for bit (``trace_distance`` in
+    ``tests/oracles.py`` is that reference).
     For Hermitian D = rho - sigma with trace tau and Frobenius norm F,
     2F^2 - tau^2 <= ||D||_1^2 <= d F^2 (the lower bound from F^2 <= P^2 + N^2,
     P and N the positive and negative eigenvalue mass). A pair whose upper

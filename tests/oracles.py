@@ -16,7 +16,6 @@ from disd.qcore import (
     derive_seed,
     haar_unitary,
     rdm_from_state,
-    trace_distance,
     vn_entropy,
 )
 
@@ -65,6 +64,30 @@ def mutual_information(rho_ab, d_a, d_b):
     if mi < -1e-9:
         raise ValidationError(f"mutual information {mi:.3e} below -1e-9")
     return max(mi, 0.0)
+
+
+def trace_distance(rho, sigma):
+    """Half the trace norm of rho - sigma; in [0, 1] for density matrices.
+
+    Both arguments are one matrix ``(d, d)`` or equal-shaped stacks
+    ``(..., d, d)``; the result is a float or an array of the leading shape.
+    ``qcore.max_trace_distance`` must equal the maximum of these bit for bit.
+    """
+    rho = np.asarray(rho)
+    sigma = np.asarray(sigma)
+    if rho.shape != sigma.shape:
+        raise ValueError(f"shape mismatch {rho.shape} vs {sigma.shape}")
+    d = 0.5 * np.abs(np.linalg.eigvalsh(rho - sigma)).sum(axis=-1)
+    return float(d) if d.ndim == 0 else d
+
+
+def trajectory_states(traj, stack=None):
+    """Every block of ``traj.evolve(stack)`` collected into one array, each block copied.
+
+    (T, n), the trajectory's own states, with no stack; (T, 1 + k, n) with a stack (k, n).
+    """
+    states = np.concatenate([block.copy() for _, block in traj.evolve(stack)])
+    return states[:, 0] if stack is None else states
 
 
 def _ordered_eigh_desc(h):

@@ -25,7 +25,8 @@ from disd.qcore import (
     vn_entropy,
 )
 
-from oracles import loglog_slope, mutual_information, rs2_table_bruteforce, spearman_rank
+from oracles import (loglog_slope, mutual_information, rs2_table_bruteforce, spearman_rank,
+                     trajectory_states)
 
 DEFAULT_SEED = 1
 DIMS = Dims(2, 3, 3)
@@ -177,16 +178,16 @@ def test_criterion_8_numerical_hygiene(tmp_path):
     u = prop.evolve_many(np.eye(12), [1.3])[0].T
     unitarity = float(np.abs(u.conj().T @ u - np.eye(12)).max())
 
-    traj = propagate(spec, init, times)
-    drift = float(np.abs(np.linalg.norm(traj.states, axis=1) - 1.0).max())
+    states = trajectory_states(propagate(spec, init, times))
+    drift = float(np.abs(np.linalg.norm(states, axis=1) - 1.0).max())
 
     h_full = disd.assemble_hamiltonian(spec)
-    energies = [np.vdot(s, h_full @ s).real for s in traj.states]
+    energies = [np.vdot(s, h_full @ s).real for s in states]
     energy_span = float(max(energies) - min(energies))
 
     entropies, mis = [], []
     bound = 2 * min(np.log2(DIMS.a), np.log2(DIMS.b))
-    for s in traj.states:
+    for s in states:
         entropies.append(vn_entropy(rdm_from_state(s, DIMS.factors, (0,))))
         mis.append(mutual_information(rdm_from_state(s, DIMS.factors, (0, 2)),
                                       DIMS.a, DIMS.b))

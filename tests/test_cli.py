@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +24,8 @@ from disd.config import (
 from disd.evolve import Chebyshev, Propagator, perturbation_data, propagate
 from disd.model import assemble_hamiltonian, initial_state
 from disd.qcore import haar_unitary
+
+from oracles import trajectory_states
 
 
 def base_config(**overrides):
@@ -223,19 +226,19 @@ class TestLocality:
             assert b >= a - 1e-15
 
     def test_route_is_priced_for_every_state_of_the_job(self, tmp_path, monkeypatch):
-        # the trajectory's state, then the d_B = 3 and d_A = 2 source states of the two signals
+        # the trajectory's state alone, or with the d_B = 3, then the d_A = 2 source states
         priced = []
         route = disd.evolve._route
 
-        def spy(spec, times, states):
-            priced.append(states)
-            return route(spec, times, states)
+        def spy(spec, times, stacks):
+            priced.append(tuple(stacks))
+            return route(spec, times, stacks)
 
         monkeypatch.setattr(disd.evolve, "_route", spy)
-        for command, states in (("simulate", 1), ("locality", 1 + 2 + 3)):
+        for command, stacks in (("simulate", (1,)), ("locality", (1 + 3, 1 + 2))):
             cfg = write_config(tmp_path, base_config())
             assert main([command, "--config", cfg, "--out", str(tmp_path / "out.csv")]) == 0
-            assert priced.pop() == states
+            assert priced.pop() == stacks
 
     def test_one_eigensystem_per_run(self, tmp_path, propagator_builds):
         cfg = write_config(tmp_path, base_config())
@@ -277,7 +280,7 @@ class TestLocalityGolden:
         traj = propagate(spec, init, times)
         psi0 = initial_state(init, spec.dims, spec.robust_index)
         spectral = Propagator(assemble_hamiltonian(spec)).evolve_many(psi0, times)
-        assert np.array_equal(traj.states, spectral)
+        assert np.array_equal(trajectory_states(traj), spectral)
 
 
 def dense_config():
@@ -322,18 +325,41 @@ class TestSimulateGolden:
         assert propagator_builds == []
 
     def test_dense_run_works_out_each_grid_plan_once(self, tmp_path, monkeypatch):
-        # the route's count prices the grid that the job then runs: one series per grid
-        grids = []
+        # the route's count prices the blocks that the job then runs: one series per grid row,
+        # whatever the slices the series are worked out in
+        series = []
         coefficients = disd.evolve._chebyshev_coefficients
 
         def recorded(z):
-            grids.append(np.asarray(z).tobytes())
+            series.extend(np.ravel(z))
             return coefficients(z)
 
         monkeypatch.setattr(disd.evolve, "_chebyshev_coefficients", recorded)
+        out = tmp_path / "simulate.csv"
         assert main(["simulate", "--config", write_config(tmp_path, dense_config()),
-                     "--out", str(tmp_path / "simulate.csv")]) == 0
-        assert len(grids) == len(set(grids)) == 1
+                     "--out", str(out)]) == 0
+        rows = len(out.read_text().splitlines()) - 1
+        assert len(series) == rows == 200
+
+
+class TestMemory:
+    def test_peak_does_not_grow_with_the_run_length(self, tmp_path, propagator_builds):
+        # simulate at 8x4x32 on the Chebyshev route at a fixed step, dt = 0.02, so that its
+        # recurrences keep their length: 1000 steps to t = 20, then 2000 to t = 40. The second
+        # run may peak higher by less than half of what its 1000 extra trajectory rows take
+        peaks = []
+        for steps, t_max in ((1000, 20.0), (2000, 40.0)):
+            cfg = write_config(tmp_path, dict(dense_config(), time={"t_max": t_max,
+                                                                    "steps": steps}))
+            tracemalloc.start()
+            try:
+                assert main(["simulate", "--config", cfg,
+                             "--out", str(tmp_path / "simulate.csv")]) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert propagator_builds == []
+        assert peaks[1] - peaks[0] < 1000 * (8 * 4 * 32) * 16 / 2
 
 
 class TestThreadCount:
@@ -682,6 +708,31 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("config error: argument ")
         assert "not allowed with argument" in err
+
+    @pytest.mark.parametrize("eigh_cost", [disd.evolve.EIGH_FLOPS_PER_N3, np.inf],
+                             ids=["spectral", "chebyshev"])
+    @pytest.mark.parametrize("command", ["simulate", "locality"])
+    def test_drift_after_the_first_block_is_validation_error(self, tmp_path, capsys, monkeypatch,
+                                                              command, eigh_cost):
+        # the check reads psi0's rows block by block, so it fires mid-stream: the first block
+        # has been reduced, no output has been formed, and none is written
+        monkeypatch.setattr(disd.evolve, "EIGH_FLOPS_PER_N3", eigh_cost)
+        monkeypatch.setattr(disd.evolve, "BLOCK_NUMBERS", 3 * 18)  # 3 rows of dim 18 at most
+        yielded = []
+        for route in (Propagator, Chebyshev):
+            def drifting(self, psi, times, max_rows, blocks=route.blocks):
+                for rows, states in blocks(self, psi, times, max_rows):
+                    yielded.append(rows)
+                    yield rows, states * (1 + 1e-6) if len(yielded) > 1 else states
+
+            monkeypatch.setattr(route, "blocks", drifting)
+        out = tmp_path / "out.csv"
+        cfg = write_config(tmp_path, base_config(time={"t_max": 2.0, "steps": 20}))
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("validation error: propagation norm drift 1.0")
+        assert len(yielded) == 2
+        assert not out.exists()
 
     def test_unallocatable_time_grid_is_config_error(self, tmp_path, capsys):
         # 10**13 float64 times need 72.8 TiB; the allocator refuses that at once

@@ -27,7 +27,7 @@ from disd.model import InitialSpec, ModelSpec, assemble_hamiltonian, build_canon
 from disd.qcore import Dims, ValidationError
 
 from oracles import (chebyshev_series_exact, dense_exponential, energy_table, residuals_per_row,
-                     rs2_table_bruteforce)
+                     rs2_table_bruteforce, trajectory_states)
 from test_locality import ORACLE_CASES, ORACLE_IDS, oracle_case
 
 # Frozen from the brute-force oracle for seed 1, dims (2,2,2), c1=4, c2=0.5.
@@ -55,7 +55,7 @@ class TestPropagate:
     def test_time_zero(self, spec233, init233):
         traj = propagate(spec233, init233, [0.0, 0.5])
         psi0 = initial_state(init233, spec233.dims, spec233.robust_index)
-        assert np.array_equal(traj.states[0], psi0)
+        assert np.array_equal(trajectory_states(traj)[0], psi0)
 
     def test_zero_hamiltonian(self, dims233, init233):
         psi0 = initial_state(init233, dims233, 0)
@@ -73,12 +73,12 @@ class TestPropagate:
 
     def test_norm_preserved(self, spec233, init233):
         traj = propagate(spec233, init233, np.linspace(0, 20, 50))
-        assert np.abs(np.linalg.norm(traj.states, axis=1) - 1.0).max() <= 1e-9
+        assert np.abs(np.linalg.norm(trajectory_states(traj), axis=1) - 1.0).max() <= 1e-9
 
     def test_energy_conserved(self, spec233, init233):
         h = assemble_hamiltonian(spec233)
         traj = propagate(spec233, init233, np.linspace(0, 10, 30))
-        energies = [np.vdot(s, h @ s).real for s in traj.states]
+        energies = [np.vdot(s, h @ s).real for s in trajectory_states(traj)]
         assert max(energies) - min(energies) <= 1e-8
 
     def test_rejects_unsorted_times(self, spec233, init233):
@@ -108,11 +108,12 @@ class TestRobustInitialState:
     def test_trajectory_starts_in_the_model_robust_state(self, init233):
         spec = build_canonical(Dims(2, 3, 3), 1, 8.0, 0.3, robust_index=1)
         traj = propagate(spec, init233, np.linspace(0, 5, 12))
-        psi0 = traj.states[0].reshape(spec.dims.factors)
+        states = trajectory_states(traj)
+        psi0 = states[0].reshape(spec.dims.factors)
         assert np.count_nonzero(psi0[:, [0, 2], :]) == 0
         assert np.array_equal(psi0[:, 1, :], np.outer(init233.alpha, init233.chi))
         pd = perturbation_data(spec)
-        expected = residuals_per_row(spec, init233, pd, traj.times, traj.states)
+        expected = residuals_per_row(spec, init233, pd, traj.times, states)
         assert_allclose(residuals_along(traj, pd), expected, rtol=0, atol=1e-12)
         assert expected[0] <= 1e-12
 
@@ -310,7 +311,7 @@ class TestResidualsAgainstOracle:
         spec, init, times = oracle_case(factors, c2)
         pd = perturbation_data(spec)
         traj = propagate(spec, init, times)
-        expected = residuals_per_row(spec, init, pd, traj.times, traj.states)
+        expected = residuals_per_row(spec, init, pd, traj.times, trajectory_states(traj))
         assert_allclose(residuals_along(traj, pd), expected, rtol=0, atol=1e-12)
         if c2 == 0:
             assert expected.max() <= 1e-9
@@ -547,43 +548,63 @@ class TestTracerNames:
                         f"{layer}.{cls_name}.{method}"
 
 
-def locality_states(factors):
-    """The states a locality job evolves: the trajectory's, then d_B and d_A source states."""
-    return 1 + factors[0] + factors[2]
+def locality_stacks(factors):
+    """The stacks a locality job evolves: psi0 with the d_B, then with the d_A source states."""
+    return 1 + factors[2], 1 + factors[0]
 
 
 class TestRoute:
-    @pytest.mark.parametrize("factors, states, steps, route", [
-        ((8, 4, 6), 1, 200, Propagator), ((8, 4, 9), 1, 200, Chebyshev),
-        ((8, 4, 16), 1, 200, Chebyshev), ((8, 4, 8), 1, 2000, Propagator),
-        *(((8, 4, b), locality_states((8, 4, b)), 200, Propagator) for b in (10, 16, 32))],
+    @pytest.mark.parametrize("factors, stacks, steps, route", [
+        ((8, 4, 6), (1,), 200, Propagator), ((8, 4, 9), (1,), 200, Chebyshev),
+        ((8, 4, 16), (1,), 200, Chebyshev), ((8, 4, 8), (1,), 2000, Propagator),
+        *(((8, 4, b), locality_stacks((8, 4, b)), 200, Propagator) for b in (10, 16, 32))],
         ids=["8x4x6", "8x4x9", "8x4x16", "8x4x8-2000-steps", "8x4x10-locality", "8x4x16-locality",
              "8x4x32-locality"])
-    def test_benchmark_grid_takes_the_faster_route(self, factors, states, steps, route):
+    def test_benchmark_grid_takes_the_faster_route(self, factors, stacks, steps, route):
         # measured at one BLAS thread (CHANGES.md has the ladder): one state is 2x faster by eigh
         # at 8x4x6, 1.3x by Chebyshev at 8x4x9 and 6x at 8x4x16; at 2000 steps eigh is 1.36x
         # faster at 8x4x8, as each Chebyshev row sums about 190 terms; a locality job is
         # 1.3-1.5x faster by eigh at 8x4x{10, 16, 32}
         spec, _ = uniform_case(factors)
-        assert isinstance(evolve._route(spec, np.linspace(0, 20, steps), states), route)
+        assert isinstance(evolve._route(spec, np.linspace(0, 20, steps), stacks), route)
 
     def test_the_count_prices_the_blocks_that_evolve_runs(self, spec233, init233, monkeypatch):
         monkeypatch.setattr(evolve, "EIGH_FLOPS_PER_N3", np.inf)  # every grid prefers Chebyshev
-        grids = []
+        asked = []
         plans = Chebyshev._plans
 
-        def recorded(self, times):
-            grids.append(times)
-            return plans(self, times)
+        def recorded(self, times, max_rows=None):
+            asked.append((np.asarray(times).tobytes(), max_rows))
+            return plans(self, times, max_rows)
 
         monkeypatch.setattr(Chebyshev, "_plans", recorded)
-        traj = propagate(spec233, init233, np.linspace(0, 5, 40), states=3)
-        priced = grids[:-1]  # the last plan is the trajectory's own
-        grids.clear()
-        list(traj.evolve(random_stack(spec233.dims.total)))
-        assert len(priced) == len(grids) == 4  # 40 times in blocks of 13
-        for got, want in zip(grids, priced):
-            assert np.array_equal(got, want)
+        times = np.linspace(0, 5, 40)
+        traj = propagate(spec233, init233, times, stacks=(3,))
+        priced = list(asked)
+        asked.clear()
+        blocks = [rows for rows, _ in traj.evolve(random_stack(spec233.dims.total, k=2))]
+        # 40 times of 18 numbers, so a stack of psi0 and two states takes 720 // 54 = 13 rows
+        assert asked == priced == [(times.tobytes(), 13)]
+        assert [(rows.start, rows.stop) for rows in blocks] == [(0, 13), (13, 26), (26, 39),
+                                                                 (39, 40)]
+
+    @pytest.mark.parametrize("eigh_cost, route", [(evolve.EIGH_FLOPS_PER_N3, Propagator),
+                                                  (np.inf, Chebyshev)], ids=["spectral", "chebyshev"])
+    def test_a_smaller_budget_cuts_the_blocks_not_the_states(self, spec233, init233, monkeypatch,
+                                                             eigh_cost, route):
+        # 40 times of dim 18 under a budget of 100 numbers: blocks of 5 rows for psi0 alone, and
+        # of one row for psi0 with 5 more states (108 numbers a row), with the same states
+        monkeypatch.setattr(evolve, "EIGH_FLOPS_PER_N3", eigh_cost)
+        traj = propagate(spec233, init233, np.linspace(0, 5, 40))
+        assert isinstance(traj.route, route)
+        whole = trajectory_states(traj)
+        monkeypatch.setattr(evolve, "BLOCK_NUMBERS", 100)
+        for stack, rows in ((None, 5), (random_stack(spec233.dims.total, k=5), 1)):
+            blocks = [(r, states.copy()) for r, states in traj.evolve(stack)]
+            assert [(r.start, r.stop) for r, _ in blocks] == [(i, i + rows)
+                                                              for i in range(0, 40, rows)]
+            states = np.concatenate([states for _, states in blocks])
+            assert_allclose(states[:, 0], whole, rtol=0, atol=1e-12)
 
     def test_signaling_builds_no_propagator_on_a_chebyshev_trajectory(self, propagator_builds):
         spec, init = uniform_case((16, 2, 16))
@@ -594,9 +615,9 @@ class TestRoute:
         assert propagator_builds == []
 
         # priced for the whole locality job, the same model takes the spectral route
-        spectral = propagate(spec, init, times, states=locality_states(spec.dims.factors))
+        spectral = propagate(spec, init, times, stacks=locality_stacks(spec.dims.factors))
         assert isinstance(spectral.route, Propagator) and len(propagator_builds) == 1
-        assert_allclose(traj.states, spectral.states, rtol=0, atol=1e-12)
+        assert_allclose(trajectory_states(traj), trajectory_states(spectral), rtol=0, atol=1e-12)
         want = [signaling_test(spectral, d, n_samples=2, seed=1) for d in ("b_to_a", "a_to_b")]
         assert len(propagator_builds) == 1
         assert_allclose(got, want, rtol=0, atol=1e-12)

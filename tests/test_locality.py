@@ -16,7 +16,7 @@ from disd.locality import (
 )
 from disd.model import InitialSpec, assemble_hamiltonian, build_canonical, initial_state
 from disd.qcore import Dims, haar_unitary, rdm_from_state, vn_entropy
-from oracles import mi_per_row, signaling_per_row
+from oracles import mi_per_row, signaling_per_row, trajectory_states
 
 
 class TestMiTrajectory:
@@ -52,7 +52,7 @@ class TestSignaling:
         spec = build_canonical(dims233, 4, 3.0, 0.0)
         traj = propagate(spec, init233, np.linspace(0, 10, 20))
         d = dims233
-        for s in traj.states:
+        for s in trajectory_states(traj):
             s_a = vn_entropy(rdm_from_state(s, d.factors, (0,)))
             assert 2 * s_a <= 1e-10  # I(A:CB) = 2 S(A) for a pure global state
         out = signaling_test(traj, "b_to_a", n_samples=8, seed=1)
@@ -191,26 +191,32 @@ class TestOneEigensystem:
         monkeypatch.setattr(evolve_module, "EIGH_FLOPS_PER_N3", np.inf)
         traj = propagate(spec233, init233, times)
         assert isinstance(traj.route, Chebyshev)
-        # blocks of T // 2 rows, each from the last row of the one before, rebuild the trajectory
-        rows, blocks = zip(*traj.evolve(np.stack([traj.states[0]] * 2)))
-        assert rows == (slice(0, 6), slice(6, 12))
-        assert_allclose(np.concatenate(blocks)[:, 1], traj.states, rtol=0, atol=1e-13)
+        # psi0 alone runs as one recurrence; with two copies of it the stack takes 12 x 18 //
+        # (3 x 18) = 4 rows a block, each recurrence from the last row of the one before, and
+        # every column matches the one-recurrence evolution
+        stacked = trajectory_states(traj, np.stack([traj.psi0] * 2))
+        whole = traj.route.evolve_many(traj.psi0, times)
+        assert [rows for rows, _ in traj.evolve()] == [slice(0, 12)]
+        assert [rows for rows, _ in traj.evolve(np.stack([traj.psi0] * 2))] == [
+            slice(0, 4), slice(4, 8), slice(8, 12)]
+        for k in range(3):
+            assert_allclose(stacked[:, k], whole, rtol=0, atol=1e-13)
         got = [signaling_test(traj, d, n_samples=3, seed=1) for d in ("b_to_a", "a_to_b")]
         assert len(propagator_builds) == 1  # the spectral trajectory's own
         assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
 def evolved_sizes(monkeypatch, route):
-    """A list that gains the size of each array ``route.evolve_many`` returns during the test."""
+    """A list that gains the size of each block ``route.blocks`` yields during the test."""
     sizes = []
-    evolve_many = route.evolve_many
+    blocks = route.blocks
 
-    def counted(self, psi, times):
-        out = evolve_many(self, psi, times)
-        sizes.append(out.size)
-        return out
+    def counted(self, psi, times, max_rows):
+        for rows, states in blocks(self, psi, times, max_rows):
+            sizes.append(states.size)
+            yield rows, states
 
-    monkeypatch.setattr(route, "evolve_many", counted)
+    monkeypatch.setattr(route, "blocks", counted)
     return sizes
 
 
@@ -244,8 +250,8 @@ def sample_states(calls, n_samples):
 
 class TestSignalingByLinearity:
     def test_evolved_blocks_never_outgrow_the_trajectory(self, spec233, init233, monkeypatch):
-        # the d_source basis states evolve once at each time, by one evolve_many call for each
-        # block of T // d_source times, on the spectral route and on the Chebyshev route
+        # psi0 and the d_source basis states evolve once at each time, in blocks of at most the
+        # trajectory's T n numbers, on the spectral route and on the Chebyshev route
         times = np.linspace(0, 5, 40)
         n = spec233.dims.total
         for eigh_cost, route in ((evolve_module.EIGH_FLOPS_PER_N3, Propagator),
@@ -256,9 +262,10 @@ class TestSignalingByLinearity:
             sizes = evolved_sizes(monkeypatch, route)
             for direction in ("b_to_a", "a_to_b"):
                 signaling_test(traj, direction, n_samples=64, seed=1)
-            assert len(sizes) == 4 + 2  # 40 times in blocks of 13 (B to A, d_B = 3) and 20 (d_A = 2)
-            assert max(sizes) <= len(times) * n
-            assert sum(sizes) == len(times) * (spec233.dims.b + spec233.dims.a) * n
+            # 40 times x 18 numbers in blocks of 10 rows (B to A, 1 + d_B = 4) and 13 (1 + d_A = 3)
+            assert len(sizes) == 4 + 4
+            assert max(sizes) <= min(evolve_module.BLOCK_NUMBERS, len(times) * n)
+            assert sum(sizes) == len(times) * (2 + spec233.dims.b + spec233.dims.a) * n
 
     @pytest.mark.parametrize("eigh_cost, route", [(evolve_module.EIGH_FLOPS_PER_N3, Propagator),
                                                   (np.inf, Chebyshev)])
@@ -277,7 +284,7 @@ class TestSignalingByLinearity:
             samples = spied(monkeypatch, "max_trace_distance")
             for direction in ("b_to_a", "a_to_b"):
                 signaling_test(traj, direction, n_samples=n_samples, seed=1)
-            budget = len(times) * spec.dims.total
+            budget = min(evolve_module.BLOCK_NUMBERS, len(times) * spec.dims.total)
             assert max(max(np.size(args[0]), out.size) for args, out in rdms) <= budget
             assert max(np.size(args[0]) for args, _ in samples) <= budget
             # every sample's target state at every time, d_A^2 or d_B^2 numbers, went once
@@ -298,7 +305,7 @@ class TestSignalingByLinearity:
         traj = propagate(spec233, init233, np.linspace(0, 5, 5))
         dims = spec233.dims
         amplitudes, basis, keep = _source_stack(init233, dims, spec233.robust_index, direction)
-        chunks = ((phi, traj.states[rows]) for rows, phi in traj.evolve(basis))
+        chunks = ((states[:, 1:], states[:, 0]) for _, states in traj.evolve(basis))
         calls = spied(monkeypatch, "max_trace_distance")
         whole = locality_module._signaling_curves(chunks, amplitudes, keep, dims, direction,
                                                   111, 1, budget=10 ** 9)
@@ -330,7 +337,7 @@ class TestBatchedAgainstOracles:
     def test_mi_matches_per_row_route(self, factors, c2):
         spec, init, times = oracle_case(factors, c2)
         traj = propagate(spec, init, times)
-        expected = mi_per_row(traj.states, spec.dims)
+        expected = mi_per_row(trajectory_states(traj), spec.dims)
         assert_allclose(mi_trajectory(traj), expected, rtol=0, atol=1e-12)
         if c2 == 0:
             assert expected.max() <= 1e-10
@@ -360,7 +367,8 @@ class TestBatchedAgainstOracles:
         traj = propagate(spec, init, times)
         assert isinstance(traj.route, Chebyshev)
         evolve = lambda psi: traj.route.evolve_many(psi, traj.times)
-        expected = signaling_per_row(evolve, traj.states[0], traj.states, spec.dims,
+        states = trajectory_states(traj)
+        expected = signaling_per_row(evolve, states[0], states, spec.dims,
                                      direction, n_samples=5, seed=2)
         got = signaling_test(traj, direction, n_samples=5, seed=2)
         assert_allclose(got, expected, rtol=0, atol=1e-12)
@@ -374,7 +382,8 @@ class TestBatchedAgainstOracles:
         traj = propagate(spec, init, times)
         assert isinstance(traj.route, Chebyshev if eigh_cost == np.inf else Propagator)
         evolve = lambda psi: traj.route.evolve_many(psi, traj.times)
-        expected = signaling_per_row(evolve, traj.states[0], traj.states, spec.dims,
+        states = trajectory_states(traj)
+        expected = signaling_per_row(evolve, states[0], states, spec.dims,
                                      direction, n_samples=3, seed=2)
         assert expected.max() > 1e-3
         got = signaling_test(traj, direction, n_samples=3, seed=2)

@@ -11,11 +11,10 @@ from disd.qcore import (
     max_trace_distance,
     random_hermitian,
     rdm_from_state,
-    trace_distance,
     vn_entropy,
 )
 
-from oracles import mutual_information, partial_trace
+from oracles import mutual_information, partial_trace, trace_distance
 
 SZ = np.array([[1, 0], [0, -1]], dtype=complex)
 
