@@ -11,10 +11,16 @@ import numpy as np
 
 import disd
 from disd.evolve import perturbation_data, propagate
-from disd.locality import mi_trajectory, signaling_test, tau_estimate
+from disd.locality import mi_and_entropies, signaling_test, tau_estimate
 
 dims = disd.Dims(2, 3, 3)
 init = disd.InitialSpec(alpha=np.ones(2) / np.sqrt(2), chi=np.ones(3) / np.sqrt(3))
+
+
+def mutual_information(traj):
+    """I(A:B) in bits at each time, from each block of exact states as it is evolved."""
+    return np.concatenate([mi_and_entropies(states[:, 0], dims)[0] for _, states in traj.evolve()])
+
 
 spec = disd.build_canonical(dims, seed=1, c1=2.0, c2=0.2)
 pd = perturbation_data(spec)
@@ -22,7 +28,7 @@ print(f"sup|lambda_i0j| = {pd.lambda_sup:.4f}   1/sup = {1 / pd.lambda_sup:.1f}"
 
 times = np.linspace(0.0, 120.0, 241)
 traj = propagate(spec, init, times)
-mi = mi_trajectory(traj)
+mi = mutual_information(traj)
 b_to_a, a_to_b = (signaling_test(traj, d, n_samples=16, seed=1) for d in ("b_to_a", "a_to_b"))
 print(f"onset estimate tau (0.01 bit threshold): {tau_estimate(times, mi, 0.01):.2f}")
 print(f"{'t':>7}  {'I(A:B) bits':>12}  {'B->A signal':>12}  {'A->B signal':>12}")
@@ -35,5 +41,5 @@ for c1 in (1.0, 2.0, 4.0, 8.0):
     spec = disd.build_canonical(dims, seed=1, c1=c1, c2=0.2)
     grid = np.linspace(0.0, 50.0 * c1, 801)
     traj = propagate(spec, init, grid)
-    tau = tau_estimate(grid, mi_trajectory(traj), 0.01)
+    tau = tau_estimate(grid, mutual_information(traj), 0.01)
     print(f"  c1 = {c1:4.0f}   tau = {tau:8.2f}")

@@ -22,6 +22,6 @@ from .model import (
     validate_robustness,
 )
 from .evolve import Propagator, perturbation_data, propagate, residuals_along
-from .locality import mi_trajectory, tau_estimate
+from .locality import mi_and_entropies, tau_estimate
 
 __version__ = "0.1.0"

@@ -59,10 +59,10 @@ EIGH_FLOPS_PER_N3 = 33.0
 EVOLVE_FLOPS_PER_N2 = 5.5
 CHEB_TERM_FLOPS = 3.5e5
 # The most complex numbers a block of evolved rows holds (16 MiB): a block of a k-state stack
-# over T times takes at most min(BLOCK_NUMBERS, T n) of them, whole rows, at least one. Every
-# recurrence of 200 steps to t = 20 at 8x4x32 (about 30 rows of 1024) stays whole; 2000 steps
-# at 8x8x64 go in 8 recurrences of at most 256 rows of 4096 instead of 7 of about 300, for
-# 1429 terms instead of 1393, while the peak RSS of that run fell from 475 to 106 MB.
+# over T times takes at most min(BLOCK_NUMBERS, T n) of them, whole rows, at least one, so a
+# job's peak memory does not grow with its run length. A Chebyshev recurrence that outgrows the
+# limit is cut, at the cost of a few more terms: every row of a recurrence is live until its
+# last term.
 BLOCK_NUMBERS = 2 ** 20
 
 
@@ -163,10 +163,13 @@ class Chebyshev:
     set to psi, as in the spectral route. A row farther than that from its
     predecessor is reached in equal sub-steps, so no recurrence sums more
     than about 210 terms. The terms are added to the rows _CHEB_CHUNK at a
-    time by one GEMM. On 200 steps to t = 20 at c1 = 50 that is 1373 terms
-    in 7 recurrences at total dim 1024 (``_route`` prices it against ``eigh``).
-    :meth:`blocks` yields each recurrence's rows as it ends, so a caller never
-    holds more than one of them.
+    time by one GEMM. :meth:`blocks` yields each recurrence's rows as it
+    ends, so a caller never holds more than one of them. ``_route`` prices
+    the recurrences against ``eigh``.
+
+    A half-width below the smallest normal double (``subnormal``) would
+    overflow 2 / half, so X is not formed and ``_route`` takes the spectral
+    route for such a model.
     """
 
     def __init__(self, spec: ModelSpec):
@@ -177,9 +180,10 @@ class Chebyshev:
         self.max_abs_energy = max(abs(self.lo), abs(self.hi))
         self._center = (self.lo + self.hi) / 2
         self._half = (self.hi - self.lo) / 2
-        # the blocks of 2X, the operator of the recurrence; a zero half-width
-        # gives z = 0, where no series applies it
-        scale = 2 / self._half if self._half > 0 else 0.0
+        self.subnormal = 0 < self._half < np.finfo(float).tiny  # 2 / half would overflow
+        # the blocks of 2X, the operator of the recurrence; a zero half-width gives z = 0,
+        # where no series applies it, and a subnormal one forms none either
+        scale = 2 / self._half if self._half > 0 and not self.subnormal else 0.0
         self._ac = (on_ac - (ac[0] + ac[-1]) / 2 * np.eye(len(ac))) * scale
         self._cb_t = ((on_cb - (cb[0] + cb[-1]) / 2 * np.eye(len(cb))) * scale).T.copy()
         self._planned = {}  # (grid bytes, max_rows) -> plans
@@ -194,27 +198,25 @@ class Chebyshev:
         out += (v.reshape(-1, d_a, d_c * d_b) @ self._cb_t).reshape(out.shape)
         return out
 
-    def _plans(self, times: np.ndarray,
-               max_rows: int | None = None) -> list[tuple[int, slice, np.ndarray]]:
+    def _plans(self, times: np.ndarray, max_rows: int) -> list[tuple[int, slice, np.ndarray]]:
         """(sub-steps, rows, coefficients) of each recurrence that :meth:`blocks` runs.
 
         A recurrence starts from psi (the first) or the last row computed, and
         serves the consecutive rows, one at t = 0 like any other, at delta =
         t - t_anchor with |half * delta| <= CHEB_Z_MAX, up to ``max_rows`` of
-        them (no limit for None). Row rows[j] takes coefficients[j], the series
-        of e^{-i half delta X} times e^{-i center delta}, padded with zeros to
-        the recurrence's longest; the series are worked out one recurrence at a
-        time. A row out of that reach is served alone, in ``sub-steps`` equal
-        steps of coefficients[0]. The plans of each (grid, max_rows) asked for
-        are kept: ``_route`` prices the blocks that ``blocks`` then runs, and
-        their series are worked out once.
+        them. Row rows[j] takes coefficients[j], the series of e^{-i half delta
+        X} times e^{-i center delta}, padded with zeros to the recurrence's
+        longest; the series are worked out one recurrence at a time. A row out
+        of that reach is served alone, in ``sub-steps`` equal steps of
+        coefficients[0]. The plans of each (grid, max_rows) asked for are kept:
+        ``_route`` prices the blocks that ``blocks`` then runs, and their series
+        are worked out once.
         """
         times = np.asarray(times, dtype=float)
         key = (times.tobytes(), max_rows)
         plans = self._planned.get(key)
         if plans is not None:
             return plans
-        limit = len(times) if max_rows is None else max_rows
         plans, anchor, row = [], 0.0, 0
         while row < len(times):
             dt, end = times[row] - anchor, row + 1
@@ -222,7 +224,7 @@ class Chebyshev:
             if steps > 1:
                 deltas = np.array([dt / steps])
             else:
-                while (end < len(times) and end - row < limit
+                while (end < len(times) and end - row < max_rows
                        and abs(self._half * (times[end] - anchor)) <= CHEB_Z_MAX):
                     end += 1
                 deltas = times[row:end] - anchor
@@ -234,20 +236,12 @@ class Chebyshev:
         return plans
 
     def terms(self, times: np.ndarray) -> int:
-        """The terms past T_0 = v that :meth:`evolve_many` sums on ``times``: its uses of 2X."""
-        return sum(steps * (coeffs.shape[1] - 1) for steps, _, coeffs in self._plans(times))
+        """The terms past T_0 = v, its uses of 2X, that :meth:`blocks` sums on ``times``.
 
-    def evolve_many(self, psi: np.ndarray, times) -> np.ndarray:
-        """psi, (n,) or (k, n), at each time: (T, n) or (T, k, n); rows at t = 0 are psi exactly.
-
-        The rows of :meth:`blocks` with no row limit, collected.
+        The blocks are those of ``max_rows`` = len(times), cut by no row limit.
         """
-        psi = np.asarray(psi, dtype=complex)
-        times = np.asarray(times, dtype=float)
-        states = np.empty((len(times), *psi.shape), dtype=complex)
-        for rows, block in self.blocks(psi, times, len(times)):
-            states[rows] = block
-        return states
+        return sum(steps * (coeffs.shape[1] - 1)
+                   for steps, _, coeffs in self._plans(times, len(times)))
 
     def blocks(self, psi: np.ndarray, times: np.ndarray, max_rows: int):
         """(rows, states) of psi, (n,) or (k, n), over ``times``: one recurrence a block.
@@ -339,7 +333,7 @@ def _route(spec: ModelSpec, times: np.ndarray, stacks=(1,)) -> Propagator | Cheb
     per_term = [k * 8 * n * (d_a * d_c + d_c * d_b) + CHEB_TERM_FLOPS for k in stacks]
     spectral = (EIGH_FLOPS_PER_N3 * n + EVOLVE_FLOPS_PER_N2 * len(times) * sum(stacks)) * n ** 2
     cheb = Chebyshev(spec)
-    if (sum(per_term) * cheb._half * np.abs(times).max() < spectral
+    if (not cheb.subnormal and sum(per_term) * cheb._half * np.abs(times).max() < spectral
             and _phase_error(cheb.max_abs_energy, times) <= PHASE_ERROR_TOL
             and sum(steps * ((c.shape[1] - 1) * cost + 8 * n * k * c.size)
                     for k, cost in zip(stacks, per_term)
@@ -352,7 +346,8 @@ def _route(spec: ModelSpec, times: np.ndarray, stacks=(1,)) -> Propagator | Cheb
 class Trajectory:
     """The product state ``psi0`` of ``init`` under one model at strictly increasing times.
 
-    It holds no evolved state: :meth:`evolve` computes them, block by block, on ``route``.
+    It holds no evolved state: its states leave it only as the blocks of :meth:`evolve`,
+    computed on ``route``.
     """
 
     times: np.ndarray
@@ -371,13 +366,13 @@ class Trajectory:
         where its rows would outgrow that limit; on the spectral route it takes as
         many rows as the limit allows. These are the blocks ``_route`` prices. Before
         a block is yielded, its psi0 rows must keep unit norm within NORM_DRIFT_TOL,
-        or ``ValidationError`` is raised.
+        or ``ValidationError`` is raised; a NaN norm fails too.
         """
         psi = self.psi0[None] if stack is None else np.concatenate([self.psi0[None], stack])
         max_rows = _block_rows(self.times, len(self.psi0), len(psi))
         for rows, states in self.route.blocks(psi, self.times, max_rows):
             drift = float(np.abs(row_norms(states[:, 0]) - 1.0).max())
-            if drift > NORM_DRIFT_TOL:
+            if not drift <= NORM_DRIFT_TOL:
                 raise ValidationError(f"propagation norm drift {drift:.3e} > {NORM_DRIFT_TOL:.1e}")
             yield rows, states
 
@@ -535,13 +530,11 @@ def product_approx(init: InitialSpec, pd: PerturbationData, times) -> np.ndarray
     return place_robust(ab, pd.spec.dims, pd.spec.robust_index)
 
 
-def residuals_along(traj: Trajectory, pd: PerturbationData, rows: slice | None = None,
-                    psi: np.ndarray | None = None) -> np.ndarray:
-    """Approximation residual of the exact states at the trajectory's sample times.
+def residuals_along(traj: Trajectory, pd: PerturbationData, rows: slice,
+                    psi: np.ndarray) -> np.ndarray:
+    """Approximation residual of ``psi``, psi0's rows of one block of :meth:`Trajectory.evolve`.
 
-    Given ``rows`` and ``psi``, psi0's rows of one block of :meth:`Trajectory.evolve`,
-    it is taken at ``traj.times[rows]``; given neither, at every time, block by
-    block in an evolve pass of its own. Each entry is the phase-aligned distance
+    It is taken at ``traj.times[rows]``. Each entry is the phase-aligned distance
     min over a global phase of || psi_exact - e^{i phi} psi_approx ||, i.e.
     sqrt(2 - 2 |<approx|exact>|). It is evaluated as a vector norm at the
     optimal phase rather than through the overlap, which would floor the result
@@ -550,9 +543,6 @@ def residuals_along(traj: Trajectory, pd: PerturbationData, rows: slice | None =
     """
     if pd.spec is not traj.model:
         raise ValueError("perturbation data was built from a different model")
-    if psi is None:
-        return np.concatenate([residuals_along(traj, pd, rows, states[:, 0])
-                               for rows, states in traj.evolve()])
     approx = product_approx(traj.init, pd, traj.times[rows])
     # <approx|exact> row by row: vdot conjugates its first argument without a copy of it
     ov = np.fromiter(map(np.vdot, approx, psi), dtype=complex, count=len(approx))

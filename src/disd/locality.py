@@ -32,11 +32,11 @@ from .qcore import (Dims, ValidationError, derive_seed, haar_unitary, max_trace_
 
 __all__ = [
     "mi_and_entropies",
-    "mi_trajectory",
     "signaling_test",
     "signaling_test_unitary",
     "tau_estimate",
 ]
+
 
 def mi_and_entropies(states: np.ndarray,
                      dims: Dims) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -50,15 +50,6 @@ def mi_and_entropies(states: np.ndarray,
     if lo < -1e-9:
         raise ValidationError(f"mutual information {lo:.3e} below -1e-9")
     return np.maximum(mi, 0.0), s_a, s_b
-
-
-def mi_trajectory(traj: Trajectory) -> np.ndarray:
-    """A:B mutual information in bits at each trajectory time, S(A)+S(B)-S(C).
-
-    The states are reduced block by block, in an evolve pass of its own.
-    """
-    return np.concatenate([mi_and_entropies(states[:, 0], traj.model.dims)[0]
-                           for _, states in traj.evolve()])
 
 
 def _source_stack(init: InitialSpec, dims: Dims, robust_index: int, direction: str):

@@ -90,6 +90,12 @@ def trajectory_states(traj, stack=None):
     return states[:, 0] if stack is None else states
 
 
+def route_states(route, psi, times):
+    """Every block of ``route.blocks(psi, times, len(times))`` collected: (T, n) or (T, k, n)."""
+    times = np.asarray(times, dtype=float)
+    return np.concatenate([block.copy() for _, block in route.blocks(psi, times, len(times))])
+
+
 def _ordered_eigh_desc(h):
     """Descending eigendecomposition, plain argsort; no phase convention."""
     evals, vecs = np.linalg.eigh(h)

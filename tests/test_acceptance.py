@@ -15,7 +15,7 @@ import disd
 from disd.cli import main
 from disd.decompose import planted_sequential, sequential_residual
 from disd.evolve import perturbation_data, propagate, residuals_along
-from disd.locality import mi_trajectory, signaling_test, signaling_test_unitary, tau_estimate
+from disd.locality import mi_and_entropies, signaling_test, signaling_test_unitary, tau_estimate
 from disd.model import build_canonical
 from disd.qcore import (
     Dims,
@@ -57,7 +57,7 @@ def _scaling_data():
         spec = build_canonical(DIMS, DEFAULT_SEED, c1, 0.05)
         pd = perturbation_data(spec)
         traj = propagate(spec, init, times)
-        max_res.append(residuals_along(traj, pd).max())
+        max_res.append(residuals_along(traj, pd, slice(None), trajectory_states(traj)).max())
         lam_sup.append(pd.lambda_sup)
         warn_total += len(pd.gap_warnings)
     return c1_grid, max_res, lam_sup, warn_total
@@ -90,8 +90,9 @@ def test_criterion_3_exact_decoupling():
     spec = build_canonical(DIMS, DEFAULT_SEED, 4.0, 0.0)
     traj = propagate(spec, init, np.linspace(0.0, 5.0, 101))
     pd = perturbation_data(spec)
-    mi_max = mi_trajectory(traj).max()
-    res_max = residuals_along(traj, pd).max()
+    states = trajectory_states(traj)
+    mi_max = mi_and_entropies(states, spec.dims)[0].max()
+    res_max = residuals_along(traj, pd, slice(None), states).max()
     sig_max = signaling_test(traj, "b_to_a", n_samples=64, seed=DEFAULT_SEED).max()
     ok = mi_max <= 1e-10 and sig_max <= 1e-10 and res_max <= 1e-9
     _report("criterion 3: exact decoupling at c2 = 0", ok,
@@ -108,7 +109,7 @@ def test_criterion_4_correlation_onset():
         spec = build_canonical(DIMS, DEFAULT_SEED, c1, 0.2)
         times = np.linspace(0.0, 50.0 * c1, 1001)
         traj = propagate(spec, init, times)
-        mi = mi_trajectory(traj)
+        mi = mi_and_entropies(trajectory_states(traj), spec.dims)[0]
         taus.append(tau_estimate(times, mi, 0.01))
         if c1 == c1_grid[0]:
             mi_smallest_c1 = mi.max()

@@ -709,6 +709,21 @@ class TestExitCodes:
         assert err.startswith("config error: argument ")
         assert "not allowed with argument" in err
 
+    @staticmethod
+    def _spoil_the_second_block(monkeypatch, eigh_cost, factor):
+        """Scale every block after the first by ``factor``, on either route; return their rows."""
+        monkeypatch.setattr(disd.evolve, "EIGH_FLOPS_PER_N3", eigh_cost)
+        monkeypatch.setattr(disd.evolve, "BLOCK_NUMBERS", 3 * 18)  # 3 rows of dim 18 at most
+        yielded = []
+        for route in (Propagator, Chebyshev):
+            def spoiled(self, psi, times, max_rows, blocks=route.blocks):
+                for rows, states in blocks(self, psi, times, max_rows):
+                    yielded.append(rows)
+                    yield rows, states * factor if len(yielded) > 1 else states
+
+            monkeypatch.setattr(route, "blocks", spoiled)
+        return yielded
+
     @pytest.mark.parametrize("eigh_cost", [disd.evolve.EIGH_FLOPS_PER_N3, np.inf],
                              ids=["spectral", "chebyshev"])
     @pytest.mark.parametrize("command", ["simulate", "locality"])
@@ -716,16 +731,7 @@ class TestExitCodes:
                                                               command, eigh_cost):
         # the check reads psi0's rows block by block, so it fires mid-stream: the first block
         # has been reduced, no output has been formed, and none is written
-        monkeypatch.setattr(disd.evolve, "EIGH_FLOPS_PER_N3", eigh_cost)
-        monkeypatch.setattr(disd.evolve, "BLOCK_NUMBERS", 3 * 18)  # 3 rows of dim 18 at most
-        yielded = []
-        for route in (Propagator, Chebyshev):
-            def drifting(self, psi, times, max_rows, blocks=route.blocks):
-                for rows, states in blocks(self, psi, times, max_rows):
-                    yielded.append(rows)
-                    yield rows, states * (1 + 1e-6) if len(yielded) > 1 else states
-
-            monkeypatch.setattr(route, "blocks", drifting)
+        yielded = self._spoil_the_second_block(monkeypatch, eigh_cost, 1 + 1e-6)
         out = tmp_path / "out.csv"
         cfg = write_config(tmp_path, base_config(time={"t_max": 2.0, "steps": 20}))
         assert main([command, "--config", cfg, "--out", str(out)]) == 2
@@ -733,6 +739,46 @@ class TestExitCodes:
         assert err.startswith("validation error: propagation norm drift 1.0")
         assert len(yielded) == 2
         assert not out.exists()
+
+    @pytest.mark.parametrize("eigh_cost", [disd.evolve.EIGH_FLOPS_PER_N3, np.inf],
+                             ids=["spectral", "chebyshev"])
+    @pytest.mark.parametrize("command", ["simulate", "locality"])
+    def test_nan_block_is_validation_error(self, tmp_path, capsys, monkeypatch, command,
+                                           eigh_cost):
+        # a NaN norm is no drift within the bound: the block never reaches a reduction
+        yielded = self._spoil_the_second_block(monkeypatch, eigh_cost, np.nan)
+        out = tmp_path / "out.csv"
+        cfg = write_config(tmp_path, base_config(time={"t_max": 2.0, "steps": 20}))
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("validation error: propagation norm drift nan > 1.0e-08")
+        assert len(yielded) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("d", [2, 8])
+    def test_subnormal_spectral_width_runs_clean(self, tmp_path, d):
+        # c1 = 1e-310 puts the Chebyshev half-width at 5e-311, where 2 / half overflows: no
+        # warning fires, and the job takes the spectral route even where the count would
+        # pick Chebyshev (at 8x8x8 over t up to 1e305)
+        zero = [[0.0] * d for _ in range(d)]
+        robust = [[float(i == j == 0) for j in range(d * d)] for i in range(d * d)]
+        doc = base_config(
+            dims={"a": d, "c": d, "b": d}, couplings={"c1": 1e-310, "c2": 0.0},
+            model={"family": "explicit",
+                   "matrices": {"h_a": zero, "h_c": zero, "h_b": zero, "h_ac": robust,
+                                "h_cb": robust}},
+            initial={"alpha": [d ** -0.5] * d, "chi": [d ** -0.5] * d},
+            time={"t_max": 1e305, "steps": 50})
+        out = tmp_path / "out.csv"
+        env = dict(os.environ, PYTHONPATH=str(Path(disd.__file__).resolve().parents[1]))
+        proc = subprocess.run([sys.executable, "-W", "error", "-m", "disd.cli", "locality",
+                               "--config", write_config(tmp_path, doc), "--out", str(out)],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
+        header, cols = parse_csv(out.read_text())
+        assert len(cols["t"]) == 50
+        assert all(np.isfinite(cols[h]).all() for h in header)
 
     def test_unallocatable_time_grid_is_config_error(self, tmp_path, capsys):
         # 10**13 float64 times need 72.8 TiB; the allocator refuses that at once

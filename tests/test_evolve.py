@@ -27,7 +27,7 @@ from disd.model import InitialSpec, ModelSpec, assemble_hamiltonian, build_canon
 from disd.qcore import Dims, ValidationError
 
 from oracles import (chebyshev_series_exact, dense_exponential, energy_table, residuals_per_row,
-                     rs2_table_bruteforce, trajectory_states)
+                     route_states, rs2_table_bruteforce, trajectory_states)
 from test_locality import ORACLE_CASES, ORACLE_IDS, oracle_case
 
 # Frozen from the brute-force oracle for seed 1, dims (2,2,2), c1=4, c2=0.5.
@@ -114,7 +114,8 @@ class TestRobustInitialState:
         assert np.array_equal(psi0[:, 1, :], np.outer(init233.alpha, init233.chi))
         pd = perturbation_data(spec)
         expected = residuals_per_row(spec, init233, pd, traj.times, states)
-        assert_allclose(residuals_along(traj, pd), expected, rtol=0, atol=1e-12)
+        assert_allclose(residuals_along(traj, pd, slice(None), states), expected,
+                        rtol=0, atol=1e-12)
         assert expected[0] <= 1e-12
 
 
@@ -256,7 +257,7 @@ class TestProductApprox:
         spec = build_canonical(dims233, 2, 3.0, 0.0)
         pd = perturbation_data(spec)
         traj = propagate(spec, init233, np.linspace(0, 8, 40))
-        res = residuals_along(traj, pd)
+        res = residuals_along(traj, pd, slice(None), trajectory_states(traj))
         assert res.max() <= 1e-9
 
     def test_rejects_foreign_pd(self, spec233, dims233, init233):
@@ -264,21 +265,21 @@ class TestProductApprox:
         pd = perturbation_data(other)
         traj = propagate(spec233, init233, [0.0, 1.0])
         with pytest.raises(ValueError, match="different model"):
-            residuals_along(traj, pd)
+            residuals_along(traj, pd, slice(None), trajectory_states(traj))
 
 
 class TestApproxResidual:
     def test_zero_at_time_zero(self, spec233, init233):
         pd = perturbation_data(spec233)
         traj = propagate(spec233, init233, [0.0, 2.0])
-        assert residuals_along(traj, pd)[0] <= 1e-12
+        assert residuals_along(traj, pd, slice(None), trajectory_states(traj))[0] <= 1e-12
 
     def test_chi_phase_invariance(self, spec233, init233):
         pd = perturbation_data(spec233)
         shifted = dataclasses.replace(init233, chi=init233.chi * np.exp(0.77j))
         times = [0.0, 2.0, 5.5]
-        r1 = residuals_along(propagate(spec233, init233, times), pd)
-        r2 = residuals_along(propagate(spec233, shifted, times), pd)
+        r1, r2 = (residuals_along(traj, pd, slice(None), trajectory_states(traj))
+                  for traj in (propagate(spec233, init, times) for init in (init233, shifted)))
         assert np.abs(r1 - r2).max() <= 1e-12
         assert r1[1] > 1e-6
 
@@ -289,7 +290,7 @@ class TestApproxResidual:
             spec = build_canonical(dims233, 1, c1, 0.3)
             pd = perturbation_data(spec)
             traj = propagate(spec, init233, times)
-            psi_res[c1] = residuals_along(traj, pd).max()
+            psi_res[c1] = residuals_along(traj, pd, slice(None), trajectory_states(traj)).max()
         assert psi_res[40.0] < psi_res[4.0]
 
 
@@ -311,8 +312,10 @@ class TestResidualsAgainstOracle:
         spec, init, times = oracle_case(factors, c2)
         pd = perturbation_data(spec)
         traj = propagate(spec, init, times)
-        expected = residuals_per_row(spec, init, pd, traj.times, trajectory_states(traj))
-        assert_allclose(residuals_along(traj, pd), expected, rtol=0, atol=1e-12)
+        states = trajectory_states(traj)
+        expected = residuals_per_row(spec, init, pd, traj.times, states)
+        assert_allclose(residuals_along(traj, pd, slice(None), states), expected,
+                        rtol=0, atol=1e-12)
         if c2 == 0:
             assert expected.max() <= 1e-9
         else:
@@ -329,7 +332,7 @@ def uniform_case(factors, c1=50.0):
 def both_routes(spec, init, times):
     """(Chebyshev, spectral) states of the product state of ``init`` on ``times``."""
     psi0 = initial_state(init, spec.dims, spec.robust_index)
-    return (Chebyshev(spec).evolve_many(psi0, times),
+    return (route_states(Chebyshev(spec), psi0, times),
             Propagator(assemble_hamiltonian(spec)).evolve_many(psi0, times))
 
 
@@ -370,7 +373,7 @@ class TestChebyshev:
         spec, init = uniform_case((2, 3, 4), c1=8.0)
         cheb = Chebyshev(spec)
         t = 10 * CHEB_Z_MAX / cheb._half
-        (sub_steps, rows, coeffs), = cheb._plans(np.array([t]))
+        (sub_steps, rows, coeffs), = cheb._plans(np.array([t]), 1)
         assert sub_steps == 10
         assert rows == slice(0, 1) and coeffs.shape[0] == 1
         assert coeffs.shape[1] <= 210
@@ -383,7 +386,7 @@ class TestChebyshev:
         cheb = Chebyshev(spec)
         long = 2.5 * CHEB_Z_MAX / cheb._half
         times = [-0.3, -0.2, -0.05, 0.0, 0.01, 0.1, 0.1 + long, 0.1 + long + 0.02, 0.1 + long + 0.5]
-        plans = cheb._plans(np.array(times))
+        plans = cheb._plans(np.array(times), len(times))
         # the row at t = 0 is a row like any other: every recurrence applies its series
         assert all(steps >= 1 and isinstance(coeffs, np.ndarray) and coeffs.ndim == 2
                    for steps, _, coeffs in plans)
@@ -445,7 +448,7 @@ class TestChebyshev:
             return x2(self, v, out)
 
         monkeypatch.setattr(Chebyshev, "_x2", counted)
-        cheb.evolve_many(initial_state(init, spec.dims, spec.robust_index), times)
+        route_states(cheb, initial_state(init, spec.dims, spec.robust_index), times)
         terms = cheb.terms(np.array(times))
         assert terms == len(calls)
         assert terms >= cheb._half * np.abs(times).max()  # the lower bound of the route's pre-check
@@ -472,18 +475,32 @@ class TestChebyshev:
         spec, _ = uniform_case((2, 3, 4), c1=8.0)
         cheb = Chebyshev(spec)
         times = np.array([0.3, 0.6, 0.9]) * CHEB_Z_MAX / cheb._half
-        (_, _, coeffs), = cheb._plans(times)
+        (_, _, coeffs), = cheb._plans(times, len(times))
         assert coeffs.shape[1] > 2 * _CHEB_CHUNK
         psi = random_stack(spec.dims.total)
-        stack = cheb.evolve_many(psi, times)
+        stack = route_states(cheb, psi, times)
         for k, state in enumerate(psi):
-            assert_allclose(stack[:, k], cheb.evolve_many(state, times), rtol=0, atol=1e-14)
+            assert_allclose(stack[:, k], route_states(cheb, state, times), rtol=0, atol=1e-14)
 
     def test_spectral_bounds_contain_the_spectrum(self, spec233):
         cheb = Chebyshev(spec233)
         evals = np.linalg.eigvalsh(assemble_hamiltonian(spec233))
         assert cheb.lo <= evals[0] and evals[-1] <= cheb.hi
         assert cheb.max_abs_energy == max(abs(cheb.lo), abs(cheb.hi))
+
+    def test_subnormal_half_width_takes_the_spectral_route(self, monkeypatch):
+        # c1 = 1e-310 leaves a half-width of 5e-311, where 2 / half overflows: no 2X is formed,
+        # and even a count that prices eigh at infinity keeps the spectral route
+        robust = np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex)
+        zero = np.zeros((2, 2), dtype=complex)
+        spec = ModelSpec(dims=Dims(2, 2, 2), h_a=zero, h_c=zero, h_b=zero, h_ac=robust,
+                         h_cb=robust, c1=1e-310, c2=0.0)
+        cheb = Chebyshev(spec)
+        assert cheb.subnormal and 0 < cheb._half < np.finfo(float).tiny
+        assert np.isfinite(cheb._ac).all() and np.isfinite(cheb._cb_t).all()
+        monkeypatch.setattr(evolve, "EIGH_FLOPS_PER_N3", np.inf)
+        assert isinstance(evolve._route(spec, np.linspace(0, 1e305, 50)), Propagator)
+        assert not Chebyshev(build_canonical(Dims(2, 2, 2), 1, 1e-300, 0.0)).subnormal
 
     def test_phase_guard_uses_the_spectral_bounds(self, spec233, init233, monkeypatch):
         monkeypatch.setattr(evolve, "EIGH_FLOPS_PER_N3", np.inf)  # every grid prefers Chebyshev
@@ -515,11 +532,11 @@ class TestStackContract:
         psi = random_stack(spec.dims.total)
         stacks = []
         for route in (Chebyshev(spec), Propagator(assemble_hamiltonian(spec))):
-            stack = route.evolve_many(psi, times)
+            stack = route_states(route, psi, times)
             assert stack.shape == (len(times), *psi.shape)
             assert np.array_equal(stack[times == 0], psi[None])
             for k, state in enumerate(psi):
-                one = route.evolve_many(state, times)
+                one = route_states(route, state, times)
                 assert one.shape == (len(times), len(state))
                 assert_allclose(stack[:, k], one, rtol=0, atol=1e-15)
             stacks.append(stack)
@@ -548,6 +565,22 @@ class TestTracerNames:
                         f"{layer}.{cls_name}.{method}"
 
 
+    def test_install_patches_and_uninstall_restores(self, monkeypatch):
+        # the traced benchmark installs its spans on src/ by name: every name it patches must
+        # exist, and uninstall must put back the very object each attribute held
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
+        tracer = importlib.import_module("tracer").Tracer()
+        tracer.install()
+        try:
+            patches = list(tracer._patches)
+            assert len(patches) > 50
+            assert all(getattr(owner, key) is not original for owner, key, original in patches)
+        finally:
+            tracer.uninstall()
+        for owner, key, original in patches:
+            assert getattr(owner, key) is original, f"{owner}.{key}"
+
+
 def locality_stacks(factors):
     """The stacks a locality job evolves: psi0 with the d_B, then with the d_A source states."""
     return 1 + factors[2], 1 + factors[0]
@@ -573,7 +606,7 @@ class TestRoute:
         asked = []
         plans = Chebyshev._plans
 
-        def recorded(self, times, max_rows=None):
+        def recorded(self, times, max_rows):
             asked.append((np.asarray(times).tobytes(), max_rows))
             return plans(self, times, max_rows)
 

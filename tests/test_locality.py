@@ -9,35 +9,35 @@ from disd import locality as locality_module
 from disd.evolve import Chebyshev, Propagator, perturbation_data, propagate, residuals_along
 from disd.locality import (
     _source_stack,
-    mi_trajectory,
+    mi_and_entropies,
     signaling_test,
     signaling_test_unitary,
     tau_estimate,
 )
 from disd.model import InitialSpec, assemble_hamiltonian, build_canonical, initial_state
 from disd.qcore import Dims, haar_unitary, rdm_from_state, vn_entropy
-from oracles import mi_per_row, signaling_per_row, trajectory_states
+from oracles import mi_per_row, route_states, signaling_per_row, trajectory_states
 
 
 class TestMiTrajectory:
     def test_zero_at_start(self, spec233, init233):
         traj = propagate(spec233, init233, [0.0])
-        assert mi_trajectory(traj)[0] <= 1e-12
+        assert mi_and_entropies(trajectory_states(traj), spec233.dims)[0][0] <= 1e-12
 
     def test_decoupled_when_c2_zero(self, dims233, init233):
         spec = build_canonical(dims233, 4, 3.0, 0.0)
         traj = propagate(spec, init233, np.linspace(0, 20, 60))
-        assert mi_trajectory(traj).max() <= 1e-10
+        assert mi_and_entropies(trajectory_states(traj), spec.dims)[0].max() <= 1e-10
 
     def test_correlations_appear_at_long_horizon(self, dims233, init233):
         spec = build_canonical(dims233, 1, 1.0, 0.2)
         traj = propagate(spec, init233, np.linspace(0, 50, 400))
-        assert mi_trajectory(traj).max() > 0.01
+        assert mi_and_entropies(trajectory_states(traj), spec.dims)[0].max() > 0.01
 
     def test_bounded_by_smaller_subsystem(self, spec233, init233):
         traj = propagate(spec233, init233, np.linspace(0, 30, 40))
         bound = 2 * min(np.log2(spec233.dims.a), np.log2(spec233.dims.b))
-        assert mi_trajectory(traj).max() <= bound + 1e-9
+        assert mi_and_entropies(trajectory_states(traj), spec233.dims)[0].max() <= bound + 1e-9
 
 
 class TestSignaling:
@@ -165,7 +165,8 @@ class TestTauEstimate:
             spec = build_canonical(dims233, 1, c1, 0.2)
             times = np.linspace(0, 50 * c1, 600)
             traj = propagate(spec, init233, times)
-            taus.append(tau_estimate(times, mi_trajectory(traj), 0.01))
+            mi = mi_and_entropies(trajectory_states(traj), spec.dims)[0]
+            taus.append(tau_estimate(times, mi, 0.01))
         assert all(t is not None for t in taus)
         assert taus[0] < taus[1] < taus[2]
 
@@ -177,8 +178,10 @@ class TestTauEstimate:
 class TestOneEigensystem:
     def test_one_trajectory_serves_every_diagnostic(self, spec233, init233, propagator_builds):
         traj = propagate(spec233, init233, np.linspace(0, 5, 12))
-        mi_trajectory(traj)
-        residuals_along(traj, perturbation_data(spec233))
+        pd = perturbation_data(spec233)
+        for rows, states in traj.evolve():
+            mi_and_entropies(states[:, 0], spec233.dims)
+            residuals_along(traj, pd, rows, states[:, 0])
         for direction in ("b_to_a", "a_to_b"):
             signaling_test(traj, direction, n_samples=3, seed=1)
         assert propagator_builds == [(spec233.dims.total, spec233.dims.total)]
@@ -195,7 +198,7 @@ class TestOneEigensystem:
         # (3 x 18) = 4 rows a block, each recurrence from the last row of the one before, and
         # every column matches the one-recurrence evolution
         stacked = trajectory_states(traj, np.stack([traj.psi0] * 2))
-        whole = traj.route.evolve_many(traj.psi0, times)
+        whole = route_states(traj.route, traj.psi0, times)
         assert [rows for rows, _ in traj.evolve()] == [slice(0, 12)]
         assert [rows for rows, _ in traj.evolve(np.stack([traj.psi0] * 2))] == [
             slice(0, 4), slice(4, 8), slice(8, 12)]
@@ -337,8 +340,9 @@ class TestBatchedAgainstOracles:
     def test_mi_matches_per_row_route(self, factors, c2):
         spec, init, times = oracle_case(factors, c2)
         traj = propagate(spec, init, times)
-        expected = mi_per_row(trajectory_states(traj), spec.dims)
-        assert_allclose(mi_trajectory(traj), expected, rtol=0, atol=1e-12)
+        states = trajectory_states(traj)
+        expected = mi_per_row(states, spec.dims)
+        assert_allclose(mi_and_entropies(states, spec.dims)[0], expected, rtol=0, atol=1e-12)
         if c2 == 0:
             assert expected.max() <= 1e-10
         else:
@@ -366,7 +370,7 @@ class TestBatchedAgainstOracles:
         spec, init, times = oracle_case(factors, c2)
         traj = propagate(spec, init, times)
         assert isinstance(traj.route, Chebyshev)
-        evolve = lambda psi: traj.route.evolve_many(psi, traj.times)
+        evolve = lambda psi: route_states(traj.route, psi, traj.times)
         states = trajectory_states(traj)
         expected = signaling_per_row(evolve, states[0], states, spec.dims,
                                      direction, n_samples=5, seed=2)
@@ -381,7 +385,7 @@ class TestBatchedAgainstOracles:
         spec, init, times = oracle_case((2, 2, 5), 0.5)
         traj = propagate(spec, init, times)
         assert isinstance(traj.route, Chebyshev if eigh_cost == np.inf else Propagator)
-        evolve = lambda psi: traj.route.evolve_many(psi, traj.times)
+        evolve = lambda psi: route_states(traj.route, psi, traj.times)
         states = trajectory_states(traj)
         expected = signaling_per_row(evolve, states[0], states, spec.dims,
                                      direction, n_samples=3, seed=2)
