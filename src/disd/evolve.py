@@ -46,7 +46,7 @@ PHASE_ERROR_TOL = 1e-8  # bound on eps * max|E| * max|t|, the phase error of e^{
 CHEB_TOL = 1e-15  # last kept Chebyshev coefficient; the FFT noise floor is ~1e-16
 CHEB_Z_MAX = 150.0  # largest half-width * (t - t_anchor) one recurrence serves; longer sub-step
 _CHEB_POINTS = 512  # FFT samples; at z <= CHEB_Z_MAX the terms stop by k = 210
-_CHEB_CHUNK = 32  # terms a recurrence buffers before one GEMM adds them to every row
+_CHEB_CHUNK = 32  # terms a recurrence buffers before it adds them to the rows that use them
 # cos(2 pi j / _CHEB_POINTS) over the first quarter of the circle, in long double (80-bit on
 # x86): the series of _chebyshev_coefficients need their arguments past double precision
 _CHEB_QUARTER = np.cos(2 * np.arccos(np.longdouble(-1)) / _CHEB_POINTS
@@ -151,7 +151,7 @@ class Chebyshev:
     """Matrix-free propagator: one Chebyshev recurrence serves every grid time of a block.
 
     H = on_ac x I_B + I_A x on_cb (``model.hamiltonian_blocks``), so H @ psi
-    is two reshaped GEMMs and H is never formed or diagonalized. By Weyl's
+    is reshaped GEMMs and H is never formed or diagonalized. By Weyl's
     inequality the spectrum of H lies in [lo, hi], the sums of the blocks'
     extreme eigenvalues; H = center + half * X puts that of X in [-1, 1].
     Then e^{-iH delta} v = e^{-i center delta} sum_k a_k(z) T_k(X) v with
@@ -162,10 +162,23 @@ class Chebyshev:
     and the last of those rows anchors the next block; rows at t = 0 are then
     set to psi, as in the spectral route. A row farther than that from its
     predecessor is reached in equal sub-steps, so no recurrence sums more
-    than about 210 terms. The terms are added to the rows _CHEB_CHUNK at a
-    time by one GEMM. :meth:`blocks` yields each recurrence's rows as it
-    ends, so a caller never holds more than one of them. ``_route`` prices
-    the recurrences against ``eigh``.
+    than about 210 terms. The terms are added _CHEB_CHUNK at a time, each
+    chunk only to the rows whose series reach it and in row slices no larger
+    than the term buffer, so the sums need no block-sized temporary.
+    :meth:`blocks` yields each recurrence's rows as it ends, so a caller never
+    holds more than one of them. ``_route`` prices the recurrences against
+    ``eigh``.
+
+    The robust C state r is invariant under the C-B block where its cross
+    blocks <j|on_cb|r> and <r|on_cb|j>, j != r, are exactly zero, as
+    ``build_canonical`` makes them. There on_cb is applied as two GEMMs, a
+    d_B x d_B one on the robust sector and a (d_C - 1) d_B square one on the
+    orthogonal sector, when r is the first or the last C index, so that each
+    sector is one range of columns, and the 16 (d_C - 1) d_B^2 d_A flops this
+    saves a state outweigh the cost of one more call, half of
+    CHEB_TERM_FLOPS. Elsewhere, and for any model whose cross blocks are not
+    exactly zero (an h_c that leaks, an h_cb within ROBUST_TOL of robust),
+    on_cb is one dense GEMM. Both give 2X to 1e-13 relative.
 
     A half-width below the smallest normal double (``subnormal``) would
     overflow 2 / half, so X is not formed and ``_route`` takes the spectral
@@ -174,6 +187,7 @@ class Chebyshev:
 
     def __init__(self, spec: ModelSpec):
         self._dims = spec.dims
+        d_a, d_c, d_b = spec.dims.factors
         on_ac, on_cb = hamiltonian_blocks(spec)
         ac, cb = np.linalg.eigvalsh(on_ac), np.linalg.eigvalsh(on_cb)
         self.lo, self.hi = float(ac[0] + cb[0]), float(ac[-1] + cb[-1])
@@ -181,21 +195,35 @@ class Chebyshev:
         self._center = (self.lo + self.hi) / 2
         self._half = (self.hi - self.lo) / 2
         self.subnormal = 0 < self._half < np.finfo(float).tiny  # 2 / half would overflow
+        # the C-B block splits into its two sectors where the class docstring says
+        r = spec.robust_index
+        others = np.delete(np.arange(d_c), r)
+        t = on_cb.reshape(d_c, d_b, d_c, d_b)
+        split = (r in (0, d_c - 1) and not t[others][:, :, r].any() and not t[r][:, others].any()
+                 and 16 * (d_c - 1) * d_b ** 2 * d_a > CHEB_TERM_FLOPS / 2)
         # the blocks of 2X, the operator of the recurrence; a zero half-width gives z = 0,
         # where no series applies it, and a subnormal one forms none either
         scale = 2 / self._half if self._half > 0 and not self.subnormal else 0.0
         self._ac = (on_ac - (ac[0] + ac[-1]) / 2 * np.eye(len(ac))) * scale
-        self._cb_t = ((on_cb - (cb[0] + cb[-1]) / 2 * np.eye(len(cb))) * scale).T.copy()
+        cb_t = ((on_cb - (cb[0] + cb[-1]) / 2 * np.eye(len(cb))) * scale).T
+        # (columns, block) of the transposed C-B block: the whole block, or its two sectors
+        robust = slice(r * d_b, (r + 1) * d_b)
+        orthogonal = slice(d_b, None) if r == 0 else slice(None, r * d_b)
+        sectors = [robust, orthogonal] if split else [slice(None)]
+        self._cb_t = [(cols, cb_t[cols, cols].copy()) for cols in sectors]
         self._planned = {}  # (grid bytes, max_rows) -> plans
 
     def _x2(self, v: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """2X @ v for v of shape (n,) or (k, n), into ``out``: one GEMM per block.
+        """2X @ v for v of shape (n,) or (k, n), into ``out``.
 
-        ``out`` is C-contiguous, so the first GEMM writes into it through a view.
+        ``out`` is C-contiguous: each block of the C-B GEMM writes its columns of it
+        through a view, and the A-C GEMM is added to them.
         """
         d_a, d_c, d_b = self._dims.factors
-        np.matmul(self._ac, v.reshape(-1, d_a * d_c, d_b), out=out.reshape(-1, d_a * d_c, d_b))
-        out += (v.reshape(-1, d_a, d_c * d_b) @ self._cb_t).reshape(out.shape)
+        rows, out_rows = v.reshape(-1, d_c * d_b), out.reshape(-1, d_c * d_b)
+        for cols, block in self._cb_t:
+            np.matmul(rows[:, cols], block, out=out_rows[:, cols])
+        out += (self._ac @ v.reshape(-1, d_a * d_c, d_b)).reshape(out.shape)
         return out
 
     def _plans(self, times: np.ndarray, max_rows: int) -> list[tuple[int, slice, np.ndarray]]:
@@ -268,14 +296,20 @@ class Chebyshev:
         """out[j] = sum_k coeffs[j, k] T_k(X) v for every row j, by one recurrence.
 
         T_{k+1} = 2X T_k - T_{k-1}. The terms are written into a buffer of at
-        most _CHEB_CHUNK of them after the two carried from the chunk before,
-        and each chunk is added to every row by one GEMM, so the recurrence
-        holds (_CHEB_CHUNK + 2) stacks like v whatever its length.
+        most _CHEB_CHUNK of them after the two carried from the chunk before.
+        A row's series ends at its own length, and the rows are in grid order,
+        so the rows that a chunk reaches are mostly the last ones: each chunk is
+        added from the first row with a nonzero coefficient in it, in row slices
+        no longer than that buffer or the block. So the recurrence holds at most
+        2 (_CHEB_CHUNK + 2) stacks like v whatever its length and its number of
+        rows.
         """
         length = coeffs.shape[1]
         size = min(length, _CHEB_CHUNK)
         buf = np.empty((size + 2, *v.shape), dtype=complex)
         chunk = buf[2:].reshape(size, -1)
+        part = np.empty((min(size + 2, len(out)), chunk.shape[1]), dtype=complex)
+        rows = out.reshape(len(out), -1)
         out[...] = 0
         for start in range(0, length, size):
             m = min(size, length - start)
@@ -289,7 +323,10 @@ class Chebyshev:
                         buf[i] /= 2
                     else:
                         buf[i] -= buf[i - 2]
-            out += (coeffs[:, start:start + m] @ chunk[:m]).reshape(out.shape)
+            series = coeffs[:, start:start + m]
+            for lo in range(int(np.argmax(series.any(axis=1))), len(series), len(part)):
+                hi = min(lo + len(part), len(series))
+                rows[lo:hi] += np.matmul(series[lo:hi], chunk[:m], out=part[:hi - lo])
             buf[:2] = buf[m:m + 2]
         return out
 
@@ -451,7 +488,7 @@ def perturbation_data(spec: ModelSpec) -> PerturbationData:
     Denominators below ``1e-8 * c1`` in magnitude are skipped; scaling the
     cutoff with c1 keeps the set of skipped denominators invariant under
     coupling sweeps. A c1 so small for c2 that the second-order shifts
-    overflow raises ``ValidationError``.
+    overflow raises ``ValidationError``; at c2 = 0 they are exactly 0.
     """
     d_a, d_c, d_b = spec.dims.factors
     r = spec.robust_index
@@ -496,7 +533,9 @@ def perturbation_data(spec: ModelSpec) -> PerturbationData:
         ok = np.abs(gaps) >= 1e-8 * spec.c1
         weights = np.divide(1.0, gaps, out=np.zeros_like(gaps), where=ok)
         me = (np.tensordot(a_part[..., i], cb_part, (0, 0)) for i in range(d_a))  # (p, j, m)
-        lam = np.array([np.einsum("pjm,jm->j", np.abs(me_i) ** 2, weights) for me_i in me])
+        # at c2 = 0 every shift is exactly 0, also where a subnormal c1 overflows the weights
+        lam = (np.array([np.einsum("pjm,jm->j", np.abs(me_i) ** 2, weights) for me_i in me])
+               if spec.c2 > 0 else np.zeros((d_a, d_b)))
     if not np.isfinite(lam).all():
         raise ValidationError(f"c1 = {spec.c1:.3e} is too small for c2 = {spec.c2:.3e}: "
                               f"the second-order shifts overflow")

@@ -96,6 +96,19 @@ def route_states(route, psi, times):
     return np.concatenate([block.copy() for _, block in route.blocks(psi, times, len(times))])
 
 
+def chebyshev_operator(spec, center, half):
+    """2X = 2 (H - center) / half, the operator of the Chebyshev recurrence, as a dense matrix.
+
+    H is formed from ``np.kron`` of the model's five terms over the whole A x C x B space,
+    not from ``model.hamiltonian_blocks``.
+    """
+    i_a, i_c, i_b = (np.eye(d) for d in spec.dims.factors)
+    h = (np.kron(np.kron(spec.h_a, i_c), i_b) + np.kron(np.kron(i_a, spec.h_c), i_b)
+         + np.kron(np.kron(i_a, i_c), spec.h_b) + spec.c2 * np.kron(spec.h_ac, i_b)
+         + spec.c1 * np.kron(i_a, spec.h_cb))
+    return 2 * (h - center * np.eye(len(h))) / half
+
+
 def _ordered_eigh_desc(h):
     """Descending eigendecomposition, plain argsort; no phase convention."""
     evals, vecs = np.linalg.eigh(h)

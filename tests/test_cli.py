@@ -780,6 +780,24 @@ class TestExitCodes:
         assert len(cols["t"]) == 50
         assert all(np.isfinite(cols[h]).all() for h in header)
 
+    def test_subnormal_c1_at_zero_c2_simulates(self, tmp_path):
+        # at c2 = 0 every second-order shift is exactly 0, though the weights 1 / gap overflow
+        # at c1 = 1e-310: the product form must not form 0 * inf
+        doc = base_config(dims={"a": 2, "c": 2, "b": 2}, couplings={"c1": 1e-310, "c2": 0.0},
+                          initial={"alpha": [2 ** -0.5] * 2, "chi": [2 ** -0.5] * 2},
+                          time={"t_max": 20.0, "steps": 11})
+        out = tmp_path / "out.csv"
+        env = dict(os.environ, PYTHONPATH=str(Path(disd.__file__).resolve().parents[1]))
+        proc = subprocess.run([sys.executable, "-W", "error", "-m", "disd.cli", "simulate",
+                               "--config", write_config(tmp_path, doc), "--out", str(out)],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
+        header, cols = parse_csv(out.read_text())
+        assert len(cols["t"]) == 11
+        assert all(np.isfinite(cols[h]).all() for h in header)
+        assert np.abs(cols["residual_eq4"]).max() <= 1e-12
+
     def test_unallocatable_time_grid_is_config_error(self, tmp_path, capsys):
         # 10**13 float64 times need 72.8 TiB; the allocator refuses that at once
         doc = base_config(time={"t_max": 2.0, "steps": 10**13})

@@ -26,8 +26,8 @@ from disd.locality import signaling_test
 from disd.model import InitialSpec, ModelSpec, assemble_hamiltonian, build_canonical, initial_state
 from disd.qcore import Dims, ValidationError
 
-from oracles import (chebyshev_series_exact, dense_exponential, energy_table, residuals_per_row,
-                     route_states, rs2_table_bruteforce, trajectory_states)
+from oracles import (chebyshev_operator, chebyshev_series_exact, dense_exponential, energy_table,
+                     residuals_per_row, route_states, rs2_table_bruteforce, trajectory_states)
 from test_locality import ORACLE_CASES, ORACLE_IDS, oracle_case
 
 # Frozen from the brute-force oracle for seed 1, dims (2,2,2), c1=4, c2=0.5.
@@ -497,7 +497,7 @@ class TestChebyshev:
                          h_cb=robust, c1=1e-310, c2=0.0)
         cheb = Chebyshev(spec)
         assert cheb.subnormal and 0 < cheb._half < np.finfo(float).tiny
-        assert np.isfinite(cheb._ac).all() and np.isfinite(cheb._cb_t).all()
+        assert np.isfinite(cheb._ac).all() and all(np.isfinite(b).all() for _, b in cheb._cb_t)
         monkeypatch.setattr(evolve, "EIGH_FLOPS_PER_N3", np.inf)
         assert isinstance(evolve._route(spec, np.linspace(0, 1e305, 50)), Propagator)
         assert not Chebyshev(build_canonical(Dims(2, 2, 2), 1, 1e-300, 0.0)).subnormal
@@ -509,6 +509,139 @@ class TestChebyshev:
         assert isinstance(evolve._route(spec233, np.array([0.0, 1.01 * limit])), Propagator)
         with pytest.raises(ValidationError, match="phases lose their precision"):
             propagate(spec233, init233, [0.0, 1e3 * limit])
+
+
+def leaky_h_c_spec():
+    """A 2x3x4 model whose h_c couples the robust C state to another: the cross blocks of the
+    C-B block are not zero, though h_cb itself is exactly robust."""
+    spec = build_canonical(Dims(2, 3, 4), 3, 50.0, 0.5)
+    h_c = spec.h_c.copy()
+    h_c[0, 1] = h_c[1, 0] = 0.3
+    return dataclasses.replace(spec, h_c=h_c)
+
+
+def near_robust_h_cb_spec():
+    """A 2x3x4 model with one h_cb cross entry of 1e-13, within ROBUST_TOL = 1e-12."""
+    spec = build_canonical(Dims(2, 3, 4), 3, 50.0, 0.5)
+    h_cb = spec.h_cb.copy()
+    h_cb[5, 1] = h_cb[1, 5] = 1e-13  # <1, b=1| h_cb |0, b=1>_C
+    return dataclasses.replace(spec, h_cb=h_cb)
+
+
+SECTOR_CASES = [(f, r) for f in [(2, 2, 3), (2, 3, 4), (3, 4, 5), (2, 5, 2)] for r in range(f[1])]
+
+
+class TestTwoSectorKernel:
+    """The C-B block applied as its robust and orthogonal sectors, against 2X formed by np.kron."""
+
+    @pytest.mark.parametrize("factors, r", SECTOR_CASES,
+                             ids=[f"{a}x{c}x{b}-r{r}" for (a, c, b), r in SECTOR_CASES])
+    def test_split_matches_the_kron_operator(self, factors, r, monkeypatch):
+        # every robust model splits where r is the first or the last C index, so that each
+        # sector is one range of columns; any other r keeps the dense GEMM
+        monkeypatch.setattr(evolve, "CHEB_TERM_FLOPS", 0.0)
+        spec = build_canonical(Dims(*factors), 5, 50.0, 0.5, robust_index=r)
+        cheb = Chebyshev(spec)
+        d_c, d_b = factors[1:]
+        sectors = {0: [slice(0, d_b), slice(d_b, None)],
+                   d_c - 1: [slice(r * d_b, d_c * d_b), slice(None, r * d_b)]}.get(r, [slice(None)])
+        assert [cols for cols, _ in cheb._cb_t] == sectors
+        psi = random_stack(spec.dims.total)
+        want = psi @ chebyshev_operator(spec, cheb._center, cheb._half).T
+        assert np.abs(cheb._x2(psi, np.empty_like(psi)) - want).max() <= 1e-13 * np.abs(want).max()
+
+    @pytest.mark.parametrize("make_spec", [leaky_h_c_spec, near_robust_h_cb_spec],
+                             ids=["leaky-h_c", "h_cb-cross-1e-13"])
+    def test_cross_blocks_not_exactly_zero_keep_the_dense_gemm(self, make_spec, monkeypatch):
+        monkeypatch.setattr(evolve, "CHEB_TERM_FLOPS", 0.0)
+        spec = make_spec()
+        cheb = Chebyshev(spec)
+        assert [cols for cols, _ in cheb._cb_t] == [slice(None)]
+        psi = random_stack(spec.dims.total)
+        want = psi @ chebyshev_operator(spec, cheb._center, cheb._half).T
+        assert np.abs(cheb._x2(psi, np.empty_like(psi)) - want).max() <= 1e-13 * np.abs(want).max()
+        init = InitialSpec(alpha=np.full(2, 2 ** -0.5), chi=np.full(4, 0.5))
+        cheb_states, spectral = both_routes(spec, init, np.linspace(0, 4, 9))
+        assert_allclose(cheb_states, spectral, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("factors, split", [((18, 4, 4), False), ((8, 4, 16), False),
+                                                ((8, 8, 16), True), ((8, 4, 32), True)],
+                             ids=["18x4x4", "8x4x16", "8x8x16", "8x4x32"])
+    def test_split_only_where_it_saves_more_than_a_call(self, factors, split):
+        # 16 (d_C - 1) d_B^2 d_A flops saved a state against CHEB_TERM_FLOPS / 2 = 1.75e5:
+        # 1.4e4 at 18x4x4 (n = 288, the smallest that takes the Chebyshev route), 9.8e4 at
+        # 8x4x16, 2.3e5 at 8x8x16 and 3.9e5 at 8x4x32
+        cheb = Chebyshev(uniform_case(factors)[0])
+        assert len(cheb._cb_t) == (2 if split else 1)
+
+    @pytest.mark.parametrize("r", [1, 2, 3])
+    def test_route_at_a_nonzero_robust_index(self, r):
+        # r = 3, the last C index, splits; r = 1 and 2 keep the dense GEMM
+        dims = Dims(8, 4, 32)
+        spec = build_canonical(dims, 7, 50.0, 0.5, robust_index=r)
+        init = InitialSpec(alpha=np.full(dims.a, dims.a ** -0.5),
+                           chi=np.full(dims.b, dims.b ** -0.5))
+        assert len(Chebyshev(spec)._cb_t) == (2 if r == 3 else 1)
+        cheb, spectral = both_routes(spec, init, np.linspace(0, 20, 200))
+        assert_allclose(cheb, spectral, rtol=0, atol=1e-12)
+
+    def test_sub_steps_and_chunks_at_a_nonzero_robust_index(self, monkeypatch):
+        # a stack through multi-chunk recurrences and a sub-stepped interval, split at the last r
+        monkeypatch.setattr(evolve, "CHEB_TERM_FLOPS", 0.0)
+        spec = build_canonical(Dims(2, 3, 4), 7, 8.0, 0.5, robust_index=2)
+        cheb = Chebyshev(spec)
+        assert len(cheb._cb_t) == 2
+        times = np.array([0.0, 0.3, 0.9, 3.5]) * CHEB_Z_MAX / cheb._half
+        psi = random_stack(spec.dims.total)
+        got = route_states(cheb, psi, times)
+        assert_allclose(got, Propagator(assemble_hamiltonian(spec)).evolve_many(psi, times),
+                        rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("r", [0, 2])
+    def test_trimmed_row_slices_match_one_gemm_a_chunk(self, r, monkeypatch):
+        # each chunk goes only to the rows whose series reach it, in slices of at most 34 rows;
+        # the rows must agree with one GEMM of every row a chunk, the parent's sums, to the
+        # rounding of a 32-term sum (a row that missed a chunk would be off by its coefficients)
+        monkeypatch.setattr(evolve, "CHEB_TERM_FLOPS", 0.0)
+        spec = build_canonical(Dims(2, 3, 4), 7, 8.0, 0.5, robust_index=r)
+        cheb = Chebyshev(spec)
+        times = np.linspace(0.01, 0.95, 101) * CHEB_Z_MAX / cheb._half
+        (_, _, coeffs), = cheb._plans(times, len(times))
+        assert coeffs.shape[1] > 4 * _CHEB_CHUNK and not coeffs[0, -1]
+        psi = random_stack(spec.dims.total, k=2)
+        got = cheb._block(psi, coeffs, np.empty((len(times), *psi.shape), dtype=complex))
+        terms = [psi]
+        for k in range(1, coeffs.shape[1]):
+            term = cheb._x2(terms[-1], np.empty_like(psi))
+            if k == 1:
+                term /= 2
+            else:
+                term -= terms[-2]
+            terms.append(term)
+        terms = np.array(terms).reshape(len(terms), -1)
+        want = np.zeros((len(times), terms.shape[1]), dtype=complex)
+        for start in range(0, coeffs.shape[1], _CHEB_CHUNK):
+            want += coeffs[:, start:start + _CHEB_CHUNK] @ terms[start:start + _CHEB_CHUNK]
+        assert np.abs(got.reshape(want.shape) - want).max() <= 1e-14 * np.abs(want).max()
+
+    def test_summing_a_block_takes_no_block_sized_temporary(self, monkeypatch):
+        # 2000 rows of dim 128 in one recurrence, a 4.1 MB block: evolving it may add at most
+        # a quarter of a block to the block itself (the sums of one chunk over every row took
+        # a second block)
+        monkeypatch.setattr(evolve, "EIGH_FLOPS_PER_N3", np.inf)  # every grid prefers Chebyshev
+        spec, init = uniform_case((4, 4, 8))
+        half = Chebyshev(spec)._half
+        traj = propagate(spec, init, np.linspace(0, 0.95 * CHEB_Z_MAX / half, 2000))
+        assert len(traj.route._plans(traj.times, len(traj.times))) == 1
+        tracemalloc.start()
+        try:
+            for _, states in traj.evolve():
+                block = states.nbytes
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert block == 2000 * 128 * 16
+        assert peak < 1.25 * block
 
 
 def random_stack(n, k=3, seed=0):
