@@ -11,7 +11,7 @@ import numpy as np
 
 import disd
 from disd.evolve import perturbation_data, propagate
-from disd.locality import mi_and_entropies, signaling_test, tau_estimate
+from disd.locality import locality_columns, mi_and_entropies, tau_estimate
 
 dims = disd.Dims(2, 3, 3)
 init = disd.InitialSpec(alpha=np.ones(2) / np.sqrt(2), chi=np.ones(3) / np.sqrt(3))
@@ -26,10 +26,10 @@ spec = disd.build_canonical(dims, seed=1, c1=2.0, c2=0.2)
 pd = perturbation_data(spec)
 print(f"sup|lambda_i0j| = {pd.lambda_sup:.4f}   1/sup = {1 / pd.lambda_sup:.1f}")
 
+# the locality job: both signals and the mutual information from one evolution
 times = np.linspace(0.0, 120.0, 241)
-traj = propagate(spec, init, times)
-mi = mutual_information(traj)
-b_to_a, a_to_b = (signaling_test(traj, d, n_samples=16, seed=1) for d in ("b_to_a", "a_to_b"))
+job = locality_columns(spec, init, times, n_samples=16, seed=1)
+mi, b_to_a, a_to_b = job["mi_ab_bits"], job["signal_b_to_a"], job["signal_a_to_b"]
 print(f"onset estimate tau (0.01 bit threshold): {tau_estimate(times, mi, 0.01):.2f}")
 print(f"{'t':>7}  {'I(A:B) bits':>12}  {'B->A signal':>12}  {'A->B signal':>12}")
 for k in range(0, 241, 30):

@@ -31,7 +31,7 @@ from .config import (
 )
 from .decompose import planted_sequential, sequential_residual
 from .evolve import perturbation_data, propagate, residuals_along, row_norms
-from .locality import mi_and_entropies, signaling_test, tau_estimate
+from .locality import locality_columns, mi_and_entropies, tau_estimate
 from .qcore import Dims, ValidationError
 
 __all__ = [
@@ -114,17 +114,9 @@ def cmd_sweep(cfg: RunConfig) -> str:
 
 
 def cmd_locality(cfg: RunConfig) -> str:
-    traj = propagate(model_from_config(cfg), initial_from_config(cfg), times_from_config(cfg),
-                     stacks=(1 + cfg.dims.b, 1 + cfg.dims.a))  # each signal's, psi0 in both
-    mi = []  # from the psi0 rows of the first signal's blocks
-    b_to_a = signaling_test(traj, "b_to_a", cfg.n_samples, cfg.seed,
-                            on_rows=lambda psi: mi.append(mi_and_entropies(psi, cfg.dims)[0]))
-    return _csv({
-        "t": traj.times,
-        "signal_b_to_a": b_to_a,
-        "signal_a_to_b": signaling_test(traj, "a_to_b", cfg.n_samples, cfg.seed),
-        "mi_ab_bits": np.concatenate(mi),
-    })
+    times = times_from_config(cfg)
+    return _csv({"t": times, **locality_columns(model_from_config(cfg), initial_from_config(cfg),
+                                                times, cfg.n_samples, cfg.seed)})
 
 
 def cmd_decompose(u: np.ndarray, dims: Dims, seed: int = 0,

@@ -32,6 +32,7 @@ __all__ = [
     "PerturbationData",
     "Propagator",
     "Trajectory",
+    "block_budget",
     "perturbation_data",
     "product_approx",
     "propagate",
@@ -190,7 +191,8 @@ class Chebyshev:
         d_a, d_c, d_b = spec.dims.factors
         on_ac, on_cb = hamiltonian_blocks(spec)
         ac, cb = np.linalg.eigvalsh(on_ac), np.linalg.eigvalsh(on_cb)
-        self.lo, self.hi = float(ac[0] + cb[0]), float(ac[-1] + cb[-1])
+        # Python floats: sums past the largest double are inf without a numpy warning
+        self.lo, self.hi = float(ac[0]) + float(cb[0]), float(ac[-1]) + float(cb[-1])
         self.max_abs_energy = max(abs(self.lo), abs(self.hi))
         self._center = (self.lo + self.hi) / 2
         self._half = (self.hi - self.lo) / 2
@@ -343,12 +345,17 @@ def _check_phases(max_abs_energy: float, times, what: str) -> None:
         raise ValidationError(f"{what}: eps*max|E|*max|t| = {err:.3e} > {PHASE_ERROR_TOL:.1e}")
 
 
-def _block_rows(times: np.ndarray, n: int, k: int) -> int:
-    """The rows of a block of a k-state stack over ``times``: min(BLOCK_NUMBERS, T n) numbers.
+def block_budget(times: np.ndarray, n: int) -> int:
+    """min(BLOCK_NUMBERS, T n): the most numbers a block of evolved rows over ``times`` holds."""
+    return min(BLOCK_NUMBERS, len(times) * n)
 
-    At least one row, so a stack of more than BLOCK_NUMBERS numbers goes one row a block.
+
+def _block_rows(times: np.ndarray, n: int, k: int) -> int:
+    """The rows of a block of a k-state stack over ``times``, whole rows within ``block_budget``.
+
+    At least one row, so a stack of more than that many numbers goes one row a block.
     """
-    return max(1, min(BLOCK_NUMBERS, len(times) * n) // (k * n))
+    return max(1, block_budget(times, n) // (k * n))
 
 
 def _route(spec: ModelSpec, times: np.ndarray, stacks=(1,)) -> Propagator | Chebyshev:
@@ -397,7 +404,7 @@ class Trajectory:
         """psi0 and a stack (k, n) over the trajectory's times: yields (rows, states) blocks.
 
         ``rows`` slices the times; ``states`` has shape (rows, 1 + k, n), psi0's rows
-        first, then the stack's. A block holds at most min(BLOCK_NUMBERS, T n) numbers
+        first, then the stack's. A block holds at most ``block_budget(times, n)`` numbers
         (whole rows, at least one), and is valid until the next is asked for: reduce
         it, or copy it. On the Chebyshev route a block is one recurrence, cut only
         where its rows would outgrow that limit; on the spectral route it takes as

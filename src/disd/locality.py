@@ -1,11 +1,11 @@
 """Information-transfer diagnostics between the outer subsystems A and B.
 
-Two operational probes: the A:B mutual information along a trajectory
-(reading out one side reveals nothing about the other iff it vanishes), and
-a signaling test that applies sampled Haar unitaries to one side at t = 0
-and measures how far the other side's reduced state can be pushed. The
-correlation onset time is the first threshold crossing of the mutual
-information, linearly interpolated.
+The locality job, :func:`locality_columns`, reads two operational probes off
+one evolution: the A:B mutual information (reading out one side reveals
+nothing about the other iff it vanishes), and the signal in each direction,
+how far sampled Haar unitaries applied to one side at t = 0 can push the
+other side's reduced state. The correlation onset time is the first threshold
+crossing of the mutual information, linearly interpolated.
 
 The global state is pure, so S(AB) = S(C) and the mutual information is
 I(A:B) = S(A) + S(B) - S(C): no d_A*d_B reduced state is formed, and every
@@ -13,26 +13,27 @@ term is computed for a block of sample times in one stacked call.
 
 Signaling uses linearity twice. A unitary G on the source side maps the
 initial state to sum_j w_j phi_j, w = G @ amplitudes, over the d_s source
-basis states phi_j, so only those evolve. The target's reduced state is then
+basis states phi_j, so only those evolve, in one stack with the unmodified
+state psi0, whose rows are the reference. The target's reduced state is then
 quadratic in w: sum_jk w_j conj(w_k) Tr_rest |phi_j(t)><phi_k(t)|. So the
 d_s^2 cross reduced states of the evolved basis, formed once per time, give
-every sample's target state by one GEMM with the pair weights w_j conj(w_k);
-no sample state is ever formed. Per time that costs d_s^2 d_t n for the
-cross states and n_samples d_s^2 d_t^2 for the samples.
+every sample's target state by one GEMM with the pair weights w_j conj(w_k).
+Per time that costs d_s^2 d_t n for the cross states and n_samples d_s^2
+d_t^2 for the samples.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .evolve import BLOCK_NUMBERS, Trajectory
-from .model import InitialSpec, initial_state, place_robust
+from .evolve import block_budget, propagate
+from .model import InitialSpec, ModelSpec, initial_state, place_robust
 from .qcore import (Dims, ValidationError, derive_seed, haar_unitary, max_trace_distance,
                     rdm_from_state, vn_entropy)
 
 __all__ = [
+    "locality_columns",
     "mi_and_entropies",
-    "signaling_test",
     "signaling_test_unitary",
     "tau_estimate",
 ]
@@ -63,99 +64,96 @@ def _source_stack(init: InitialSpec, dims: Dims, robust_index: int, direction: s
     return amplitudes, place_robust(ab, dims, robust_index), keep
 
 
-def _signaling_curves(chunks, amplitudes: np.ndarray, keep: tuple[int], dims: Dims,
-                      direction: str, n_samples: int, seed: int, budget: int) -> np.ndarray:
-    """Per-row max target disturbance of the sample states (G_s @ amplitudes) @ phi.
+def _signaling_reducer(init: InitialSpec, dims: Dims, robust_index: int, direction: str,
+                       n_samples: int, seed: int, budget: int):
+    """(basis, reduce): the source basis of ``direction`` and the reducer of its evolved blocks.
 
-    Sample s's state is sum_j w_sj phi_j with w_s = G_s @ amplitudes, so its target
-    state is sum_jk w_sj conj(w_sk) Tr_rest |phi_j><phi_k|: one GEMM of the pair weights
-    w_sj conj(w_sk) with the d_s^2 cross reduced states, batched over a slice of rows.
-    ``chunks`` yields (phi, ref) for consecutive rows: the evolved source basis, shape
-    (rows, d_s, n), and the unmodified states, shape (rows, n). No stack of cross states,
-    rows x (d_s d_t)^2 numbers, and no stack of sample target states, rows x samples x
-    d_t^2, holds more than ``budget`` numbers, except one row's cross states, taken whole.
+    ``reduce(phi, ref)`` gives each row's max target disturbance, where ``phi`` is
+    a block of the evolved basis, shape (rows, d_s, n), and ``ref`` the unmodified
+    states, shape (rows, n). Sample s's target state is the GEMM of its pair
+    weights w_sj conj(w_sk), w_s = G_s @ amplitudes, with the d_s^2 cross reduced
+    states Tr_rest |phi_j><phi_k|, batched over a slice of rows. The unitaries G_s
+    are drawn max(1, budget // d_s^2) at a time; the pair weights hold n_samples
+    d_s^2 numbers. No stack of cross states, rows x (d_s d_t)^2 numbers, and no
+    stack of sample target states, rows x samples x d_t^2, holds more than
+    ``budget`` numbers, except one row's cross states, taken whole. The maximum
+    over samples is ``qcore.max_trace_distance``, bit for bit that of every
+    sample's trace distance.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
+    amplitudes, basis, keep = _source_stack(init, dims, robust_index, direction)
     d_s, d_t = len(amplitudes), dims.factors[keep[0]]
     seeds = [derive_seed(seed, "signaling", direction, k) for k in range(n_samples)]
-    weights = haar_unitary(d_s, seeds) @ amplitudes
+    draw = max(1, budget // d_s ** 2)
+    weights = np.concatenate([haar_unitary(d_s, seeds[i:i + draw]) @ amplitudes
+                              for i in range(0, n_samples, draw)])
     pairs = (weights[:, :, None] * weights[:, None, :].conj()).reshape(n_samples, d_s ** 2)
     per = max(1, min(n_samples, budget // d_t ** 2))
     step = max(1, min(budget // (d_s * d_t) ** 2, budget // (per * d_t ** 2)))
     # even slices: none is a lone sample (for per >= 3), whose product BLAS would round by
     # another kernel, so the slicing leaves each sample's target state as it is, to the bit
     slices = np.array_split(pairs, -(-n_samples // per))
-    out = []
-    for phi, ref in chunks:
+
+    def reduce(phi: np.ndarray, ref: np.ndarray) -> np.ndarray:
         ref_rdms = rdm_from_state(ref, dims.factors, keep)[:, None]
+        out = []
         for i in range(0, len(phi), step):
             rows = phi[i:i + step]
             m = len(rows)
             cross = rdm_from_state(rows.reshape(m, -1), (d_s, *dims.factors),
                                    (0, 1 + keep[0]))  # (m, (j, a), (k, b))
-            cross = cross.reshape(m, d_s, d_t, d_s, d_t).transpose(0, 1, 3, 2, 4)
-            cross = cross.reshape(m, d_s ** 2, d_t ** 2)
+            cross = cross.reshape(m, d_s, d_t, d_s, d_t).swapaxes(2, 3).reshape(m, d_s ** 2, -1)
             rdms = ((p @ cross).reshape(m, -1, d_t, d_t) for p in slices)
             out.append(np.max([max_trace_distance(r, ref_rdms[i:i + step]) for r in rdms], axis=0))
-    return np.concatenate(out)
+        return np.concatenate(out)
+
+    return basis, reduce
 
 
-def signaling_test(traj: Trajectory, direction: str, n_samples: int = 64,
-                   seed: int = 0, on_rows=None) -> np.ndarray:
-    """Max reduced-state disturbance of the target side under sampled source unitaries.
+def locality_columns(spec: ModelSpec, init: InitialSpec, times, n_samples: int = 64,
+                     seed: int = 0) -> dict[str, np.ndarray]:
+    """The locality job on ``times``: ``signal_b_to_a``, ``signal_a_to_b`` and ``mi_ab_bits``.
 
-    For each of ``n_samples`` Haar unitaries G on the source subsystem (B for
-    direction "b_to_a"), the trajectory's initial state is modified by G at
-    t = 0 and evolved over the trajectory's times, and the trace distance
-    between the target's reduced states and the trajectory's own is
-    recorded; the per-time maximum over samples is returned. Sample k's
-    unitary depends only on (seed, direction, k), so enlarging n_samples
-    refines the same family. Only the d_source source basis states evolve, in
-    one stack with the trajectory's own state on its route
-    (``Trajectory.evolve``), whose rows in each block are the reference.
-    ``on_rows``, if given, is called with those rows of each block, (rows, n),
-    so a caller reduces them in the same pass. Every sample's target state is
-    the GEMM of its pair weights with the cross reduced states of those basis
-    states (see the module docstring). They go a few times and a few samples at
-    a time, so that neither a stack of cross states (d_source^2 d_target^2
-    numbers a time) nor a stack of sample target states (d_target^2 a sample
-    and time) holds more numbers than a block may, min(BLOCK_NUMBERS, T n),
-    whatever ``n_samples`` is. The one exception: where a single time's cross
-    states outnumber that, they are formed one time at a time. The maximum
-    over samples is ``qcore.max_trace_distance``, which runs ``eigvalsh`` only
-    on the samples that a Frobenius-norm bracket of the trace norm leaves in
-    the running; it equals the maximum of every sample's trace distance bit
-    for bit.
+    A signal is, at each time, the largest trace distance by which one of
+    ``n_samples`` Haar unitaries on the source side (B for "b_to_a"), applied
+    at t = 0, moves the target's reduced state off the unmodified one. Sample
+    k's unitary depends only on (seed, direction, k), so enlarging n_samples
+    refines the same family. ``mi_ab_bits`` is I(A:B) of the unmodified state.
+    One route, priced for both passes, serves the job: the B->A pass evolves
+    psi0 with the d_B source basis states and takes the mutual information from
+    psi0's rows, then the A->B pass evolves psi0 with the d_A ones. Each block
+    is reduced as it arrives. Besides the pair weights, no stack the job forms
+    holds more than ``evolve.block_budget(times, n)`` numbers, except where one
+    time's cross states outnumber it (see ``_signaling_reducer``).
     """
-    model = traj.model
-    amplitudes, basis, keep = _source_stack(traj.init, model.dims, model.robust_index, direction)
-
-    def chunks():
+    dims = spec.dims
+    traj = propagate(spec, init, times, stacks=(1 + dims.b, 1 + dims.a))
+    columns = {"signal_b_to_a": [], "signal_a_to_b": [], "mi_ab_bits": []}
+    for direction in ("b_to_a", "a_to_b"):
+        basis, reduce = _signaling_reducer(init, dims, spec.robust_index, direction, n_samples,
+                                           seed, block_budget(traj.times, dims.total))
         for _, states in traj.evolve(basis):
-            if on_rows is not None:
-                on_rows(states[:, 0])
-            yield states[:, 1:], states[:, 0]
-
-    return _signaling_curves(chunks(), amplitudes, keep, model.dims, direction, n_samples, seed,
-                             budget=min(BLOCK_NUMBERS, traj.psi0.size * len(traj.times)))
+            columns[f"signal_{direction}"].append(reduce(states[:, 1:], states[:, 0]))
+            if direction == "b_to_a":
+                columns["mi_ab_bits"].append(mi_and_entropies(states[:, 0], dims)[0])
+    return {name: np.concatenate(parts) for name, parts in columns.items()}
 
 
 def signaling_test_unitary(u: np.ndarray, init: InitialSpec, dims: Dims, robust_index: int,
                            direction: str, n_samples: int = 64, seed: int = 0) -> float:
-    """Signaling probe when the dynamics is one global unitary ``u`` applied once.
+    """The signal of ``direction`` when the dynamics is one global unitary ``u`` applied once.
 
-    The same probe as :func:`signaling_test` at the one time, with the evolved
-    state ``u @ psi0`` as its trajectory: no stack of sample target states
-    holds more numbers than that state, and the cross states, d_source^2
-    d_target^2 numbers, are formed whole even where they outnumber it.
+    The probe of :func:`locality_columns` at the one time, with the evolved
+    state ``u @ psi0`` as the reference: no stack of sample target states holds
+    more numbers than that state, and the cross states, d_source^2 d_target^2
+    numbers, are formed whole even where they outnumber it.
     """
     psi0 = initial_state(init, dims, robust_index)  # checks the amplitudes against dims
-    amplitudes, basis, keep = _source_stack(init, dims, robust_index, direction)
+    basis, reduce = _signaling_reducer(init, dims, robust_index, direction, n_samples, seed,
+                                       budget=dims.total)
     u = np.asarray(u, dtype=complex)
-    chunk = ((basis @ u.T)[None], (u @ psi0)[None])
-    return float(_signaling_curves([chunk], amplitudes, keep, dims, direction, n_samples, seed,
-                                   budget=dims.total)[0])
+    return float(reduce((basis @ u.T)[None], (u @ psi0)[None])[0])
 
 
 def tau_estimate(times, mi_ab_bits, threshold_bits: float) -> float | None:

@@ -15,7 +15,8 @@ import disd
 from disd.cli import main
 from disd.decompose import planted_sequential, sequential_residual
 from disd.evolve import perturbation_data, propagate, residuals_along
-from disd.locality import mi_and_entropies, signaling_test, signaling_test_unitary, tau_estimate
+from disd.locality import (locality_columns, mi_and_entropies, signaling_test_unitary,
+                           tau_estimate)
 from disd.model import build_canonical
 from disd.qcore import (
     Dims,
@@ -93,7 +94,8 @@ def test_criterion_3_exact_decoupling():
     states = trajectory_states(traj)
     mi_max = mi_and_entropies(states, spec.dims)[0].max()
     res_max = residuals_along(traj, pd, slice(None), states).max()
-    sig_max = signaling_test(traj, "b_to_a", n_samples=64, seed=DEFAULT_SEED).max()
+    sig_max = locality_columns(spec, init, traj.times, n_samples=64,
+                               seed=DEFAULT_SEED)["signal_b_to_a"].max()
     ok = mi_max <= 1e-10 and sig_max <= 1e-10 and res_max <= 1e-9
     _report("criterion 3: exact decoupling at c2 = 0", ok,
             f"max mi = {mi_max:.1e}, max signal = {sig_max:.1e}, max residual = {res_max:.1e}")

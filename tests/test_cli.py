@@ -780,6 +780,21 @@ class TestExitCodes:
         assert len(cols["t"]) == 50
         assert all(np.isfinite(cols[h]).all() for h in header)
 
+    def test_overflowing_spectral_bounds_are_validation_error(self, tmp_path):
+        # at c1 = c2 = 1e308 the sums of the blocks' extreme eigenvalues, the Chebyshev
+        # spectral bounds, pass the largest double: they become inf with no overflow warning,
+        # and the phase guard refuses the job
+        doc = base_config(couplings={"c1": 1e308, "c2": 1e308})
+        out = tmp_path / "out.csv"
+        env = dict(os.environ, PYTHONPATH=str(Path(disd.__file__).resolve().parents[1]))
+        proc = subprocess.run([sys.executable, "-W", "error", "-m", "disd.cli", "locality",
+                               "--config", write_config(tmp_path, doc), "--out", str(out)],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("validation error: phases lose their precision: ")
+        assert "Traceback" not in proc.stderr and proc.stderr.count("\n") == 1
+        assert not out.exists()
+
     def test_subnormal_c1_at_zero_c2_simulates(self, tmp_path):
         # at c2 = 0 every second-order shift is exactly 0, though the weights 1 / gap overflow
         # at c1 = 1e-310: the product form must not form 0 * inf

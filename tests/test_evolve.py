@@ -22,13 +22,13 @@ from disd.evolve import (
     residuals_along,
     row_norms,
 )
-from disd.locality import signaling_test
+from disd.locality import locality_columns
 from disd.model import InitialSpec, ModelSpec, assemble_hamiltonian, build_canonical, initial_state
 from disd.qcore import Dims, ValidationError
 
 from oracles import (chebyshev_operator, chebyshev_series_exact, dense_exponential, energy_table,
                      residuals_per_row, route_states, rs2_table_bruteforce, trajectory_states)
-from test_locality import ORACLE_CASES, ORACLE_IDS, oracle_case
+from test_locality import ORACLE_CASES, ORACLE_IDS, locality_stacks, oracle_case
 
 # Frozen from the brute-force oracle for seed 1, dims (2,2,2), c1=4, c2=0.5.
 RS2_TABLE_SEED1 = np.array([
@@ -714,11 +714,6 @@ class TestTracerNames:
             assert getattr(owner, key) is original, f"{owner}.{key}"
 
 
-def locality_stacks(factors):
-    """The stacks a locality job evolves: psi0 with the d_B, then with the d_A source states."""
-    return 1 + factors[2], 1 + factors[0]
-
-
 class TestRoute:
     @pytest.mark.parametrize("factors, stacks, steps, route", [
         ((8, 4, 6), (1,), 200, Propagator), ((8, 4, 9), (1,), 200, Chebyshev),
@@ -772,18 +767,22 @@ class TestRoute:
             states = np.concatenate([states for _, states in blocks])
             assert_allclose(states[:, 0], whole, rtol=0, atol=1e-12)
 
-    def test_signaling_builds_no_propagator_on_a_chebyshev_trajectory(self, propagator_builds):
+    def test_signaling_builds_no_propagator_on_a_chebyshev_trajectory(self, propagator_builds,
+                                                                      monkeypatch):
+        # a locality job priced for Chebyshev builds no Propagator, and matches the spectral
+        # route, which the count gives this model's locality job, to 1e-12
         spec, init = uniform_case((16, 2, 16))
         times = np.linspace(0, 20, 200)
-        traj = propagate(spec, init, times)
+        stacks = locality_stacks(spec.dims.factors)
+        spectral = propagate(spec, init, times, stacks=stacks)
+        assert isinstance(spectral.route, Propagator)
+        want = locality_columns(spec, init, times, n_samples=2, seed=1)
+        assert len(propagator_builds) == 2
+        monkeypatch.setattr(evolve, "EIGH_FLOPS_PER_N3", np.inf)
+        traj = propagate(spec, init, times, stacks=stacks)
         assert isinstance(traj.route, Chebyshev)
-        got = [signaling_test(traj, d, n_samples=2, seed=1) for d in ("b_to_a", "a_to_b")]
-        assert propagator_builds == []
-
-        # priced for the whole locality job, the same model takes the spectral route
-        spectral = propagate(spec, init, times, stacks=locality_stacks(spec.dims.factors))
-        assert isinstance(spectral.route, Propagator) and len(propagator_builds) == 1
+        got = locality_columns(spec, init, times, n_samples=2, seed=1)
+        assert len(propagator_builds) == 2
         assert_allclose(trajectory_states(traj), trajectory_states(spectral), rtol=0, atol=1e-12)
-        want = [signaling_test(spectral, d, n_samples=2, seed=1) for d in ("b_to_a", "a_to_b")]
-        assert len(propagator_builds) == 1
-        assert_allclose(got, want, rtol=0, atol=1e-12)
+        for name in want:
+            assert_allclose(got[name], want[name], rtol=0, atol=1e-12)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -9,14 +11,29 @@ from disd import locality as locality_module
 from disd.evolve import Chebyshev, Propagator, perturbation_data, propagate, residuals_along
 from disd.locality import (
     _source_stack,
+    locality_columns,
     mi_and_entropies,
-    signaling_test,
     signaling_test_unitary,
     tau_estimate,
 )
 from disd.model import InitialSpec, assemble_hamiltonian, build_canonical, initial_state
-from disd.qcore import Dims, haar_unitary, rdm_from_state, vn_entropy
+from disd.qcore import Dims, derive_seed, haar_unitary, rdm_from_state, vn_entropy
 from oracles import mi_per_row, route_states, signaling_per_row, trajectory_states
+
+
+def signal(spec, init, times, direction, n_samples, seed):
+    """One direction's signal column of the locality job."""
+    return locality_columns(spec, init, times, n_samples, seed)[f"signal_{direction}"]
+
+
+def locality_stacks(factors):
+    """The stacks a locality job evolves: psi0 with the d_B, then with the d_A source states."""
+    return 1 + factors[2], 1 + factors[0]
+
+
+def locality_trajectory(spec, init, times):
+    """A trajectory priced as the locality job prices its own, so on the job's route."""
+    return propagate(spec, init, times, stacks=locality_stacks(spec.dims.factors))
 
 
 class TestMiTrajectory:
@@ -43,8 +60,7 @@ class TestMiTrajectory:
 class TestSignaling:
     def test_decoupled_b_to_a(self, dims233, init233):
         spec = build_canonical(dims233, 4, 3.0, 0.0)
-        traj = propagate(spec, init233, np.linspace(0, 10, 20))
-        out = signaling_test(traj, "b_to_a", n_samples=16, seed=5)
+        out = signal(spec, init233, np.linspace(0, 10, 20), "b_to_a", n_samples=16, seed=5)
         assert out.max() <= 1e-10
 
     def test_no_signaling_when_a_uncorrelated(self, dims233, init233):
@@ -55,44 +71,47 @@ class TestSignaling:
         for s in trajectory_states(traj):
             s_a = vn_entropy(rdm_from_state(s, d.factors, (0,)))
             assert 2 * s_a <= 1e-10  # I(A:CB) = 2 S(A) for a pure global state
-        out = signaling_test(traj, "b_to_a", n_samples=8, seed=1)
+        out = signal(spec, init233, traj.times, "b_to_a", n_samples=8, seed=1)
         assert out.max() <= 1e-10
 
     def test_canonical_signaling_appears(self, dims233, init233):
         spec = build_canonical(dims233, 1, 1.0, 0.2)
-        traj = propagate(spec, init233, np.linspace(0, 50, 60))
-        out = signaling_test(traj, "b_to_a", n_samples=8, seed=2)
+        out = signal(spec, init233, np.linspace(0, 50, 60), "b_to_a", n_samples=8, seed=2)
         assert out.max() > 1e-3
 
     def test_sample_max_nested_in_n_samples(self, spec233, init233):
-        traj = propagate(spec233, init233, np.linspace(0, 5, 10))
-        small = signaling_test(traj, "b_to_a", n_samples=1, seed=9)
-        large = signaling_test(traj, "b_to_a", n_samples=8, seed=9)
-        assert np.all(large >= small - 1e-15)
+        times = np.linspace(0, 5, 10)
+        small = locality_columns(spec233, init233, times, n_samples=1, seed=9)
+        large = locality_columns(spec233, init233, times, n_samples=8, seed=9)
+        for direction in ("b_to_a", "a_to_b"):
+            name = f"signal_{direction}"
+            assert np.all(large[name] >= small[name] - 1e-15)
+        assert np.array_equal(large["mi_ab_bits"], small["mi_ab_bits"])
 
     def test_deterministic_for_fixed_seed(self, spec233, init233):
-        traj = propagate(spec233, init233, np.linspace(0, 5, 6))
-        a = signaling_test(traj, "a_to_b", n_samples=4, seed=3)
-        b = signaling_test(traj, "a_to_b", n_samples=4, seed=3)
-        assert np.array_equal(a, b)
+        times = np.linspace(0, 5, 6)
+        a = locality_columns(spec233, init233, times, n_samples=4, seed=3)
+        b = locality_columns(spec233, init233, times, n_samples=4, seed=3)
+        assert list(a) == ["signal_b_to_a", "signal_a_to_b", "mi_ab_bits"]
+        assert all(np.array_equal(a[name], b[name]) for name in a)
 
     def test_global_phase_invariance(self, spec233, init233):
-        import dataclasses
         times = np.linspace(0, 5, 6)
         shifted = dataclasses.replace(init233, alpha=init233.alpha * np.exp(0.3j))
-        a = signaling_test(propagate(spec233, init233, times), "b_to_a", n_samples=4, seed=3)
-        b = signaling_test(propagate(spec233, shifted, times), "b_to_a", n_samples=4, seed=3)
-        assert np.abs(a - b).max() <= 1e-12
+        a = locality_columns(spec233, init233, times, n_samples=4, seed=3)
+        b = locality_columns(spec233, shifted, times, n_samples=4, seed=3)
+        assert all(np.abs(a[name] - b[name]).max() <= 1e-12 for name in a)
 
-    def test_rejects_bad_direction(self, spec233, init233):
-        traj = propagate(spec233, init233, [0.0])
-        with pytest.raises(ValueError):
-            signaling_test(traj, "c_to_a", n_samples=1)
+    def test_rejects_bad_direction(self, dims222, init222):
+        with pytest.raises(ValueError, match="direction must be"):
+            signaling_test_unitary(np.eye(dims222.total), init222, dims222, 0, "c_to_a")
 
-    def test_rejects_zero_samples(self, spec233, init233):
-        traj = propagate(spec233, init233, [0.0])
-        with pytest.raises(ValueError):
-            signaling_test(traj, "b_to_a", n_samples=0)
+    def test_rejects_zero_samples(self, spec233, init233, dims222, init222):
+        with pytest.raises(ValueError, match="n_samples"):
+            locality_columns(spec233, init233, [0.0], n_samples=0)
+        with pytest.raises(ValueError, match="n_samples"):
+            signaling_test_unitary(np.eye(dims222.total), init222, dims222, 0, "b_to_a",
+                                   n_samples=0)
 
 
 class TestSignalingOneShot:
@@ -177,20 +196,26 @@ class TestTauEstimate:
 
 class TestOneEigensystem:
     def test_one_trajectory_serves_every_diagnostic(self, spec233, init233, propagator_builds):
-        traj = propagate(spec233, init233, np.linspace(0, 5, 12))
+        # the mutual information and the residuals read one trajectory, and the locality job,
+        # both signals and its mutual information, diagonalizes its model once
+        times = np.linspace(0, 5, 12)
+        traj = propagate(spec233, init233, times)
         pd = perturbation_data(spec233)
         for rows, states in traj.evolve():
             mi_and_entropies(states[:, 0], spec233.dims)
             residuals_along(traj, pd, rows, states[:, 0])
-        for direction in ("b_to_a", "a_to_b"):
-            signaling_test(traj, direction, n_samples=3, seed=1)
-        assert propagator_builds == [(spec233.dims.total, spec233.dims.total)]
+        n = spec233.dims.total
+        assert propagator_builds == [(n, n)]
+        columns = locality_columns(spec233, init233, times, n_samples=3, seed=1)
+        assert propagator_builds == [(n, n)] * 2
+        assert_allclose(columns["mi_ab_bits"],
+                        mi_and_entropies(trajectory_states(traj), spec233.dims)[0],
+                        rtol=0, atol=1e-12)
 
     def test_signaling_evolves_on_the_trajectory_route(self, spec233, init233, propagator_builds,
                                                        monkeypatch):
         times = np.linspace(0, 5, 12)
-        spectral = propagate(spec233, init233, times)
-        want = [signaling_test(spectral, d, n_samples=3, seed=1) for d in ("b_to_a", "a_to_b")]
+        want = locality_columns(spec233, init233, times, n_samples=3, seed=1)
         monkeypatch.setattr(evolve_module, "EIGH_FLOPS_PER_N3", np.inf)
         traj = propagate(spec233, init233, times)
         assert isinstance(traj.route, Chebyshev)
@@ -204,9 +229,10 @@ class TestOneEigensystem:
             slice(0, 4), slice(4, 8), slice(8, 12)]
         for k in range(3):
             assert_allclose(stacked[:, k], whole, rtol=0, atol=1e-13)
-        got = [signaling_test(traj, d, n_samples=3, seed=1) for d in ("b_to_a", "a_to_b")]
-        assert len(propagator_builds) == 1  # the spectral trajectory's own
-        assert_allclose(got, want, rtol=0, atol=1e-12)
+        got = locality_columns(spec233, init233, times, n_samples=3, seed=1)
+        assert len(propagator_builds) == 1  # the spectral job's own
+        for name in want:
+            assert_allclose(got[name], want[name], rtol=0, atol=1e-12)
 
 
 def evolved_sizes(monkeypatch, route):
@@ -260,11 +286,9 @@ class TestSignalingByLinearity:
         for eigh_cost, route in ((evolve_module.EIGH_FLOPS_PER_N3, Propagator),
                                  (np.inf, Chebyshev)):
             monkeypatch.setattr(evolve_module, "EIGH_FLOPS_PER_N3", eigh_cost)
-            traj = propagate(spec233, init233, times)
-            assert isinstance(traj.route, route)
+            assert isinstance(locality_trajectory(spec233, init233, times).route, route)
             sizes = evolved_sizes(monkeypatch, route)
-            for direction in ("b_to_a", "a_to_b"):
-                signaling_test(traj, direction, n_samples=64, seed=1)
+            locality_columns(spec233, init233, times, n_samples=64, seed=1)
             # 40 times x 18 numbers in blocks of 10 rows (B to A, 1 + d_B = 4) and 13 (1 + d_A = 3)
             assert len(sizes) == 4 + 4
             assert max(sizes) <= min(evolve_module.BLOCK_NUMBERS, len(times) * n)
@@ -281,12 +305,10 @@ class TestSignalingByLinearity:
         monkeypatch.setattr(evolve_module, "EIGH_FLOPS_PER_N3", eigh_cost)
         spec225, init225, _ = oracle_case((2, 2, 5), 0.5)
         for spec, init, n_samples in ((spec233, init233, 1000), (spec225, init225, 2)):
-            traj = propagate(spec, init, times)
-            assert isinstance(traj.route, route)
+            assert isinstance(locality_trajectory(spec, init, times).route, route)
             rdms = spied(monkeypatch, "rdm_from_state")
             samples = spied(monkeypatch, "max_trace_distance")
-            for direction in ("b_to_a", "a_to_b"):
-                signaling_test(traj, direction, n_samples=n_samples, seed=1)
+            locality_columns(spec, init, times, n_samples=n_samples, seed=1)
             budget = min(evolve_module.BLOCK_NUMBERS, len(times) * spec.dims.total)
             assert max(max(np.size(args[0]), out.size) for args, out in rdms) <= budget
             assert max(np.size(args[0]) for args, _ in samples) <= budget
@@ -305,20 +327,45 @@ class TestSignalingByLinearity:
         # multiple of both directions' slice sizes, 22 and 10: the samples are split evenly,
         # so no slice holds one lone sample, whose product BLAS would round by another kernel
         monkeypatch.setattr(evolve_module, "EIGH_FLOPS_PER_N3", eigh_cost)
-        traj = propagate(spec233, init233, np.linspace(0, 5, 5))
+        traj = locality_trajectory(spec233, init233, np.linspace(0, 5, 5))
         dims = spec233.dims
-        amplitudes, basis, keep = _source_stack(init233, dims, spec233.robust_index, direction)
-        chunks = ((states[:, 1:], states[:, 0]) for _, states in traj.evolve(basis))
         calls = spied(monkeypatch, "max_trace_distance")
-        whole = locality_module._signaling_curves(chunks, amplitudes, keep, dims, direction,
-                                                  111, 1, budget=10 ** 9)
+        basis, reduce = locality_module._signaling_reducer(init233, dims, spec233.robust_index,
+                                                           direction, 111, 1, budget=10 ** 9)
+        whole = np.concatenate([reduce(states[:, 1:], states[:, 0])
+                                for _, states in traj.evolve(basis)])
         assert all(args[0].shape[1] == 111 for args, _ in calls)
         unsliced = sample_states(calls, 111)
         calls.clear()
-        got = signaling_test(traj, direction, n_samples=111, seed=1)
+        got = signal(spec233, init233, traj.times, direction, n_samples=111, seed=1)
+        # the job's calls of this direction, whose target states are d_target x d_target
+        d_target = dims.a if direction == "b_to_a" else dims.b
+        calls = [call for call in calls if call[0][0].shape[-1] == d_target]
         assert all(args[0].shape[1] < 111 for args, _ in calls)  # the samples went in slices
         assert np.array_equal(sample_states(calls, 111), unsliced)
         assert np.array_equal(got, whole)
+
+    def test_unitaries_are_drawn_a_budget_at_a_time(self, spec233, init233, monkeypatch):
+        # 1000 samples against 5 times of dim 18: the source unitaries are drawn 90 // 3^2 = 10
+        # (B to A) and 90 // 2^2 = 22 (A to B) at a time, bit for bit the draws of one call, so
+        # no stack of them outgrows the trajectory's 5 x 18 numbers
+        draws = []
+        haar = locality_module.haar_unitary
+
+        def recorded(dim, seeds):
+            draws.append((dim, list(seeds), haar(dim, seeds)))
+            return draws[-1][2]
+
+        monkeypatch.setattr(locality_module, "haar_unitary", recorded)
+        locality_columns(spec233, init233, np.linspace(0, 5, 5), n_samples=1000, seed=1)
+        for direction, d_s, per in (("b_to_a", 3, 10), ("a_to_b", 2, 22)):
+            mine = [(seeds, u) for dim, seeds, u in draws if dim == d_s]
+            assert max(u.size for _, u in mine) <= 5 * 18
+            lengths = [len(seeds) for seeds, _ in mine]
+            assert lengths[:-1] == [per] * (len(lengths) - 1) and 0 < lengths[-1] <= per
+            seeds = [s for part, _ in mine for s in part]
+            assert seeds == [derive_seed(1, "signaling", direction, k) for k in range(1000)]
+            assert np.array_equal(np.concatenate([u for _, u in mine]), haar(d_s, seeds))
 
 
 # (dims, c2): d_A*d_B > d_C in all but 2x5x2; c2 = 0 keeps A and B uncorrelated
@@ -357,15 +404,15 @@ class TestBatchedAgainstOracles:
         psi0 = initial_state(init, spec.dims, spec.robust_index)
         expected = signaling_per_row(evolve, psi0, evolve(psi0), spec.dims,
                                              direction, n_samples=5, seed=2)
-        got = signaling_test(propagate(spec, init, times), direction, n_samples=5, seed=2)
+        got = signal(spec, init, times, direction, n_samples=5, seed=2)
         assert_allclose(got, expected, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("direction", ["b_to_a", "a_to_b"])
     @pytest.mark.parametrize("factors, c2", ORACLE_CASES, ids=ORACLE_IDS)
     def test_signaling_on_the_chebyshev_route_matches_per_row_loop(self, factors, c2,
                                                                     direction, monkeypatch):
-        # the oracle evolves every state over the whole grid by Chebyshev steps, while
-        # signaling_test takes the source basis in blocks, each from the one before
+        # the oracle evolves every state over the whole grid by Chebyshev steps, while the
+        # locality job takes the source basis in blocks, each from the one before
         monkeypatch.setattr(evolve_module, "EIGH_FLOPS_PER_N3", np.inf)
         spec, init, times = oracle_case(factors, c2)
         traj = propagate(spec, init, times)
@@ -374,7 +421,7 @@ class TestBatchedAgainstOracles:
         states = trajectory_states(traj)
         expected = signaling_per_row(evolve, states[0], states, spec.dims,
                                      direction, n_samples=5, seed=2)
-        got = signaling_test(traj, direction, n_samples=5, seed=2)
+        got = signal(spec, init, times, direction, n_samples=5, seed=2)
         assert_allclose(got, expected, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("eigh_cost", [evolve_module.EIGH_FLOPS_PER_N3, np.inf])
@@ -383,14 +430,14 @@ class TestBatchedAgainstOracles:
         # 3 samples against d_source^2 = 25 (B to A) or 4 (A to B) pair weights, on both routes
         monkeypatch.setattr(evolve_module, "EIGH_FLOPS_PER_N3", eigh_cost)
         spec, init, times = oracle_case((2, 2, 5), 0.5)
-        traj = propagate(spec, init, times)
+        traj = locality_trajectory(spec, init, times)
         assert isinstance(traj.route, Chebyshev if eigh_cost == np.inf else Propagator)
         evolve = lambda psi: route_states(traj.route, psi, traj.times)
         states = trajectory_states(traj)
         expected = signaling_per_row(evolve, states[0], states, spec.dims,
                                      direction, n_samples=3, seed=2)
         assert expected.max() > 1e-3
-        got = signaling_test(traj, direction, n_samples=3, seed=2)
+        got = signal(spec, init, times, direction, n_samples=3, seed=2)
         assert_allclose(got, expected, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("direction", ["b_to_a", "a_to_b"])
@@ -423,3 +470,41 @@ class TestBatchedAgainstOracles:
                                              direction, n_samples=5, seed=2)
         got = signaling_test_unitary(u, init, dims, 0, direction, n_samples=5, seed=2)
         assert abs(got - expected[0]) <= 1e-12
+
+
+def relabel_c(spec, r):
+    """``spec`` with C relabelled so that its robust state, C index 0, sits at index r."""
+    d_a, d_c, d_b = spec.dims.factors
+    order = np.roll(np.arange(d_c), r)  # new C index k is old index order[k]; order[r] = 0
+    h_ac = spec.h_ac.reshape(d_a, d_c, d_a, d_c)[:, order][..., order]
+    h_cb = spec.h_cb.reshape(d_c, d_b, d_c, d_b)[order][:, :, order]
+    return dataclasses.replace(spec, h_c=spec.h_c[np.ix_(order, order)],
+                               h_ac=h_ac.reshape(d_a * d_c, -1), h_cb=h_cb.reshape(d_c * d_b, -1),
+                               robust_index=r)
+
+
+class TestRelabelledC:
+    @pytest.mark.parametrize("eigh_cost", [evolve_module.EIGH_FLOPS_PER_N3, np.inf],
+                             ids=["spectral", "chebyshev"])
+    @pytest.mark.parametrize("factors", [(2, 3, 4), (3, 4, 2)], ids=["2x3x4", "3x4x2"])
+    def test_columns_do_not_move_with_the_robust_index(self, factors, eigh_cost, monkeypatch):
+        # the robust C state moved to each index r is the same physics: every column of the
+        # locality job stays put. On the Chebyshev route, with the split priced free, the C-B
+        # block goes as its two sectors at the first and the last r and as one GEMM between
+        spec, init, _ = oracle_case(factors, 0.5)
+        spec = dataclasses.replace(spec, c1=20.0)
+        times = np.linspace(0, 10, 41)
+        monkeypatch.setattr(evolve_module, "EIGH_FLOPS_PER_N3", eigh_cost)
+        monkeypatch.setattr(evolve_module, "CHEB_TERM_FLOPS", 0.0)
+        want = locality_columns(spec, init, times, n_samples=16, seed=3)
+        assert want["mi_ab_bits"].max() > 1e-3 and want["signal_b_to_a"].max() > 1e-3
+        d_c = factors[1]
+        for r in range(d_c):
+            moved = relabel_c(spec, r)
+            route = locality_trajectory(moved, init, times).route
+            assert isinstance(route, Chebyshev if eigh_cost == np.inf else Propagator)
+            if eigh_cost == np.inf:
+                assert len(route._cb_t) == (2 if r in (0, d_c - 1) else 1)
+            got = locality_columns(moved, init, times, n_samples=16, seed=3)
+            for name in want:
+                assert_allclose(got[name], want[name], rtol=0, atol=1e-12, err_msg=f"{name}, r={r}")
