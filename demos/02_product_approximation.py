@@ -10,7 +10,6 @@ both fall off like 1/c1 when the C-B coupling is cranked up.
 import numpy as np
 
 import disd
-from disd.evolve import perturbation_data, propagate, residuals_along
 
 dims = disd.Dims(2, 3, 3)
 init = disd.InitialSpec(alpha=np.ones(2) / np.sqrt(2), chi=np.ones(3) / np.sqrt(3))
@@ -18,12 +17,10 @@ times = np.linspace(0.0, 5.0, 200)
 
 
 def residuals(c1):
-    """The product form's data at c1 and its residual at each time, block by block."""
+    """The product form's data at c1 and its residual at each time, from the simulate job."""
     spec = disd.build_canonical(dims, seed=1, c1=c1, c2=0.05)
-    pd = perturbation_data(spec)
-    traj = propagate(spec, init, times)
-    return pd, np.concatenate([residuals_along(traj, pd, rows, states[:, 0])
-                               for rows, states in traj.evolve()])
+    pd, columns = disd.simulate_columns(spec, init, times)
+    return pd, columns["residual_eq4"]
 
 
 print("residual of the product approximation along one trajectory (c1 = 16):")

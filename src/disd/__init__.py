@@ -9,7 +9,6 @@ whether a global unitary factors into an A-C slice followed by a C-B slice.
 
 from .qcore import (
     Dims,
-    derive_seed,
     haar_unitary,
     rdm_from_state,
     spectral_norm,
@@ -21,7 +20,7 @@ from .model import (
     initial_state,
     validate_robustness,
 )
-from .evolve import Propagator, perturbation_data, propagate, residuals_along
-from .locality import mi_and_entropies, tau_estimate
+from .evolve import simulate_columns
+from .locality import tau_estimate
 
 __version__ = "0.1.0"

@@ -30,8 +30,8 @@ from .config import (
     unitary_from_json,
 )
 from .decompose import planted_sequential, sequential_residual
-from .evolve import perturbation_data, propagate, residuals_along, row_norms
-from .locality import locality_columns, mi_and_entropies, tau_estimate
+from .evolve import simulate_columns
+from .locality import locality_columns, tau_estimate
 from .qcore import Dims, ValidationError
 
 __all__ = [
@@ -56,28 +56,9 @@ def _csv(columns: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-_MODEL_COLUMNS = ("mi_ab_bits", "entropy_a_bits", "entropy_b_bits", "residual_eq4", "norm_error")
-
-
-def _run_model(spec, init, times):
-    """One model's perturbation data and its ``_MODEL_COLUMNS`` at each time, from one evolve pass.
-
-    Each block of the exact trajectory is reduced as it arrives.
-    """
-    pd = perturbation_data(spec)
-    pd.check_phases(times)  # before any propagation
-    traj = propagate(spec, init, times)
-    parts = []
-    for rows, states in traj.evolve():
-        psi = states[:, 0]
-        parts.append((*mi_and_entropies(psi, spec.dims), residuals_along(traj, pd, rows, psi),
-                      np.abs(row_norms(psi) - 1.0)))
-    return pd, dict(zip(_MODEL_COLUMNS, map(np.concatenate, zip(*parts))))
-
-
 def cmd_simulate(cfg: RunConfig) -> str:
     times = times_from_config(cfg)
-    pd, columns = _run_model(model_from_config(cfg), initial_from_config(cfg), times)
+    pd, columns = simulate_columns(model_from_config(cfg), initial_from_config(cfg), times)
     columns = {"t": times, **columns}
     if pd.gap_warnings:
         columns["warn"] = [len(pd.gap_warnings)] * len(times)
@@ -98,7 +79,7 @@ def sweep_columns(cfg: RunConfig) -> dict[str, list]:
     columns = {name: [] for name in ("c1", "c2", "ratio", "lambda_sup", "max_residual",
                                      "tau_est", "gap_warnings")}
     for c1, c2 in cfg.sweep_grid:
-        pd, point = _run_model(dataclasses.replace(base, c1=c1, c2=c2), init, times)
+        pd, point = simulate_columns(dataclasses.replace(base, c1=c1, c2=c2), init, times)
         columns["c1"].append(c1)
         columns["c2"].append(c2)
         columns["ratio"].append(c2 / c1)

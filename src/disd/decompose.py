@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qcore import Dims, ValidationError, derive_seed, haar_unitary
+from .qcore import Dims, check_unitary, derive_seed, haar_unitary
 
 __all__ = [
     "DecompositionResult",
@@ -33,7 +33,6 @@ __all__ = [
     "sequential_unitary",
 ]
 
-UNITARY_TOL = 1e-9
 GAIN_TOL = 1e-12  # a restart stops once an iteration gains less fidelity than this
 # A polar step takes the Gram route while kappa(m)^2 = lambda_max / lambda_min of m+ m
 # is at most this (kappa <= 100). Its error against the SVD grows like eps * kappa^2:
@@ -113,18 +112,8 @@ def sequential_residual(u: np.ndarray, dims: Dims, seed: int = 0) -> Decompositi
     It holds one extra n x n complex copy of U, ``uv``, with rows (a, a', c')
     and columns (c, b, b'), primes marking inputs: each environment is one GEMM.
     """
-    u = np.asarray(u, dtype=complex)
     n = dims.total
-    if u.shape != (n, n):
-        raise ValueError(f"unitary has shape {u.shape}, expected ({n}, {n})")
-    # the entries of a unitary have real and imaginary parts in [-1, 1]; checking
-    # them first rejects non-finite input (nan > tol is false) and keeps U+U finite
-    part = float(np.maximum(np.abs(u.real), np.abs(u.imag)).max())
-    if not part <= 1 + UNITARY_TOL:
-        raise ValidationError(f"input is not unitary: an entry has a part of magnitude {part:.3e} > 1")
-    dev = float(np.abs(u.conj().T @ u - np.eye(n)).max())
-    if dev > UNITARY_TOL:
-        raise ValidationError(f"input is not unitary: max |U+U - I| = {dev:.3e}")
+    u = check_unitary(u, n)
 
     a, c, b = dims.factors
     uv = u.reshape(a, c, b, a, c, b).transpose(0, 3, 4, 1, 2, 5).reshape(a * a * c, c * b * b)

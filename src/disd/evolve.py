@@ -25,7 +25,7 @@ import numpy as np
 
 from .model import (InitialSpec, ModelSpec, assemble_hamiltonian, hamiltonian_blocks, initial_state,
                     place_robust)
-from .qcore import ValidationError, check_hermitian, eigh_ordered, spectral_norm
+from .qcore import ValidationError, check_hermitian, eigh_ordered, mi_and_entropies, spectral_norm
 
 __all__ = [
     "Chebyshev",
@@ -36,8 +36,7 @@ __all__ = [
     "perturbation_data",
     "product_approx",
     "propagate",
-    "residuals_along",
-    "row_norms",
+    "simulate_columns",
 ]
 
 COMMUTATOR_TOL = 1e-8
@@ -265,14 +264,6 @@ class Chebyshev:
         self._planned[key] = plans
         return plans
 
-    def terms(self, times: np.ndarray) -> int:
-        """The terms past T_0 = v, its uses of 2X, that :meth:`blocks` sums on ``times``.
-
-        The blocks are those of ``max_rows`` = len(times), cut by no row limit.
-        """
-        return sum(steps * (coeffs.shape[1] - 1)
-                   for steps, _, coeffs in self._plans(times, len(times)))
-
     def blocks(self, psi: np.ndarray, times: np.ndarray, max_rows: int):
         """(rows, states) of psi, (n,) or (k, n), over ``times``: one recurrence a block.
 
@@ -345,6 +336,16 @@ def _check_phases(max_abs_energy: float, times, what: str) -> None:
         raise ValidationError(f"{what}: eps*max|E|*max|t| = {err:.3e} > {PHASE_ERROR_TOL:.1e}")
 
 
+def _time_grid(times) -> np.ndarray:
+    """``times`` as floats; ValueError unless they are a non-empty, strictly increasing 1-D grid."""
+    times = np.asarray(times, dtype=float)
+    if times.ndim != 1 or times.size < 1:
+        raise ValueError("times must be a non-empty 1-D sequence")
+    if times.size > 1 and not np.all(np.diff(times) > 0):
+        raise ValueError("times must be strictly increasing")
+    return times
+
+
 def block_budget(times: np.ndarray, n: int) -> int:
     """min(BLOCK_NUMBERS, T n): the most numbers a block of evolved rows over ``times`` holds."""
     return min(BLOCK_NUMBERS, len(times) * n)
@@ -388,7 +389,7 @@ def _route(spec: ModelSpec, times: np.ndarray, stacks=(1,)) -> Propagator | Cheb
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """The product state ``psi0`` of ``init`` under one model at strictly increasing times.
+    """The product state ``psi0`` under one model at strictly increasing times.
 
     It holds no evolved state: its states leave it only as the blocks of :meth:`evolve`,
     computed on ``route``.
@@ -396,8 +397,6 @@ class Trajectory:
 
     times: np.ndarray
     psi0: np.ndarray  # shape (total_dim,)
-    model: ModelSpec
-    init: InitialSpec
     route: Propagator | Chebyshev
 
     def evolve(self, stack: np.ndarray | None = None):
@@ -470,15 +469,11 @@ def propagate(spec: ModelSpec, init: InitialSpec, times, stacks=(1,)) -> Traject
     bounds. A grid with eps * max|E| * max|t| above 1e-8 would leave fewer than
     eight correct digits in them, and raises ``ValidationError``.
     """
-    times = np.asarray(times, dtype=float)
-    if times.ndim != 1 or times.size < 1:
-        raise ValueError("times must be a non-empty 1-D sequence")
-    if times.size > 1 and not np.all(np.diff(times) > 0):
-        raise ValueError("times must be strictly increasing")
+    times = _time_grid(times)
     psi0 = initial_state(init, spec.dims, spec.robust_index)
     prop = _route(spec, times, stacks)
     _check_phases(prop.max_abs_energy, times, "phases lose their precision")
-    return Trajectory(times=times, psi0=psi0, model=spec, init=init, route=prop)
+    return Trajectory(times=times, psi0=psi0, route=prop)
 
 
 def perturbation_data(spec: ModelSpec) -> PerturbationData:
@@ -576,20 +571,38 @@ def product_approx(init: InitialSpec, pd: PerturbationData, times) -> np.ndarray
     return place_robust(ab, pd.spec.dims, pd.spec.robust_index)
 
 
-def residuals_along(traj: Trajectory, pd: PerturbationData, rows: slice,
-                    psi: np.ndarray) -> np.ndarray:
-    """Approximation residual of ``psi``, psi0's rows of one block of :meth:`Trajectory.evolve`.
+_SIMULATE_COLUMNS = ("mi_ab_bits", "entropy_a_bits", "entropy_b_bits", "residual_eq4", "norm_error")
 
-    It is taken at ``traj.times[rows]``. Each entry is the phase-aligned distance
-    min over a global phase of || psi_exact - e^{i phi} psi_approx ||, i.e.
-    sqrt(2 - 2 |<approx|exact>|). It is evaluated as a vector norm at the
-    optimal phase rather than through the overlap, which would floor the result
-    at sqrt(machine eps). The product form starts from the trajectory's own
-    ``init``; ``pd`` must be built from the trajectory's own model.
+
+def simulate_columns(spec: ModelSpec, init: InitialSpec,
+                     times) -> tuple[PerturbationData, dict[str, np.ndarray]]:
+    """The simulate job on ``times``: the model's ``PerturbationData`` and five columns.
+
+    One value per time: ``mi_ab_bits``, ``entropy_a_bits`` and ``entropy_b_bits`` of the
+    exact state, ``residual_eq4`` (``_residuals``) and ``norm_error``, | ||psi|| - 1 |. The
+    grid is checked and the product form's phase guard runs before any propagation; then
+    one evolve pass reduces each block as it arrives.
     """
-    if pd.spec is not traj.model:
-        raise ValueError("perturbation data was built from a different model")
-    approx = product_approx(traj.init, pd, traj.times[rows])
+    times = _time_grid(times)
+    pd = perturbation_data(spec)
+    pd.check_phases(times)  # before any propagation
+    traj = propagate(spec, init, times)
+    parts = []
+    for rows, states in traj.evolve():
+        psi = states[:, 0]
+        parts.append((*mi_and_entropies(psi, spec.dims),
+                      _residuals(product_approx(init, pd, traj.times[rows]), psi),
+                      np.abs(row_norms(psi) - 1.0)))
+    return pd, dict(zip(_SIMULATE_COLUMNS, map(np.concatenate, zip(*parts))))
+
+
+def _residuals(approx: np.ndarray, psi: np.ndarray) -> np.ndarray:
+    """Phase-aligned distance of each row of ``psi`` from that of ``approx``, which it overwrites.
+
+    min over a global phase of || psi - e^{i phi} approx ||, i.e. sqrt(2 - 2 |<approx|psi>|),
+    as a vector norm at the optimal phase: the overlap would floor it at sqrt(machine eps).
+    ``approx`` dies on return, so no product-form block outlives the evolved one it matches.
+    """
     # <approx|exact> row by row: vdot conjugates its first argument without a copy of it
     ov = np.fromiter(map(np.vdot, approx, psi), dtype=complex, count=len(approx))
     mag = np.abs(ov)

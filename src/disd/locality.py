@@ -7,10 +7,6 @@ how far sampled Haar unitaries applied to one side at t = 0 can push the
 other side's reduced state. The correlation onset time is the first threshold
 crossing of the mutual information, linearly interpolated.
 
-The global state is pure, so S(AB) = S(C) and the mutual information is
-I(A:B) = S(A) + S(B) - S(C): no d_A*d_B reduced state is formed, and every
-term is computed for a block of sample times in one stacked call.
-
 Signaling uses linearity twice. A unitary G on the source side maps the
 initial state to sum_j w_j phi_j, w = G @ amplitudes, over the d_s source
 basis states phi_j, so only those evolve, in one stack with the unmodified
@@ -28,29 +24,14 @@ import numpy as np
 
 from .evolve import block_budget, propagate
 from .model import InitialSpec, ModelSpec, initial_state, place_robust
-from .qcore import (Dims, ValidationError, derive_seed, haar_unitary, max_trace_distance,
-                    rdm_from_state, vn_entropy)
+from .qcore import (Dims, check_unitary, derive_seed, haar_unitary, max_trace_distance,
+                    mi_and_entropies, rdm_from_state)
 
 __all__ = [
     "locality_columns",
-    "mi_and_entropies",
     "signaling_test_unitary",
     "tau_estimate",
 ]
-
-
-def mi_and_entropies(states: np.ndarray,
-                     dims: Dims) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """I(A:B), S(A) and S(B) in bits of each pure state, a row of ``states`` (T, n).
-
-    S(A), S(C) and S(B) are one stacked call each, and I(A:B) = S(A)+S(B)-S(C).
-    """
-    s_a, s_c, s_b = (vn_entropy(rdm_from_state(states, dims.factors, (k,))) for k in range(3))
-    mi = s_a + s_b - s_c
-    lo = mi.min(initial=0.0)
-    if lo < -1e-9:
-        raise ValidationError(f"mutual information {lo:.3e} below -1e-9")
-    return np.maximum(mi, 0.0), s_a, s_b
 
 
 def _source_stack(init: InitialSpec, dims: Dims, robust_index: int, direction: str):
@@ -150,9 +131,9 @@ def signaling_test_unitary(u: np.ndarray, init: InitialSpec, dims: Dims, robust_
     numbers, are formed whole even where they outnumber it.
     """
     psi0 = initial_state(init, dims, robust_index)  # checks the amplitudes against dims
+    u = check_unitary(u, dims.total)
     basis, reduce = _signaling_reducer(init, dims, robust_index, direction, n_samples, seed,
                                        budget=dims.total)
-    u = np.asarray(u, dtype=complex)
     return float(reduce((basis @ u.T)[None], (u @ psi0)[None])[0])
 
 

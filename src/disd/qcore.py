@@ -20,10 +20,12 @@ __all__ = [
     "Dims",
     "ValidationError",
     "check_hermitian",
+    "check_unitary",
     "derive_seed",
     "eigh_ordered",
     "haar_unitary",
     "max_trace_distance",
+    "mi_and_entropies",
     "random_hermitian",
     "rdm_from_state",
     "spectral_norm",
@@ -31,6 +33,7 @@ __all__ = [
 ]
 
 _HERMITIAN_TOL = 1e-12  # entrywise max |M - M+| accepted as Hermitian
+UNITARY_TOL = 1e-9  # entrywise max |U+U - I| accepted as unitary
 _DEGENERACY_TOL = 1e-10  # relative eigenvalue gap below which eigh_ordered sees a block
 _EIG_FLOOR = 1e-14   # eigenvalues at or below this contribute zero entropy
 _NEG_EIG_TOL = 1e-10  # tolerated magnitude of negative density eigenvalues
@@ -138,6 +141,22 @@ def check_hermitian(m: np.ndarray, name: str = "matrix") -> None:
             f"{name} is not Hermitian: max deviation {dev:.3e} > {_HERMITIAN_TOL:.1e}")
 
 
+def check_unitary(u: np.ndarray, n: int) -> np.ndarray:
+    """``u`` as complex: ValueError unless n x n, ValidationError unless U+U = I to UNITARY_TOL."""
+    u = np.asarray(u, dtype=complex)
+    if u.shape != (n, n):
+        raise ValueError(f"unitary has shape {u.shape}, expected ({n}, {n})")
+    # the entries of a unitary have real and imaginary parts in [-1, 1]; checking
+    # them first rejects non-finite input (nan > tol is false) and keeps U+U finite
+    part = float(np.maximum(np.abs(u.real), np.abs(u.imag)).max())
+    if not part <= 1 + UNITARY_TOL:
+        raise ValidationError(f"input is not unitary: an entry has a part of magnitude {part:.3e} > 1")
+    dev = float(np.abs(u.conj().T @ u - np.eye(n)).max())
+    if dev > UNITARY_TOL:
+        raise ValidationError(f"input is not unitary: max |U+U - I| = {dev:.3e}")
+    return u
+
+
 # ---------------------------------------------------------------------------
 # reduced states
 # ---------------------------------------------------------------------------
@@ -228,6 +247,21 @@ def vn_entropy(rho: np.ndarray) -> float | np.ndarray:
     s = -(p * np.log2(p)).sum(axis=-1)
     s = np.where(s > 0.0, s, 0.0)
     return float(s) if s.ndim == 0 else s
+
+
+def mi_and_entropies(states: np.ndarray,
+                     dims: Dims) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """I(A:B), S(A) and S(B) in bits of each pure state, a row of ``states`` (T, n).
+
+    A pure state has S(AB) = S(C), so I(A:B) = S(A) + S(B) - S(C) and no d_A*d_B
+    reduced state is formed: S(A), S(C) and S(B) are one stacked call each.
+    """
+    s_a, s_c, s_b = (vn_entropy(rdm_from_state(states, dims.factors, (k,))) for k in range(3))
+    mi = s_a + s_b - s_c
+    lo = mi.min(initial=0.0)
+    if lo < -1e-9:
+        raise ValidationError(f"mutual information {lo:.3e} below -1e-9")
+    return np.maximum(mi, 0.0), s_a, s_b
 
 
 def max_trace_distance(rho: np.ndarray, sigma: np.ndarray) -> float | np.ndarray:

@@ -14,13 +14,13 @@ import pytest
 import disd
 from disd.cli import main
 from disd.decompose import planted_sequential, sequential_residual
-from disd.evolve import perturbation_data, propagate, residuals_along
-from disd.locality import (locality_columns, mi_and_entropies, signaling_test_unitary,
-                           tau_estimate)
+from disd.evolve import Propagator, perturbation_data, propagate, simulate_columns
+from disd.locality import locality_columns, signaling_test_unitary, tau_estimate
 from disd.model import build_canonical
 from disd.qcore import (
     Dims,
     haar_unitary,
+    mi_and_entropies,
     random_hermitian,
     rdm_from_state,
     vn_entropy,
@@ -56,9 +56,8 @@ def _scaling_data():
     max_res, lam_sup, warn_total = [], [], 0
     for c1 in c1_grid:
         spec = build_canonical(DIMS, DEFAULT_SEED, c1, 0.05)
-        pd = perturbation_data(spec)
-        traj = propagate(spec, init, times)
-        max_res.append(residuals_along(traj, pd, slice(None), trajectory_states(traj)).max())
+        pd, columns = simulate_columns(spec, init, times)
+        max_res.append(columns["residual_eq4"].max())
         lam_sup.append(pd.lambda_sup)
         warn_total += len(pd.gap_warnings)
     return c1_grid, max_res, lam_sup, warn_total
@@ -89,12 +88,11 @@ def test_criterion_2_lambda_scaling(scaling_data):
 def test_criterion_3_exact_decoupling():
     init = _uniform_init(DIMS)
     spec = build_canonical(DIMS, DEFAULT_SEED, 4.0, 0.0)
-    traj = propagate(spec, init, np.linspace(0.0, 5.0, 101))
-    pd = perturbation_data(spec)
-    states = trajectory_states(traj)
-    mi_max = mi_and_entropies(states, spec.dims)[0].max()
-    res_max = residuals_along(traj, pd, slice(None), states).max()
-    sig_max = locality_columns(spec, init, traj.times, n_samples=64,
+    times = np.linspace(0.0, 5.0, 101)
+    _, columns = simulate_columns(spec, init, times)
+    mi_max = columns["mi_ab_bits"].max()
+    res_max = columns["residual_eq4"].max()
+    sig_max = locality_columns(spec, init, times, n_samples=64,
                                seed=DEFAULT_SEED)["signal_b_to_a"].max()
     ok = mi_max <= 1e-10 and sig_max <= 1e-10 and res_max <= 1e-9
     _report("criterion 3: exact decoupling at c2 = 0", ok,
@@ -177,7 +175,7 @@ def test_criterion_8_numerical_hygiene(tmp_path):
     times = np.linspace(0.0, 10.0, 101)
 
     h = random_hermitian(12, DEFAULT_SEED)
-    prop = disd.Propagator(h)
+    prop = Propagator(h)
     u = prop.evolve_many(np.eye(12), [1.3])[0].T
     unitarity = float(np.abs(u.conj().T @ u - np.eye(12)).max())
 

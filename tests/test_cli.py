@@ -374,14 +374,24 @@ class TestThreadCount:
         assert proc.returncode == 0, proc.stderr
         return proc.stdout
 
-    @pytest.mark.parametrize("command", ["simulate", "locality"])
-    def test_one_and_two_threads_agree(self, tmp_path, command):
-        # simulate on the dim-1024 config (the Chebyshev route), locality on the preset
+    @pytest.mark.parametrize("command, want_header, want_rows", [
+        ("simulate", ["t", "mi_ab_bits", "entropy_a_bits", "entropy_b_bits", "residual_eq4",
+                      "norm_error"], 200),
+        ("locality", ["t", "signal_b_to_a", "signal_a_to_b", "mi_ab_bits"], 401)],
+        ids=["simulate", "locality"])
+    def test_one_and_two_threads_agree(self, tmp_path, command, want_header, want_rows):
+        # simulate on the dim-1024 config (the Chebyshev route), locality on the preset; each
+        # run writes its own file, as the preset's output.path names one in the working directory
         config = (write_config(tmp_path, dense_config()) if command == "simulate"
                   else str(Path(__file__).resolve().parent.parent / "presets" / "ion-cage.json"))
-        args = [command, "--config", config]
-        (header, one), (header_two, two) = (parse_csv(self._run(args, threads)) for threads in (1, 2))
-        assert header == header_two
+        runs = []
+        for threads in (1, 2):
+            out = tmp_path / f"{command}-{threads}.csv"
+            assert self._run([command, "--config", config, "--out", str(out)], threads) == ""
+            runs.append(parse_csv(out.read_text()))
+        (header, one), (header_two, two) = runs
+        assert header == header_two == want_header
+        assert len(one["t"]) == len(two["t"]) == want_rows
         for h in header:
             assert [x is None for x in one[h]] == [x is None for x in two[h]]
             assert_allclose(np.array(one[h], dtype=float), np.array(two[h], dtype=float),

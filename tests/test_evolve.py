@@ -19,8 +19,8 @@ from disd.evolve import (
     perturbation_data,
     product_approx,
     propagate,
-    residuals_along,
     row_norms,
+    simulate_columns,
 )
 from disd.locality import locality_columns
 from disd.model import InitialSpec, ModelSpec, assemble_hamiltonian, build_canonical, initial_state
@@ -85,6 +85,15 @@ class TestPropagate:
         with pytest.raises(ValueError):
             propagate(spec233, init233, [0.0, 2.0, 1.0])
 
+    @pytest.mark.parametrize("times, message", [
+        ([], "times must be a non-empty 1-D sequence"),
+        ([0.0, 2.0, 1.0], "times must be strictly increasing"),
+    ], ids=["empty", "unsorted"])
+    def test_simulate_columns_rejects_a_bad_grid_as_propagate_does(self, spec233, init233, times,
+                                                                    message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            simulate_columns(spec233, init233, times)
+
     def test_rejects_wrong_state_dim(self, spec233, init233):
         wrong = dataclasses.replace(init233, alpha=np.array([1.0, 0.0, 0.0]))
         with pytest.raises(ValueError, match="alpha has length"):
@@ -112,10 +121,9 @@ class TestRobustInitialState:
         psi0 = states[0].reshape(spec.dims.factors)
         assert np.count_nonzero(psi0[:, [0, 2], :]) == 0
         assert np.array_equal(psi0[:, 1, :], np.outer(init233.alpha, init233.chi))
-        pd = perturbation_data(spec)
+        pd, columns = simulate_columns(spec, init233, traj.times)
         expected = residuals_per_row(spec, init233, pd, traj.times, states)
-        assert_allclose(residuals_along(traj, pd, slice(None), states), expected,
-                        rtol=0, atol=1e-12)
+        assert_allclose(columns["residual_eq4"], expected, rtol=0, atol=1e-12)
         assert expected[0] <= 1e-12
 
 
@@ -255,31 +263,19 @@ class TestProductApprox:
 
     def test_exact_when_c2_zero(self, dims233, init233):
         spec = build_canonical(dims233, 2, 3.0, 0.0)
-        pd = perturbation_data(spec)
-        traj = propagate(spec, init233, np.linspace(0, 8, 40))
-        res = residuals_along(traj, pd, slice(None), trajectory_states(traj))
-        assert res.max() <= 1e-9
-
-    def test_rejects_foreign_pd(self, spec233, dims233, init233):
-        other = build_canonical(dims233, 3, 8.0, 0.3)
-        pd = perturbation_data(other)
-        traj = propagate(spec233, init233, [0.0, 1.0])
-        with pytest.raises(ValueError, match="different model"):
-            residuals_along(traj, pd, slice(None), trajectory_states(traj))
+        _, columns = simulate_columns(spec, init233, np.linspace(0, 8, 40))
+        assert columns["residual_eq4"].max() <= 1e-9
 
 
 class TestApproxResidual:
     def test_zero_at_time_zero(self, spec233, init233):
-        pd = perturbation_data(spec233)
-        traj = propagate(spec233, init233, [0.0, 2.0])
-        assert residuals_along(traj, pd, slice(None), trajectory_states(traj))[0] <= 1e-12
+        assert simulate_columns(spec233, init233, [0.0, 2.0])[1]["residual_eq4"][0] <= 1e-12
 
     def test_chi_phase_invariance(self, spec233, init233):
-        pd = perturbation_data(spec233)
         shifted = dataclasses.replace(init233, chi=init233.chi * np.exp(0.77j))
         times = [0.0, 2.0, 5.5]
-        r1, r2 = (residuals_along(traj, pd, slice(None), trajectory_states(traj))
-                  for traj in (propagate(spec233, init, times) for init in (init233, shifted)))
+        r1, r2 = (simulate_columns(spec233, init, times)[1]["residual_eq4"]
+                  for init in (init233, shifted))
         assert np.abs(r1 - r2).max() <= 1e-12
         assert r1[1] > 1e-6
 
@@ -288,9 +284,7 @@ class TestApproxResidual:
         times = np.linspace(0, 5, 80)
         for c1 in (4.0, 40.0):
             spec = build_canonical(dims233, 1, c1, 0.3)
-            pd = perturbation_data(spec)
-            traj = propagate(spec, init233, times)
-            psi_res[c1] = residuals_along(traj, pd, slice(None), trajectory_states(traj)).max()
+            psi_res[c1] = simulate_columns(spec, init233, times)[1]["residual_eq4"].max()
         assert psi_res[40.0] < psi_res[4.0]
 
 
@@ -310,12 +304,11 @@ class TestResidualsAgainstOracle:
     @pytest.mark.parametrize("factors, c2", ORACLE_CASES, ids=ORACLE_IDS)
     def test_stacked_matches_per_row_route(self, factors, c2):
         spec, init, times = oracle_case(factors, c2)
-        pd = perturbation_data(spec)
+        pd, columns = simulate_columns(spec, init, times)
         traj = propagate(spec, init, times)
         states = trajectory_states(traj)
         expected = residuals_per_row(spec, init, pd, traj.times, states)
-        assert_allclose(residuals_along(traj, pd, slice(None), states), expected,
-                        rtol=0, atol=1e-12)
+        assert_allclose(columns["residual_eq4"], expected, rtol=0, atol=1e-12)
         if c2 == 0:
             assert expected.max() <= 1e-9
         else:
@@ -449,7 +442,9 @@ class TestChebyshev:
 
         monkeypatch.setattr(Chebyshev, "_x2", counted)
         route_states(cheb, initial_state(init, spec.dims, spec.robust_index), times)
-        terms = cheb.terms(np.array(times))
+        # the terms past T_0 = v, its uses of 2X, over the blocks of no row limit
+        terms = sum(steps * (coeffs.shape[1] - 1)
+                    for steps, _, coeffs in cheb._plans(np.array(times), len(times)))
         assert terms == len(calls)
         assert terms >= cheb._half * np.abs(times).max()  # the lower bound of the route's pre-check
         if factors == (8, 4, 32):

@@ -4,20 +4,14 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-import disd
 from disd.decompose import planted_sequential
 from disd import evolve as evolve_module
 from disd import locality as locality_module
-from disd.evolve import Chebyshev, Propagator, perturbation_data, propagate, residuals_along
-from disd.locality import (
-    _source_stack,
-    locality_columns,
-    mi_and_entropies,
-    signaling_test_unitary,
-    tau_estimate,
-)
+from disd.evolve import Chebyshev, Propagator, propagate, simulate_columns
+from disd.locality import _source_stack, locality_columns, signaling_test_unitary, tau_estimate
 from disd.model import InitialSpec, assemble_hamiltonian, build_canonical, initial_state
-from disd.qcore import Dims, derive_seed, haar_unitary, rdm_from_state, vn_entropy
+from disd.qcore import (Dims, ValidationError, derive_seed, haar_unitary, mi_and_entropies,
+                        rdm_from_state, vn_entropy)
 from oracles import mi_per_row, route_states, signaling_per_row, trajectory_states
 
 
@@ -139,6 +133,20 @@ class TestSignalingOneShot:
         with pytest.raises(ValueError, match="alpha has length"):
             signaling_test_unitary(np.eye(dims222.total), init, dims222, 0, "b_to_a")
 
+    @pytest.mark.parametrize("u, error, message", [
+        (np.full((8, 8), np.nan), ValidationError,
+         "input is not unitary: an entry has a part of magnitude nan > 1"),
+        (np.zeros((8, 8)), ValidationError, r"input is not unitary: max \|U\+U - I\| = 1.000e\+00"),
+        (2 * np.eye(8), ValidationError,
+         r"input is not unitary: an entry has a part of magnitude 2.000e\+00 > 1"),
+        (np.eye(4), ValueError, r"unitary has shape \(4, 4\), expected \(8, 8\)"),
+    ], ids=["nan", "zero", "twice-identity", "wrong-shape"])
+    def test_rejects_a_matrix_that_is_not_an_n_by_n_unitary(self, dims222, init222, u, error,
+                                                           message):
+        # the checks and messages of decompose.sequential_residual, before any reduced state
+        with pytest.raises(error, match=f"^{message}$"):
+            signaling_test_unitary(u, init222, dims222, 0, "b_to_a", n_samples=4)
+
 
 class TestSamplerSanity:
     def test_local_unitary_preserves_target_spectrum(self, dims233, init233):
@@ -157,7 +165,7 @@ class TestSamplerSanity:
             base_src, base_target = (rdm_from_state(psi0, dims233.factors, (k,))
                                      for k in (src, target))
             for k in range(8):
-                g = haar_unitary(len(amplitudes), disd.derive_seed(3, "sanity", k))
+                g = haar_unitary(len(amplitudes), derive_seed(3, "sanity", k))
                 mod = (g @ amplitudes) @ basis
                 assert_allclose(mod, lifts[direction](g) @ psi0, rtol=0, atol=1e-14)
                 rho_src, rho_target = (rdm_from_state(mod, dims233.factors, (k,))
@@ -196,21 +204,16 @@ class TestTauEstimate:
 
 class TestOneEigensystem:
     def test_one_trajectory_serves_every_diagnostic(self, spec233, init233, propagator_builds):
-        # the mutual information and the residuals read one trajectory, and the locality job,
-        # both signals and its mutual information, diagonalizes its model once
+        # the simulate job, the mutual information and the residuals, reads one trajectory,
+        # and the locality job, both signals and its mutual information, diagonalizes its
+        # model once
         times = np.linspace(0, 5, 12)
-        traj = propagate(spec233, init233, times)
-        pd = perturbation_data(spec233)
-        for rows, states in traj.evolve():
-            mi_and_entropies(states[:, 0], spec233.dims)
-            residuals_along(traj, pd, rows, states[:, 0])
+        _, simulated = simulate_columns(spec233, init233, times)
         n = spec233.dims.total
         assert propagator_builds == [(n, n)]
         columns = locality_columns(spec233, init233, times, n_samples=3, seed=1)
         assert propagator_builds == [(n, n)] * 2
-        assert_allclose(columns["mi_ab_bits"],
-                        mi_and_entropies(trajectory_states(traj), spec233.dims)[0],
-                        rtol=0, atol=1e-12)
+        assert_allclose(columns["mi_ab_bits"], simulated["mi_ab_bits"], rtol=0, atol=1e-12)
 
     def test_signaling_evolves_on_the_trajectory_route(self, spec233, init233, propagator_builds,
                                                        monkeypatch):
@@ -506,5 +509,31 @@ class TestRelabelledC:
             if eigh_cost == np.inf:
                 assert len(route._cb_t) == (2 if r in (0, d_c - 1) else 1)
             got = locality_columns(moved, init, times, n_samples=16, seed=3)
+            for name in want:
+                assert_allclose(got[name], want[name], rtol=0, atol=1e-12, err_msg=f"{name}, r={r}")
+
+    @pytest.mark.parametrize("eigh_cost", [evolve_module.EIGH_FLOPS_PER_N3, np.inf],
+                             ids=["spectral", "chebyshev"])
+    @pytest.mark.parametrize("factors", [(2, 3, 4), (3, 4, 2)], ids=["2x3x4", "3x4x2"])
+    def test_simulate_columns_do_not_move_with_the_robust_index(self, factors, eigh_cost,
+                                                                 monkeypatch):
+        # the same for the simulate job: its mutual information, entropies, residuals and
+        # norm errors, and the product form's shift table, on the route forced as above
+        spec, init, _ = oracle_case(factors, 0.5)
+        spec = dataclasses.replace(spec, c1=20.0)
+        times = np.linspace(0, 10, 41)
+        monkeypatch.setattr(evolve_module, "EIGH_FLOPS_PER_N3", eigh_cost)
+        monkeypatch.setattr(evolve_module, "CHEB_TERM_FLOPS", 0.0)
+        pd, want = simulate_columns(spec, init, times)
+        assert want["mi_ab_bits"].max() > 1e-3 and want["residual_eq4"].max() > 0.1
+        d_c = factors[1]
+        for r in range(d_c):
+            moved = relabel_c(spec, r)
+            route = propagate(moved, init, times).route
+            assert isinstance(route, Chebyshev if eigh_cost == np.inf else Propagator)
+            if eigh_cost == np.inf:
+                assert len(route._cb_t) == (2 if r in (0, d_c - 1) else 1)
+            moved_pd, got = simulate_columns(moved, init, times)
+            assert_allclose(moved_pd.lambda_i0j, pd.lambda_i0j, rtol=0, atol=1e-12)
             for name in want:
                 assert_allclose(got[name], want[name], rtol=0, atol=1e-12, err_msg=f"{name}, r={r}")
