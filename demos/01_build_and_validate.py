@@ -7,10 +7,12 @@ with the relevant interaction blocks, and all shapes carry unit spectral
 norm so c1 and c2 alone set the strengths.
 """
 
+import dataclasses
+
 import numpy as np
 
 import disd
-from disd.qcore import vn_entropy
+from disd.qcore import ValidationError, vn_entropy
 
 dims = disd.Dims(2, 3, 3)
 spec = disd.build_canonical(dims, seed=1, c1=8.0, c2=0.3)
@@ -18,8 +20,22 @@ spec = disd.build_canonical(dims, seed=1, c1=8.0, c2=0.3)
 print("dims:", dims.factors, "total:", dims.total)
 print("couplings: c1 =", spec.c1, " c2 =", spec.c2, " ratio =", spec.c2 / spec.c1)
 
-report = disd.validate_robustness(spec.h_cb, dims, spec.robust_index)
-print(f"robustness: passed={report.passed}  max cross-block entry = {report.max_violation:.2e}")
+# h_cb never moves the robust C state: its cross blocks <j| h_cb |r>_C, j != r, are exactly 0
+others = [j for j in range(dims.c) if j != spec.robust_index]
+cross = spec.h_cb.reshape(dims.c, dims.b, dims.c, dims.b)[others, :, spec.robust_index]
+print("max cross-block entry of h_cb:", np.abs(cross).max())
+
+# every ModelSpec checks this when it is built: a unit-norm h_cb whose only cross-block
+# entry is <1, 0| h_cb |0, 1> = 1e-3 is refused
+planted = np.zeros_like(spec.h_cb)
+planted[0, 0] = 1.0
+planted[dims.b, 1] = planted[1, dims.b] = 1e-3
+try:
+    dataclasses.replace(spec, h_cb=planted)
+except ValidationError as exc:
+    print("rejected:", exc)
+else:
+    raise SystemExit("a model with a cross-block entry of 1e-3 was accepted")
 
 for name in ("h_a", "h_c", "h_b", "h_ac", "h_cb"):
     print(f"  |{name}|_2 = {disd.spectral_norm(getattr(spec, name)):.12f}")

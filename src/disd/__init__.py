@@ -18,7 +18,6 @@ from .model import (
     assemble_hamiltonian,
     build_canonical,
     initial_state,
-    validate_robustness,
 )
 from .evolve import simulate_columns
 from .locality import tau_estimate

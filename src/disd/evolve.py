@@ -170,8 +170,9 @@ class Chebyshev:
     ``eigh``.
 
     The robust C state r is invariant under the C-B block where its cross
-    blocks <j|on_cb|r> and <r|on_cb|j>, j != r, are exactly zero, as
-    ``build_canonical`` makes them. There on_cb is applied as two GEMMs, a
+    blocks <j|on_cb|r>, j != r, are exactly zero, as ``build_canonical`` makes
+    them; on_cb is exactly Hermitian, as every ``ModelSpec`` term is, so then
+    are the blocks <r|on_cb|j>. There on_cb is applied as two GEMMs, a
     d_B x d_B one on the robust sector and a (d_C - 1) d_B square one on the
     orthogonal sector, when r is the first or the last C index, so that each
     sector is one range of columns, and the 16 (d_C - 1) d_B^2 d_A flops this
@@ -200,7 +201,7 @@ class Chebyshev:
         r = spec.robust_index
         others = np.delete(np.arange(d_c), r)
         t = on_cb.reshape(d_c, d_b, d_c, d_b)
-        split = (r in (0, d_c - 1) and not t[others][:, :, r].any() and not t[r][:, others].any()
+        split = (r in (0, d_c - 1) and not t[others][:, :, r].any()
                  and 16 * (d_c - 1) * d_b ** 2 * d_a > CHEB_TERM_FLOPS / 2)
         # the blocks of 2X, the operator of the recurrence; a zero half-width gives z = 0,
         # where no series applies it, and a subnormal one forms none either
@@ -337,10 +338,12 @@ def _check_phases(max_abs_energy: float, times, what: str) -> None:
 
 
 def _time_grid(times) -> np.ndarray:
-    """``times`` as floats; ValueError unless they are a non-empty, strictly increasing 1-D grid."""
+    """``times`` as floats; ValueError unless a non-empty, finite, strictly increasing 1-D grid."""
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size < 1:
         raise ValueError("times must be a non-empty 1-D sequence")
+    if not np.isfinite(times).all():
+        raise ValueError("times must be finite")
     if times.size > 1 and not np.all(np.diff(times) > 0):
         raise ValueError("times must be strictly increasing")
     return times

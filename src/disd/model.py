@@ -33,13 +33,11 @@ from .qcore import (
 __all__ = [
     "InitialSpec",
     "ModelSpec",
-    "RobustnessReport",
     "assemble_hamiltonian",
     "build_canonical",
     "hamiltonian_blocks",
     "initial_state",
     "place_robust",
-    "validate_robustness",
 ]
 
 SHAPE_NORM_TOL = 1e-9
@@ -91,11 +89,16 @@ class ModelSpec:
             s = spectral_norm(getattr(self, name))
             if abs(s - 1.0) > SHAPE_NORM_TOL:
                 raise ValidationError(f"{name} shape norm {s:.12f} deviates from 1 by more than {SHAPE_NORM_TOL:.1e}")
-        report = validate_robustness(self.h_cb, d, self.robust_index)
-        if not report.passed:
+        r = self.robust_index
+        if not 0 <= r < d.c:
+            raise ValueError(f"robust_index {r} out of range for d_c = {d.c}")
+        # the robust C state is invariant: every cross block <j| h_cb |r>_C, j != r, vanishes
+        cross = np.delete(self.h_cb.reshape(d.c, d.b, d.c, d.b)[:, :, r], r, axis=0)
+        violation = float(np.abs(cross).max())
+        if violation > ROBUST_TOL:
             raise ValidationError(
                 f"h_cb violates the robust-state block structure: "
-                f"max cross-block entry {report.max_violation:.3e} > {ROBUST_TOL:.1e}"
+                f"max cross-block entry {violation:.3e} > {ROBUST_TOL:.1e}"
             )
 
     def robust_block_b(self) -> np.ndarray:
@@ -129,29 +132,6 @@ class InitialSpec:
             err = abs(_norm_and_unit(v)[0] - 1.0)
             if not err <= UNIT_NORM_TOL:
                 raise ValidationError(f"{name} norm off by {err:.3e}")
-
-
-@dataclass(frozen=True)
-class RobustnessReport:
-    passed: bool
-    max_violation: float
-
-
-def validate_robustness(h_cb: np.ndarray, dims: Dims, robust_index: int) -> RobustnessReport:
-    """Check that h_cb never maps the robust C state out of itself.
-
-    Scans every C cross block <j| h_cb |0>_C with j != robust_index and
-    reports the largest entry magnitude against ``ROBUST_TOL``.
-    """
-    h_cb = np.asarray(h_cb)
-    if h_cb.shape != (dims.c * dims.b, dims.c * dims.b):
-        raise ValueError(f"h_cb shape {h_cb.shape} does not match d_c*d_b = {dims.c * dims.b}")
-    if not 0 <= robust_index < dims.c:
-        raise ValueError(f"robust_index {robust_index} out of range for d_c = {dims.c}")
-    t = h_cb.reshape(dims.c, dims.b, dims.c, dims.b)
-    others = [j for j in range(dims.c) if j != robust_index]
-    violation = float(np.abs(t[others, :, robust_index, :]).max()) if others else 0.0
-    return RobustnessReport(passed=violation <= ROBUST_TOL, max_violation=violation)
 
 
 def _unit_shape(m: np.ndarray) -> np.ndarray:

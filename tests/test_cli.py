@@ -22,10 +22,11 @@ from disd.config import (
     times_from_config,
 )
 from disd.evolve import Chebyshev, Propagator, perturbation_data, propagate
-from disd.model import assemble_hamiltonian, initial_state
+from disd.model import ModelSpec, assemble_hamiltonian, initial_state
 from disd.qcore import haar_unitary
 
 from oracles import trajectory_states
+from test_model import cross_blocks
 
 
 def base_config(**overrides):
@@ -509,15 +510,21 @@ class TestMakeModel:
             assert np.array_equal(spec_m, recovered)
 
     def test_dump_passes_robustness_and_norms(self, tmp_path):
-        from disd.model import validate_robustness
+        # the dumped matrices build a ModelSpec, whose check of the robust-state block
+        # structure passes; the cross blocks are not just small but exactly 0
         from disd.qcore import spectral_norm
-        cfg = parse_config(base_config())
-        dump = cmd_make_model(cfg)
-        h_cb = matrix_from_json(dump["matrices"]["h_cb"])
-        assert validate_robustness(h_cb, cfg.dims, dump["robust_index"]).passed
-        for name in ("h_ac", "h_cb"):
-            m = matrix_from_json(dump["matrices"][name])
-            assert abs(spectral_norm(m) - 1.0) <= 1e-9
+        for r in (0, 2):
+            doc = base_config(model={"family": "disd-canonical", "robust_index": r})
+            doc["initial"]["robust_index"] = r
+            dump = cmd_make_model(parse_config(doc))
+            matrices = {name: matrix_from_json(m) for name, m in dump["matrices"].items()}
+            dims = disd.Dims(**dump["dims"])
+            spec = ModelSpec(dims=dims, c1=dump["c1"], c2=dump["c2"],
+                             robust_index=dump["robust_index"], **matrices)
+            assert spec.robust_index == r
+            assert not cross_blocks(spec.h_cb, dims, r).any()
+            for name in ("h_ac", "h_cb"):
+                assert abs(spectral_norm(matrices[name]) - 1.0) <= 1e-9
 
     def test_cli_writes_json(self, tmp_path):
         cfg = write_config(tmp_path, base_config())
@@ -657,7 +664,82 @@ BAD_FIELDS = [
 ]
 
 
+DROP = object()  # an edit that deletes its key
+
+
+def edited_config(edits):
+    """``base_config()`` with each dotted path of ``edits`` set to its value, or deleted."""
+    doc = base_config()
+    for dotted, value in edits.items():
+        *parents, key = dotted.split(".")
+        node = doc
+        for name in parents:
+            node = node.setdefault(name, {})
+        if value is DROP:
+            del node[key]
+        else:
+            node[key] = value
+    return doc
+
+
+EXPLICIT = {"model.family": "explicit", "model.matrices": {}}
+NO_ENTRIES = dict.fromkeys(("h_a", "h_c", "h_b", "h_ac", "h_cb"), [])
+# A rejection of every config check that no other case reaches: (command, the document,
+# the message after "config error: "). A decompose document is the unitary file.
+CONFIG_REJECTIONS = [
+    pytest.param("simulate", edited_config({"initial.alpha": []}),
+                 "initial.alpha: vector must be a non-empty list", id="empty-alpha"),
+    pytest.param("simulate", edited_config({"initial.alpha": [10 ** 400, 0]}),
+                 "initial.alpha: vector entry out of range: int too large to convert to float",
+                 id="huge-alpha-entry"),
+    pytest.param("simulate", edited_config({**EXPLICIT, "model.matrices": NO_ENTRIES}),
+                 "model.matrices.h_a: matrix must be a non-empty list of rows", id="empty-matrix"),
+    pytest.param("decompose", [], "unitary file must be an object with a 'u' matrix",
+                 id="unitary-file-not-object"),
+    pytest.param("simulate", [], "configuration must be a JSON object", id="config-not-object"),
+    pytest.param("simulate", edited_config({"couplings.c2": -1}),
+                 "couplings.c2 must be non-negative, got -1.0", id="negative-c2"),
+    pytest.param("simulate", edited_config({"model.robust_index": 3}),
+                 "model.robust_index 3 out of range for d_c = 3", id="robust-index-out-of-range"),
+    pytest.param("simulate", edited_config(EXPLICIT),
+                 "model.matrices missing ['h_a', 'h_c', 'h_b', 'h_ac', 'h_cb']", id="no-matrices"),
+    pytest.param("simulate", edited_config({"time.steps": 1}), "time.steps must be >= 2, got 1",
+                 id="one-step"),
+    pytest.param("sweep", edited_config({"sweep.c1_values": []}),
+                 "sweep.c1_values must be a non-empty list of positive numbers",
+                 id="empty-c1-values"),
+    pytest.param("sweep", edited_config({"sweep.ratio_values": [-1]}),
+                 "sweep.ratio_values must be a non-empty list of non-negative numbers",
+                 id="negative-ratio"),
+    pytest.param("simulate", edited_config({"output.path": 5}), "output.path must be a string",
+                 id="output-path-not-string"),
+    pytest.param("simulate", edited_config({"time": DROP}),
+                 "this command requires a 'time' section", id="no-time-section"),
+]
+
+
 class TestExitCodes:
+    @pytest.mark.parametrize("command, doc, message", CONFIG_REJECTIONS)
+    def test_config_rejection_names_the_field(self, tmp_path, capsys, command, doc, message):
+        path = write_config(tmp_path, doc)
+        assert main([command, path] if command == "decompose" else [command, "--config", path]) == 1
+        assert capsys.readouterr().err == f"config error: {message}\n"
+
+    def test_all_denominators_degenerate_is_validation_error(self, tmp_path, capsys):
+        # h_ac = h_cb = I: every robust-sector energy of h_cb equals every orthogonal one, so
+        # each second-order denominator is 0 and no shift is defined at c2 > 0
+        def diag(*entries):
+            return matrix_to_json(np.diag(entries))
+
+        doc = edited_config({"dims.b": 2, "couplings.c2": 0.3, "model.family": "explicit",
+                             "initial.chi": [[1.0, 0.0], [0.0, 0.0]]})
+        doc["model"]["matrices"] = {"h_a": diag(0.6, -0.2), "h_c": diag(0.3, -0.9, 0.5),
+                                    "h_b": diag(0.4, -0.7), "h_ac": diag(*[1.0] * 6),
+                                    "h_cb": diag(*[1.0] * 6)}
+        assert main(["simulate", "--config", write_config(tmp_path, doc)]) == 2
+        assert capsys.readouterr().err == (
+            "validation error: all denominators degenerate: perturbation theory undefined\n")
+
     def test_missing_config_file_is_io_error(self, tmp_path):
         assert main(["simulate", "--config", str(tmp_path / "nope.json")]) == 3
 

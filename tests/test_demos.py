@@ -37,3 +37,12 @@ def test_readme_quick_start_runs_clean(tmp_path):
     script = tmp_path / "quick_start.py"
     script.write_text(blocks[0])
     _run_clean(script)
+
+
+def test_package_exports_the_names_the_readme_and_demos_use():
+    # the README lists them; every other name is imported from its module
+    texts = [(ROOT / "README.md").read_text(), *(demo.read_text() for demo in DEMOS)]
+    used = {name for text in texts for name in re.findall(r"\bdisd\.(\w+)", text)}
+    modules = {path.stem for path in Path(disd.__file__).parent.glob("*.py")}
+    exported = {name for name in vars(disd) if not name.startswith("_")} - modules
+    assert exported == used - modules

@@ -29,6 +29,7 @@ from disd.qcore import Dims, ValidationError
 from oracles import (chebyshev_operator, chebyshev_series_exact, dense_exponential, energy_table,
                      residuals_per_row, route_states, rs2_table_bruteforce, trajectory_states)
 from test_locality import ORACLE_CASES, ORACLE_IDS, locality_stacks, oracle_case
+from test_model import planted_h_cb
 
 # Frozen from the brute-force oracle for seed 1, dims (2,2,2), c1=4, c2=0.5.
 RS2_TABLE_SEED1 = np.array([
@@ -93,6 +94,19 @@ class TestPropagate:
                                                                     message):
         with pytest.raises(ValueError, match=f"^{message}$"):
             simulate_columns(spec233, init233, times)
+
+    @pytest.mark.parametrize("times", [[np.nan], [np.inf], [0.0, np.inf], [0.0, np.nan],
+                                       [-np.inf, 0.0]],
+                             ids=["nan", "inf", "zero-inf", "zero-nan", "minus-inf-zero"])
+    @pytest.mark.parametrize("job", [propagate, simulate_columns, locality_columns],
+                             ids=["propagate", "simulate_columns", "locality_columns"])
+    def test_non_finite_grid_is_rejected_before_any_route(self, spec233, init233,
+                                                          propagator_builds, job, times):
+        # this small model takes the spectral route: a grid that got past the check would
+        # build its Propagator, one eigh, before the phase guard caught it
+        with pytest.raises(ValueError, match="^times must be finite$"):
+            job(spec233, init233, times)
+        assert propagator_builds == []
 
     def test_rejects_wrong_state_dim(self, spec233, init233):
         wrong = dataclasses.replace(init233, alpha=np.array([1.0, 0.0, 0.0]))
@@ -231,12 +245,10 @@ class TestPerturbationData:
             perturbation_data(dataclasses.replace(spec, h_c=bad_h_c))
 
     def test_rejects_robustness_violation(self, spec233):
-        h = spec233.h_cb.copy()
-        d_b = spec233.dims.b
-        h[1 * d_b, 0 * d_b] += 1e-3
-        h[0 * d_b, 1 * d_b] += 1e-3
-        with pytest.raises(ValidationError):
-            perturbation_data(dataclasses.replace(spec233, h_cb=h))
+        # no model that violates it reaches perturbation_data: ModelSpec rejects it
+        with pytest.raises(ValidationError, match="max cross-block entry 1.000e-03"):
+            spec = dataclasses.replace(spec233, h_cb=planted_h_cb(spec233.dims, 0, 1e-3))
+            perturbation_data(spec)
 
     def test_hermitian_part_invariance(self, spec222):
         pd = perturbation_data(spec222)

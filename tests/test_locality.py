@@ -9,10 +9,12 @@ from disd import evolve as evolve_module
 from disd import locality as locality_module
 from disd.evolve import Chebyshev, Propagator, propagate, simulate_columns
 from disd.locality import _source_stack, locality_columns, signaling_test_unitary, tau_estimate
-from disd.model import InitialSpec, assemble_hamiltonian, build_canonical, initial_state
+from disd.model import (InitialSpec, ModelSpec, assemble_hamiltonian, build_canonical,
+                        initial_state)
 from disd.qcore import (Dims, ValidationError, derive_seed, haar_unitary, mi_and_entropies,
                         rdm_from_state, vn_entropy)
 from oracles import mi_per_row, route_states, signaling_per_row, trajectory_states
+from test_model import cross_blocks
 
 
 def signal(spec, init, times, direction, n_samples, seed):
@@ -200,6 +202,10 @@ class TestTauEstimate:
     def test_rejects_bad_threshold(self):
         with pytest.raises(ValueError):
             tau_estimate([0.0], [0.0], 0.0)
+
+    def test_rejects_series_of_another_length(self):
+        with pytest.raises(ValueError, match="^times and mi_ab_bits must have the same length$"):
+            tau_estimate([0.0, 1.0, 2.0], [0.0, 0.02], 0.01)
 
 
 class TestOneEigensystem:
@@ -537,3 +543,62 @@ class TestRelabelledC:
             assert_allclose(moved_pd.lambda_i0j, pd.lambda_i0j, rtol=0, atol=1e-12)
             for name in want:
                 assert_allclose(got[name], want[name], rtol=0, atol=1e-12, err_msg=f"{name}, r={r}")
+
+
+def conjugate_locally(spec, init, seed):
+    """``spec`` and ``init`` under U_A x U_C x U_B, where U_C is 1 at the robust C index r and
+    Haar on the others, so it fixes the robust state.
+
+    The model is rebuilt from its conjugated matrices, so ``ModelSpec`` checks it afresh;
+    alpha turns by U_A and chi by U_B.
+    """
+    d_a, d_c, d_b = spec.dims.factors
+    u_a = haar_unitary(d_a, derive_seed(seed, "U_A"))
+    u_b = haar_unitary(d_b, derive_seed(seed, "U_B"))
+    others = np.delete(np.arange(d_c), spec.robust_index)
+    u_c = np.eye(d_c, dtype=complex)
+    u_c[np.ix_(others, others)] = haar_unitary(d_c - 1, derive_seed(seed, "U_C"))
+
+    def turn(u, m):
+        return u @ m @ u.conj().T
+
+    moved = ModelSpec(dims=spec.dims, h_a=turn(u_a, spec.h_a), h_c=turn(u_c, spec.h_c),
+                      h_b=turn(u_b, spec.h_b), h_ac=turn(np.kron(u_a, u_c), spec.h_ac),
+                      h_cb=turn(np.kron(u_c, u_b), spec.h_cb), c1=spec.c1, c2=spec.c2,
+                      robust_index=spec.robust_index)
+    return moved, InitialSpec(alpha=u_a @ init.alpha, chi=u_b @ init.chi)
+
+
+class TestLocalUnitaryInvariance:
+    @pytest.mark.parametrize("eigh_cost", [evolve_module.EIGH_FLOPS_PER_N3, np.inf],
+                             ids=["spectral", "chebyshev"])
+    @pytest.mark.parametrize("r", [0, 1], ids=["r0", "r1"])
+    @pytest.mark.parametrize("factors", [(2, 3, 4), (3, 3, 5)], ids=["2x3x4", "3x3x5"])
+    def test_simulate_job_is_invariant(self, factors, r, eigh_cost, monkeypatch):
+        # the same physics in other local bases: the mutual information, both entropies and
+        # the residual of the product form stay put at every time, and so do the dressed
+        # energies as a set and sup |lambda_i0j|. Each cross entry of the conjugated h_cb is a
+        # sum of terms with an exactly zero factor, so it stays exactly 0; on the Chebyshev
+        # route, with the split priced free, the C-B block goes as its two sectors at r = 0
+        # and as one dense GEMM at the middle index r = 1, in both bases
+        spec, init, _ = oracle_case(factors, 0.5)
+        spec = relabel_c(dataclasses.replace(spec, c1=20.0), r)
+        moved, moved_init = conjugate_locally(spec, init, sum(factors))
+        assert not cross_blocks(moved.h_cb, spec.dims, r).any()
+        assert np.abs(moved.h_cb - spec.h_cb).max() > 0.1
+        times = np.linspace(0, 10, 41)
+        monkeypatch.setattr(evolve_module, "EIGH_FLOPS_PER_N3", eigh_cost)
+        monkeypatch.setattr(evolve_module, "CHEB_TERM_FLOPS", 0.0)
+        pd, want = simulate_columns(spec, init, times)
+        assert want["mi_ab_bits"].max() > 1e-3 and want["residual_eq4"].max() > 1e-2
+        for model, state in ((spec, init), (moved, moved_init)):
+            route = propagate(model, state, times).route
+            assert isinstance(route, Chebyshev if eigh_cost == np.inf else Propagator)
+            if eigh_cost == np.inf:
+                assert len(route._cb_t) == (2 if r == 0 else 1)
+        moved_pd, got = simulate_columns(moved, moved_init, times)
+        for name in ("mi_ab_bits", "entropy_a_bits", "entropy_b_bits", "residual_eq4"):
+            assert_allclose(got[name], want[name], rtol=0, atol=1e-12, err_msg=name)
+        assert_allclose(np.sort(moved_pd.energies, axis=None), np.sort(pd.energies, axis=None),
+                        rtol=0, atol=1e-12)
+        assert abs(moved_pd.lambda_sup - pd.lambda_sup) <= 1e-12

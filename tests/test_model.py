@@ -10,7 +10,6 @@ from disd.model import (
     build_canonical,
     initial_state,
     place_robust,
-    validate_robustness,
 )
 from disd.qcore import (
     Dims,
@@ -20,6 +19,25 @@ from disd.qcore import (
 )
 
 from oracles import mutual_information
+
+
+def cross_blocks(h_cb, dims, r):
+    """The C cross blocks <j| h_cb |r>_C, j != r, stacked: (d_C - 1, d_B, d_B)."""
+    return np.delete(h_cb.reshape(dims.c, dims.b, dims.c, dims.b)[:, :, r], r, axis=0)
+
+
+def planted_h_cb(dims, r, entry):
+    """A unit-norm h_cb whose one nonzero cross entry is <j, 0| h_cb |r, 1> = ``entry``, j != r.
+
+    Only |r, 0> carries a diagonal entry, 1; the planted pair couples two states with zero
+    diagonal, so the spectral norm stays exactly 1 for |entry| <= 1.
+    """
+    d_b = dims.b
+    h = np.zeros((dims.c * d_b, dims.c * d_b), dtype=complex)
+    h[r * d_b, r * d_b] = 1.0
+    j = (r + 1) % dims.c
+    h[j * d_b, r * d_b + 1] = h[r * d_b + 1, j * d_b] = entry
+    return h
 
 
 def zero_spec(dims):
@@ -36,10 +54,10 @@ def zero_spec(dims):
 
 class TestBuildCanonical:
     def test_robustness_by_construction(self, dims233):
+        # the ModelSpec check passes, and the cross blocks are not just small but exactly 0
         spec = build_canonical(dims233, 5, 2.0, 0.4)
-        report = validate_robustness(spec.h_cb, dims233, spec.robust_index)
-        assert report.passed
-        assert report.max_violation <= 1e-12
+        assert not cross_blocks(spec.h_cb, dims233, spec.robust_index).any()
+        dataclasses.replace(spec)
 
     def test_same_seed_bitwise_identical(self, dims233):
         s1 = build_canonical(dims233, 11, 3.0, 0.2)
@@ -80,7 +98,8 @@ class TestBuildCanonical:
         dims = Dims(2, 3, 2)
         spec = build_canonical(dims, 9, 2.0, 0.3, robust_index=2)
         assert spec.robust_index == 2
-        assert validate_robustness(spec.h_cb, dims, 2).passed
+        assert not cross_blocks(spec.h_cb, dims, 2).any()
+        assert cross_blocks(spec.h_cb, dims, 0).any()  # the robust state is C index 2
 
     @pytest.mark.parametrize("robust_index", [3, -1])
     def test_rejects_robust_index_out_of_range(self, dims233, robust_index):
@@ -94,26 +113,35 @@ class TestBuildCanonical:
             build_canonical(dims233, 0, 1.0, -0.1)
 
 
-class TestValidateRobustness:
+class TestRobustnessCheck:
+    """``ModelSpec`` is the one check of the robust-state block structure of h_cb."""
+
     def test_planted_violation(self, dims233):
-        spec = build_canonical(dims233, 3, 2.0, 0.4)
-        h = spec.h_cb.copy()
-        d_b = dims233.b
-        row = 1 * d_b + 0     # C index 1, B index 0
-        col = spec.robust_index * d_b + 1
-        h[row, col] += 1e-3
-        h[col, row] += 1e-3
-        report = validate_robustness(h, dims233, spec.robust_index)
-        assert not report.passed
-        assert report.max_violation == pytest.approx(1e-3, rel=1e-6)
+        # TestModelSpecValidate plants one at robust index 0; these are the other two
+        for r in (1, 2):
+            spec = dataclasses.replace(build_canonical(dims233, 3, 2.0, 0.4, robust_index=r),
+                                       h_cb=planted_h_cb(dims233, r, 0.0))  # exactly robust
+            with pytest.raises(ValidationError) as info:
+                dataclasses.replace(spec, h_cb=planted_h_cb(dims233, r, 1e-3))
+            assert str(info.value) == ("h_cb violates the robust-state block structure: "
+                                       "max cross-block entry 1.000e-03 > 1.0e-12")
 
-    def test_rejects_bad_shape(self, dims233):
-        with pytest.raises(ValueError):
-            validate_robustness(np.eye(5), dims233, 0)
+    @pytest.mark.parametrize("entry, passes", [(1e-12, True), (1.01e-12, False)])
+    def test_tolerance_is_robust_tol(self, dims233, spec233, entry, passes):
+        h_cb = planted_h_cb(dims233, 0, entry)
+        if passes:
+            assert np.array_equal(dataclasses.replace(spec233, h_cb=h_cb).h_cb, h_cb)
+        else:
+            with pytest.raises(ValidationError, match="max cross-block entry 1.010e-12 > 1.0e-12$"):
+                dataclasses.replace(spec233, h_cb=h_cb)
 
-    def test_rejects_bad_index(self, dims233):
-        with pytest.raises(ValueError):
-            validate_robustness(np.eye(9), dims233, 3)
+    def test_rejects_bad_shape(self, spec233):
+        with pytest.raises(ValueError, match=r"^h_cb has shape \(5, 5\), expected \(9, 9\)$"):
+            dataclasses.replace(spec233, h_cb=np.eye(5))
+
+    def test_rejects_bad_index(self, spec233):
+        with pytest.raises(ValueError, match="^robust_index 3 out of range for d_c = 3$"):
+            dataclasses.replace(spec233, h_cb=np.eye(9), robust_index=3)
 
 
 class TestAssembleHamiltonian:
@@ -209,12 +237,8 @@ class TestModelSpecValidate:
             dataclasses.replace(spec233, h_cb=0.5 * spec233.h_cb)
 
     def test_rejects_robustness_violation(self, spec233):
-        h = spec233.h_cb.copy()
-        d_b = spec233.dims.b
-        h[1 * d_b, 0 * d_b] += 1e-3
-        h[0 * d_b, 1 * d_b] += 1e-3
-        with pytest.raises(ValidationError):
-            dataclasses.replace(spec233, h_cb=h)
+        with pytest.raises(ValidationError, match="max cross-block entry 1.000e-03"):
+            dataclasses.replace(spec233, h_cb=planted_h_cb(spec233.dims, 0, 1e-3))
 
     @pytest.mark.parametrize("field, value, exc, message", [
         ("c1", 0.0, ValidationError, "c1 must be positive and finite, got 0.0"),
