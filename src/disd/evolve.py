@@ -77,7 +77,6 @@ class Propagator:
         h = np.asarray(h, dtype=complex)
         check_hermitian(h, name="Hamiltonian")
         self._evals, self._vecs = np.linalg.eigh(h)
-        self.max_abs_energy = float(np.abs(self._evals).max())
 
     def apply(self, psi: np.ndarray, t: float) -> np.ndarray:
         """Evolve a single state to time t."""
@@ -153,7 +152,9 @@ class Chebyshev:
     H = on_ac x I_B + I_A x on_cb (``model.hamiltonian_blocks``), so H @ psi
     is reshaped GEMMs and H is never formed or diagonalized. By Weyl's
     inequality the spectrum of H lies in [lo, hi], the sums of the blocks'
-    extreme eigenvalues; H = center + half * X puts that of X in [-1, 1].
+    extreme eigenvalues, so ``max_abs_energy`` = max(|lo|, |hi|) >= max|E|: the
+    bound that the phase guard of ``_route`` reads for both routes. H = center +
+    half * X puts the spectrum of X in [-1, 1].
     Then e^{-iH delta} v = e^{-i center delta} sum_k a_k(z) T_k(X) v with
     z = half * delta: the vectors T_k(X) v do not depend on delta, only the
     coefficients do (Tal-Ezer and Kosloff, J. Chem. Phys. 81, 3967, 1984).
@@ -325,14 +326,9 @@ class Chebyshev:
         return out
 
 
-def _phase_error(max_abs_energy: float, times: np.ndarray) -> float:
-    """eps * max|E| * max|t|: the absolute error of the phases e^{-iEt} on this grid."""
-    return np.finfo(float).eps * max_abs_energy * np.abs(times).max()
-
-
 def _check_phases(max_abs_energy: float, times, what: str) -> None:
-    """Raise ``ValidationError`` where the phases keep fewer than eight correct digits."""
-    err = _phase_error(max_abs_energy, times)
+    """Raise ``ValidationError`` unless eps * max|E| * max|t|, the error of e^{-iEt}, is <= 1e-8."""
+    err = np.finfo(float).eps * max_abs_energy * np.abs(times).max()
     if not err <= PHASE_ERROR_TOL:
         raise ValidationError(f"{what}: eps*max|E|*max|t| = {err:.3e} > {PHASE_ERROR_TOL:.1e}")
 
@@ -373,16 +369,16 @@ def _route(spec: ModelSpec, times: np.ndarray, stacks=(1,)) -> Propagator | Cheb
     state plus CHEB_TERM_FLOPS, and 8 n per state in each row's sum. A series
     at z is cut past the first k > |z| (unless |z| < 1e-14), so half * max|t|
     terms a stack bound the plans from below and can rule them out unplanned.
-    So can the phase guard on its spectral bounds, looser than the eigenvalues
-    of ``eigh``.
+    The phase guard runs first, on ``Chebyshev.max_abs_energy`` >= max|E|: a
+    grid that fails it is refused before any plan or ``eigh``.
     """
+    cheb = Chebyshev(spec)
+    _check_phases(cheb.max_abs_energy, times, "phases lose their precision")
     d_a, d_c, d_b = spec.dims.factors
     n = spec.dims.total
     per_term = [k * 8 * n * (d_a * d_c + d_c * d_b) + CHEB_TERM_FLOPS for k in stacks]
     spectral = (EIGH_FLOPS_PER_N3 * n + EVOLVE_FLOPS_PER_N2 * len(times) * sum(stacks)) * n ** 2
-    cheb = Chebyshev(spec)
     if (not cheb.subnormal and sum(per_term) * cheb._half * np.abs(times).max() < spectral
-            and _phase_error(cheb.max_abs_energy, times) <= PHASE_ERROR_TOL
             and sum(steps * ((c.shape[1] - 1) * cost + 8 * n * k * c.size)
                     for k, cost in zip(stacks, per_term)
                     for steps, _, c in cheb._plans(times, _block_rows(times, n, k))) < spectral):
@@ -468,15 +464,13 @@ def propagate(spec: ModelSpec, init: InitialSpec, times, stacks=(1,)) -> Traject
     spectral ``Propagator``, whichever costs fewer operations for the job's
     ``stacks``, the size of each stack, psi0 included, that it will evolve (see
     ``_route``). The phases e^{-iEt} carry an absolute error of about eps *
-    max|E| * t, with max|E| from the eigenvalues or from the Chebyshev spectral
-    bounds. A grid with eps * max|E| * max|t| above 1e-8 would leave fewer than
-    eight correct digits in them, and raises ``ValidationError``.
+    max|E| * t. A grid with eps * max|E| * max|t| above 1e-8, max|E| read from
+    the Chebyshev spectral bounds, would leave fewer than eight correct digits
+    in them, and raises ``ValidationError`` before either route is built.
     """
     times = _time_grid(times)
     psi0 = initial_state(init, spec.dims, spec.robust_index)
-    prop = _route(spec, times, stacks)
-    _check_phases(prop.max_abs_energy, times, "phases lose their precision")
-    return Trajectory(times=times, psi0=psi0, route=prop)
+    return Trajectory(times=times, psi0=psi0, route=_route(spec, times, stacks))
 
 
 def perturbation_data(spec: ModelSpec) -> PerturbationData:

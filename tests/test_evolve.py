@@ -1,6 +1,7 @@
 import dataclasses
 import importlib
 import importlib.util
+import json
 import tracemalloc
 from pathlib import Path
 
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from disd import evolve
+from disd.config import initial_from_config, model_from_config, parse_config, times_from_config
 from disd.evolve import (
     _CHEB_CHUNK,
     _CHEB_POINTS,
@@ -102,8 +104,8 @@ class TestPropagate:
                              ids=["propagate", "simulate_columns", "locality_columns"])
     def test_non_finite_grid_is_rejected_before_any_route(self, spec233, init233,
                                                           propagator_builds, job, times):
-        # this small model takes the spectral route: a grid that got past the check would
-        # build its Propagator, one eigh, before the phase guard caught it
+        # a grid that got past the check would reach the phase guard, which refuses an error
+        # of nan or inf with its own message, after building a Chebyshev
         with pytest.raises(ValueError, match="^times must be finite$"):
             job(spec233, init233, times)
         assert propagator_builds == []
@@ -509,13 +511,48 @@ class TestChebyshev:
         assert isinstance(evolve._route(spec, np.linspace(0, 1e305, 50)), Propagator)
         assert not Chebyshev(build_canonical(Dims(2, 2, 2), 1, 1e-300, 0.0)).subnormal
 
-    def test_phase_guard_uses_the_spectral_bounds(self, spec233, init233, monkeypatch):
+    def test_phase_guard_uses_the_spectral_bounds(self, spec233, monkeypatch, propagator_builds):
+        # the one guard reads the Weyl bound of the blocks, at least the exact max|E|: a grid
+        # within it takes either route, and one past it is refused before either is built
+        limit = phase_limit(spec233)
+        within = np.array([0.0, 0.99 * limit])
         monkeypatch.setattr(evolve, "EIGH_FLOPS_PER_N3", np.inf)  # every grid prefers Chebyshev
-        limit = evolve.PHASE_ERROR_TOL / (np.finfo(float).eps * Chebyshev(spec233).max_abs_energy)
-        assert isinstance(evolve._route(spec233, np.array([0.0, 0.99 * limit])), Chebyshev)
-        assert isinstance(evolve._route(spec233, np.array([0.0, 1.01 * limit])), Propagator)
-        with pytest.raises(ValidationError, match="phases lose their precision"):
-            propagate(spec233, init233, [0.0, 1e3 * limit])
+        assert isinstance(evolve._route(spec233, within), Chebyshev)
+        monkeypatch.setattr(evolve, "EIGH_FLOPS_PER_N3", 0.0)  # every grid prefers eigh
+        assert isinstance(evolve._route(spec233, within), Propagator)
+        propagator_builds.clear()
+        with pytest.raises(ValidationError, match="^phases lose their precision: "):
+            evolve._route(spec233, np.array([0.0, 1.01 * limit]))
+        assert propagator_builds == []
+
+    @pytest.mark.parametrize("job", [propagate, locality_columns],
+                             ids=["propagate", "locality_columns"])
+    def test_a_window_past_the_guard_builds_no_propagator(self, spec233, init233,
+                                                         propagator_builds, job):
+        # this small model takes the spectral route: a guard that ran after the route would
+        # pay its eigh first
+        with pytest.raises(ValidationError, match="^phases lose their precision: "):
+            job(spec233, init233, [0.0, 1e3 * phase_limit(spec233)])
+        assert propagator_builds == []
+
+    def test_simulate_window_past_the_weyl_guard_builds_no_propagator(self, propagator_builds):
+        # on the ion-cage preset the product form's guard allows t up to 1.557e6 and the
+        # Weyl bound up to 9.043e5: t_max = 1.2e6 passes the first and fails the second
+        doc = json.loads((Path(__file__).resolve().parents[1] / "presets" / "ion-cage.json")
+                         .read_text())
+        doc["time"]["t_max"] = 1.2e6
+        cfg = parse_config(doc)
+        spec, init, times = model_from_config(cfg), initial_from_config(cfg), times_from_config(cfg)
+        assert 9.04e5 < phase_limit(spec) < 9.05e5
+        perturbation_data(spec).check_phases(times)
+        with pytest.raises(ValidationError, match="^phases lose their precision: "):
+            simulate_columns(spec, init, times)
+        assert propagator_builds == []
+
+
+def phase_limit(spec):
+    """The largest max|t| the phase guard lets through on ``spec``: 1e-8 / (eps * Weyl bound)."""
+    return evolve.PHASE_ERROR_TOL / (np.finfo(float).eps * Chebyshev(spec).max_abs_energy)
 
 
 def leaky_h_c_spec():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from disd.decompose import planted_sequential
+from disd.decompose import planted_sequential, sequential_residual
 from disd import evolve as evolve_module
 from disd import locality as locality_module
 from disd.evolve import Chebyshev, Propagator, propagate, simulate_columns
@@ -570,6 +570,25 @@ def conjugate_locally(spec, init, seed):
 
 
 class TestLocalUnitaryInvariance:
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("factors", [(2, 2, 2), (2, 3, 2), (3, 2, 4)],
+                             ids=["2x2x2", "2x3x2", "3x2x4"])
+    def test_planted_sequential_unitary_stays_sequential(self, factors, seed):
+        # L = U_A x U_C x U_B takes (I_A x W)(V x I_B) to (I_A x W')(V' x I_B) with
+        # V' = (U_A x U_C) V (U_A x U_C)+ and W' = (U_C x U_B) W (U_C x U_B)+: the conjugated
+        # unitary still factors, and B still cannot signal to A through it
+        dims = Dims(*factors)
+        u_a, u_c, u_b = (haar_unitary(d, derive_seed(seed, "local", name))
+                         for d, name in zip(factors, "ACB"))
+        local = np.kron(np.kron(u_a, u_c), u_b)
+        planted = planted_sequential(dims, seed)
+        u = local @ planted @ local.conj().T
+        assert np.abs(u - planted).max() > 0.1
+        assert sequential_residual(u, dims).residual <= 1e-12
+        init = InitialSpec(alpha=haar_unitary(dims.a, seed)[:, 0],
+                           chi=haar_unitary(dims.b, seed)[:, 0])
+        assert signaling_test_unitary(u, init, dims, 0, "b_to_a") <= 1e-12
+
     @pytest.mark.parametrize("eigh_cost", [evolve_module.EIGH_FLOPS_PER_N3, np.inf],
                              ids=["spectral", "chebyshev"])
     @pytest.mark.parametrize("r", [0, 1], ids=["r0", "r1"])

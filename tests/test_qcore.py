@@ -9,6 +9,7 @@ from disd.qcore import (
     eigh_ordered,
     haar_unitary,
     max_trace_distance,
+    mi_and_entropies,
     random_hermitian,
     rdm_from_state,
     vn_entropy,
@@ -89,6 +90,11 @@ class TestPartialTrace:
         with pytest.raises(ValueError):
             partial_trace(np.eye(6), (2, 3), ())
 
+    def test_pure_state_rejects_empty_keep(self):
+        psi = np.ones(16) / 4
+        with pytest.raises(ValueError, match="^keep set must not be empty$"):
+            rdm_from_state(psi, (2, 4, 2), [])
+
     def test_pure_state_shortcut_matches(self):
         rng = np.random.default_rng(9)
         psi = rng.standard_normal(12) + 1j * rng.standard_normal(12)
@@ -126,6 +132,10 @@ class TestHermPropagator:
         m = np.array([[0, 1], [0, 0]], dtype=complex)
         with pytest.raises(ValidationError):
             Propagator(m)
+
+    def test_rejects_non_square(self):
+        with pytest.raises(ValueError, match=r"^Hamiltonian must be square, got shape \(2, 3\)$"):
+            Propagator(np.zeros((2, 3)))
 
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan, complex(0, np.inf)])
     def test_rejects_non_finite_before_any_arithmetic(self, bad):
@@ -178,6 +188,16 @@ class TestMutualInformation:
     def test_rejects_dimension_mismatch(self):
         with pytest.raises(ValueError):
             mutual_information(np.eye(4) / 4, 2, 3)
+
+    def test_negative_mi_of_a_state_off_unit_norm_is_rejected(self):
+        # Bell(A, C1) x Bell(C2, B) in the A, C, B layout at dims 2 x 4 x 2: I(A:B) = 0 at unit
+        # norm, but scaled by sqrt(1.1) the entropies S(A) + S(B) - S(C) read -0.151
+        pair = np.eye(2) / np.sqrt(2)
+        psi = np.einsum("ac,db->acdb", pair, pair).reshape(1, 16)
+        dims = Dims(2, 4, 2)
+        assert abs(mi_and_entropies(psi, dims)[0][0]) <= 1e-12
+        with pytest.raises(ValidationError, match=r"^mutual information -1.513e-01 below -1e-9$"):
+            mi_and_entropies(np.sqrt(1.1) * psi, dims)
 
 
 class TestTraceDistance:
