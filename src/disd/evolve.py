@@ -388,9 +388,9 @@ def _route(spec: ModelSpec, times: np.ndarray, stacks=(1,)) -> Propagator | Cheb
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """The product state ``psi0`` under one model at strictly increasing times.
+    """One model's ``route`` over strictly increasing times, and its product state ``psi0``.
 
-    It holds no evolved state: its states leave it only as the blocks of :meth:`evolve`,
+    It holds no evolved state: states leave it only as the blocks of :meth:`evolve`,
     computed on ``route``.
     """
 
@@ -399,21 +399,21 @@ class Trajectory:
     route: Propagator | Chebyshev
 
     def evolve(self, stack: np.ndarray | None = None):
-        """psi0 and a stack (k, n) over the trajectory's times: yields (rows, states) blocks.
+        """A stack (k, n) of unit states over the trajectory's times: (rows, states) blocks.
 
-        ``rows`` slices the times; ``states`` has shape (rows, 1 + k, n), psi0's rows
-        first, then the stack's. A block holds at most ``block_budget(times, n)`` numbers
-        (whole rows, at least one), and is valid until the next is asked for: reduce
-        it, or copy it. On the Chebyshev route a block is one recurrence, cut only
-        where its rows would outgrow that limit; on the spectral route it takes as
-        many rows as the limit allows. These are the blocks ``_route`` prices. Before
-        a block is yielded, its psi0 rows must keep unit norm within NORM_DRIFT_TOL,
-        or ``ValidationError`` is raised; a NaN norm fails too.
+        With no stack, psi0 evolves as the stack (1, n). ``rows`` slices the times;
+        ``states`` has shape (rows, k, n). A block holds at most ``block_budget(times, n)``
+        numbers (whole rows, at least one), and is valid until the next is asked for: reduce
+        it, or copy it. On the Chebyshev route a block is one recurrence, cut only where its
+        rows would outgrow that limit; on the spectral route it takes as many rows as the
+        limit allows. These are the blocks ``_route`` prices. Before a block is yielded,
+        each of its states must keep unit norm within NORM_DRIFT_TOL, or ``ValidationError``
+        is raised; a NaN norm fails too.
         """
-        psi = self.psi0[None] if stack is None else np.concatenate([self.psi0[None], stack])
+        psi = self.psi0[None] if stack is None else stack
         max_rows = _block_rows(self.times, len(self.psi0), len(psi))
         for rows, states in self.route.blocks(psi, self.times, max_rows):
-            drift = float(np.abs(row_norms(states[:, 0]) - 1.0).max())
+            drift = float(np.abs(row_norms(states.reshape(-1, states.shape[-1])) - 1.0).max())
             if not drift <= NORM_DRIFT_TOL:
                 raise ValidationError(f"propagation norm drift {drift:.3e} > {NORM_DRIFT_TOL:.1e}")
             yield rows, states
@@ -462,9 +462,9 @@ def propagate(spec: ModelSpec, init: InitialSpec, times, stacks=(1,)) -> Traject
     phase guard, but evolves no state: :meth:`Trajectory.evolve` does, block by
     block. The states come from matrix-free ``Chebyshev`` steps or from the
     spectral ``Propagator``, whichever costs fewer operations for the job's
-    ``stacks``, the size of each stack, psi0 included, that it will evolve (see
-    ``_route``). The phases e^{-iEt} carry an absolute error of about eps *
-    max|E| * t. A grid with eps * max|E| * max|t| above 1e-8, max|E| read from
+    ``stacks``, the size of each stack that it will evolve (see ``_route``): by
+    default (1,), psi0 alone. The phases e^{-iEt} carry an absolute error of about
+    eps * max|E| * t. A grid with eps * max|E| * max|t| above 1e-8, max|E| read from
     the Chebyshev spectral bounds, would leave fewer than eight correct digits
     in them, and raises ``ValidationError`` before either route is built.
     """
@@ -498,7 +498,7 @@ def perturbation_data(spec: ModelSpec) -> PerturbationData:
     checks = [("[h_a, A0]", spec.h_a, a0_shape)] if spec.c2 > 0 else []
     for name, x, y in checks + [("[h_b, B0]", spec.h_b, b0_shape)]:
         comm = spectral_norm(x @ y - y @ x)
-        bound = COMMUTATOR_TOL * np.linalg.norm(x, 2) * np.linalg.norm(y, 2)
+        bound = COMMUTATOR_TOL * spectral_norm(x) * spectral_norm(y)
         if comm > bound:
             raise ValidationError(
                 f"{name} norm {comm:.3e} > {COMMUTATOR_TOL:.0e} ||X|| ||Y|| = {bound:.3e}")

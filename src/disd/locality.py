@@ -9,13 +9,12 @@ crossing of the mutual information, linearly interpolated.
 
 Signaling uses linearity twice. A unitary G on the source side maps the
 initial state to sum_j w_j phi_j, w = G @ amplitudes, over the d_s source
-basis states phi_j, so only those evolve, in one stack with the unmodified
-state psi0, whose rows are the reference. The target's reduced state is then
-quadratic in w: sum_jk w_j conj(w_k) Tr_rest |phi_j(t)><phi_k(t)|. So the
-d_s^2 cross reduced states of the evolved basis, formed once per time, give
-every sample's target state by one GEMM with the pair weights w_j conj(w_k).
-Per time that costs d_s^2 d_t n for the cross states and n_samples d_s^2
-d_t^2 for the samples.
+basis states phi_j, so only those evolve: psi0 is the G = I member, w =
+amplitudes. The target's reduced state is then quadratic in w: sum_jk w_j
+conj(w_k) Tr_rest |phi_j(t)><phi_k(t)|. So the d_s^2 cross reduced states of
+the evolved basis, formed once per time, give every sample's target state, and
+psi0's, by one GEMM with the pair weights w_j conj(w_k). Per time that costs
+d_s^2 d_t n for the cross states and n_samples d_s^2 d_t^2 for the samples.
 """
 
 from __future__ import annotations
@@ -49,11 +48,11 @@ def _signaling_reducer(init: InitialSpec, dims: Dims, robust_index: int, directi
                        n_samples: int, seed: int, budget: int):
     """(basis, reduce): the source basis of ``direction`` and the reducer of its evolved blocks.
 
-    ``reduce(phi, ref)`` gives each row's max target disturbance, where ``phi`` is
-    a block of the evolved basis, shape (rows, d_s, n), and ``ref`` the unmodified
-    states, shape (rows, n). Sample s's target state is the GEMM of its pair
-    weights w_sj conj(w_sk), w_s = G_s @ amplitudes, with the d_s^2 cross reduced
-    states Tr_rest |phi_j><phi_k|, batched over a slice of rows. The unitaries G_s
+    ``reduce(phi)`` gives each row's max target disturbance, where ``phi`` is a
+    block of the evolved basis, shape (rows, d_s, n). Sample s's target state is
+    the GEMM of its pair weights w_sj conj(w_sk), w_s = G_s @ amplitudes, with the
+    d_s^2 cross reduced states Tr_rest |phi_j><phi_k|, batched over a slice of
+    rows; the reference is that of w = amplitudes, the G = I sample. The unitaries G_s
     are drawn max(1, budget // d_s^2) at a time; the pair weights hold n_samples
     d_s^2 numbers. No stack of cross states, rows x (d_s d_t)^2 numbers, and no
     stack of sample target states, rows x samples x d_t^2, holds more than
@@ -75,18 +74,18 @@ def _signaling_reducer(init: InitialSpec, dims: Dims, robust_index: int, directi
     # even slices: none is a lone sample (for per >= 3), whose product BLAS would round by
     # another kernel, so the slicing leaves each sample's target state as it is, to the bit
     slices = np.array_split(pairs, -(-n_samples // per))
+    unmodified = np.outer(amplitudes, amplitudes.conj()).reshape(-1)
 
-    def reduce(phi: np.ndarray, ref: np.ndarray) -> np.ndarray:
-        ref_rdms = rdm_from_state(ref, dims.factors, keep)[:, None]
+    def reduce(phi: np.ndarray) -> np.ndarray:
         out = []
         for i in range(0, len(phi), step):
-            rows = phi[i:i + step]
-            m = len(rows)
-            cross = rdm_from_state(rows.reshape(m, -1), (d_s, *dims.factors),
+            m = min(step, len(phi) - i)
+            cross = rdm_from_state(phi[i:i + m].reshape(m, -1), (d_s, *dims.factors),
                                    (0, 1 + keep[0]))  # (m, (j, a), (k, b))
             cross = cross.reshape(m, d_s, d_t, d_s, d_t).swapaxes(2, 3).reshape(m, d_s ** 2, -1)
+            ref = (unmodified @ cross).reshape(m, 1, d_t, d_t)
             rdms = ((p @ cross).reshape(m, -1, d_t, d_t) for p in slices)
-            out.append(np.max([max_trace_distance(r, ref_rdms[i:i + step]) for r in rdms], axis=0))
+            out.append(np.max([max_trace_distance(r, ref) for r in rdms], axis=0))
         return np.concatenate(out)
 
     return basis, reduce
@@ -102,22 +101,22 @@ def locality_columns(spec: ModelSpec, init: InitialSpec, times, n_samples: int =
     k's unitary depends only on (seed, direction, k), so enlarging n_samples
     refines the same family. ``mi_ab_bits`` is I(A:B) of the unmodified state.
     One route, priced for both passes, serves the job: the B->A pass evolves
-    psi0 with the d_B source basis states and takes the mutual information from
-    psi0's rows, then the A->B pass evolves psi0 with the d_A ones. Each block
+    the d_B source basis states phi, and takes the mutual information from
+    psi0 = chi @ phi, then the A->B pass evolves the d_A ones. Each block
     is reduced as it arrives. Besides the pair weights, no stack the job forms
     holds more than ``evolve.block_budget(times, n)`` numbers, except where one
     time's cross states outnumber it (see ``_signaling_reducer``).
     """
     dims = spec.dims
-    traj = propagate(spec, init, times, stacks=(1 + dims.b, 1 + dims.a))
+    traj = propagate(spec, init, times, stacks=(dims.b, dims.a))
     columns = {"signal_b_to_a": [], "signal_a_to_b": [], "mi_ab_bits": []}
     for direction in ("b_to_a", "a_to_b"):
         basis, reduce = _signaling_reducer(init, dims, spec.robust_index, direction, n_samples,
                                            seed, block_budget(traj.times, dims.total))
         for _, states in traj.evolve(basis):
-            columns[f"signal_{direction}"].append(reduce(states[:, 1:], states[:, 0]))
+            columns[f"signal_{direction}"].append(reduce(states))
             if direction == "b_to_a":
-                columns["mi_ab_bits"].append(mi_and_entropies(states[:, 0], dims)[0])
+                columns["mi_ab_bits"].append(mi_and_entropies(init.chi @ states, dims)[0])
     return {name: np.concatenate(parts) for name, parts in columns.items()}
 
 
@@ -125,16 +124,16 @@ def signaling_test_unitary(u: np.ndarray, init: InitialSpec, dims: Dims, robust_
                            direction: str, n_samples: int = 64, seed: int = 0) -> float:
     """The signal of ``direction`` when the dynamics is one global unitary ``u`` applied once.
 
-    The probe of :func:`locality_columns` at the one time, with the evolved
-    state ``u @ psi0`` as the reference: no stack of sample target states holds
-    more numbers than that state, and the cross states, d_source^2 d_target^2
+    The probe of :func:`locality_columns` at the one time, on the source basis
+    states evolved by ``u``: no stack of sample target states holds more
+    numbers than one state, and the cross states, d_source^2 d_target^2
     numbers, are formed whole even where they outnumber it.
     """
-    psi0 = initial_state(init, dims, robust_index)  # checks the amplitudes against dims
+    initial_state(init, dims, robust_index)  # checks the amplitudes against dims
     u = check_unitary(u, dims.total)
     basis, reduce = _signaling_reducer(init, dims, robust_index, direction, n_samples, seed,
                                        budget=dims.total)
-    return float(reduce((basis @ u.T)[None], (u @ psi0)[None])[0])
+    return float(reduce((basis @ u.T)[None])[0])
 
 
 def tau_estimate(times, mi_ab_bits, threshold_bits: float) -> float | None:

@@ -84,7 +84,7 @@ def trace_distance(rho, sigma):
 def trajectory_states(traj, stack=None):
     """Every block of ``traj.evolve(stack)`` collected into one array, each block copied.
 
-    (T, n), the trajectory's own states, with no stack; (T, 1 + k, n) with a stack (k, n).
+    (T, n), the trajectory's own states, with no stack; (T, k, n) with a stack (k, n).
     """
     states = np.concatenate([block.copy() for _, block in traj.evolve(stack)])
     return states[:, 0] if stack is None else states

@@ -227,7 +227,7 @@ class TestLocality:
             assert b >= a - 1e-15
 
     def test_route_is_priced_for_every_state_of_the_job(self, tmp_path, monkeypatch):
-        # the trajectory's state alone, or with the d_B = 3, then the d_A = 2 source states
+        # the trajectory's state alone, or the d_B = 3, then the d_A = 2 source states
         priced = []
         route = disd.evolve._route
 
@@ -236,7 +236,7 @@ class TestLocality:
             return route(spec, times, stacks)
 
         monkeypatch.setattr(disd.evolve, "_route", spy)
-        for command, stacks in (("simulate", (1,)), ("locality", (1 + 3, 1 + 2))):
+        for command, stacks in (("simulate", (1,)), ("locality", (3, 2))):
             cfg = write_config(tmp_path, base_config())
             assert main([command, "--config", cfg, "--out", str(tmp_path / "out.csv")]) == 0
             assert priced.pop() == stacks

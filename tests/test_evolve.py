@@ -787,7 +787,8 @@ class TestRoute:
         traj = propagate(spec233, init233, times, stacks=(3,))
         priced = list(asked)
         asked.clear()
-        blocks = [rows for rows, _ in traj.evolve(random_stack(spec233.dims.total, k=2))]
+        stack = np.concatenate([traj.psi0[None], random_stack(spec233.dims.total, k=2)])
+        blocks = [rows for rows, _ in traj.evolve(stack)]
         # 40 times of 18 numbers, so a stack of psi0 and two states takes 720 // 54 = 13 rows
         assert asked == priced == [(times.tobytes(), 13)]
         assert [(rows.start, rows.stop) for rows in blocks] == [(0, 13), (13, 26), (26, 39),
@@ -804,7 +805,8 @@ class TestRoute:
         assert isinstance(traj.route, route)
         whole = trajectory_states(traj)
         monkeypatch.setattr(evolve, "BLOCK_NUMBERS", 100)
-        for stack, rows in ((None, 5), (random_stack(spec233.dims.total, k=5), 1)):
+        with_psi0 = np.concatenate([traj.psi0[None], random_stack(spec233.dims.total, k=5)])
+        for stack, rows in ((None, 5), (with_psi0, 1)):
             blocks = [(r, states.copy()) for r, states in traj.evolve(stack)]
             assert [(r.start, r.stop) for r, _ in blocks] == [(i, i + rows)
                                                               for i in range(0, 40, rows)]

@@ -1,9 +1,12 @@
 import dataclasses
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from disd.config import initial_from_config, model_from_config, parse_config
 from disd.decompose import planted_sequential, sequential_residual
 from disd import evolve as evolve_module
 from disd import locality as locality_module
@@ -23,8 +26,8 @@ def signal(spec, init, times, direction, n_samples, seed):
 
 
 def locality_stacks(factors):
-    """The stacks a locality job evolves: psi0 with the d_B, then with the d_A source states."""
-    return 1 + factors[2], 1 + factors[0]
+    """The stacks a locality job evolves: the d_B, then the d_A source states."""
+    return factors[2], factors[0]
 
 
 def locality_trajectory(spec, init, times):
@@ -135,6 +138,23 @@ class TestSignalingOneShot:
         with pytest.raises(ValueError, match="alpha has length"):
             signaling_test_unitary(np.eye(dims222.total), init, dims222, 0, "b_to_a")
 
+    def test_the_one_shot_probe_is_the_job_at_one_time(self):
+        # U(t) = V e^{-iEt} V+ applied once gives, at each time, the signal the job reads off
+        # the evolved source basis at that time, in both directions
+        root = Path(__file__).resolve().parent.parent
+        cfg = parse_config(json.loads((root / "presets" / "ion-cage.json").read_text()))
+        spec, init = model_from_config(cfg), initial_from_config(cfg)
+        times = np.linspace(0, 5, 11)
+        columns = locality_columns(spec, init, times, 16, 3)
+        energies, v = np.linalg.eigh(assemble_hamiltonian(spec))
+        for k, t in enumerate(times):
+            u = (v * np.exp(-1j * energies * t)) @ v.conj().T
+            for direction in ("b_to_a", "a_to_b"):
+                got = signaling_test_unitary(u, init, spec.dims, spec.robust_index, direction,
+                                             n_samples=16, seed=3)
+                assert abs(got - columns[f"signal_{direction}"][k]) <= 1e-13, (t, direction)
+        assert columns["signal_b_to_a"].max() > 1e-3
+
     @pytest.mark.parametrize("u, error, message", [
         (np.full((8, 8), np.nan), ValidationError,
          "input is not unitary: an entry has a part of magnitude nan > 1"),
@@ -228,15 +248,15 @@ class TestOneEigensystem:
         monkeypatch.setattr(evolve_module, "EIGH_FLOPS_PER_N3", np.inf)
         traj = propagate(spec233, init233, times)
         assert isinstance(traj.route, Chebyshev)
-        # psi0 alone runs as one recurrence; with two copies of it the stack takes 12 x 18 //
-        # (3 x 18) = 4 rows a block, each recurrence from the last row of the one before, and
+        # psi0 alone runs as one recurrence; a stack of two copies of it takes 12 x 18 //
+        # (2 x 18) = 6 rows a block, each recurrence from the last row of the one before, and
         # every column matches the one-recurrence evolution
         stacked = trajectory_states(traj, np.stack([traj.psi0] * 2))
         whole = route_states(traj.route, traj.psi0, times)
         assert [rows for rows, _ in traj.evolve()] == [slice(0, 12)]
         assert [rows for rows, _ in traj.evolve(np.stack([traj.psi0] * 2))] == [
-            slice(0, 4), slice(4, 8), slice(8, 12)]
-        for k in range(3):
+            slice(0, 6), slice(6, 12)]
+        for k in range(2):
             assert_allclose(stacked[:, k], whole, rtol=0, atol=1e-13)
         got = locality_columns(spec233, init233, times, n_samples=3, seed=1)
         assert len(propagator_builds) == 1  # the spectral job's own
@@ -244,18 +264,19 @@ class TestOneEigensystem:
             assert_allclose(got[name], want[name], rtol=0, atol=1e-12)
 
 
-def evolved_sizes(monkeypatch, route):
-    """A list that gains the size of each block ``route.blocks`` yields during the test."""
-    sizes = []
+def evolved(monkeypatch, route):
+    """Lists that gain each stack ``route.blocks`` evolves and the size of each block it yields."""
+    stacks, sizes = [], []
     blocks = route.blocks
 
     def counted(self, psi, times, max_rows):
+        stacks.append(np.array(psi))
         for rows, states in blocks(self, psi, times, max_rows):
             sizes.append(states.size)
             yield rows, states
 
     monkeypatch.setattr(route, "blocks", counted)
-    return sizes
+    return stacks, sizes
 
 
 def spied(monkeypatch, name):
@@ -288,20 +309,24 @@ def sample_states(calls, n_samples):
 
 class TestSignalingByLinearity:
     def test_evolved_blocks_never_outgrow_the_trajectory(self, spec233, init233, monkeypatch):
-        # psi0 and the d_source basis states evolve once at each time, in blocks of at most the
-        # trajectory's T n numbers, on the spectral route and on the Chebyshev route
+        # the d_B, then the d_A source basis states and nothing else evolve once at each time,
+        # in blocks of at most the trajectory's T n numbers, on the spectral route and on the
+        # Chebyshev route: psi0 is their G = I combination, never a row of a stack
         times = np.linspace(0, 5, 40)
         n = spec233.dims.total
         for eigh_cost, route in ((evolve_module.EIGH_FLOPS_PER_N3, Propagator),
                                  (np.inf, Chebyshev)):
             monkeypatch.setattr(evolve_module, "EIGH_FLOPS_PER_N3", eigh_cost)
             assert isinstance(locality_trajectory(spec233, init233, times).route, route)
-            sizes = evolved_sizes(monkeypatch, route)
+            stacks, sizes = evolved(monkeypatch, route)
             locality_columns(spec233, init233, times, n_samples=64, seed=1)
-            # 40 times x 18 numbers in blocks of 10 rows (B to A, 1 + d_B = 4) and 13 (1 + d_A = 3)
-            assert len(sizes) == 4 + 4
+            for stack, direction in zip(stacks, ("b_to_a", "a_to_b"), strict=True):
+                basis = _source_stack(init233, spec233.dims, spec233.robust_index, direction)[1]
+                assert np.array_equal(stack, basis)
+            # 40 times x 18 numbers in blocks of 13 rows (B to A, d_B = 3) and 20 (d_A = 2)
+            assert len(sizes) == 4 + 2
             assert max(sizes) <= min(evolve_module.BLOCK_NUMBERS, len(times) * n)
-            assert sum(sizes) == len(times) * (2 + spec233.dims.b + spec233.dims.a) * n
+            assert sum(sizes) == len(times) * (spec233.dims.b + spec233.dims.a) * n
 
     @pytest.mark.parametrize("eigh_cost, route", [(evolve_module.EIGH_FLOPS_PER_N3, Propagator),
                                                   (np.inf, Chebyshev)])
@@ -341,8 +366,7 @@ class TestSignalingByLinearity:
         calls = spied(monkeypatch, "max_trace_distance")
         basis, reduce = locality_module._signaling_reducer(init233, dims, spec233.robust_index,
                                                            direction, 111, 1, budget=10 ** 9)
-        whole = np.concatenate([reduce(states[:, 1:], states[:, 0])
-                                for _, states in traj.evolve(basis)])
+        whole = np.concatenate([reduce(states) for _, states in traj.evolve(basis)])
         assert all(args[0].shape[1] == 111 for args, _ in calls)
         unsliced = sample_states(calls, 111)
         calls.clear()
@@ -621,3 +645,26 @@ class TestLocalUnitaryInvariance:
         assert_allclose(np.sort(moved_pd.energies, axis=None), np.sort(pd.energies, axis=None),
                         rtol=0, atol=1e-12)
         assert abs(moved_pd.lambda_sup - pd.lambda_sup) <= 1e-12
+
+    @pytest.mark.parametrize("eigh_cost", [evolve_module.EIGH_FLOPS_PER_N3, np.inf],
+                             ids=["spectral", "chebyshev"])
+    @pytest.mark.parametrize("r", [0, 1], ids=["r0", "r1"])
+    @pytest.mark.parametrize("factors", [(2, 3, 4), (3, 3, 5)], ids=["2x3x4", "3x3x5"])
+    def test_locality_mi_is_invariant(self, factors, r, eigh_cost, monkeypatch):
+        # the locality job's mutual information, read off the evolved B source basis as chi @
+        # phi, is that of the same physics in other local bases at every time; the sampled
+        # signals are left out, as the seeded unitaries are not conjugated with the model
+        spec, init, _ = oracle_case(factors, 0.5)
+        spec = relabel_c(dataclasses.replace(spec, c1=20.0), r)
+        moved, moved_init = conjugate_locally(spec, init, sum(factors))
+        assert np.abs(moved.h_cb - spec.h_cb).max() > 0.1
+        times = np.linspace(0, 10, 41)
+        monkeypatch.setattr(evolve_module, "EIGH_FLOPS_PER_N3", eigh_cost)
+        monkeypatch.setattr(evolve_module, "CHEB_TERM_FLOPS", 0.0)
+        for model, state in ((spec, init), (moved, moved_init)):
+            route = locality_trajectory(model, state, times).route
+            assert isinstance(route, Chebyshev if eigh_cost == np.inf else Propagator)
+        want = locality_columns(spec, init, times, n_samples=8, seed=1)["mi_ab_bits"]
+        got = locality_columns(moved, moved_init, times, n_samples=8, seed=1)["mi_ab_bits"]
+        assert want.max() > 1e-3
+        assert_allclose(got, want, rtol=0, atol=1e-12)
