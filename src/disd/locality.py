@@ -8,13 +8,14 @@ other side's reduced state. The correlation onset time is the first threshold
 crossing of the mutual information, linearly interpolated.
 
 Signaling uses linearity twice. A unitary G on the source side maps the
-initial state to sum_j w_j phi_j, w = G @ amplitudes, over the d_s source
-basis states phi_j, so only those evolve: psi0 is the G = I member, w =
-amplitudes. The target's reduced state is then quadratic in w: sum_jk w_j
+initial state to sum_j w_j phi_j, w = G @ a, over the d_s source basis states
+phi_j and the source amplitudes a, so only those evolve: psi0 is the G = I
+member, w = a. The target's reduced state is then quadratic in w: sum_jk w_j
 conj(w_k) Tr_rest |phi_j(t)><phi_k(t)|. So the d_s^2 cross reduced states of
-the evolved basis, formed once per time, give every sample's target state, and
-psi0's, by one GEMM with the pair weights w_j conj(w_k). Per time that costs
-d_s^2 d_t n for the cross states and n_samples d_s^2 d_t^2 for the samples.
+the evolved basis, formed once per time, give each sample's difference from
+psi0's target state by one GEMM, D_s = q_s @ cross with q_s = w_s w_s+ - a a+.
+Per time that costs d_s^2 d_t n for the cross states and n_samples d_s^2 d_t^2
+for the samples.
 """
 
 from __future__ import annotations
@@ -49,16 +50,14 @@ def _signaling_reducer(init: InitialSpec, dims: Dims, robust_index: int, directi
     """(basis, reduce): the source basis of ``direction`` and the reducer of its evolved blocks.
 
     ``reduce(phi)`` gives each row's max target disturbance, where ``phi`` is a
-    block of the evolved basis, shape (rows, d_s, n). Sample s's target state is
-    the GEMM of its pair weights w_sj conj(w_sk), w_s = G_s @ amplitudes, with the
-    d_s^2 cross reduced states Tr_rest |phi_j><phi_k|, batched over a slice of
-    rows; the reference is that of w = amplitudes, the G = I sample. The unitaries G_s
-    are drawn max(1, budget // d_s^2) at a time; the pair weights hold n_samples
-    d_s^2 numbers. No stack of cross states, rows x (d_s d_t)^2 numbers, and no
-    stack of sample target states, rows x samples x d_t^2, holds more than
-    ``budget`` numbers, except one row's cross states, taken whole. The maximum
-    over samples is ``qcore.max_trace_distance``, bit for bit that of every
-    sample's trace distance.
+    block of the evolved basis, shape (rows, d_s, n): sample s's difference D_s
+    = q_s @ cross (module docstring), q_s formed once, over a slice of rows.
+    The unitaries G_s are drawn max(1, budget // d_s^2) at a time; the q_s hold
+    n_samples d_s^2 numbers. No stack of cross states, rows x (d_s d_t)^2
+    numbers, and no stack of differences, rows x samples x d_t^2, holds more
+    than ``budget`` numbers, except one row's cross states, taken whole. The
+    maximum over samples is ``qcore.max_trace_distance``, bit for bit that of
+    every sample's trace distance.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
@@ -68,13 +67,13 @@ def _signaling_reducer(init: InitialSpec, dims: Dims, robust_index: int, directi
     draw = max(1, budget // d_s ** 2)
     weights = np.concatenate([haar_unitary(d_s, seeds[i:i + draw]) @ amplitudes
                               for i in range(0, n_samples, draw)])
-    pairs = (weights[:, :, None] * weights[:, None, :].conj()).reshape(n_samples, d_s ** 2)
+    q = (weights[:, :, None] * weights[:, None, :].conj()).reshape(n_samples, d_s ** 2)
+    q -= np.outer(amplitudes, amplitudes.conj()).reshape(-1)  # less the G = I sample's
     per = max(1, min(n_samples, budget // d_t ** 2))
     step = max(1, min(budget // (d_s * d_t) ** 2, budget // (per * d_t ** 2)))
     # even slices: none is a lone sample (for per >= 3), whose product BLAS would round by
-    # another kernel, so the slicing leaves each sample's target state as it is, to the bit
-    slices = np.array_split(pairs, -(-n_samples // per))
-    unmodified = np.outer(amplitudes, amplitudes.conj()).reshape(-1)
+    # another kernel, so the slicing leaves each sample's difference as it is, to the bit
+    slices = np.array_split(q, -(-n_samples // per))
 
     def reduce(phi: np.ndarray) -> np.ndarray:
         out = []
@@ -83,9 +82,8 @@ def _signaling_reducer(init: InitialSpec, dims: Dims, robust_index: int, directi
             cross = rdm_from_state(phi[i:i + m].reshape(m, -1), (d_s, *dims.factors),
                                    (0, 1 + keep[0]))  # (m, (j, a), (k, b))
             cross = cross.reshape(m, d_s, d_t, d_s, d_t).swapaxes(2, 3).reshape(m, d_s ** 2, -1)
-            ref = (unmodified @ cross).reshape(m, 1, d_t, d_t)
-            rdms = ((p @ cross).reshape(m, -1, d_t, d_t) for p in slices)
-            out.append(np.max([max_trace_distance(r, ref) for r in rdms], axis=0))
+            diffs = ((part @ cross).reshape(m, -1, d_t, d_t) for part in slices)
+            out.append(np.max([max_trace_distance(d) for d in diffs], axis=0))
         return np.concatenate(out)
 
     return basis, reduce
@@ -103,7 +101,7 @@ def locality_columns(spec: ModelSpec, init: InitialSpec, times, n_samples: int =
     One route, priced for both passes, serves the job: the B->A pass evolves
     the d_B source basis states phi, and takes the mutual information from
     psi0 = chi @ phi, then the A->B pass evolves the d_A ones. Each block
-    is reduced as it arrives. Besides the pair weights, no stack the job forms
+    is reduced as it arrives. Besides the q_s, no stack the job forms
     holds more than ``evolve.block_budget(times, n)`` numbers, except where one
     time's cross states outnumber it (see ``_signaling_reducer``).
     """
@@ -125,9 +123,8 @@ def signaling_test_unitary(u: np.ndarray, init: InitialSpec, dims: Dims, robust_
     """The signal of ``direction`` when the dynamics is one global unitary ``u`` applied once.
 
     The probe of :func:`locality_columns` at the one time, on the source basis
-    states evolved by ``u``: no stack of sample target states holds more
-    numbers than one state, and the cross states, d_source^2 d_target^2
-    numbers, are formed whole even where they outnumber it.
+    states evolved by ``u``: no stack of differences D_s = q_s @ cross outgrows
+    one state; the cross states, d_source^2 d_target^2 numbers, may.
     """
     initial_state(init, dims, robust_index)  # checks the amplitudes against dims
     u = check_unitary(u, dims.total)

@@ -126,15 +126,20 @@ def _norm_and_unit(v: np.ndarray) -> tuple[float, np.ndarray]:
     return scale * norm, unit / norm
 
 
+def _finite(m: np.ndarray, name: str) -> np.ndarray:
+    """``m`` as an array, or ValidationError naming its first non-finite entry: LAPACK sees none."""
+    m = np.asarray(m)
+    if not np.isfinite(m).all():
+        where = tuple(np.argwhere(~np.isfinite(m))[0].tolist())
+        raise ValidationError(f"{name} has a non-finite entry {m[where]} at {where}")
+    return m
+
+
 def check_hermitian(m: np.ndarray, name: str = "matrix") -> None:
     """Raise ValidationError unless every entry is finite and max |M - M+| <= 1e-12 entrywise."""
-    m = np.asarray(m)
+    m = _finite(m, name)  # before any arithmetic: inf - inf would warn
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"{name} must be square, got shape {m.shape}")
-    bad = np.argwhere(~np.isfinite(m))
-    if len(bad):  # before any arithmetic: inf - inf would warn, and LAPACK must see no NaN
-        row, col = bad[0]
-        raise ValidationError(f"{name} has a non-finite entry {m[row, col]} at ({row}, {col})")
     dev = np.abs(m - m.conj().T).max() if m.size else 0.0
     if dev > _HERMITIAN_TOL:
         raise ValidationError(
@@ -222,10 +227,8 @@ def eigh_ordered(h: np.ndarray,
 
     for k in range(vecs.shape[1]):
         col = vecs[:, k]
-        nz = np.flatnonzero(np.abs(col) > 1e-12)
-        j = nz[0] if len(nz) else 0
-        ph = col[j] / abs(col[j]) if abs(col[j]) > 0 else 1.0
-        vecs[:, k] = col * np.conj(ph)
+        j = np.flatnonzero(np.abs(col) > 1e-12)[0]  # a unit column has such an entry
+        vecs[:, k] = col * np.conj(col[j] / abs(col[j]))
     return evals, vecs
 
 
@@ -233,13 +236,13 @@ def vn_entropy(rho: np.ndarray) -> float | np.ndarray:
     """Von Neumann entropy in bits, never negative.
 
     ``rho`` is one matrix ``(d, d)`` or a stack ``(..., d, d)``; the result is
-    a float or an array of the stack's leading shape. Eigenvalues at or below
-    1e-14 contribute zero; negatives larger than -1e-10 are clamped to zero,
-    anything more negative raises, anywhere in the stack. Roundoff
-    eigenvalues slightly above 1 would otherwise yield a tiny negative sum,
-    so each result is clamped at zero as well.
+    a float or an array of the stack's leading shape. A non-finite entry
+    raises before ``eigvalsh``. Eigenvalues at or below 1e-14 contribute zero;
+    negatives larger than -1e-10 are clamped to zero, anything more negative
+    raises, anywhere in the stack. Roundoff eigenvalues slightly above 1 would
+    otherwise yield a tiny negative sum, so each result is clamped at zero.
     """
-    evals = np.linalg.eigvalsh(np.asarray(rho))
+    evals = np.linalg.eigvalsh(_finite(rho, "entropy input"))
     lo = float(evals.min(initial=0.0))
     if lo < -_NEG_EIG_TOL:
         raise ValidationError(f"entropy input has eigenvalue {lo:.3e} < -{_NEG_EIG_TOL:.1e}")
@@ -264,31 +267,30 @@ def mi_and_entropies(states: np.ndarray,
     return np.maximum(mi, 0.0), s_a, s_b
 
 
-def max_trace_distance(rho: np.ndarray, sigma: np.ndarray) -> float | np.ndarray:
-    """The largest trace distance of a stack of pairs, diagonalizing fewer of them.
+def max_trace_distance(diffs: np.ndarray) -> float | np.ndarray:
+    """The largest trace distance of a stack of differences, diagonalizing fewer of them.
 
-    ``rho`` is a stack ``(..., k, d, d)`` and ``sigma`` broadcasts against it;
-    the result has the leading shape ``(...)``, a float when that is empty. It
-    equals the maximum over k of half the trace norm of rho - sigma from one
-    ``eigvalsh`` of every pair bit for bit (``trace_distance`` in
-    ``tests/oracles.py`` is that reference).
-    For Hermitian D = rho - sigma with trace tau and Frobenius norm F,
-    2F^2 - tau^2 <= ||D||_1^2 <= d F^2 (the lower bound from F^2 <= P^2 + N^2,
-    P and N the positive and negative eigenvalue mass). A pair whose upper
-    bound, widened by 1e-9 for double-precision roundoff, lies below some
-    pair's lower bound cannot hold the maximum, so only the other pairs go to
-    ``eigvalsh``; a row that holds a nan goes to ``eigvalsh`` whole.
+    ``diffs`` is a stack ``(..., k, d, d)`` of Hermitian D = rho - sigma. The
+    result, of leading shape ``(...)`` (a float when that is empty), is the
+    maximum over k of half the trace norm of D, bit for bit that of one
+    ``eigvalsh`` of every D (the ``trace_distance`` oracle of
+    ``tests/oracles.py``); a non-finite entry raises ValidationError first.
+    For D with trace tau and Frobenius norm F, 2F^2 - tau^2 <= ||D||_1^2 <=
+    d F^2 (the lower bound from F^2 <= P^2 + N^2, P and N the positive and
+    negative eigenvalue mass). A D whose upper bound, widened by 1e-9 for
+    double-precision roundoff, lies below another's lower bound cannot hold
+    the maximum, so only the others go to ``eigvalsh``.
     """
-    diff = np.asarray(rho) - np.asarray(sigma)
-    if diff.ndim < 3 or diff.shape[-1] != diff.shape[-2]:
-        raise ValueError(f"expected a stack (..., k, d, d), got shape {diff.shape}")
-    parts = diff.view(diff.real.dtype)  # each row's real and imaginary parts, side by side
+    diffs = _finite(np.ascontiguousarray(diffs), "trace-distance input")  # see the real view
+    if diffs.ndim < 3 or diffs.shape[-1] != diffs.shape[-2]:
+        raise ValueError(f"expected a stack (..., k, d, d), got shape {diffs.shape}")
+    parts = diffs.view(diffs.real.dtype)  # each row's real and imaginary parts, side by side
     f2 = np.einsum("...ij,...ij->...", parts, parts)
-    tau = np.einsum("...ii->...", diff).real
+    tau = np.einsum("...ii->...", diffs).real
     lower = (2.0 * f2 - tau ** 2).max(axis=-1, keepdims=True)
-    keep = ~(diff.shape[-1] * f2 * (1.0 + _BRACKET_SLACK) < lower)
+    keep = diffs.shape[-1] * f2 * (1.0 + _BRACKET_SLACK) >= lower
     dist = np.zeros(keep.shape)
-    dist[keep] = 0.5 * np.abs(np.linalg.eigvalsh(diff[keep])).sum(axis=-1)
+    dist[keep] = 0.5 * np.abs(np.linalg.eigvalsh(diffs[keep])).sum(axis=-1)
     d = dist.max(axis=-1)
     return float(d) if d.ndim == 0 else d
 

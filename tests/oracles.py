@@ -71,7 +71,8 @@ def trace_distance(rho, sigma):
 
     Both arguments are one matrix ``(d, d)`` or equal-shaped stacks
     ``(..., d, d)``; the result is a float or an array of the leading shape.
-    ``qcore.max_trace_distance`` must equal the maximum of these bit for bit.
+    ``qcore.max_trace_distance`` of the one stack of differences rho - sigma must equal
+    the maximum of these bit for bit.
     """
     rho = np.asarray(rho)
     sigma = np.asarray(sigma)

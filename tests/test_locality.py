@@ -293,14 +293,14 @@ def spied(monkeypatch, name):
 
 
 def sample_states(calls, n_samples):
-    """The (T, n_samples, d, d) target states that spied ``max_trace_distance`` calls took.
+    """The (T, n_samples, d, d) target differences that spied ``max_trace_distance`` calls took.
 
     A row slice's sample slices come one after the other; they are joined by samples, then
     the row slices by rows.
     """
     rows, part = [], []
-    for (rho, _), _ in calls:
-        part.append(rho)
+    for (diffs,), _ in calls:
+        part.append(diffs)
         if sum(p.shape[1] for p in part) == n_samples:
             rows.append(np.concatenate(part, axis=1))
             part = []
@@ -332,7 +332,7 @@ class TestSignalingByLinearity:
                                                   (np.inf, Chebyshev)])
     def test_sample_stacks_never_outgrow_the_trajectory(self, spec233, init233, monkeypatch,
                                                          eigh_cost, route):
-        # 1000 samples against 5 times: no state, cross stack or stack of sample target states
+        # 1000 samples against 5 times: no state, cross stack or stack of sample differences
         # holds more than the trajectory's 5 x 18 numbers; at 2x2x5 one row's cross states,
         # (2 x 5)^2 = 100 numbers, fill the trajectory's 5 x 20, so they go one row at a time
         times = np.linspace(0, 5, 5)
@@ -346,7 +346,7 @@ class TestSignalingByLinearity:
             budget = min(evolve_module.BLOCK_NUMBERS, len(times) * spec.dims.total)
             assert max(max(np.size(args[0]), out.size) for args, out in rdms) <= budget
             assert max(np.size(args[0]) for args, _ in samples) <= budget
-            # every sample's target state at every time, d_A^2 or d_B^2 numbers, went once
+            # every sample's target difference at every time, d_A^2 or d_B^2 numbers, went once
             d_a, _, d_b = spec.dims.factors
             total = len(times) * n_samples * (d_a ** 2 + d_b ** 2)
             assert sum(np.size(args[0]) for args, _ in samples) == total
@@ -356,8 +356,8 @@ class TestSignalingByLinearity:
     def test_sliced_samples_give_the_unsliced_signal(self, spec233, init233, monkeypatch,
                                                      eigh_cost, direction):
         # 111 samples against 5 times: slices of the rows and of the samples give every
-        # sample's target state, and so the signal, to the bit as one GEMM of all 111
-        # samples' pair weights with each block's cross states does. 111 is one past a
+        # sample's target difference, and so the signal, to the bit as one GEMM of all 111
+        # samples' q_s = w_s w_s+ - a a+ with each block's cross states does. 111 is one past a
         # multiple of both directions' slice sizes, 22 and 10: the samples are split evenly,
         # so no slice holds one lone sample, whose product BLAS would round by another kernel
         monkeypatch.setattr(evolve_module, "EIGH_FLOPS_PER_N3", eigh_cost)
@@ -371,7 +371,7 @@ class TestSignalingByLinearity:
         unsliced = sample_states(calls, 111)
         calls.clear()
         got = signal(spec233, init233, traj.times, direction, n_samples=111, seed=1)
-        # the job's calls of this direction, whose target states are d_target x d_target
+        # the job's calls of this direction, whose differences are d_target x d_target
         d_target = dims.a if direction == "b_to_a" else dims.b
         calls = [call for call in calls if call[0][0].shape[-1] == d_target]
         assert all(args[0].shape[1] < 111 for args, _ in calls)  # the samples went in slices
@@ -569,16 +569,16 @@ class TestRelabelledC:
                 assert_allclose(got[name], want[name], rtol=0, atol=1e-12, err_msg=f"{name}, r={r}")
 
 
-def conjugate_locally(spec, init, seed):
+def conjugate_locally(spec, init, seed, identity=""):
     """``spec`` and ``init`` under U_A x U_C x U_B, where U_C is 1 at the robust C index r and
     Haar on the others, so it fixes the robust state.
 
     The model is rebuilt from its conjugated matrices, so ``ModelSpec`` checks it afresh;
-    alpha turns by U_A and chi by U_B.
+    alpha turns by U_A and chi by U_B. The sides named in ``identity`` ("A", "B") keep U = I.
     """
     d_a, d_c, d_b = spec.dims.factors
-    u_a = haar_unitary(d_a, derive_seed(seed, "U_A"))
-    u_b = haar_unitary(d_b, derive_seed(seed, "U_B"))
+    u_a = np.eye(d_a) if "A" in identity else haar_unitary(d_a, derive_seed(seed, "U_A"))
+    u_b = np.eye(d_b) if "B" in identity else haar_unitary(d_b, derive_seed(seed, "U_B"))
     others = np.delete(np.arange(d_c), spec.robust_index)
     u_c = np.eye(d_c, dtype=complex)
     u_c[np.ix_(others, others)] = haar_unitary(d_c - 1, derive_seed(seed, "U_C"))
@@ -668,3 +668,31 @@ class TestLocalUnitaryInvariance:
         got = locality_columns(moved, moved_init, times, n_samples=8, seed=1)["mi_ab_bits"]
         assert want.max() > 1e-3
         assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("eigh_cost", [evolve_module.EIGH_FLOPS_PER_N3, np.inf],
+                             ids=["spectral", "chebyshev"])
+    @pytest.mark.parametrize("r", [0, 1], ids=["r0", "r1"])
+    @pytest.mark.parametrize("factors", [(2, 3, 4), (3, 3, 5)], ids=["2x3x4", "3x3x5"])
+    def test_signals_are_invariant_on_the_target_side(self, factors, r, eigh_cost, monkeypatch):
+        # U_target x U_C with the source side left as I commutes with every sampled G on the
+        # source, so each sample's target state only turns by U_target and its trace distance
+        # stays put, to roundoff: the seeded unitaries need no conjugating. A reduction of the
+        # target state that depended on the target's basis, or on C's, would move the signal
+        spec, init, _ = oracle_case(factors, 0.5)
+        spec = relabel_c(dataclasses.replace(spec, c1=20.0), r)
+        times = np.linspace(0, 10, 41)
+        monkeypatch.setattr(evolve_module, "EIGH_FLOPS_PER_N3", eigh_cost)
+        monkeypatch.setattr(evolve_module, "CHEB_TERM_FLOPS", 0.0)
+        want = locality_columns(spec, init, times, n_samples=8, seed=1)
+        for source, name, other in (("B", "signal_b_to_a", "signal_a_to_b"),
+                                    ("A", "signal_a_to_b", "signal_b_to_a")):
+            moved, moved_init = conjugate_locally(spec, init, sum(factors), identity=source)
+            assert np.abs(moved.h_ac - spec.h_ac).max() > 0.1
+            assert np.abs(moved.h_cb - spec.h_cb).max() > 0.1
+            route = locality_trajectory(moved, moved_init, times).route
+            assert isinstance(route, Chebyshev if eigh_cost == np.inf else Propagator)
+            got = locality_columns(moved, moved_init, times, n_samples=8, seed=1)
+            assert want[name].max() > 1e-3
+            assert_allclose(got[name], want[name], rtol=0, atol=1e-12, err_msg=name)
+            # the other signal's source side turned, and its seeded unitaries did not
+            assert np.abs(got[other] - want[other]).max() > 1e-3
