@@ -23,8 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (InitialSpec, ModelSpec, assemble_hamiltonian, hamiltonian_blocks, initial_state,
-                    place_robust)
+from .model import InitialSpec, ModelSpec, assemble_hamiltonian, hamiltonian_blocks, initial_state
 from .qcore import ValidationError, check_hermitian, eigh_ordered, mi_and_entropies, spectral_norm
 
 __all__ = [
@@ -552,20 +551,18 @@ def perturbation_data(spec: ModelSpec) -> PerturbationData:
 
 
 def product_approx(init: InitialSpec, pd: PerturbationData, times) -> np.ndarray:
-    """Phase-dressed product-form states of ``pd.spec``, one row per time (unit norm).
+    """Phase-dressed product-form A x B amplitudes of ``pd.spec``, (T, d_A, d_B), unit norm.
 
-    The amplitude of the basis pair (i, j) turns with its dressed energy
-    ``pd.energies[i, j]``, whose second-order shift depends on both labels,
-    so each row is generally A-B correlated even though it never leaves the
-    robust C state. The same phase guard as :func:`propagate` applies to these
-    energies: lambda_i0j grows like c2^2 / c1, so a small c1 can leave the
-    phases with fewer than eight correct digits, which raises ``ValidationError``.
+    Row t is sum_ij c_ij e^{-i E_ij t} |a_i>|b_j>, with E_ij = ``pd.energies[i, j]``: the
+    state never leaves the robust C state, where ``model.place_robust`` would put it, but the
+    second-order shift depends on both labels, so each row is generally A-B correlated. The
+    phase guard of :func:`propagate` applies to these energies: lambda_i0j grows like c2^2 /
+    c1, so a small c1 can leave fewer than eight correct digits, which raises ``ValidationError``.
     """
     pd.check_phases(times)
     t = np.asarray(times, dtype=float).reshape(-1, 1, 1)
     amp = np.outer(pd.a_vecs.conj().T @ init.alpha, pd.b_vecs.conj().T @ init.chi)
-    ab = pd.a_vecs @ (amp * np.exp(-1j * t * pd.energies)) @ pd.b_vecs.T
-    return place_robust(ab, pd.spec.dims, pd.spec.robust_index)
+    return pd.a_vecs @ (amp * np.exp(-1j * t * pd.energies)) @ pd.b_vecs.T
 
 
 _SIMULATE_COLUMNS = ("mi_ab_bits", "entropy_a_bits", "entropy_b_bits", "residual_eq4", "norm_error")
@@ -578,7 +575,7 @@ def simulate_columns(spec: ModelSpec, init: InitialSpec,
     One value per time: ``mi_ab_bits``, ``entropy_a_bits`` and ``entropy_b_bits`` of the
     exact state, ``residual_eq4`` (``_residuals``) and ``norm_error``, | ||psi|| - 1 |. The
     grid is checked and the product form's phase guard runs before any propagation; then
-    one evolve pass reduces each block as it arrives.
+    one evolve pass reduces each block as it arrives, the residual last, as it consumes it.
     """
     times = _time_grid(times)
     pd = perturbation_data(spec)
@@ -587,23 +584,24 @@ def simulate_columns(spec: ModelSpec, init: InitialSpec,
     parts = []
     for rows, states in traj.evolve():
         psi = states[:, 0]
-        parts.append((*mi_and_entropies(psi, spec.dims),
-                      _residuals(product_approx(init, pd, traj.times[rows]), psi),
-                      np.abs(row_norms(psi) - 1.0)))
+        mi = mi_and_entropies(psi, spec.dims)
+        norm_error = np.abs(row_norms(psi) - 1.0)
+        residual = _residuals(product_approx(init, pd, traj.times[rows]), psi, spec.robust_index)
+        parts.append((*mi, residual, norm_error))
     return pd, dict(zip(_SIMULATE_COLUMNS, map(np.concatenate, zip(*parts))))
 
 
-def _residuals(approx: np.ndarray, psi: np.ndarray) -> np.ndarray:
-    """Phase-aligned distance of each row of ``psi`` from that of ``approx``, which it overwrites.
+def _residuals(ab: np.ndarray, psi: np.ndarray, robust_index: int) -> np.ndarray:
+    """Each row's min over a global phase of || psi - e^{i phi} place_robust(ab) ||; consumes both.
 
-    min over a global phase of || psi - e^{i phi} approx ||, i.e. sqrt(2 - 2 |<approx|psi>|),
-    as a vector norm at the optimal phase: the overlap would floor it at sqrt(machine eps).
-    ``approx`` dies on return, so no product-form block outlives the evolved one it matches.
+    That is sqrt(2 - 2 |<ab|psi_r>|), taken as a vector norm at the optimal phase, since the
+    overlap would floor it at sqrt(machine eps). The overlap needs only psi_r, the robust C
+    slice of ``psi``, (T, n) with contiguous rows; e^{i phi} ab is subtracted from that slice
+    in place, so each row of ``psi`` becomes the difference.
     """
-    # <approx|exact> row by row: vdot conjugates its first argument without a copy of it
-    ov = np.fromiter(map(np.vdot, approx, psi), dtype=complex, count=len(approx))
+    robust = psi.reshape(*ab.shape[:2], -1, ab.shape[2])[:, :, robust_index]
+    ov = np.einsum("tab,tab->t", ab.conj(), robust)
     mag = np.abs(ov)
-    phase = np.divide(ov, mag, out=np.ones_like(ov), where=mag > 0)
-    # e^{i phi} approx - exact, in place: fl(y - x) = -fl(x - y), so the norms are unchanged
-    np.subtract(np.multiply(phase[:, None], approx, out=approx), psi, out=approx)
-    return row_norms(approx)
+    ab *= np.divide(ov, mag, out=np.ones_like(ov), where=mag > 0)[:, None, None]
+    robust -= ab
+    return row_norms(psi)

@@ -13,9 +13,11 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
 def _run_clean(script: Path) -> subprocess.CompletedProcess:
-    # the scripts import the same disd package as the tests; any warning fails the run
+    # the scripts import the same disd package as the tests and run under the non-finite
+    # LAPACK input guard of the tests; any warning or non-finite LAPACK input fails the run
     env = dict(os.environ, PYTHONPATH=str(Path(disd.__file__).resolve().parents[1]))
-    proc = subprocess.run([sys.executable, "-W", "error", str(script)], env=env,
+    guard = Path(__file__).resolve().with_name("lapack_guard.py")
+    proc = subprocess.run([sys.executable, "-W", "error", str(guard), str(script)], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == ""
@@ -37,6 +39,19 @@ def test_readme_quick_start_runs_clean(tmp_path):
     script = tmp_path / "quick_start.py"
     script.write_text(blocks[0])
     _run_clean(script)
+
+
+def test_a_nan_reaching_lapack_fails_the_run(tmp_path):
+    # eigh may answer a NaN matrix without an error; the guard still fails the run
+    script = tmp_path / "nan_eigh.py"
+    script.write_text("import numpy as np\n"
+                      "try:\n"
+                      "    np.linalg.eigh(np.full((2, 2), np.nan))\n"
+                      "except np.linalg.LinAlgError:\n"
+                      "    pass\n"
+                      "print('done')\n")
+    with pytest.raises(AssertionError, match=r"non-finite input reached LAPACK in np\.linalg\.eigh"):
+        _run_clean(script)
 
 
 def test_package_exports_the_names_the_readme_and_demos_use():

@@ -25,7 +25,8 @@ from disd.evolve import (
     simulate_columns,
 )
 from disd.locality import locality_columns
-from disd.model import InitialSpec, ModelSpec, assemble_hamiltonian, build_canonical, initial_state
+from disd.model import (InitialSpec, ModelSpec, assemble_hamiltonian, build_canonical,
+                        initial_state, place_robust)
 from disd.qcore import Dims, ValidationError
 
 from oracles import (chebyshev_operator, chebyshev_series_exact, dense_exponential, energy_table,
@@ -265,15 +266,16 @@ class TestPerturbationData:
 class TestProductApprox:
     def test_time_zero_equals_initial(self, spec233, init233):
         pd = perturbation_data(spec233)
-        psi = product_approx(init233, pd, [0.0])
+        ab = product_approx(init233, pd, [0.0])
         psi0 = initial_state(init233, spec233.dims, spec233.robust_index)
-        assert psi.shape == (1, spec233.dims.total)
-        assert np.abs(psi[0] - psi0).max() <= 1e-12
+        assert ab.shape == (1, 2, 3)  # (T, d_A, d_B): the product form holds no C index
+        assert np.abs(place_robust(ab[0], spec233.dims, spec233.robust_index) - psi0).max() <= 1e-12
 
     def test_unit_norm_at_all_times(self, spec233, init233):
         pd = perturbation_data(spec233)
-        psi = product_approx(init233, pd, [0.0, 0.7, 3.3, 12.0])
-        assert np.abs(np.linalg.norm(psi, axis=1) - 1.0).max() <= 1e-12
+        ab = product_approx(init233, pd, [0.0, 0.7, 3.3, 12.0])
+        assert ab.shape == (4, 2, 3)
+        assert np.abs(np.linalg.norm(ab, axis=(1, 2)) - 1.0).max() <= 1e-12
 
     def test_exact_when_c2_zero(self, dims233, init233):
         spec = build_canonical(dims233, 2, 3.0, 0.0)
@@ -314,10 +316,21 @@ class TestRowNorms:
         assert_allclose(got, np.linalg.norm(states, axis=1), rtol=1e-15, atol=0)
 
 
+# each oracle case at the first, a middle and the last C index: the residual writes into slice r
+ROBUST_CASES = [pytest.param(factors, c2, r, id=name + (f"-r{r}" if r else ""))
+                for (factors, c2), name in zip(ORACLE_CASES, ORACLE_IDS)
+                for r in sorted({0, factors[1] // 2, factors[1] - 1})]
+
+
+def robust_case(factors, c2, r):
+    """``oracle_case`` with its model's robust C state at index r."""
+    _, init, times = oracle_case(factors, c2)
+    return build_canonical(Dims(*factors), 3, 2.0, c2, robust_index=r), init, times
+
+
 class TestResidualsAgainstOracle:
-    @pytest.mark.parametrize("factors, c2", ORACLE_CASES, ids=ORACLE_IDS)
-    def test_stacked_matches_per_row_route(self, factors, c2):
-        spec, init, times = oracle_case(factors, c2)
+    @staticmethod
+    def check_against_oracle(spec, init, times, c2):
         pd, columns = simulate_columns(spec, init, times)
         traj = propagate(spec, init, times)
         states = trajectory_states(traj)
@@ -327,6 +340,41 @@ class TestResidualsAgainstOracle:
             assert expected.max() <= 1e-9
         else:
             assert expected.max() > 1e-3
+        return traj
+
+    @pytest.mark.parametrize("factors, c2, r", ROBUST_CASES)
+    def test_stacked_matches_per_row_route(self, factors, c2, r):
+        self.check_against_oracle(*robust_case(factors, c2, r), c2)
+
+    @pytest.mark.parametrize("r", [0, 1, 2])
+    def test_chebyshev_route_matches_per_row_route(self, r, monkeypatch):
+        monkeypatch.setattr(evolve, "EIGH_FLOPS_PER_N3", np.inf)  # every grid prefers Chebyshev
+        traj = self.check_against_oracle(*robust_case((2, 3, 4), 0.5, r), 0.5)
+        assert isinstance(traj.route, Chebyshev)
+
+    def test_an_exact_row_orthogonal_to_the_product_form_is_sqrt2_away(self, spec233, init233):
+        # a row outside the robust C state has zero overlap with the product form: no phase
+        # aligns them, and the residual is sqrt(1 + 1)
+        pd = perturbation_data(spec233)
+        times = np.array([0.0, 1.5, 4.0])
+        states = place_robust(product_approx(init233, pd, times[::-1]), spec233.dims, 1)
+        expected = residuals_per_row(spec233, init233, pd, times, states)
+        got = evolve._residuals(product_approx(init233, pd, times), states.copy(), 0)
+        assert_allclose(got, np.sqrt(2), rtol=0, atol=1e-12)
+        assert_allclose(got, expected, rtol=0, atol=1e-12)
+
+    def test_residual_holds_less_than_the_block_it_reads(self):
+        # d_C = 8: the product form of a block is an eighth of it, so the residual of a block
+        # must not form a (rows, n) array, as a zero-filled product form in n space would
+        spec, init = uniform_case((4, 8, 16))
+        pd = perturbation_data(spec)
+        traj = propagate(spec, init, np.linspace(0, 5, 200))
+        rows, states = next(traj.evolve())
+        tracemalloc.start()
+        evolve._residuals(product_approx(init, pd, traj.times[rows]), states[:, 0], 0)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert peak < states.nbytes
 
 
 def uniform_case(factors, c1=50.0):
