@@ -13,9 +13,9 @@ maximization of the normalized trace fidelity
 over unitaries V and W. With one factor fixed the optimum for the other is
 closed form: the polar unitary factor of an environment contraction of U
 (a unitary Procrustes step), so F never decreases and the iteration stops at
-a stationary point. Multiple restarts guard against bad basins. The residual
-1 - F is a certificate only in one direction: small means sequential, large
-means no sequential form was found.
+a stationary point. Multiple restarts, run together as one stack, guard
+against bad basins. The residual 1 - F is a certificate only in one
+direction: small means sequential, large means no sequential form was found.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ GAIN_TOL = 1e-12  # a restart stops once an iteration gains less fidelity than t
 # in Q, at most 1.2e-13 at kappa = 100, 1e-11 at 1e3 and 1e-9 at 1e4 (random 16 x 16
 # and 32 x 32 matrices), so beyond 100 the 1e-12 agreement would not hold.
 GRAM_KAPPA2 = 1e4
-RESTARTS = 5  # starts of the alternating search; the best one wins
+RESTARTS = 5  # starts of the alternating search, run as one stack; the best one wins
 MAX_ITERS = 200  # alternating-polar iterations per restart
 
 
@@ -68,36 +68,58 @@ def planted_sequential(dims: Dims, seed: int) -> np.ndarray:
     return sequential_unitary(v, w, dims)
 
 
-def _polar_unitary(m: np.ndarray) -> tuple[np.ndarray, float]:
-    """Unitary polar factor Q of m and tr(Q+ m), the sum of m's singular values.
+def _polar_unitary(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Unitary polar factors Q of a stack m (k, d, d), and each tr(Q+ m) = sum(sigma(m)).
 
     With m+ m = V diag(lambda) V+, Q = m V diag(lambda)^(-1/2) V+ and
-    tr(Q+ m) = sum(sqrt(lambda)): one Hermitian eigendecomposition, cheaper
-    than an SVD. That Gram route is taken when m is well conditioned, lambda_min
-    > 0 and lambda_max <= ``GRAM_KAPPA2`` * lambda_min (kappa(m) <= 100), where Q
-    is within 1.2e-13 of the SVD's U V+ and unitary to 1e-12. A zero, singular or
-    ill-conditioned m takes the SVD, m = U diag(sigma) V+, with Q = U V+.
+    tr(Q+ m) = sum(sqrt(lambda)): one stacked Hermitian eigendecomposition of the k
+    Gram matrices, cheaper than SVDs. A member takes that Gram route when it is well
+    conditioned, lambda_min > 0 and lambda_max <= ``GRAM_KAPPA2`` * lambda_min
+    (kappa(m) <= 100), where Q is within 1.2e-13 of the SVD's U V+ and unitary to
+    1e-12. The zero, singular or ill-conditioned members that this guard refuses take
+    one stacked SVD, m = U diag(sigma) V+ with Q = U V+; their lambda is replaced by 1
+    before the square root, so it reaches neither that nor a division.
     """
-    lam, vec = np.linalg.eigh(m.conj().T @ m)
-    if lam[0] > 0 and lam[-1] <= GRAM_KAPPA2 * lam[0]:
-        root = np.sqrt(lam)
-        return ((m @ vec) / root) @ vec.conj().T, float(root.sum())
-    u, s, vh = np.linalg.svd(m)
-    return u @ vh, float(s.sum())
+    lam, vec = np.linalg.eigh(m.conj().transpose(0, 2, 1) @ m)
+    gram = (lam[:, 0] > 0) & (lam[:, -1] <= GRAM_KAPPA2 * lam[:, 0])
+    root = np.sqrt(np.where(gram[:, None], lam, 1.0))
+    q = ((m @ vec) / root[:, None, :]) @ vec.conj().transpose(0, 2, 1)
+    trace = root.sum(axis=1)
+    if not gram.all():
+        u, s, vh = np.linalg.svd(m[~gram])
+        q[~gram] = u @ vh
+        trace[~gram] = s.sum(axis=1)
+    return q, trace
 
 
 def _env_v(uv: np.ndarray, w: np.ndarray, dims: Dims) -> np.ndarray:
-    """Tr_B[(I_A x W)+ U], the environment of V: tr(V+ env) = tr(X+ U); one GEMM on uv."""
+    """Tr_B[(I_A x W)+ U] for each W of a stack w (k, d_C d_B, d_C d_B): V's environments.
+
+    tr(V+ env) = tr(X+ U) for X = (I_A x W)(V x I_B); one GEMM of width k d_C on uv.
+    """
     a, c, b = dims.factors
-    wt = w.conj().reshape(c, b, c, b).transpose(0, 1, 3, 2).reshape(c * b * b, c)
-    return (uv @ wt).reshape(a, a, c, c).transpose(0, 3, 1, 2).reshape(a * c, a * c)
+    k = len(w)
+    wt = w.conj().reshape(k, c, b, c, b).transpose(1, 2, 4, 0, 3).reshape(c * b * b, k * c)
+    env = (uv @ wt).reshape(a, a, c, k, c).transpose(3, 0, 4, 1, 2)
+    return env.reshape(k, a * c, a * c)
 
 
 def _env_w(uv: np.ndarray, v: np.ndarray, dims: Dims) -> np.ndarray:
-    """Tr_A[U (V x I_B)+], the environment of W: tr(W+ env) = tr(X+ U); one GEMM on uv.T."""
+    """Tr_A[U (V x I_B)+] for each V of a stack v (k, d_A d_C, d_A d_C): W's environments.
+
+    tr(W+ env) = tr(X+ U) for X = (I_A x W)(V x I_B); one GEMM of width k d_C on uv.T.
+    """
     a, c, b = dims.factors
-    vt = v.conj().reshape(a, c, a, c).transpose(0, 2, 3, 1).reshape(a * a * c, c)
-    return (uv.T @ vt).reshape(c, b, b, c).transpose(0, 1, 3, 2).reshape(c * b, c * b)
+    k = len(v)
+    vt = v.conj().reshape(k, a, c, a, c).transpose(1, 3, 4, 0, 2).reshape(a * a * c, k * c)
+    env = (uv.T @ vt).reshape(c, b, b, k, c).transpose(3, 0, 1, 4, 2)
+    return env.reshape(k, c * b, c * b)
+
+
+def _starts(dim: int, seed: int, side: str) -> np.ndarray:
+    """One side's factors at the ``RESTARTS`` starts: restart 0's identity, then seeded Haar."""
+    draws = haar_unitary(dim, [derive_seed(seed, "restart", r, side) for r in range(1, RESTARTS)])
+    return np.concatenate([np.eye(dim, dtype=complex)[None], draws])
 
 
 def sequential_residual(u: np.ndarray, dims: Dims, seed: int = 0) -> DecompositionResult:
@@ -106,43 +128,51 @@ def sequential_residual(u: np.ndarray, dims: Dims, seed: int = 0) -> Decompositi
     Restart 0 of ``RESTARTS`` starts from identity factors (exact for inputs
     already of the form V x I_B); the others start from seeded Haar factors.
     Each restart alternates the two closed-form updates until the fidelity
-    gain drops below 1e-12 or ``MAX_ITERS`` is reached; the best restart
-    wins. The search stops early once F is within 1e-12 of its ceiling.
+    gain drops below ``GAIN_TOL`` or ``MAX_ITERS`` is reached. The restarts
+    run as one stack: an iteration makes one environment GEMM per side and one
+    stacked polar step per side for every restart still live, and a restart
+    leaves the stack at its own stop. Once a restart stops at F >= 1 - 1e-12,
+    every later one leaves at once, while earlier ones run to their own stop.
+    The outcome is that of running the restarts one at a time and stopping
+    after the first to reach that ceiling: the best restart up to it wins,
+    the first on a tie, and ``restarts_used`` counts up to it.
 
     It holds one extra n x n complex copy of U, ``uv``, with rows (a, a', c')
-    and columns (c, b, b'), primes marking inputs: each environment is one GEMM.
+    and columns (c, b, b'), primes marking inputs.
     """
     n = dims.total
     u = check_unitary(u, n)
 
     a, c, b = dims.factors
     uv = u.reshape(a, c, b, a, c, b).transpose(0, 3, 4, 1, 2, 5).reshape(a * a * c, c * b * b)
-    best = None
-    restarts_used = 0
-    for r in range(RESTARTS):
-        if r == 0:
-            v = np.eye(a * c, dtype=complex)
-            w = np.eye(c * b, dtype=complex)
-        else:
-            v = haar_unitary(a * c, derive_seed(seed, "restart", r, "v"))
-            w = haar_unitary(c * b, derive_seed(seed, "restart", r, "w"))
-        f = float(abs(np.vdot(w, _env_w(uv, v, dims)))) / n
-        history = [f]
-        for iters in range(1, MAX_ITERS + 1):
-            v, _ = _polar_unitary(_env_v(uv, w, dims))
-            w, trace = _polar_unitary(_env_w(uv, v, dims))
-            # W is the polar factor of its environment, so tr(X+ U) = sum(sigma) >= 0
-            history.append(trace / n)
-            converged = history[-1] - f < GAIN_TOL
-            f = max(f, history[-1])
-            if converged:
-                break
-        restarts_used += 1
-        if best is None or f > best[0]:
-            best = (f, v, w, iters, converged, np.asarray(history))
-        if best[0] >= 1.0 - 1e-12:
+    v, w = _starts(a * c, seed, "v"), _starts(c * b, seed, "w")
+    f = np.abs(np.einsum("kij,kij->k", w.conj(), _env_w(uv, v, dims))) / n
+    history = np.empty((RESTARTS, MAX_ITERS + 1))
+    history[:, 0] = f
+    iterations = np.zeros(RESTARTS, dtype=int)
+    converged = np.zeros(RESTARTS, dtype=bool)
+    live = np.arange(RESTARTS)
+    for it in range(1, MAX_ITERS + 1):
+        v[live], _ = _polar_unitary(_env_v(uv, w[live], dims))
+        w[live], trace = _polar_unitary(_env_w(uv, v[live], dims))
+        # W is the polar factor of its environment, so tr(X+ U) = sum(sigma) >= 0
+        f_new = trace / n
+        history[live, it] = f_new
+        iterations[live] = it
+        stop = f_new - f[live] < GAIN_TOL
+        converged[live] = stop
+        f[live] = np.maximum(f[live], f_new)
+        ended, live = live[stop], live[~stop]
+        top = ended[f[ended] >= 1.0 - 1e-12]
+        if top.size:
+            live = live[live < top[0]]
+        if not live.size:
             break
 
-    f, v, w, iters, converged, history = best
-    return DecompositionResult(residual=max(0.0, 1.0 - f), v_ac=v, w_cb=w, iterations=iters,
-                               converged=converged, restarts_used=restarts_used, f_history=history)
+    top = np.flatnonzero(f >= 1.0 - 1e-12)
+    restarts_used = int(top[0]) + 1 if top.size else RESTARTS
+    r = int(np.argmax(f[:restarts_used]))
+    return DecompositionResult(residual=max(0.0, 1.0 - float(f[r])), v_ac=v[r], w_cb=w[r],
+                               iterations=int(iterations[r]), converged=bool(converged[r]),
+                               restarts_used=restarts_used,
+                               f_history=history[r, :iterations[r] + 1])

@@ -2,11 +2,14 @@
 answer, so each call that passes one is recorded in ``non_finite_lapack_calls``.
 
 ``conftest.py`` installs it for the test session. Run as a script, it installs it and runs
-another, ``python lapack_guard.py script.py [args]``, which then exits nonzero, naming the
-calls, if any of them passed a non-finite input, whatever the script's own outcome.
+another, ``python lapack_guard.py script.py [args]``, or a module as ``python -m`` would,
+``python lapack_guard.py -m module [args]``. The run then exits nonzero, naming the calls, if
+any of them passed a non-finite input, whatever its own outcome; otherwise it keeps its own
+exit status.
 """
 
 import functools
+import os
 import runpy
 import sys
 from pathlib import Path
@@ -54,11 +57,18 @@ def report() -> str:
 
 if __name__ == "__main__":
     install()
-    script = sys.argv[1]
-    sys.argv = sys.argv[1:]
-    sys.path[0] = str(Path(script).resolve().parent)  # as if the script were run itself
+    if sys.argv[1] == "-m":
+        module = sys.argv[2]
+        sys.argv = sys.argv[2:]  # run_module's alter_sys sets argv[0] to the module's file
+        sys.path[0] = os.getcwd()  # as under python -m
+        run = functools.partial(runpy.run_module, module, run_name="__main__", alter_sys=True)
+    else:
+        script = sys.argv[1]
+        sys.argv = sys.argv[1:]
+        sys.path[0] = str(Path(script).resolve().parent)  # as if the script were run itself
+        run = functools.partial(runpy.run_path, script, run_name="__main__")
     try:
-        runpy.run_path(script, run_name="__main__")
+        run()
     finally:
         if non_finite_lapack_calls:
             sys.exit(report())

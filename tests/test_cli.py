@@ -54,6 +54,38 @@ def write_config(tmp_path, doc, name="config.json"):
     return str(path)
 
 
+LAPACK_GUARD = Path(__file__).resolve().with_name("lapack_guard.py")
+
+
+def run_guarded(module, args, flags=(), **kwargs):
+    """``python [flags] -m module args`` in a subprocess, under the non-finite LAPACK input
+    guard of the tests: a NaN or inf that reaches LAPACK fails the run, which otherwise keeps
+    its own exit status."""
+    return subprocess.run([sys.executable, *flags, str(LAPACK_GUARD), "-m", module, *args],
+                          capture_output=True, text=True, **kwargs)
+
+
+class TestLapackGuardModuleRuns:
+    def test_a_nan_reaching_lapack_fails_the_run(self, tmp_path):
+        # eigh may answer a NaN matrix without an error; the module itself exits 0
+        (tmp_path / "nan_eigh.py").write_text("import numpy as np\n"
+                                              "try:\n"
+                                              "    np.linalg.eigh(np.full((2, 2), np.nan))\n"
+                                              "except np.linalg.LinAlgError:\n"
+                                              "    pass\n")
+        proc = run_guarded("nan_eigh", [], cwd=tmp_path, timeout=60)
+        assert proc.returncode == 1
+        assert proc.stderr == "non-finite input reached LAPACK in np.linalg.eigh\n"
+
+    def test_a_clean_run_keeps_its_exit_status_and_arguments(self, tmp_path):
+        (tmp_path / "exits.py").write_text("import sys\n"
+                                           "print(sys.argv[1:])\n"
+                                           "sys.exit(3)\n")
+        proc = run_guarded("exits", ["--out", "x"], cwd=tmp_path, timeout=60)
+        assert proc.returncode == 3
+        assert proc.stdout == "['--out', 'x']\n"
+
+
 def _preset():
     return json.loads((Path(__file__).resolve().parent.parent / "presets" / "ion-cage.json").read_text())
 
@@ -370,8 +402,7 @@ class TestThreadCount:
     def _run(args, threads):
         env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads), OMP_NUM_THREADS=str(threads),
                    PYTHONPATH=str(Path(disd.__file__).resolve().parents[1]))
-        proc = subprocess.run([sys.executable, "-m", "disd.cli", *args], env=env,
-                              capture_output=True, text=True, timeout=300)
+        proc = run_guarded("disd.cli", args, env=env, timeout=300)
         assert proc.returncode == 0, proc.stderr
         return proc.stdout
 
@@ -863,9 +894,9 @@ class TestExitCodes:
             time={"t_max": 1e305, "steps": 50})
         out = tmp_path / "out.csv"
         env = dict(os.environ, PYTHONPATH=str(Path(disd.__file__).resolve().parents[1]))
-        proc = subprocess.run([sys.executable, "-W", "error", "-m", "disd.cli", "locality",
-                               "--config", write_config(tmp_path, doc), "--out", str(out)],
-                              env=env, capture_output=True, text=True, timeout=120)
+        proc = run_guarded("disd.cli", ["locality", "--config", write_config(tmp_path, doc),
+                                        "--out", str(out)], flags=("-W", "error"), env=env,
+                           timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert proc.stderr == ""
         header, cols = parse_csv(out.read_text())
@@ -879,9 +910,9 @@ class TestExitCodes:
         doc = base_config(couplings={"c1": 1e308, "c2": 1e308})
         out = tmp_path / "out.csv"
         env = dict(os.environ, PYTHONPATH=str(Path(disd.__file__).resolve().parents[1]))
-        proc = subprocess.run([sys.executable, "-W", "error", "-m", "disd.cli", "locality",
-                               "--config", write_config(tmp_path, doc), "--out", str(out)],
-                              env=env, capture_output=True, text=True, timeout=120)
+        proc = run_guarded("disd.cli", ["locality", "--config", write_config(tmp_path, doc),
+                                        "--out", str(out)], flags=("-W", "error"), env=env,
+                           timeout=120)
         assert proc.returncode == 2, proc.stderr
         assert proc.stderr.startswith("validation error: phases lose their precision: ")
         assert "Traceback" not in proc.stderr and proc.stderr.count("\n") == 1
@@ -895,9 +926,9 @@ class TestExitCodes:
                           time={"t_max": 20.0, "steps": 11})
         out = tmp_path / "out.csv"
         env = dict(os.environ, PYTHONPATH=str(Path(disd.__file__).resolve().parents[1]))
-        proc = subprocess.run([sys.executable, "-W", "error", "-m", "disd.cli", "simulate",
-                               "--config", write_config(tmp_path, doc), "--out", str(out)],
-                              env=env, capture_output=True, text=True, timeout=120)
+        proc = run_guarded("disd.cli", ["simulate", "--config", write_config(tmp_path, doc),
+                                        "--out", str(out)], flags=("-W", "error"), env=env,
+                           timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert proc.stderr == ""
         header, cols = parse_csv(out.read_text())
