@@ -30,7 +30,6 @@ __all__ = [
     "Chebyshev",
     "PerturbationData",
     "Propagator",
-    "Trajectory",
     "block_budget",
     "perturbation_data",
     "product_approx",
@@ -357,11 +356,11 @@ def _block_rows(times: np.ndarray, n: int, k: int) -> int:
     return max(1, block_budget(times, n) // (k * n))
 
 
-def _route(spec: ModelSpec, times: np.ndarray, stacks=(1,)) -> Propagator | Chebyshev:
+def _route(spec: ModelSpec, times: np.ndarray, stacks) -> Propagator | Chebyshev:
     """The cheaper way to evolve ``spec`` over ``times``, by a fitted count.
 
     ``stacks`` holds the size of each stack the job evolves, and each is priced
-    over the blocks that :meth:`Trajectory.evolve` runs for it.
+    over the blocks that :func:`propagate` streams for it.
     The spectral route costs EIGH_FLOPS_PER_N3 * n^3 (assembly and ``eigh``)
     plus EVOLVE_FLOPS_PER_N2 * n^2 per state and time. A Chebyshev term, one
     2X, costs two complex block GEMMs, 8 n (d_A d_C + d_C d_B) real flops, per
@@ -383,39 +382,6 @@ def _route(spec: ModelSpec, times: np.ndarray, stacks=(1,)) -> Propagator | Cheb
                     for steps, _, c in cheb._plans(times, _block_rows(times, n, k))) < spectral):
         return cheb
     return Propagator(assemble_hamiltonian(spec))
-
-
-@dataclass(frozen=True, eq=False)
-class Trajectory:
-    """One model's ``route`` over strictly increasing times, and its product state ``psi0``.
-
-    It holds no evolved state: states leave it only as the blocks of :meth:`evolve`,
-    computed on ``route``.
-    """
-
-    times: np.ndarray
-    psi0: np.ndarray  # shape (total_dim,)
-    route: Propagator | Chebyshev
-
-    def evolve(self, stack: np.ndarray | None = None):
-        """A stack (k, n) of unit states over the trajectory's times: (rows, states) blocks.
-
-        With no stack, psi0 evolves as the stack (1, n). ``rows`` slices the times;
-        ``states`` has shape (rows, k, n). A block holds at most ``block_budget(times, n)``
-        numbers (whole rows, at least one), and is valid until the next is asked for: reduce
-        it, or copy it. On the Chebyshev route a block is one recurrence, cut only where its
-        rows would outgrow that limit; on the spectral route it takes as many rows as the
-        limit allows. These are the blocks ``_route`` prices. Before a block is yielded,
-        each of its states must keep unit norm within NORM_DRIFT_TOL, or ``ValidationError``
-        is raised; a NaN norm fails too.
-        """
-        psi = self.psi0[None] if stack is None else stack
-        max_rows = _block_rows(self.times, len(self.psi0), len(psi))
-        for rows, states in self.route.blocks(psi, self.times, max_rows):
-            drift = float(np.abs(row_norms(states.reshape(-1, states.shape[-1])) - 1.0).max())
-            if not drift <= NORM_DRIFT_TOL:
-                raise ValidationError(f"propagation norm drift {drift:.3e} > {NORM_DRIFT_TOL:.1e}")
-            yield rows, states
 
 
 @dataclass(frozen=True, eq=False)
@@ -454,22 +420,38 @@ def row_norms(states: np.ndarray) -> np.ndarray:
     return np.sqrt(np.einsum("ki,ki->k", parts, parts))
 
 
-def propagate(spec: ModelSpec, init: InitialSpec, times, stacks=(1,)) -> Trajectory:
-    """Exact evolution of the product state of ``init``: the one route from a model to states.
+def propagate(spec: ModelSpec, times, stacks) -> list:
+    """Exact evolution of each stack (k, n) of unit states: one lazy stream of blocks per stack.
 
-    C starts in the model's robust state. It picks the route and runs the
-    phase guard, but evolves no state: :meth:`Trajectory.evolve` does, block by
-    block. The states come from matrix-free ``Chebyshev`` steps or from the
-    spectral ``Propagator``, whichever costs fewer operations for the job's
-    ``stacks``, the size of each stack that it will evolve (see ``_route``): by
-    default (1,), psi0 alone. The phases e^{-iEt} carry an absolute error of about
-    eps * max|E| * t. A grid with eps * max|E| * max|t| above 1e-8, max|E| read from
-    the Chebyshev spectral bounds, would leave fewer than eight correct digits
-    in them, and raises ``ValidationError`` before either route is built.
+    Before any stream starts, the grid, then each stack's shape, is checked, and one route,
+    ``Chebyshev`` or the spectral ``Propagator``, is picked by the count of ``_route`` over
+    the blocks of exactly these stacks. Its phase guard comes first: the phases e^{-iEt}
+    carry an absolute error of about eps * max|E| * t, and a grid with eps * max|E| * max|t|
+    above 1e-8 (max|E| from the Chebyshev spectral bounds) raises ``ValidationError`` before
+    either route is built. A stream yields (rows, states): ``rows`` slices the times, and
+    ``states``, (rows, k, n), holds at most ``block_budget(times, n)`` numbers in whole rows,
+    at least one, valid until the next block is asked for. A Chebyshev block is one
+    recurrence, cut only where its rows would outgrow that limit; a spectral one takes as
+    many rows as the limit allows. Each state of a block must keep unit norm within
+    NORM_DRIFT_TOL, or ``ValidationError`` is raised; a NaN norm fails too.
     """
     times = _time_grid(times)
-    psi0 = initial_state(init, spec.dims, spec.robust_index)
-    return Trajectory(times=times, psi0=psi0, route=_route(spec, times, stacks))
+    for shape in map(np.shape, stacks):
+        if len(shape) != 2 or shape[0] < 1 or shape[1] != spec.dims.total:
+            raise ValueError(f"a stack must have shape (k, {spec.dims.total}) with k >= 1, "
+                             f"got {shape}")
+    route = _route(spec, times, [len(stack) for stack in stacks])
+    return [_stream(route, times, stack) for stack in stacks]
+
+
+def _stream(route: Propagator | Chebyshev, times: np.ndarray, stack: np.ndarray):
+    """The norm-checked blocks of ``stack`` on ``route``, ``_block_rows`` rows each."""
+    k, n = stack.shape
+    for rows, states in route.blocks(stack, times, _block_rows(times, n, k)):
+        drift = float(np.abs(row_norms(states.reshape(-1, states.shape[-1])) - 1.0).max())
+        if not drift <= NORM_DRIFT_TOL:
+            raise ValidationError(f"propagation norm drift {drift:.3e} > {NORM_DRIFT_TOL:.1e}")
+        yield rows, states
 
 
 def perturbation_data(spec: ModelSpec) -> PerturbationData:
@@ -580,13 +562,13 @@ def simulate_columns(spec: ModelSpec, init: InitialSpec,
     times = _time_grid(times)
     pd = perturbation_data(spec)
     pd.check_phases(times)  # before any propagation
-    traj = propagate(spec, init, times)
+    (stream,) = propagate(spec, times, [initial_state(init, spec.dims, spec.robust_index)[None]])
     parts = []
-    for rows, states in traj.evolve():
+    for rows, states in stream:
         psi = states[:, 0]
         mi = mi_and_entropies(psi, spec.dims)
         norm_error = np.abs(row_norms(psi) - 1.0)
-        residual = _residuals(product_approx(init, pd, traj.times[rows]), psi, spec.robust_index)
+        residual = _residuals(product_approx(init, pd, times[rows]), psi, spec.robust_index)
         parts.append((*mi, residual, norm_error))
     return pd, dict(zip(_SIMULATE_COLUMNS, map(np.concatenate, zip(*parts))))
 

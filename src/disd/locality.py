@@ -36,6 +36,7 @@ __all__ = [
 
 def _source_stack(init: InitialSpec, dims: Dims, robust_index: int, direction: str):
     """(amplitudes, basis, keep): G on the source makes psi0 into (G @ amplitudes) @ basis."""
+    initial_state(init, dims, robust_index)  # checks the amplitudes against dims
     if direction == "b_to_a":  # basis rows alpha x |r> x |j>
         amplitudes, ab, keep = init.chi, init.alpha[:, None] * np.eye(dims.b)[:, None], (0,)
     elif direction == "a_to_b":  # basis rows |i> x |r> x chi
@@ -45,9 +46,9 @@ def _source_stack(init: InitialSpec, dims: Dims, robust_index: int, direction: s
     return amplitudes, place_robust(ab, dims, robust_index), keep
 
 
-def _signaling_reducer(init: InitialSpec, dims: Dims, robust_index: int, direction: str,
+def _signaling_reducer(amplitudes: np.ndarray, keep: tuple, dims: Dims, direction: str,
                        n_samples: int, seed: int, budget: int):
-    """(basis, reduce): the source basis of ``direction`` and the reducer of its evolved blocks.
+    """The reducer of the evolved source basis of ``direction`` (``_source_stack``).
 
     ``reduce(phi)`` gives each row's max target disturbance, where ``phi`` is a
     block of the evolved basis, shape (rows, d_s, n): sample s's difference D_s
@@ -61,7 +62,6 @@ def _signaling_reducer(init: InitialSpec, dims: Dims, robust_index: int, directi
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
-    amplitudes, basis, keep = _source_stack(init, dims, robust_index, direction)
     d_s, d_t = len(amplitudes), dims.factors[keep[0]]
     seeds = [derive_seed(seed, "signaling", direction, k) for k in range(n_samples)]
     draw = max(1, budget // d_s ** 2)
@@ -86,7 +86,7 @@ def _signaling_reducer(init: InitialSpec, dims: Dims, robust_index: int, directi
             out.append(np.max([max_trace_distance(d) for d in diffs], axis=0))
         return np.concatenate(out)
 
-    return basis, reduce
+    return reduce
 
 
 def locality_columns(spec: ModelSpec, init: InitialSpec, times, n_samples: int = 64,
@@ -98,20 +98,21 @@ def locality_columns(spec: ModelSpec, init: InitialSpec, times, n_samples: int =
     at t = 0, moves the target's reduced state off the unmodified one. Sample
     k's unitary depends only on (seed, direction, k), so enlarging n_samples
     refines the same family. ``mi_ab_bits`` is I(A:B) of the unmodified state.
-    One route, priced for both passes, serves the job: the B->A pass evolves
-    the d_B source basis states phi, and takes the mutual information from
-    psi0 = chi @ phi, then the A->B pass evolves the d_A ones. Each block
-    is reduced as it arrives. Besides the q_s, no stack the job forms
-    holds more than ``evolve.block_budget(times, n)`` numbers, except where one
-    time's cross states outnumber it (see ``_signaling_reducer``).
+    One ``propagate`` call serves the job with two streams: the d_B source
+    basis states phi of the B->A pass, which give the mutual information of
+    psi0 = chi @ phi, then, once that stream is spent, the d_A ones of the A->B
+    pass. Each block is reduced as it arrives. Besides the q_s, no stack the
+    job forms holds more than ``evolve.block_budget(times, n)`` numbers, except
+    where one time's cross states outnumber it (see ``_signaling_reducer``).
     """
     dims = spec.dims
-    traj = propagate(spec, init, times, stacks=(dims.b, dims.a))
+    sources = {d: _source_stack(init, dims, spec.robust_index, d) for d in ("b_to_a", "a_to_b")}
+    streams = propagate(spec, times, [basis for _, basis, _ in sources.values()])
     columns = {"signal_b_to_a": [], "signal_a_to_b": [], "mi_ab_bits": []}
-    for direction in ("b_to_a", "a_to_b"):
-        basis, reduce = _signaling_reducer(init, dims, spec.robust_index, direction, n_samples,
-                                           seed, block_budget(traj.times, dims.total))
-        for _, states in traj.evolve(basis):
+    for (direction, (amplitudes, _, keep)), stream in zip(sources.items(), streams):
+        reduce = _signaling_reducer(amplitudes, keep, dims, direction, n_samples, seed,
+                                    block_budget(times, dims.total))
+        for _, states in stream:
             columns[f"signal_{direction}"].append(reduce(states))
             if direction == "b_to_a":
                 columns["mi_ab_bits"].append(mi_and_entropies(init.chi @ states, dims)[0])
@@ -126,10 +127,10 @@ def signaling_test_unitary(u: np.ndarray, init: InitialSpec, dims: Dims, robust_
     states evolved by ``u``: no stack of differences D_s = q_s @ cross outgrows
     one state; the cross states, d_source^2 d_target^2 numbers, may.
     """
-    initial_state(init, dims, robust_index)  # checks the amplitudes against dims
+    amplitudes, basis, keep = _source_stack(init, dims, robust_index, direction)
     u = check_unitary(u, dims.total)
-    basis, reduce = _signaling_reducer(init, dims, robust_index, direction, n_samples, seed,
-                                       budget=dims.total)
+    reduce = _signaling_reducer(amplitudes, keep, dims, direction, n_samples, seed,
+                                budget=dims.total)
     return float(reduce((basis @ u.T)[None])[0])
 
 

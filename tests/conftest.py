@@ -44,6 +44,54 @@ def propagator_builds(monkeypatch):
 
 
 @pytest.fixture
+def haar_draws(monkeypatch):
+    """A list that gains the dimension of each ``qcore.haar_unitary`` call during the test,
+    also of those that ``disd.locality`` makes through the name it imported."""
+    draws = []
+    draw = disd.qcore.haar_unitary
+
+    def counted(dim, seed):
+        draws.append(dim)
+        return draw(dim, seed)
+
+    for module in (disd.qcore, disd.locality):
+        monkeypatch.setattr(module, "haar_unitary", counted)
+    return draws
+
+
+@pytest.fixture
+def job_route(monkeypatch):
+    """``job_route(job, *args)``: the route that ``evolve._route`` picks for ``job(*args)``.
+
+    The job stops as the route is picked, before any stream starts, so the sizes of the
+    stacks it evolves are priced as the job prices them and never copied into a test.
+    """
+    class Picked(Exception):
+        pass
+
+    route = disd.evolve._route
+
+    def picked(job, *args, **kwargs):
+        routes = []
+
+        def spy(*route_args):
+            routes.append(route(*route_args))
+            raise Picked
+
+        monkeypatch.setattr(disd.evolve, "_route", spy)
+        try:
+            job(*args, **kwargs)
+        except Picked:
+            pass
+        finally:
+            monkeypatch.setattr(disd.evolve, "_route", route)
+        (got,) = routes
+        return got
+
+    return picked
+
+
+@pytest.fixture
 def dims222():
     return disd.Dims(2, 2, 2)
 

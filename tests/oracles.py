@@ -11,6 +11,8 @@ from fractions import Fraction
 import numpy as np
 
 from disd.decompose import GAIN_TOL, MAX_ITERS, RESTARTS
+from disd.evolve import propagate
+from disd.model import initial_state
 from disd.qcore import (
     ValidationError,
     derive_seed,
@@ -82,13 +84,14 @@ def trace_distance(rho, sigma):
     return float(d) if d.ndim == 0 else d
 
 
-def trajectory_states(traj, stack=None):
-    """Every block of ``traj.evolve(stack)`` collected into one array, each block copied.
+def psi0_stream(spec, init, times):
+    """The one stream of ``propagate`` on the product state of ``init`` alone, the stack (1, n)."""
+    return propagate(spec, times, [initial_state(init, spec.dims, spec.robust_index)[None]])[0]
 
-    (T, n), the trajectory's own states, with no stack; (T, k, n) with a stack (k, n).
-    """
-    states = np.concatenate([block.copy() for _, block in traj.evolve(stack)])
-    return states[:, 0] if stack is None else states
+
+def evolved_states(spec, init, times):
+    """Every block of :func:`psi0_stream` collected into one array, each block copied: (T, n)."""
+    return np.concatenate([block[:, 0].copy() for _, block in psi0_stream(spec, init, times)])
 
 
 def route_states(route, psi, times):
@@ -166,6 +169,30 @@ def dense_exponential(h, t):
     a = a / 2 ** s
     u = term = np.eye(len(a), dtype=complex)
     for k in range(1, 30):
+        term = term @ a / k
+        u = u + term
+    for _ in range(s):
+        u = u @ u
+    return u
+
+
+def expm_longdouble(h, t):
+    """e^{-iHt} in extended precision (np.clongdouble): Taylor series, scaled and squared.
+
+    H is taken exactly as given, in doubles. The series runs on -iHt / 2^s with
+    ||Ht||_1 / 2^s <= 1/2 until its terms fall below the long double epsilon, and the
+    result is squared s times. Each squaring about doubles the error it carries, so
+    at ||Ht|| ~ 1e5 the result is good to about 2^17 long double epsilons, 1e-14, far
+    below the eps * max|E| * t that double precision phases allow there.
+    """
+    a = -1j * np.longdouble(t) * np.asarray(h, dtype=np.clongdouble)
+    norm = float(np.abs(a).sum(axis=0).max())
+    s = max(0, math.ceil(math.log2(norm)) + 1) if norm > 0 else 0
+    a = a / np.longdouble(2) ** s
+    u = term = np.eye(len(a), dtype=np.clongdouble)
+    k = 0
+    while np.abs(term).max() > np.finfo(np.longdouble).eps / 16:
+        k += 1
         term = term @ a / k
         u = u + term
     for _ in range(s):

@@ -14,7 +14,7 @@ import pytest
 import disd
 from disd.cli import main
 from disd.decompose import planted_sequential, sequential_residual
-from disd.evolve import Propagator, perturbation_data, propagate, simulate_columns
+from disd.evolve import Propagator, perturbation_data, simulate_columns
 from disd.locality import locality_columns, signaling_test_unitary, tau_estimate
 from disd.model import build_canonical
 from disd.qcore import (
@@ -26,8 +26,8 @@ from disd.qcore import (
     vn_entropy,
 )
 
-from oracles import (loglog_slope, mutual_information, rs2_table_bruteforce, spearman_rank,
-                     trajectory_states)
+from oracles import (evolved_states, loglog_slope, mutual_information, rs2_table_bruteforce,
+                     spearman_rank)
 
 DEFAULT_SEED = 1
 DIMS = Dims(2, 3, 3)
@@ -108,8 +108,7 @@ def test_criterion_4_correlation_onset():
     for c1 in c1_grid:
         spec = build_canonical(DIMS, DEFAULT_SEED, c1, 0.2)
         times = np.linspace(0.0, 50.0 * c1, 1001)
-        traj = propagate(spec, init, times)
-        mi = mi_and_entropies(trajectory_states(traj), spec.dims)[0]
+        mi = mi_and_entropies(evolved_states(spec, init, times), spec.dims)[0]
         taus.append(tau_estimate(times, mi, 0.01))
         if c1 == c1_grid[0]:
             mi_smallest_c1 = mi.max()
@@ -179,7 +178,7 @@ def test_criterion_8_numerical_hygiene(tmp_path):
     u = prop.evolve_many(np.eye(12), [1.3])[0].T
     unitarity = float(np.abs(u.conj().T @ u - np.eye(12)).max())
 
-    states = trajectory_states(propagate(spec, init, times))
+    states = evolved_states(spec, init, times)
     drift = float(np.abs(np.linalg.norm(states, axis=1) - 1.0).max())
 
     h_full = disd.assemble_hamiltonian(spec)

@@ -2,6 +2,7 @@ import dataclasses
 import importlib
 import importlib.util
 import json
+import re
 import tracemalloc
 from pathlib import Path
 
@@ -24,14 +25,15 @@ from disd.evolve import (
     row_norms,
     simulate_columns,
 )
-from disd.locality import locality_columns
+from disd.locality import _source_stack, locality_columns
 from disd.model import (InitialSpec, ModelSpec, assemble_hamiltonian, build_canonical,
                         initial_state, place_robust)
 from disd.qcore import Dims, ValidationError
 
 from oracles import (chebyshev_operator, chebyshev_series_exact, dense_exponential, energy_table,
-                     residuals_per_row, route_states, rs2_table_bruteforce, trajectory_states)
-from test_locality import ORACLE_CASES, ORACLE_IDS, locality_stacks, oracle_case
+                     evolved_states, expm_longdouble, psi0_stream, residuals_per_row,
+                     route_states, rs2_table_bruteforce)
+from test_locality import ORACLE_CASES, ORACLE_IDS, oracle_case
 from test_model import planted_h_cb
 
 # Frozen from the brute-force oracle for seed 1, dims (2,2,2), c1=4, c2=0.5.
@@ -57,9 +59,8 @@ def diagonal_explicit_spec():
 
 class TestPropagate:
     def test_time_zero(self, spec233, init233):
-        traj = propagate(spec233, init233, [0.0, 0.5])
         psi0 = initial_state(init233, spec233.dims, spec233.robust_index)
-        assert np.array_equal(trajectory_states(traj)[0], psi0)
+        assert np.array_equal(evolved_states(spec233, init233, [0.0, 0.5])[0], psi0)
 
     def test_zero_hamiltonian(self, dims233, init233):
         psi0 = initial_state(init233, dims233, 0)
@@ -76,18 +77,18 @@ class TestPropagate:
         assert np.linalg.norm(one - two) <= 1e-9
 
     def test_norm_preserved(self, spec233, init233):
-        traj = propagate(spec233, init233, np.linspace(0, 20, 50))
-        assert np.abs(np.linalg.norm(trajectory_states(traj), axis=1) - 1.0).max() <= 1e-9
+        states = evolved_states(spec233, init233, np.linspace(0, 20, 50))
+        assert np.abs(np.linalg.norm(states, axis=1) - 1.0).max() <= 1e-9
 
     def test_energy_conserved(self, spec233, init233):
         h = assemble_hamiltonian(spec233)
-        traj = propagate(spec233, init233, np.linspace(0, 10, 30))
-        energies = [np.vdot(s, h @ s).real for s in trajectory_states(traj)]
+        states = evolved_states(spec233, init233, np.linspace(0, 10, 30))
+        energies = [np.vdot(s, h @ s).real for s in states]
         assert max(energies) - min(energies) <= 1e-8
 
     def test_rejects_unsorted_times(self, spec233, init233):
         with pytest.raises(ValueError):
-            propagate(spec233, init233, [0.0, 2.0, 1.0])
+            psi0_stream(spec233, init233, [0.0, 2.0, 1.0])
 
     @pytest.mark.parametrize("times, message", [
         ([], "times must be a non-empty 1-D sequence"),
@@ -101,7 +102,7 @@ class TestPropagate:
     @pytest.mark.parametrize("times", [[np.nan], [np.inf], [0.0, np.inf], [0.0, np.nan],
                                        [-np.inf, 0.0]],
                              ids=["nan", "inf", "zero-inf", "zero-nan", "minus-inf-zero"])
-    @pytest.mark.parametrize("job", [propagate, simulate_columns, locality_columns],
+    @pytest.mark.parametrize("job", [psi0_stream, simulate_columns, locality_columns],
                              ids=["propagate", "simulate_columns", "locality_columns"])
     def test_non_finite_grid_is_rejected_before_any_route(self, spec233, init233,
                                                           propagator_builds, job, times):
@@ -113,8 +114,24 @@ class TestPropagate:
 
     def test_rejects_wrong_state_dim(self, spec233, init233):
         wrong = dataclasses.replace(init233, alpha=np.array([1.0, 0.0, 0.0]))
-        with pytest.raises(ValueError, match="alpha has length"):
-            propagate(spec233, wrong, [0.0])
+        with pytest.raises(ValueError, match=r"^alpha has length \(3,\), expected 2$"):
+            simulate_columns(spec233, wrong, [0.0])
+
+    @pytest.mark.parametrize("shape", [(18,), (0, 18), (1, 17), (1, 1, 18), ()],
+                             ids=["one-state", "no-state", "wrong-length", "3-d", "scalar"])
+    def test_rejects_a_stack_that_is_not_k_states_before_any_route(self, spec233, monkeypatch,
+                                                                   propagator_builds, shape):
+        # a 1-D state would be read as 18 states of one number each: it is refused, by shape,
+        # with the grid checked first and no route built
+        cheb_builds = []
+        monkeypatch.setattr(Chebyshev, "__init__", lambda self, spec: cheb_builds.append(spec))
+        good = np.eye(spec233.dims.total)[:1]
+        with pytest.raises(ValueError, match=rf"^a stack must have shape \(k, 18\) with k >= 1, "
+                                             rf"got {re.escape(str(shape))}$"):
+            propagate(spec233, [0.0, 1.0], [good, np.ones(shape, dtype=complex)])
+        with pytest.raises(ValueError, match="^times must be strictly increasing$"):
+            propagate(spec233, [1.0, 0.0], [np.ones(shape, dtype=complex)])
+        assert propagator_builds == [] and cheb_builds == []
 
     def test_apply_and_evolve_many_match_a_dense_exponential(self, spec233, init233):
         psi0 = initial_state(init233, spec233.dims, spec233.robust_index)
@@ -133,13 +150,13 @@ class TestRobustInitialState:
 
     def test_trajectory_starts_in_the_model_robust_state(self, init233):
         spec = build_canonical(Dims(2, 3, 3), 1, 8.0, 0.3, robust_index=1)
-        traj = propagate(spec, init233, np.linspace(0, 5, 12))
-        states = trajectory_states(traj)
+        times = np.linspace(0, 5, 12)
+        states = evolved_states(spec, init233, times)
         psi0 = states[0].reshape(spec.dims.factors)
         assert np.count_nonzero(psi0[:, [0, 2], :]) == 0
         assert np.array_equal(psi0[:, 1, :], np.outer(init233.alpha, init233.chi))
-        pd, columns = simulate_columns(spec, init233, traj.times)
-        expected = residuals_per_row(spec, init233, pd, traj.times, states)
+        pd, columns = simulate_columns(spec, init233, times)
+        expected = residuals_per_row(spec, init233, pd, times, states)
         assert_allclose(columns["residual_eq4"], expected, rtol=0, atol=1e-12)
         assert expected[0] <= 1e-12
 
@@ -332,25 +349,23 @@ class TestResidualsAgainstOracle:
     @staticmethod
     def check_against_oracle(spec, init, times, c2):
         pd, columns = simulate_columns(spec, init, times)
-        traj = propagate(spec, init, times)
-        states = trajectory_states(traj)
-        expected = residuals_per_row(spec, init, pd, traj.times, states)
+        expected = residuals_per_row(spec, init, pd, times, evolved_states(spec, init, times))
         assert_allclose(columns["residual_eq4"], expected, rtol=0, atol=1e-12)
         if c2 == 0:
             assert expected.max() <= 1e-9
         else:
             assert expected.max() > 1e-3
-        return traj
 
     @pytest.mark.parametrize("factors, c2, r", ROBUST_CASES)
     def test_stacked_matches_per_row_route(self, factors, c2, r):
         self.check_against_oracle(*robust_case(factors, c2, r), c2)
 
     @pytest.mark.parametrize("r", [0, 1, 2])
-    def test_chebyshev_route_matches_per_row_route(self, r, monkeypatch):
+    def test_chebyshev_route_matches_per_row_route(self, r, monkeypatch, job_route):
         monkeypatch.setattr(evolve, "EIGH_FLOPS_PER_N3", np.inf)  # every grid prefers Chebyshev
-        traj = self.check_against_oracle(*robust_case((2, 3, 4), 0.5, r), 0.5)
-        assert isinstance(traj.route, Chebyshev)
+        case = robust_case((2, 3, 4), 0.5, r)
+        assert isinstance(job_route(simulate_columns, *case), Chebyshev)
+        self.check_against_oracle(*case, 0.5)
 
     def test_an_exact_row_orthogonal_to_the_product_form_is_sqrt2_away(self, spec233, init233):
         # a row outside the robust C state has zero overlap with the product form: no phase
@@ -368,10 +383,10 @@ class TestResidualsAgainstOracle:
         # must not form a (rows, n) array, as a zero-filled product form in n space would
         spec, init = uniform_case((4, 8, 16))
         pd = perturbation_data(spec)
-        traj = propagate(spec, init, np.linspace(0, 5, 200))
-        rows, states = next(traj.evolve())
+        times = np.linspace(0, 5, 200)
+        rows, states = next(psi0_stream(spec, init, times))
         tracemalloc.start()
-        evolve._residuals(product_approx(init, pd, traj.times[rows]), states[:, 0], 0)
+        evolve._residuals(product_approx(init, pd, times[rows]), states[:, 0], 0)
         peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.stop()
         assert peak < states.nbytes
@@ -389,6 +404,36 @@ def both_routes(spec, init, times):
     psi0 = initial_state(init, spec.dims, spec.robust_index)
     return (route_states(Chebyshev(spec), psi0, times),
             Propagator(assemble_hamiltonian(spec)).evolve_many(psi0, times))
+
+
+def preset_case():
+    """The ion-cage preset's model and initial amplitudes."""
+    doc = json.loads((Path(__file__).resolve().parents[1] / "presets" / "ion-cage.json")
+                     .read_text())
+    cfg = parse_config(doc)
+    return model_from_config(cfg), initial_from_config(cfg)
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18,
+                    reason="long double is no wider than double here")
+class TestAgainstExtendedPrecision:
+    """Both routes against e^{-iHt} psi0 taken in long double, on the preset model."""
+
+    @pytest.mark.parametrize("t", [20.0, 1e3])
+    def test_error_stays_within_the_phase_error_of_double(self, t):
+        # the phases e^{-iEt} of a double H carry about eps * max|E| * t: measured at one BLAS
+        # thread, the spectral route's largest entry error is 0.99 of that at t = 20 and 0.92
+        # at t = 1e3, the Chebyshev route's 0.02-0.03
+        spec, init = preset_case()
+        h = assemble_hamiltonian(spec)
+        psi0 = initial_state(init, spec.dims, spec.robust_index)
+        cheb = Chebyshev(spec)
+        unit = np.finfo(float).eps * cheb.max_abs_energy * t
+        u = expm_longdouble(h, t)
+        assert np.abs(u.conj().T @ u - np.eye(len(u))).max() <= 1e-2 * unit  # the oracle holds
+        exact = u @ psi0.astype(np.clongdouble)
+        for got in (Propagator(h).evolve_many(psi0, [t])[0], route_states(cheb, psi0, [t])[0]):
+            assert np.abs(got - exact).max() <= 2 * unit
 
 
 class TestChebyshev:
@@ -556,7 +601,7 @@ class TestChebyshev:
         assert cheb.subnormal and 0 < cheb._half < np.finfo(float).tiny
         assert np.isfinite(cheb._ac).all() and all(np.isfinite(b).all() for _, b in cheb._cb_t)
         monkeypatch.setattr(evolve, "EIGH_FLOPS_PER_N3", np.inf)
-        assert isinstance(evolve._route(spec, np.linspace(0, 1e305, 50)), Propagator)
+        assert isinstance(evolve._route(spec, np.linspace(0, 1e305, 50), [1]), Propagator)
         assert not Chebyshev(build_canonical(Dims(2, 2, 2), 1, 1e-300, 0.0)).subnormal
 
     def test_phase_guard_uses_the_spectral_bounds(self, spec233, monkeypatch, propagator_builds):
@@ -565,15 +610,15 @@ class TestChebyshev:
         limit = phase_limit(spec233)
         within = np.array([0.0, 0.99 * limit])
         monkeypatch.setattr(evolve, "EIGH_FLOPS_PER_N3", np.inf)  # every grid prefers Chebyshev
-        assert isinstance(evolve._route(spec233, within), Chebyshev)
+        assert isinstance(evolve._route(spec233, within, [1]), Chebyshev)
         monkeypatch.setattr(evolve, "EIGH_FLOPS_PER_N3", 0.0)  # every grid prefers eigh
-        assert isinstance(evolve._route(spec233, within), Propagator)
+        assert isinstance(evolve._route(spec233, within, [1]), Propagator)
         propagator_builds.clear()
         with pytest.raises(ValidationError, match="^phases lose their precision: "):
-            evolve._route(spec233, np.array([0.0, 1.01 * limit]))
+            evolve._route(spec233, np.array([0.0, 1.01 * limit]), [1])
         assert propagator_builds == []
 
-    @pytest.mark.parametrize("job", [propagate, locality_columns],
+    @pytest.mark.parametrize("job", [psi0_stream, locality_columns],
                              ids=["propagate", "locality_columns"])
     def test_a_window_past_the_guard_builds_no_propagator(self, spec233, init233,
                                                          propagator_builds, job):
@@ -582,6 +627,34 @@ class TestChebyshev:
         with pytest.raises(ValidationError, match="^phases lose their precision: "):
             job(spec233, init233, [0.0, 1e3 * phase_limit(spec233)])
         assert propagator_builds == []
+
+    @pytest.mark.parametrize("case", ["nan", "past-both-guards", "past-the-weyl-guard"])
+    @pytest.mark.parametrize("job", [simulate_columns, locality_columns],
+                             ids=["simulate_columns", "locality_columns"])
+    def test_a_bad_grid_raises_before_any_draw_eigh_or_block(self, spec233, init233, monkeypatch,
+                                                            propagator_builds, haar_draws, job,
+                                                            case):
+        # the grid check, then the phase guards, come before the samples of the locality job
+        # are drawn, before any eigh and before any state evolves. On the preset, t = 1.2e6
+        # passes the product form's guard and fails the Weyl bound's (see below)
+        blocks = []
+
+        def counted(self, *args):
+            blocks.append(args)
+            return iter(())
+
+        for route in (Propagator, Chebyshev):
+            monkeypatch.setattr(route, "blocks", counted)
+        spec, init, times, message = {
+            "nan": (spec233, init233, [0.0, np.nan], "^times must be finite$"),
+            "past-both-guards": (spec233, init233, [0.0, 1e3 * phase_limit(spec233)],
+                                 "phases lose their precision"),
+            "past-the-weyl-guard": (*preset_case(), np.linspace(0, 1.2e6, 401),
+                                    "^phases lose their precision: "),
+        }[case]
+        with pytest.raises((ValueError, ValidationError), match=message):
+            job(spec, init, times)
+        assert haar_draws == [] and propagator_builds == [] and blocks == []
 
     def test_simulate_window_past_the_weyl_guard_builds_no_propagator(self, propagator_builds):
         # on the ion-cage preset the product form's guard allows t up to 1.557e6 and the
@@ -723,11 +796,12 @@ class TestTwoSectorKernel:
         monkeypatch.setattr(evolve, "EIGH_FLOPS_PER_N3", np.inf)  # every grid prefers Chebyshev
         spec, init = uniform_case((4, 4, 8))
         half = Chebyshev(spec)._half
-        traj = propagate(spec, init, np.linspace(0, 0.95 * CHEB_Z_MAX / half, 2000))
-        assert len(traj.route._plans(traj.times, len(traj.times))) == 1
+        times = np.linspace(0, 0.95 * CHEB_Z_MAX / half, 2000)
+        assert len(evolve._route(spec, times, [1])._plans(times, len(times))) == 1
+        stream = psi0_stream(spec, init, times)  # priced, and so planned, before the count
         tracemalloc.start()
         try:
-            for _, states in traj.evolve():
+            for _, states in stream:
                 block = states.nbytes
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -807,21 +881,25 @@ class TestTracerNames:
 
 
 class TestRoute:
-    @pytest.mark.parametrize("factors, stacks, steps, route", [
-        ((8, 4, 6), (1,), 200, Propagator), ((8, 4, 9), (1,), 200, Chebyshev),
-        ((8, 4, 16), (1,), 200, Chebyshev), ((8, 4, 8), (1,), 2000, Propagator),
-        *(((8, 4, b), locality_stacks((8, 4, b)), 200, Propagator) for b in (10, 16, 32))],
+    @pytest.mark.parametrize("factors, job, steps, route", [
+        ((8, 4, 6), simulate_columns, 200, Propagator),
+        ((8, 4, 9), simulate_columns, 200, Chebyshev),
+        ((8, 4, 16), simulate_columns, 200, Chebyshev),
+        ((8, 4, 8), simulate_columns, 2000, Propagator),
+        *(((8, 4, b), locality_columns, 200, Propagator) for b in (10, 16, 32))],
         ids=["8x4x6", "8x4x9", "8x4x16", "8x4x8-2000-steps", "8x4x10-locality", "8x4x16-locality",
              "8x4x32-locality"])
-    def test_benchmark_grid_takes_the_faster_route(self, factors, stacks, steps, route):
+    def test_benchmark_grid_takes_the_faster_route(self, job_route, factors, job, steps, route):
         # measured at one BLAS thread (CHANGES.md has the ladder): one state is 2x faster by eigh
         # at 8x4x6, 1.3x by Chebyshev at 8x4x9 and 6x at 8x4x16; at 2000 steps eigh is 1.36x
         # faster at 8x4x8, as each Chebyshev row sums about 190 terms; a locality job is
         # 1.3-1.5x faster by eigh at 8x4x{10, 16, 32}
-        spec, _ = uniform_case(factors)
-        assert isinstance(evolve._route(spec, np.linspace(0, 20, steps), stacks), route)
+        spec, init = uniform_case(factors)
+        assert isinstance(job_route(job, spec, init, np.linspace(0, 20, steps)), route)
 
-    def test_the_count_prices_the_blocks_that_evolve_runs(self, spec233, init233, monkeypatch):
+    def test_the_count_prices_the_blocks_of_the_stacks_passed(self, spec233, monkeypatch):
+        # the plans priced are those of the stacks given, in order, and the streams run
+        # exactly those: no size is stated apart from its stack
         monkeypatch.setattr(evolve, "EIGH_FLOPS_PER_N3", np.inf)  # every grid prefers Chebyshev
         asked = []
         plans = Chebyshev._plans
@@ -832,15 +910,16 @@ class TestRoute:
 
         monkeypatch.setattr(Chebyshev, "_plans", recorded)
         times = np.linspace(0, 5, 40)
-        traj = propagate(spec233, init233, times, stacks=(3,))
-        priced = list(asked)
+        stacks = [random_stack(spec233.dims.total, k=3), random_stack(spec233.dims.total, k=1)]
+        streams = propagate(spec233, times, stacks)
+        # 40 times of 18 numbers: a stack of three takes 720 // 54 = 13 rows, one of one 40
+        priced = [(times.tobytes(), 13), (times.tobytes(), 40)]
+        assert asked == priced
         asked.clear()
-        stack = np.concatenate([traj.psi0[None], random_stack(spec233.dims.total, k=2)])
-        blocks = [rows for rows, _ in traj.evolve(stack)]
-        # 40 times of 18 numbers, so a stack of psi0 and two states takes 720 // 54 = 13 rows
-        assert asked == priced == [(times.tobytes(), 13)]
-        assert [(rows.start, rows.stop) for rows in blocks] == [(0, 13), (13, 26), (26, 39),
-                                                                 (39, 40)]
+        blocks = [[rows for rows, _ in stream] for stream in streams]
+        assert asked == priced
+        assert [[(rows.start, rows.stop) for rows in stream] for stream in blocks] == [
+            [(0, 13), (13, 26), (26, 39), (39, 40)], [(0, 40)]]
 
     @pytest.mark.parametrize("eigh_cost, route", [(evolve.EIGH_FLOPS_PER_N3, Propagator),
                                                   (np.inf, Chebyshev)], ids=["spectral", "chebyshev"])
@@ -849,13 +928,14 @@ class TestRoute:
         # 40 times of dim 18 under a budget of 100 numbers: blocks of 5 rows for psi0 alone, and
         # of one row for psi0 with 5 more states (108 numbers a row), with the same states
         monkeypatch.setattr(evolve, "EIGH_FLOPS_PER_N3", eigh_cost)
-        traj = propagate(spec233, init233, np.linspace(0, 5, 40))
-        assert isinstance(traj.route, route)
-        whole = trajectory_states(traj)
+        times = np.linspace(0, 5, 40)
+        whole = evolved_states(spec233, init233, times)
         monkeypatch.setattr(evolve, "BLOCK_NUMBERS", 100)
-        with_psi0 = np.concatenate([traj.psi0[None], random_stack(spec233.dims.total, k=5)])
-        for stack, rows in ((None, 5), (with_psi0, 1)):
-            blocks = [(r, states.copy()) for r, states in traj.evolve(stack)]
+        psi0 = initial_state(init233, spec233.dims, spec233.robust_index)[None]
+        with_psi0 = np.concatenate([psi0, random_stack(spec233.dims.total, k=5)])
+        for stack, rows in ((psi0, 5), (with_psi0, 1)):
+            assert isinstance(evolve._route(spec233, times, [len(stack)]), route)
+            blocks = [(r, states.copy()) for r, states in propagate(spec233, times, [stack])[0]]
             assert [(r.start, r.stop) for r, _ in blocks] == [(i, i + rows)
                                                               for i in range(0, 40, rows)]
             states = np.concatenate([states for _, states in blocks])
@@ -864,19 +944,27 @@ class TestRoute:
     def test_signaling_builds_no_propagator_on_a_chebyshev_trajectory(self, propagator_builds,
                                                                       monkeypatch):
         # a locality job priced for Chebyshev builds no Propagator, and matches the spectral
-        # route, which the count gives this model's locality job, to 1e-12
+        # route, which the count gives this model's locality job, to 1e-12: its evolved
+        # source bases state by state, and its columns
         spec, init = uniform_case((16, 2, 16))
         times = np.linspace(0, 20, 200)
-        stacks = locality_stacks(spec.dims.factors)
-        spectral = propagate(spec, init, times, stacks=stacks)
-        assert isinstance(spectral.route, Propagator)
+        bases = [_source_stack(init, spec.dims, spec.robust_index, direction)[1]
+                 for direction in ("b_to_a", "a_to_b")]
+
+        def evolved_bases():
+            return [np.concatenate([states.copy() for _, states in stream])
+                    for stream in propagate(spec, times, bases)]
+
         want = locality_columns(spec, init, times, n_samples=2, seed=1)
+        assert len(propagator_builds) == 1
+        spectral = evolved_bases()
         assert len(propagator_builds) == 2
         monkeypatch.setattr(evolve, "EIGH_FLOPS_PER_N3", np.inf)
-        traj = propagate(spec, init, times, stacks=stacks)
-        assert isinstance(traj.route, Chebyshev)
+        assert isinstance(evolve._route(spec, times, [len(b) for b in bases]), Chebyshev)
         got = locality_columns(spec, init, times, n_samples=2, seed=1)
+        cheb = evolved_bases()
         assert len(propagator_builds) == 2
-        assert_allclose(trajectory_states(traj), trajectory_states(spectral), rtol=0, atol=1e-12)
+        for c, s in zip(cheb, spectral):
+            assert_allclose(c, s, rtol=0, atol=1e-12)
         for name in want:
             assert_allclose(got[name], want[name], rtol=0, atol=1e-12)

@@ -16,7 +16,7 @@ from disd.model import (InitialSpec, ModelSpec, assemble_hamiltonian, build_cano
                         initial_state)
 from disd.qcore import (Dims, ValidationError, derive_seed, haar_unitary, mi_and_entropies,
                         rdm_from_state, vn_entropy)
-from oracles import mi_per_row, route_states, signaling_per_row, trajectory_states
+from oracles import evolved_states, mi_per_row, route_states, signaling_per_row
 from test_model import cross_blocks
 
 
@@ -25,35 +25,25 @@ def signal(spec, init, times, direction, n_samples, seed):
     return locality_columns(spec, init, times, n_samples, seed)[f"signal_{direction}"]
 
 
-def locality_stacks(factors):
-    """The stacks a locality job evolves: the d_B, then the d_A source states."""
-    return factors[2], factors[0]
-
-
-def locality_trajectory(spec, init, times):
-    """A trajectory priced as the locality job prices its own, so on the job's route."""
-    return propagate(spec, init, times, stacks=locality_stacks(spec.dims.factors))
-
-
 class TestMiTrajectory:
     def test_zero_at_start(self, spec233, init233):
-        traj = propagate(spec233, init233, [0.0])
-        assert mi_and_entropies(trajectory_states(traj), spec233.dims)[0][0] <= 1e-12
+        states = evolved_states(spec233, init233, [0.0])
+        assert mi_and_entropies(states, spec233.dims)[0][0] <= 1e-12
 
     def test_decoupled_when_c2_zero(self, dims233, init233):
         spec = build_canonical(dims233, 4, 3.0, 0.0)
-        traj = propagate(spec, init233, np.linspace(0, 20, 60))
-        assert mi_and_entropies(trajectory_states(traj), spec.dims)[0].max() <= 1e-10
+        states = evolved_states(spec, init233, np.linspace(0, 20, 60))
+        assert mi_and_entropies(states, spec.dims)[0].max() <= 1e-10
 
     def test_correlations_appear_at_long_horizon(self, dims233, init233):
         spec = build_canonical(dims233, 1, 1.0, 0.2)
-        traj = propagate(spec, init233, np.linspace(0, 50, 400))
-        assert mi_and_entropies(trajectory_states(traj), spec.dims)[0].max() > 0.01
+        states = evolved_states(spec, init233, np.linspace(0, 50, 400))
+        assert mi_and_entropies(states, spec.dims)[0].max() > 0.01
 
     def test_bounded_by_smaller_subsystem(self, spec233, init233):
-        traj = propagate(spec233, init233, np.linspace(0, 30, 40))
+        states = evolved_states(spec233, init233, np.linspace(0, 30, 40))
         bound = 2 * min(np.log2(spec233.dims.a), np.log2(spec233.dims.b))
-        assert mi_and_entropies(trajectory_states(traj), spec233.dims)[0].max() <= bound + 1e-9
+        assert mi_and_entropies(states, spec233.dims)[0].max() <= bound + 1e-9
 
 
 class TestSignaling:
@@ -65,12 +55,12 @@ class TestSignaling:
     def test_no_signaling_when_a_uncorrelated(self, dims233, init233):
         # I(A:CB) stays zero without the A-C coupling, so B cannot reach A
         spec = build_canonical(dims233, 4, 3.0, 0.0)
-        traj = propagate(spec, init233, np.linspace(0, 10, 20))
+        times = np.linspace(0, 10, 20)
         d = dims233
-        for s in trajectory_states(traj):
+        for s in evolved_states(spec, init233, times):
             s_a = vn_entropy(rdm_from_state(s, d.factors, (0,)))
             assert 2 * s_a <= 1e-10  # I(A:CB) = 2 S(A) for a pure global state
-        out = signal(spec, init233, traj.times, "b_to_a", n_samples=8, seed=1)
+        out = signal(spec, init233, times, "b_to_a", n_samples=8, seed=1)
         assert out.max() <= 1e-10
 
     def test_canonical_signaling_appears(self, dims233, init233):
@@ -133,10 +123,20 @@ class TestSignalingOneShot:
         ab = signaling_test_unitary(u, init222, dims222, 0, "a_to_b", n_samples=16, seed=0)
         assert ba > 1e-3 and ab > 1e-3
 
-    def test_rejects_amplitudes_of_the_wrong_length(self, dims222):
-        init = InitialSpec(alpha=np.ones(3) / np.sqrt(3), chi=np.ones(2) / np.sqrt(2))
-        with pytest.raises(ValueError, match="alpha has length"):
-            signaling_test_unitary(np.eye(dims222.total), init, dims222, 0, "b_to_a")
+    @pytest.mark.parametrize("entry", ["locality_columns", "signaling_test_unitary"])
+    def test_rejects_amplitudes_of_the_wrong_length(self, spec233, init233, propagator_builds,
+                                                    entry):
+        # both entry points build the source bases, and check the amplitudes there as
+        # initial_state does: alpha of length 1 would otherwise broadcast into a basis of
+        # non-unit states, refused only later as a norm drift
+        short = InitialSpec(alpha=np.ones(1), chi=init233.chi)
+        with pytest.raises(ValueError, match=r"^alpha has length \(1,\), expected 2$"):
+            if entry == "locality_columns":
+                locality_columns(spec233, short, [0.0, 1.0], n_samples=2)
+            else:
+                signaling_test_unitary(np.eye(spec233.dims.total), short, spec233.dims, 0,
+                                       "b_to_a", n_samples=2)
+        assert propagator_builds == []
 
     def test_the_one_shot_probe_is_the_job_at_one_time(self):
         # U(t) = V e^{-iEt} V+ applied once gives, at each time, the signal the job reads off
@@ -213,8 +213,7 @@ class TestTauEstimate:
         for c1 in (1.0, 2.0, 4.0):
             spec = build_canonical(dims233, 1, c1, 0.2)
             times = np.linspace(0, 50 * c1, 600)
-            traj = propagate(spec, init233, times)
-            mi = mi_and_entropies(trajectory_states(traj), spec.dims)[0]
+            mi = mi_and_entropies(evolved_states(spec, init233, times), spec.dims)[0]
             taus.append(tau_estimate(times, mi, 0.01))
         assert all(t is not None for t in taus)
         assert taus[0] < taus[1] < taus[2]
@@ -246,16 +245,17 @@ class TestOneEigensystem:
         times = np.linspace(0, 5, 12)
         want = locality_columns(spec233, init233, times, n_samples=3, seed=1)
         monkeypatch.setattr(evolve_module, "EIGH_FLOPS_PER_N3", np.inf)
-        traj = propagate(spec233, init233, times)
-        assert isinstance(traj.route, Chebyshev)
+        psi0 = initial_state(init233, spec233.dims, spec233.robust_index)
+        assert isinstance(evolve_module._route(spec233, times, [1, 2]), Chebyshev)
         # psi0 alone runs as one recurrence; a stack of two copies of it takes 12 x 18 //
         # (2 x 18) = 6 rows a block, each recurrence from the last row of the one before, and
         # every column matches the one-recurrence evolution
-        stacked = trajectory_states(traj, np.stack([traj.psi0] * 2))
-        whole = route_states(traj.route, traj.psi0, times)
-        assert [rows for rows, _ in traj.evolve()] == [slice(0, 12)]
-        assert [rows for rows, _ in traj.evolve(np.stack([traj.psi0] * 2))] == [
-            slice(0, 6), slice(6, 12)]
+        alone, twice = propagate(spec233, times, [psi0[None], np.stack([psi0] * 2)])
+        assert [rows for rows, _ in alone] == [slice(0, 12)]
+        blocks = [(rows, states.copy()) for rows, states in twice]
+        assert [rows for rows, _ in blocks] == [slice(0, 6), slice(6, 12)]
+        stacked = np.concatenate([states for _, states in blocks])
+        whole = route_states(Chebyshev(spec233), psi0, times)
         for k in range(2):
             assert_allclose(stacked[:, k], whole, rtol=0, atol=1e-13)
         got = locality_columns(spec233, init233, times, n_samples=3, seed=1)
@@ -308,7 +308,8 @@ def sample_states(calls, n_samples):
 
 
 class TestSignalingByLinearity:
-    def test_evolved_blocks_never_outgrow_the_trajectory(self, spec233, init233, monkeypatch):
+    def test_evolved_blocks_never_outgrow_the_trajectory(self, spec233, init233, monkeypatch,
+                                                         job_route):
         # the d_B, then the d_A source basis states and nothing else evolve once at each time,
         # in blocks of at most the trajectory's T n numbers, on the spectral route and on the
         # Chebyshev route: psi0 is their G = I combination, never a row of a stack
@@ -317,7 +318,7 @@ class TestSignalingByLinearity:
         for eigh_cost, route in ((evolve_module.EIGH_FLOPS_PER_N3, Propagator),
                                  (np.inf, Chebyshev)):
             monkeypatch.setattr(evolve_module, "EIGH_FLOPS_PER_N3", eigh_cost)
-            assert isinstance(locality_trajectory(spec233, init233, times).route, route)
+            assert isinstance(job_route(locality_columns, spec233, init233, times), route)
             stacks, sizes = evolved(monkeypatch, route)
             locality_columns(spec233, init233, times, n_samples=64, seed=1)
             for stack, direction in zip(stacks, ("b_to_a", "a_to_b"), strict=True):
@@ -331,7 +332,7 @@ class TestSignalingByLinearity:
     @pytest.mark.parametrize("eigh_cost, route", [(evolve_module.EIGH_FLOPS_PER_N3, Propagator),
                                                   (np.inf, Chebyshev)])
     def test_sample_stacks_never_outgrow_the_trajectory(self, spec233, init233, monkeypatch,
-                                                         eigh_cost, route):
+                                                         job_route, eigh_cost, route):
         # 1000 samples against 5 times: no state, cross stack or stack of sample differences
         # holds more than the trajectory's 5 x 18 numbers; at 2x2x5 one row's cross states,
         # (2 x 5)^2 = 100 numbers, fill the trajectory's 5 x 20, so they go one row at a time
@@ -339,7 +340,7 @@ class TestSignalingByLinearity:
         monkeypatch.setattr(evolve_module, "EIGH_FLOPS_PER_N3", eigh_cost)
         spec225, init225, _ = oracle_case((2, 2, 5), 0.5)
         for spec, init, n_samples in ((spec233, init233, 1000), (spec225, init225, 2)):
-            assert isinstance(locality_trajectory(spec, init, times).route, route)
+            assert isinstance(job_route(locality_columns, spec, init, times), route)
             rdms = spied(monkeypatch, "rdm_from_state")
             samples = spied(monkeypatch, "max_trace_distance")
             locality_columns(spec, init, times, n_samples=n_samples, seed=1)
@@ -361,16 +362,18 @@ class TestSignalingByLinearity:
         # multiple of both directions' slice sizes, 22 and 10: the samples are split evenly,
         # so no slice holds one lone sample, whose product BLAS would round by another kernel
         monkeypatch.setattr(evolve_module, "EIGH_FLOPS_PER_N3", eigh_cost)
-        traj = locality_trajectory(spec233, init233, np.linspace(0, 5, 5))
+        times = np.linspace(0, 5, 5)
         dims = spec233.dims
         calls = spied(monkeypatch, "max_trace_distance")
-        basis, reduce = locality_module._signaling_reducer(init233, dims, spec233.robust_index,
-                                                           direction, 111, 1, budget=10 ** 9)
-        whole = np.concatenate([reduce(states) for _, states in traj.evolve(basis)])
+        amplitudes, basis, keep = _source_stack(init233, dims, spec233.robust_index, direction)
+        reduce = locality_module._signaling_reducer(amplitudes, keep, dims, direction, 111, 1,
+                                                    budget=10 ** 9)
+        (stream,) = propagate(spec233, times, [basis])
+        whole = np.concatenate([reduce(states) for _, states in stream])
         assert all(args[0].shape[1] == 111 for args, _ in calls)
         unsliced = sample_states(calls, 111)
         calls.clear()
-        got = signal(spec233, init233, traj.times, direction, n_samples=111, seed=1)
+        got = signal(spec233, init233, times, direction, n_samples=111, seed=1)
         # the job's calls of this direction, whose differences are d_target x d_target
         d_target = dims.a if direction == "b_to_a" else dims.b
         calls = [call for call in calls if call[0][0].shape[-1] == d_target]
@@ -419,8 +422,7 @@ class TestBatchedAgainstOracles:
     @pytest.mark.parametrize("factors, c2", ORACLE_CASES, ids=ORACLE_IDS)
     def test_mi_matches_per_row_route(self, factors, c2):
         spec, init, times = oracle_case(factors, c2)
-        traj = propagate(spec, init, times)
-        states = trajectory_states(traj)
+        states = evolved_states(spec, init, times)
         expected = mi_per_row(states, spec.dims)
         assert_allclose(mi_and_entropies(states, spec.dims)[0], expected, rtol=0, atol=1e-12)
         if c2 == 0:
@@ -443,31 +445,32 @@ class TestBatchedAgainstOracles:
     @pytest.mark.parametrize("direction", ["b_to_a", "a_to_b"])
     @pytest.mark.parametrize("factors, c2", ORACLE_CASES, ids=ORACLE_IDS)
     def test_signaling_on_the_chebyshev_route_matches_per_row_loop(self, factors, c2,
-                                                                    direction, monkeypatch):
+                                                                    direction, monkeypatch,
+                                                                    job_route):
         # the oracle evolves every state over the whole grid by Chebyshev steps, while the
         # locality job takes the source basis in blocks, each from the one before
         monkeypatch.setattr(evolve_module, "EIGH_FLOPS_PER_N3", np.inf)
         spec, init, times = oracle_case(factors, c2)
-        traj = propagate(spec, init, times)
-        assert isinstance(traj.route, Chebyshev)
-        evolve = lambda psi: route_states(traj.route, psi, traj.times)
-        states = trajectory_states(traj)
-        expected = signaling_per_row(evolve, states[0], states, spec.dims,
+        route = job_route(locality_columns, spec, init, times)
+        assert isinstance(route, Chebyshev)
+        evolve = lambda psi: route_states(route, psi, times)
+        psi0 = initial_state(init, spec.dims, spec.robust_index)
+        expected = signaling_per_row(evolve, psi0, evolve(psi0), spec.dims,
                                      direction, n_samples=5, seed=2)
         got = signal(spec, init, times, direction, n_samples=5, seed=2)
         assert_allclose(got, expected, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("eigh_cost", [evolve_module.EIGH_FLOPS_PER_N3, np.inf])
     @pytest.mark.parametrize("direction", ["b_to_a", "a_to_b"])
-    def test_fewer_samples_than_pair_weights(self, direction, eigh_cost, monkeypatch):
+    def test_fewer_samples_than_pair_weights(self, direction, eigh_cost, monkeypatch, job_route):
         # 3 samples against d_source^2 = 25 (B to A) or 4 (A to B) pair weights, on both routes
         monkeypatch.setattr(evolve_module, "EIGH_FLOPS_PER_N3", eigh_cost)
         spec, init, times = oracle_case((2, 2, 5), 0.5)
-        traj = locality_trajectory(spec, init, times)
-        assert isinstance(traj.route, Chebyshev if eigh_cost == np.inf else Propagator)
-        evolve = lambda psi: route_states(traj.route, psi, traj.times)
-        states = trajectory_states(traj)
-        expected = signaling_per_row(evolve, states[0], states, spec.dims,
+        route = job_route(locality_columns, spec, init, times)
+        assert isinstance(route, Chebyshev if eigh_cost == np.inf else Propagator)
+        evolve = lambda psi: route_states(route, psi, times)
+        psi0 = initial_state(init, spec.dims, spec.robust_index)
+        expected = signaling_per_row(evolve, psi0, evolve(psi0), spec.dims,
                                      direction, n_samples=3, seed=2)
         assert expected.max() > 1e-3
         got = signal(spec, init, times, direction, n_samples=3, seed=2)
@@ -520,7 +523,8 @@ class TestRelabelledC:
     @pytest.mark.parametrize("eigh_cost", [evolve_module.EIGH_FLOPS_PER_N3, np.inf],
                              ids=["spectral", "chebyshev"])
     @pytest.mark.parametrize("factors", [(2, 3, 4), (3, 4, 2)], ids=["2x3x4", "3x4x2"])
-    def test_columns_do_not_move_with_the_robust_index(self, factors, eigh_cost, monkeypatch):
+    def test_columns_do_not_move_with_the_robust_index(self, factors, eigh_cost, monkeypatch,
+                                                         job_route):
         # the robust C state moved to each index r is the same physics: every column of the
         # locality job stays put. On the Chebyshev route, with the split priced free, the C-B
         # block goes as its two sectors at the first and the last r and as one GEMM between
@@ -534,7 +538,7 @@ class TestRelabelledC:
         d_c = factors[1]
         for r in range(d_c):
             moved = relabel_c(spec, r)
-            route = locality_trajectory(moved, init, times).route
+            route = job_route(locality_columns, moved, init, times)
             assert isinstance(route, Chebyshev if eigh_cost == np.inf else Propagator)
             if eigh_cost == np.inf:
                 assert len(route._cb_t) == (2 if r in (0, d_c - 1) else 1)
@@ -546,7 +550,7 @@ class TestRelabelledC:
                              ids=["spectral", "chebyshev"])
     @pytest.mark.parametrize("factors", [(2, 3, 4), (3, 4, 2)], ids=["2x3x4", "3x4x2"])
     def test_simulate_columns_do_not_move_with_the_robust_index(self, factors, eigh_cost,
-                                                                 monkeypatch):
+                                                                 monkeypatch, job_route):
         # the same for the simulate job: its mutual information, entropies, residuals and
         # norm errors, and the product form's shift table, on the route forced as above
         spec, init, _ = oracle_case(factors, 0.5)
@@ -559,7 +563,7 @@ class TestRelabelledC:
         d_c = factors[1]
         for r in range(d_c):
             moved = relabel_c(spec, r)
-            route = propagate(moved, init, times).route
+            route = job_route(simulate_columns, moved, init, times)
             assert isinstance(route, Chebyshev if eigh_cost == np.inf else Propagator)
             if eigh_cost == np.inf:
                 assert len(route._cb_t) == (2 if r in (0, d_c - 1) else 1)
@@ -617,7 +621,7 @@ class TestLocalUnitaryInvariance:
                              ids=["spectral", "chebyshev"])
     @pytest.mark.parametrize("r", [0, 1], ids=["r0", "r1"])
     @pytest.mark.parametrize("factors", [(2, 3, 4), (3, 3, 5)], ids=["2x3x4", "3x3x5"])
-    def test_simulate_job_is_invariant(self, factors, r, eigh_cost, monkeypatch):
+    def test_simulate_job_is_invariant(self, factors, r, eigh_cost, monkeypatch, job_route):
         # the same physics in other local bases: the mutual information, both entropies and
         # the residual of the product form stay put at every time, and so do the dressed
         # energies as a set and sup |lambda_i0j|. Each cross entry of the conjugated h_cb is a
@@ -635,7 +639,7 @@ class TestLocalUnitaryInvariance:
         pd, want = simulate_columns(spec, init, times)
         assert want["mi_ab_bits"].max() > 1e-3 and want["residual_eq4"].max() > 1e-2
         for model, state in ((spec, init), (moved, moved_init)):
-            route = propagate(model, state, times).route
+            route = job_route(simulate_columns, model, state, times)
             assert isinstance(route, Chebyshev if eigh_cost == np.inf else Propagator)
             if eigh_cost == np.inf:
                 assert len(route._cb_t) == (2 if r == 0 else 1)
@@ -650,7 +654,7 @@ class TestLocalUnitaryInvariance:
                              ids=["spectral", "chebyshev"])
     @pytest.mark.parametrize("r", [0, 1], ids=["r0", "r1"])
     @pytest.mark.parametrize("factors", [(2, 3, 4), (3, 3, 5)], ids=["2x3x4", "3x3x5"])
-    def test_locality_mi_is_invariant(self, factors, r, eigh_cost, monkeypatch):
+    def test_locality_mi_is_invariant(self, factors, r, eigh_cost, monkeypatch, job_route):
         # the locality job's mutual information, read off the evolved B source basis as chi @
         # phi, is that of the same physics in other local bases at every time; the sampled
         # signals are left out, as the seeded unitaries are not conjugated with the model
@@ -662,7 +666,7 @@ class TestLocalUnitaryInvariance:
         monkeypatch.setattr(evolve_module, "EIGH_FLOPS_PER_N3", eigh_cost)
         monkeypatch.setattr(evolve_module, "CHEB_TERM_FLOPS", 0.0)
         for model, state in ((spec, init), (moved, moved_init)):
-            route = locality_trajectory(model, state, times).route
+            route = job_route(locality_columns, model, state, times)
             assert isinstance(route, Chebyshev if eigh_cost == np.inf else Propagator)
         want = locality_columns(spec, init, times, n_samples=8, seed=1)["mi_ab_bits"]
         got = locality_columns(moved, moved_init, times, n_samples=8, seed=1)["mi_ab_bits"]
@@ -673,7 +677,8 @@ class TestLocalUnitaryInvariance:
                              ids=["spectral", "chebyshev"])
     @pytest.mark.parametrize("r", [0, 1], ids=["r0", "r1"])
     @pytest.mark.parametrize("factors", [(2, 3, 4), (3, 3, 5)], ids=["2x3x4", "3x3x5"])
-    def test_signals_are_invariant_on_the_target_side(self, factors, r, eigh_cost, monkeypatch):
+    def test_signals_are_invariant_on_the_target_side(self, factors, r, eigh_cost, monkeypatch,
+                                                        job_route):
         # U_target x U_C with the source side left as I commutes with every sampled G on the
         # source, so each sample's target state only turns by U_target and its trace distance
         # stays put, to roundoff: the seeded unitaries need no conjugating. A reduction of the
@@ -689,7 +694,7 @@ class TestLocalUnitaryInvariance:
             moved, moved_init = conjugate_locally(spec, init, sum(factors), identity=source)
             assert np.abs(moved.h_ac - spec.h_ac).max() > 0.1
             assert np.abs(moved.h_cb - spec.h_cb).max() > 0.1
-            route = locality_trajectory(moved, moved_init, times).route
+            route = job_route(locality_columns, moved, moved_init, times)
             assert isinstance(route, Chebyshev if eigh_cost == np.inf else Propagator)
             got = locality_columns(moved, moved_init, times, n_samples=8, seed=1)
             assert want[name].max() > 1e-3
