@@ -214,17 +214,33 @@ class Chebyshev:
         self._cb_t = [(cols, cb_t[cols, cols].copy()) for cols in sectors]
         self._planned = {}  # (grid bytes, max_rows) -> plans
 
-    def _x2(self, v: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """2X @ v for v of shape (n,) or (k, n), into ``out``.
+    def _slot(self, v: np.ndarray) -> tuple[list[np.ndarray], np.ndarray, np.ndarray]:
+        """The views of v, (n,) or (k, n), that :meth:`_apply` reads or writes.
 
-        ``out`` is C-contiguous: each block of the C-B GEMM writes its columns of it
-        through a view, and the A-C GEMM is added to them.
+        The column slices of each C-B sector of its (k d_A, d_C d_B) rows, its
+        (k, d_A d_C, d_B) A-C view and its flat row. A v that 2X writes must be
+        C-contiguous, so that these are views of it. ``_block`` forms them once
+        for each slot of its term buffer.
         """
         d_a, d_c, d_b = self._dims.factors
-        rows, out_rows = v.reshape(-1, d_c * d_b), out.reshape(-1, d_c * d_b)
-        for cols, block in self._cb_t:
-            np.matmul(rows[:, cols], block, out=out_rows[:, cols])
-        out += (self._ac @ v.reshape(-1, d_a * d_c, d_b)).reshape(out.shape)
+        rows = v.reshape(-1, d_c * d_b)
+        sectors = [rows[:, cols] for cols, _ in self._cb_t]
+        return sectors, v.reshape(-1, d_a * d_c, d_b), v.reshape(-1)
+
+    def _apply(self, src: tuple, dst: tuple, product: np.ndarray) -> None:
+        """2X on the ``_slot`` views: dst = 2X src, with the A-C GEMM written into ``product``.
+
+        Each block of the C-B GEMM writes its columns of dst, and the A-C GEMM is added to them.
+        """
+        for cols, (_, block), out in zip(src[0], self._cb_t, dst[0]):
+            np.matmul(cols, block, out=out)
+        np.matmul(self._ac, src[1], out=product)
+        np.add(dst[1], product, out=dst[1])
+
+    def _x2(self, v: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """2X @ v for v of shape (n,) or (k, n), into the C-contiguous ``out``: one ``_apply``."""
+        src = self._slot(v)
+        self._apply(src, self._slot(out), np.empty_like(src[1]))
         return out
 
     def _plans(self, times: np.ndarray, max_rows: int) -> list[tuple[int, slice, np.ndarray]]:
@@ -293,13 +309,17 @@ class Chebyshev:
         A row's series ends at its own length, and the rows are in grid order,
         so the rows that a chunk reaches are mostly the last ones: each chunk is
         added from the first row with a nonzero coefficient in it, in row slices
-        no longer than that buffer or the block. So the recurrence holds at most
-        2 (_CHEB_CHUNK + 2) stacks like v whatever its length and its number of
-        rows.
+        no longer than that buffer or the block. The views that 2X takes of each
+        buffered term are formed once, its A-C GEMM goes into one more stack,
+        and each T_k is updated in place. So the recurrence holds at most
+        2 (_CHEB_CHUNK + 2) + 1 stacks like v whatever its length and its number
+        of rows.
         """
         length = coeffs.shape[1]
         size = min(length, _CHEB_CHUNK)
         buf = np.empty((size + 2, *v.shape), dtype=complex)
+        slots = [self._slot(term) for term in buf]  # the views of every term, once a recurrence
+        product = np.empty_like(slots[0][1])
         chunk = buf[2:].reshape(size, -1)
         part = np.empty((min(size + 2, len(out)), chunk.shape[1]), dtype=complex)
         rows = out.reshape(len(out), -1)
@@ -310,12 +330,13 @@ class Chebyshev:
                 k = start + i - 2
                 if k == 0:
                     buf[i] = v
+                    continue
+                self._apply(slots[i - 1], slots[i], product)
+                term = slots[i][2]
+                if k == 1:
+                    term /= 2
                 else:
-                    self._x2(buf[i - 1], buf[i])
-                    if k == 1:
-                        buf[i] /= 2
-                    else:
-                        buf[i] -= buf[i - 2]
+                    np.subtract(term, slots[i - 2][2], out=term)
             series = coeffs[:, start:start + m]
             for lo in range(int(np.argmax(series.any(axis=1))), len(series), len(part)):
                 hi = min(lo + len(part), len(series))
@@ -423,23 +444,30 @@ def row_norms(states: np.ndarray) -> np.ndarray:
 def propagate(spec: ModelSpec, times, stacks) -> list:
     """Exact evolution of each stack (k, n) of unit states: one lazy stream of blocks per stack.
 
-    Before any stream starts, the grid, then each stack's shape, is checked, and one route,
-    ``Chebyshev`` or the spectral ``Propagator``, is picked by the count of ``_route`` over
-    the blocks of exactly these stacks. Its phase guard comes first: the phases e^{-iEt}
-    carry an absolute error of about eps * max|E| * t, and a grid with eps * max|E| * max|t|
-    above 1e-8 (max|E| from the Chebyshev spectral bounds) raises ``ValidationError`` before
-    either route is built. A stream yields (rows, states): ``rows`` slices the times, and
-    ``states``, (rows, k, n), holds at most ``block_budget(times, n)`` numbers in whole rows,
-    at least one, valid until the next block is asked for. A Chebyshev block is one
-    recurrence, cut only where its rows would outgrow that limit; a spectral one takes as
-    many rows as the limit allows. Each state of a block must keep unit norm within
-    NORM_DRIFT_TOL, or ``ValidationError`` is raised; a NaN norm fails too.
+    Before any stream starts, the grid is checked, then each stack's shape, then each row's
+    norm: a row whose norm is not 1 within NORM_DRIFT_TOL, or is NaN, raises ``ValueError``
+    naming its stack, the row and the norm. Then one route, ``Chebyshev`` or the spectral
+    ``Propagator``, is picked by the count of ``_route`` over the blocks of exactly these
+    stacks. Its phase guard comes first: the phases e^{-iEt} carry an absolute error of about
+    eps * max|E| * t, and a grid with eps * max|E| * max|t| above 1e-8 (max|E| from the
+    Chebyshev spectral bounds) raises ``ValidationError`` before either route is built. A
+    stream yields (rows, states): ``rows`` slices the times, and ``states``, (rows, k, n),
+    holds at most ``block_budget(times, n)`` numbers in whole rows, at least one, valid until
+    the next block is asked for. A Chebyshev block is one recurrence, cut only where its rows
+    would outgrow that limit; a spectral one takes as many rows as the limit allows. Each
+    state of a block must keep unit norm within NORM_DRIFT_TOL, or ``ValidationError`` is
+    raised; a NaN norm fails too.
     """
     times = _time_grid(times)
     for shape in map(np.shape, stacks):
         if len(shape) != 2 or shape[0] < 1 or shape[1] != spec.dims.total:
             raise ValueError(f"a stack must have shape (k, {spec.dims.total}) with k >= 1, "
                              f"got {shape}")
+    for index, stack in enumerate(stacks):
+        for row, norm in enumerate(np.linalg.norm(stack, axis=1)):
+            if not abs(norm - 1.0) <= NORM_DRIFT_TOL:
+                raise ValueError(f"stack {index}, row {row}: norm {norm:.6g} is not 1 "
+                                 f"within {NORM_DRIFT_TOL:.1e}")
     route = _route(spec, times, [len(stack) for stack in stacks])
     return [_stream(route, times, stack) for stack in stacks]
 

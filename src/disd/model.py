@@ -211,10 +211,20 @@ def hamiltonian_blocks(spec: ModelSpec) -> tuple[np.ndarray, np.ndarray]:
 
 
 def assemble_hamiltonian(spec: ModelSpec) -> np.ndarray:
-    """Full Hamiltonian on A x C x B; contains no A-B cross term by construction."""
+    """Full Hamiltonian on A x C x B; contains no A-B cross term by construction.
+
+    H = on_ac x I_B + I_A x on_cb is written into one n x n array through two
+    reshaped views of it: on_cb on the d_A diagonal blocks, then on_ac added on
+    the diagonals strided by d_B, so no other n x n array is formed.
+    """
     d = spec.dims
     on_ac, on_cb = hamiltonian_blocks(spec)
-    return np.kron(on_ac, np.eye(d.b, dtype=complex)) + np.kron(np.eye(d.a, dtype=complex), on_cb)
+    m = d.c * d.b
+    h = np.zeros((d.total, d.total), dtype=complex)
+    a, b = np.arange(d.a), np.arange(d.b)
+    h.reshape(d.a, m, d.a, m)[a, :, a] = on_cb
+    h.reshape(d.a * d.c, d.b, d.a * d.c, d.b)[:, b, :, b] += on_ac
+    return h
 
 
 def place_robust(ab: np.ndarray, dims: Dims, robust_index: int) -> np.ndarray:

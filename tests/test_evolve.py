@@ -133,6 +133,23 @@ class TestPropagate:
             propagate(spec233, [1.0, 0.0], [np.ones(shape, dtype=complex)])
         assert propagator_builds == [] and cheb_builds == []
 
+    @pytest.mark.parametrize("stacks, message", [
+        ([2 * np.eye(18)[:1]], "stack 0, row 0: norm 2"),
+        ([np.eye(18)[:2], np.eye(18)[:2] * [[1.0], [np.nan]]], "stack 1, row 1: norm nan"),
+    ], ids=["twice-a-unit-state", "nan-row"])
+    def test_rejects_a_row_that_is_not_a_unit_state_before_any_route(self, spec233, monkeypatch,
+                                                                     propagator_builds, stacks,
+                                                                     message):
+        # such a row would otherwise evolve and fail at its first block as a propagation norm
+        # drift, which blames the propagation for its input; the shapes are checked first
+        cheb_builds = []
+        monkeypatch.setattr(Chebyshev, "__init__", lambda self, spec: cheb_builds.append(spec))
+        with pytest.raises(ValueError, match=rf"^{message} is not 1 within 1\.0e-08$"):
+            propagate(spec233, [0.0, 1.0], stacks)
+        with pytest.raises(ValueError, match=r"^a stack must have shape \(k, 18\)"):
+            propagate(spec233, [0.0, 1.0], [*stacks, np.ones(18)])
+        assert propagator_builds == [] and cheb_builds == []
+
     def test_apply_and_evolve_many_match_a_dense_exponential(self, spec233, init233):
         psi0 = initial_state(init233, spec233.dims, spec233.robust_index)
         h = assemble_hamiltonian(spec233)
@@ -541,13 +558,13 @@ class TestChebyshev:
         spec, init = uniform_case(factors)
         cheb = Chebyshev(spec)
         calls = []
-        x2 = Chebyshev._x2
+        apply = Chebyshev._apply
 
-        def counted(self, v, out):
-            calls.append(len(v))
-            return x2(self, v, out)
+        def counted(self, src, dst, product):
+            calls.append(len(product))
+            return apply(self, src, dst, product)
 
-        monkeypatch.setattr(Chebyshev, "_x2", counted)
+        monkeypatch.setattr(Chebyshev, "_apply", counted)
         route_states(cheb, initial_state(init, spec.dims, spec.robust_index), times)
         # the terms past T_0 = v, its uses of 2X, over the blocks of no row limit
         terms = sum(steps * (coeffs.shape[1] - 1)

@@ -128,7 +128,7 @@ class TestSignalingOneShot:
                                                     entry):
         # both entry points build the source bases, and check the amplitudes there as
         # initial_state does: alpha of length 1 would otherwise broadcast into a basis of
-        # non-unit states, refused only later as a norm drift
+        # non-unit states, which propagate would refuse by their norms, not by the amplitudes
         short = InitialSpec(alpha=np.ones(1), chi=init233.chi)
         with pytest.raises(ValueError, match=r"^alpha has length \(1,\), expected 2$"):
             if entry == "locality_columns":

@@ -8,6 +8,7 @@ from disd.model import (
     ModelSpec,
     assemble_hamiltonian,
     build_canonical,
+    hamiltonian_blocks,
     initial_state,
     place_robust,
 )
@@ -183,6 +184,19 @@ class TestAssembleHamiltonian:
         ]
         h = assemble_hamiltonian(spec233)
         assert np.abs(h - sum(reversed(terms))).max() <= 1e-12
+
+    @pytest.mark.parametrize("factors, robust_index", [
+        ((2, 3, 4), 0), ((2, 3, 4), 2), ((3, 2, 5), 1), ((2, 2, 2), 1), ((3, 4, 2), 3),
+        ((8, 4, 32), 0),
+    ])
+    def test_equals_the_kron_formula(self, factors, robust_index):
+        # the views of one array give the values of the two Kronecker products, up to the
+        # sign of some zeros
+        dims = Dims(*factors)
+        spec = build_canonical(dims, 5, 7.0, 0.4, robust_index=robust_index)
+        on_ac, on_cb = hamiltonian_blocks(spec)
+        kron = np.kron(on_ac, np.eye(dims.b)) + np.kron(np.eye(dims.a), on_cb)
+        assert np.array_equal(assemble_hamiltonian(spec), kron)
 
     def test_c_sector_decoupling_at_c2_zero(self, dims233):
         spec = build_canonical(dims233, 6, 3.0, 0.0)
