@@ -77,7 +77,11 @@ class Propagator:
         self._evals, self._vecs = np.linalg.eigh(h)
 
     def apply(self, psi: np.ndarray, t: float) -> np.ndarray:
-        """Evolve a single state to time t."""
+        """Evolve a single state to time t.
+
+        It stays because ``CLASS_METHODS`` in ``bench/tracer.py`` names it, its one caller
+        outside the tests.
+        """
         return self.evolve_many(psi, [t])[0]
 
     def evolve_many(self, psi: np.ndarray, times) -> np.ndarray:
@@ -165,8 +169,8 @@ class Chebyshev:
     chunk only to the rows whose series reach it and in row slices no larger
     than the term buffer, so the sums need no block-sized temporary.
     :meth:`blocks` yields each recurrence's rows as it ends, so a caller never
-    holds more than one of them. ``_route`` prices the recurrences against
-    ``eigh``.
+    holds more than one of them. ``_route`` plans the recurrences of each stack
+    to price them against ``eigh``, and the streams run exactly those plans.
 
     The robust C state r is invariant under the C-B block where its cross
     blocks <j|on_cb|r>, j != r, are exactly zero, as ``build_canonical`` makes
@@ -212,7 +216,6 @@ class Chebyshev:
         orthogonal = slice(d_b, None) if r == 0 else slice(None, r * d_b)
         sectors = [robust, orthogonal] if split else [slice(None)]
         self._cb_t = [(cols, cb_t[cols, cols].copy()) for cols in sectors]
-        self._planned = {}  # (grid bytes, max_rows) -> plans
 
     def _slot(self, v: np.ndarray) -> tuple[list[np.ndarray], np.ndarray, np.ndarray]:
         """The views of v, (n,) or (k, n), that :meth:`_apply` reads or writes.
@@ -237,14 +240,8 @@ class Chebyshev:
         np.matmul(self._ac, src[1], out=product)
         np.add(dst[1], product, out=dst[1])
 
-    def _x2(self, v: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """2X @ v for v of shape (n,) or (k, n), into the C-contiguous ``out``: one ``_apply``."""
-        src = self._slot(v)
-        self._apply(src, self._slot(out), np.empty_like(src[1]))
-        return out
-
     def _plans(self, times: np.ndarray, max_rows: int) -> list[tuple[int, slice, np.ndarray]]:
-        """(sub-steps, rows, coefficients) of each recurrence that :meth:`blocks` runs.
+        """(sub-steps, rows, coefficients) of each recurrence of a stack over ``times``.
 
         A recurrence starts from psi (the first) or the last row computed, and
         serves the consecutive rows, one at t = 0 like any other, at delta =
@@ -253,15 +250,8 @@ class Chebyshev:
         X} times e^{-i center delta}, padded with zeros to the recurrence's
         longest; the series are worked out one recurrence at a time. A row out
         of that reach is served alone, in ``sub-steps`` equal steps of
-        coefficients[0]. The plans of each (grid, max_rows) asked for are kept:
-        ``_route`` prices the blocks that ``blocks`` then runs, and their series
-        are worked out once.
+        coefficients[0]. ``_route`` prices these plans, and :meth:`blocks` runs them.
         """
-        times = np.asarray(times, dtype=float)
-        key = (times.tobytes(), max_rows)
-        plans = self._planned.get(key)
-        if plans is not None:
-            return plans
         plans, anchor, row = [], 0.0, 0
         while row < len(times):
             dt, end = times[row] - anchor, row + 1
@@ -277,20 +267,18 @@ class Chebyshev:
             plans.append((steps, slice(row, end),
                           np.exp(-1j * self._center * deltas)[:, None] * series))
             anchor, row = times[end - 1], end
-        self._planned[key] = plans
         return plans
 
-    def blocks(self, psi: np.ndarray, times: np.ndarray, max_rows: int):
+    def blocks(self, psi: np.ndarray, times: np.ndarray, plans: list):
         """(rows, states) of psi, (n,) or (k, n), over ``times``: one recurrence a block.
 
-        The recurrences are those of ``_plans(times, max_rows)``, in grid order,
-        so any strictly increasing grid works, a stack (k, n) all together; rows
-        at t = 0 are set to psi, as in ``Propagator.evolve_many``. Every block is
-        a view of one buffer that the next overwrites: reduce it, or copy it.
+        The recurrences are ``plans``, those of ``_plans(times, max_rows)``, run
+        in grid order, so any strictly increasing grid works, a stack (k, n) all
+        together; rows at t = 0 are set to psi, as in ``Propagator.evolve_many``.
+        Every block is a view of one buffer that the next overwrites: reduce it,
+        or copy it.
         """
         anchor = psi = np.asarray(psi, dtype=complex)
-        times = np.asarray(times, dtype=float)
-        plans = self._plans(times, max_rows)
         buffer = np.empty((max((rows.stop - rows.start for _, rows, _ in plans), default=0),
                            *psi.shape), dtype=complex)
         for steps, rows, coeffs in plans:
@@ -369,19 +357,16 @@ def block_budget(times: np.ndarray, n: int) -> int:
     return min(BLOCK_NUMBERS, len(times) * n)
 
 
-def _block_rows(times: np.ndarray, n: int, k: int) -> int:
-    """The rows of a block of a k-state stack over ``times``, whole rows within ``block_budget``.
+def _route(spec: ModelSpec, times: np.ndarray, stacks) -> tuple[Propagator | Chebyshev, list]:
+    """The cheaper way to evolve ``spec`` over ``times``, by a fitted count, and its plans.
 
-    At least one row, so a stack of more than that many numbers goes one row a block.
-    """
-    return max(1, block_budget(times, n) // (k * n))
-
-
-def _route(spec: ModelSpec, times: np.ndarray, stacks) -> Propagator | Chebyshev:
-    """The cheaper way to evolve ``spec`` over ``times``, by a fitted count.
-
-    ``stacks`` holds the size of each stack the job evolves, and each is priced
-    over the blocks that :func:`propagate` streams for it.
+    ``stacks`` holds the size k of each stack the job evolves. A block of a
+    stack takes ``block_budget`` // (k n) whole rows, at least one, so a stack
+    of more numbers than the budget goes one row a block. Each stack is priced
+    over those blocks, and the route comes with one plan per stack, which
+    :func:`propagate` hands to that stack's stream: on the Chebyshev route the
+    recurrences of ``Chebyshev._plans`` that the count priced, on the spectral
+    route the rows a block.
     The spectral route costs EIGH_FLOPS_PER_N3 * n^3 (assembly and ``eigh``)
     plus EVOLVE_FLOPS_PER_N2 * n^2 per state and time. A Chebyshev term, one
     2X, costs two complex block GEMMs, 8 n (d_A d_C + d_C d_B) real flops, per
@@ -390,19 +375,29 @@ def _route(spec: ModelSpec, times: np.ndarray, stacks) -> Propagator | Chebyshev
     terms a stack bound the plans from below and can rule them out unplanned.
     The phase guard runs first, on ``Chebyshev.max_abs_energy`` >= max|E|: a
     grid that fails it is refused before any plan or ``eigh``.
+
+    A term is priced at the dense C-B GEMM also where ``Chebyshev`` splits that
+    block into its two sectors, with 16 (d_C - 1) d_B^2 d_A fewer flops a state:
+    the rates were fitted on dense terms, before the split existed. Priced with
+    the split, the 8x4x32 locality job (200 steps to t = 20, seeds 1, 7 and
+    510072) would cost 0.98-0.99 of its spectral price by Chebyshev, against
+    1.35-1.37 dense, and would leave the spectral route, which measured 1.3-1.5x
+    faster for it. A split-aware price needs the rates fitted again.
     """
     cheb = Chebyshev(spec)
     _check_phases(cheb.max_abs_energy, times, "phases lose their precision")
     d_a, d_c, d_b = spec.dims.factors
     n = spec.dims.total
+    rows = [max(1, block_budget(times, n) // (k * n)) for k in stacks]
     per_term = [k * 8 * n * (d_a * d_c + d_c * d_b) + CHEB_TERM_FLOPS for k in stacks]
     spectral = (EIGH_FLOPS_PER_N3 * n + EVOLVE_FLOPS_PER_N2 * len(times) * sum(stacks)) * n ** 2
-    if (not cheb.subnormal and sum(per_term) * cheb._half * np.abs(times).max() < spectral
-            and sum(steps * ((c.shape[1] - 1) * cost + 8 * n * k * c.size)
-                    for k, cost in zip(stacks, per_term)
-                    for steps, _, c in cheb._plans(times, _block_rows(times, n, k))) < spectral):
-        return cheb
-    return Propagator(assemble_hamiltonian(spec))
+    if not cheb.subnormal and sum(per_term) * cheb._half * np.abs(times).max() < spectral:
+        plans = [cheb._plans(times, r) for r in rows]
+        if sum(steps * ((c.shape[1] - 1) * cost + 8 * n * k * c.size)
+               for k, cost, plan in zip(stacks, per_term, plans)
+               for steps, _, c in plan) < spectral:
+            return cheb, plans
+    return Propagator(assemble_hamiltonian(spec)), rows
 
 
 @dataclass(frozen=True, eq=False)
@@ -448,7 +443,8 @@ def propagate(spec: ModelSpec, times, stacks) -> list:
     norm: a row whose norm is not 1 within NORM_DRIFT_TOL, or is NaN, raises ``ValueError``
     naming its stack, the row and the norm. Then one route, ``Chebyshev`` or the spectral
     ``Propagator``, is picked by the count of ``_route`` over the blocks of exactly these
-    stacks. Its phase guard comes first: the phases e^{-iEt} carry an absolute error of about
+    stacks, and each stream runs the plan that the count priced for its stack, planned
+    once. Its phase guard comes first: the phases e^{-iEt} carry an absolute error of about
     eps * max|E| * t, and a grid with eps * max|E| * max|t| above 1e-8 (max|E| from the
     Chebyshev spectral bounds) raises ``ValidationError`` before either route is built. A
     stream yields (rows, states): ``rows`` slices the times, and ``states``, (rows, k, n),
@@ -468,14 +464,13 @@ def propagate(spec: ModelSpec, times, stacks) -> list:
             if not abs(norm - 1.0) <= NORM_DRIFT_TOL:
                 raise ValueError(f"stack {index}, row {row}: norm {norm:.6g} is not 1 "
                                  f"within {NORM_DRIFT_TOL:.1e}")
-    route = _route(spec, times, [len(stack) for stack in stacks])
-    return [_stream(route, times, stack) for stack in stacks]
+    route, plans = _route(spec, times, [len(stack) for stack in stacks])
+    return [_stream(route.blocks(stack, times, plan)) for stack, plan in zip(stacks, plans)]
 
 
-def _stream(route: Propagator | Chebyshev, times: np.ndarray, stack: np.ndarray):
-    """The norm-checked blocks of ``stack`` on ``route``, ``_block_rows`` rows each."""
-    k, n = stack.shape
-    for rows, states in route.blocks(stack, times, _block_rows(times, n, k)):
+def _stream(blocks):
+    """The (rows, states) of ``blocks``, each block norm-checked before it is yielded."""
+    for rows, states in blocks:
         drift = float(np.abs(row_norms(states.reshape(-1, states.shape[-1])) - 1.0).max())
         if not drift <= NORM_DRIFT_TOL:
             raise ValidationError(f"propagation norm drift {drift:.3e} > {NORM_DRIFT_TOL:.1e}")

@@ -75,7 +75,7 @@ def job_route(monkeypatch):
         routes = []
 
         def spy(*route_args):
-            routes.append(route(*route_args))
+            routes.append(route(*route_args)[0])  # the route of the (route, plans) pair
             raise Picked
 
         monkeypatch.setattr(disd.evolve, "_route", spy)

@@ -11,7 +11,7 @@ from fractions import Fraction
 import numpy as np
 
 from disd.decompose import GAIN_TOL, MAX_ITERS, RESTARTS
-from disd.evolve import propagate
+from disd.evolve import Chebyshev, propagate
 from disd.model import initial_state
 from disd.qcore import (
     ValidationError,
@@ -95,9 +95,26 @@ def evolved_states(spec, init, times):
 
 
 def route_states(route, psi, times):
-    """Every block of ``route.blocks(psi, times, len(times))`` collected: (T, n) or (T, k, n)."""
+    """Every block of ``route`` over ``times`` in one block collected: (T, n) or (T, k, n).
+
+    The plan of one block is what ``evolve._route`` pairs with the route: the
+    recurrences of ``Chebyshev._plans(times, T)``, or T rows for the spectral route.
+    """
     times = np.asarray(times, dtype=float)
-    return np.concatenate([block.copy() for _, block in route.blocks(psi, times, len(times))])
+    plan = route._plans(times, len(times)) if isinstance(route, Chebyshev) else len(times)
+    return np.concatenate([block.copy() for _, block in route.blocks(psi, times, plan)])
+
+
+def apply_2x(cheb, v):
+    """2X @ v for v of shape (n,) or (k, n): one ``Chebyshev._apply`` on ``_slot`` views.
+
+    The recurrence's own apply step, on a fresh output and product buffer, for tests that
+    hold it against ``chebyshev_operator``.
+    """
+    out = np.empty_like(v)
+    src = cheb._slot(v)
+    cheb._apply(src, cheb._slot(out), np.empty_like(src[1]))
+    return out
 
 
 def chebyshev_operator(spec, center, half):

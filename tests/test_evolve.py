@@ -30,9 +30,9 @@ from disd.model import (InitialSpec, ModelSpec, assemble_hamiltonian, build_cano
                         initial_state, place_robust)
 from disd.qcore import Dims, ValidationError
 
-from oracles import (chebyshev_operator, chebyshev_series_exact, dense_exponential, energy_table,
-                     evolved_states, expm_longdouble, psi0_stream, residuals_per_row,
-                     route_states, rs2_table_bruteforce)
+from oracles import (apply_2x, chebyshev_operator, chebyshev_series_exact, dense_exponential,
+                     energy_table, evolved_states, expm_longdouble, psi0_stream,
+                     residuals_per_row, route_states, rs2_table_bruteforce)
 from test_locality import ORACLE_CASES, ORACLE_IDS, oracle_case
 from test_model import planted_h_cb
 
@@ -618,7 +618,7 @@ class TestChebyshev:
         assert cheb.subnormal and 0 < cheb._half < np.finfo(float).tiny
         assert np.isfinite(cheb._ac).all() and all(np.isfinite(b).all() for _, b in cheb._cb_t)
         monkeypatch.setattr(evolve, "EIGH_FLOPS_PER_N3", np.inf)
-        assert isinstance(evolve._route(spec, np.linspace(0, 1e305, 50), [1]), Propagator)
+        assert isinstance(evolve._route(spec, np.linspace(0, 1e305, 50), [1])[0], Propagator)
         assert not Chebyshev(build_canonical(Dims(2, 2, 2), 1, 1e-300, 0.0)).subnormal
 
     def test_phase_guard_uses_the_spectral_bounds(self, spec233, monkeypatch, propagator_builds):
@@ -627,9 +627,9 @@ class TestChebyshev:
         limit = phase_limit(spec233)
         within = np.array([0.0, 0.99 * limit])
         monkeypatch.setattr(evolve, "EIGH_FLOPS_PER_N3", np.inf)  # every grid prefers Chebyshev
-        assert isinstance(evolve._route(spec233, within, [1]), Chebyshev)
+        assert isinstance(evolve._route(spec233, within, [1])[0], Chebyshev)
         monkeypatch.setattr(evolve, "EIGH_FLOPS_PER_N3", 0.0)  # every grid prefers eigh
-        assert isinstance(evolve._route(spec233, within, [1]), Propagator)
+        assert isinstance(evolve._route(spec233, within, [1])[0], Propagator)
         propagator_builds.clear()
         with pytest.raises(ValidationError, match="^phases lose their precision: "):
             evolve._route(spec233, np.array([0.0, 1.01 * limit]), [1])
@@ -730,7 +730,7 @@ class TestTwoSectorKernel:
         assert [cols for cols, _ in cheb._cb_t] == sectors
         psi = random_stack(spec.dims.total)
         want = psi @ chebyshev_operator(spec, cheb._center, cheb._half).T
-        assert np.abs(cheb._x2(psi, np.empty_like(psi)) - want).max() <= 1e-13 * np.abs(want).max()
+        assert np.abs(apply_2x(cheb, psi) - want).max() <= 1e-13 * np.abs(want).max()
 
     @pytest.mark.parametrize("make_spec", [leaky_h_c_spec, near_robust_h_cb_spec],
                              ids=["leaky-h_c", "h_cb-cross-1e-13"])
@@ -741,7 +741,7 @@ class TestTwoSectorKernel:
         assert [cols for cols, _ in cheb._cb_t] == [slice(None)]
         psi = random_stack(spec.dims.total)
         want = psi @ chebyshev_operator(spec, cheb._center, cheb._half).T
-        assert np.abs(cheb._x2(psi, np.empty_like(psi)) - want).max() <= 1e-13 * np.abs(want).max()
+        assert np.abs(apply_2x(cheb, psi) - want).max() <= 1e-13 * np.abs(want).max()
         init = InitialSpec(alpha=np.full(2, 2 ** -0.5), chi=np.full(4, 0.5))
         cheb_states, spectral = both_routes(spec, init, np.linspace(0, 4, 9))
         assert_allclose(cheb_states, spectral, rtol=0, atol=1e-12)
@@ -794,7 +794,7 @@ class TestTwoSectorKernel:
         got = cheb._block(psi, coeffs, np.empty((len(times), *psi.shape), dtype=complex))
         terms = [psi]
         for k in range(1, coeffs.shape[1]):
-            term = cheb._x2(terms[-1], np.empty_like(psi))
+            term = apply_2x(cheb, terms[-1])
             if k == 1:
                 term /= 2
             else:
@@ -814,8 +814,9 @@ class TestTwoSectorKernel:
         spec, init = uniform_case((4, 4, 8))
         half = Chebyshev(spec)._half
         times = np.linspace(0, 0.95 * CHEB_Z_MAX / half, 2000)
-        assert len(evolve._route(spec, times, [1])._plans(times, len(times))) == 1
-        stream = psi0_stream(spec, init, times)  # priced, and so planned, before the count
+        route, (plans,) = evolve._route(spec, times, [1])
+        assert isinstance(route, Chebyshev) and len(plans) == 1
+        stream = psi0_stream(spec, init, times)  # planned as it is priced, before the count
         tracemalloc.start()
         try:
             for _, states in stream:
@@ -916,7 +917,7 @@ class TestRoute:
 
     def test_the_count_prices_the_blocks_of_the_stacks_passed(self, spec233, monkeypatch):
         # the plans priced are those of the stacks given, in order, and the streams run
-        # exactly those: no size is stated apart from its stack
+        # exactly those, planned once: no size is stated apart from its stack
         monkeypatch.setattr(evolve, "EIGH_FLOPS_PER_N3", np.inf)  # every grid prefers Chebyshev
         asked = []
         plans = Chebyshev._plans
@@ -934,7 +935,7 @@ class TestRoute:
         assert asked == priced
         asked.clear()
         blocks = [[rows for rows, _ in stream] for stream in streams]
-        assert asked == priced
+        assert asked == []
         assert [[(rows.start, rows.stop) for rows in stream] for stream in blocks] == [
             [(0, 13), (13, 26), (26, 39), (39, 40)], [(0, 40)]]
 
@@ -951,7 +952,7 @@ class TestRoute:
         psi0 = initial_state(init233, spec233.dims, spec233.robust_index)[None]
         with_psi0 = np.concatenate([psi0, random_stack(spec233.dims.total, k=5)])
         for stack, rows in ((psi0, 5), (with_psi0, 1)):
-            assert isinstance(evolve._route(spec233, times, [len(stack)]), route)
+            assert isinstance(evolve._route(spec233, times, [len(stack)])[0], route)
             blocks = [(r, states.copy()) for r, states in propagate(spec233, times, [stack])[0]]
             assert [(r.start, r.stop) for r, _ in blocks] == [(i, i + rows)
                                                               for i in range(0, 40, rows)]
@@ -977,7 +978,7 @@ class TestRoute:
         spectral = evolved_bases()
         assert len(propagator_builds) == 2
         monkeypatch.setattr(evolve, "EIGH_FLOPS_PER_N3", np.inf)
-        assert isinstance(evolve._route(spec, times, [len(b) for b in bases]), Chebyshev)
+        assert isinstance(evolve._route(spec, times, [len(b) for b in bases])[0], Chebyshev)
         got = locality_columns(spec, init, times, n_samples=2, seed=1)
         cheb = evolved_bases()
         assert len(propagator_builds) == 2

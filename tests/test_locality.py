@@ -4,6 +4,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from disd.config import initial_from_config, model_from_config, parse_config
@@ -246,7 +248,7 @@ class TestOneEigensystem:
         want = locality_columns(spec233, init233, times, n_samples=3, seed=1)
         monkeypatch.setattr(evolve_module, "EIGH_FLOPS_PER_N3", np.inf)
         psi0 = initial_state(init233, spec233.dims, spec233.robust_index)
-        assert isinstance(evolve_module._route(spec233, times, [1, 2]), Chebyshev)
+        assert isinstance(evolve_module._route(spec233, times, [1, 2])[0], Chebyshev)
         # psi0 alone runs as one recurrence; a stack of two copies of it takes 12 x 18 //
         # (2 x 18) = 6 rows a block, each recurrence from the last row of the one before, and
         # every column matches the one-recurrence evolution
@@ -649,6 +651,26 @@ class TestLocalUnitaryInvariance:
         assert_allclose(np.sort(moved_pd.energies, axis=None), np.sort(pd.energies, axis=None),
                         rtol=0, atol=1e-12)
         assert abs(moved_pd.lambda_sup - pd.lambda_sup) <= 1e-12
+
+    @settings(max_examples=25, derandomize=True, database=None, deadline=None)
+    @given(factors=st.tuples(st.sampled_from([2, 3]), st.sampled_from([2, 3, 4]),
+                             st.sampled_from([2, 3, 4])),
+           seed=st.integers(0, 2 ** 16), c1=st.floats(10.0, 60.0), data=st.data())
+    def test_simulate_job_is_invariant_on_drawn_models(self, factors, seed, c1, data):
+        # the parametrized test above over drawn models, robust indices and couplings, on the
+        # route the count picks: the local bases move no column of the simulate job
+        r = data.draw(st.integers(0, factors[1] - 1), label="robust_index")
+        dims = Dims(*factors)
+        rng = np.random.default_rng(seed)
+        alpha, chi = (rng.standard_normal(n) + 1j * rng.standard_normal(n) for n in factors[::2])
+        init = InitialSpec(alpha=alpha / np.linalg.norm(alpha), chi=chi / np.linalg.norm(chi))
+        spec = build_canonical(dims, seed, c1, 0.5, robust_index=r)
+        moved, moved_init = conjugate_locally(spec, init, seed)
+        times = np.linspace(0, 10, 41)
+        _, want = simulate_columns(spec, init, times)
+        _, got = simulate_columns(moved, moved_init, times)
+        for name in ("mi_ab_bits", "entropy_a_bits", "entropy_b_bits", "residual_eq4"):
+            assert_allclose(got[name], want[name], rtol=0, atol=1e-11, err_msg=name)
 
     @pytest.mark.parametrize("eigh_cost", [evolve_module.EIGH_FLOPS_PER_N3, np.inf],
                              ids=["spectral", "chebyshev"])
