@@ -9,13 +9,13 @@ this format because json serializes them via repr.
 from __future__ import annotations
 
 import json
-import reprlib
 import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import InitialSpec, ModelSpec, build_canonical
+from .model import (_BRIEF, InitialSpec, ModelSpec, build_canonical, check_amplitudes,
+                    check_couplings, check_robust_index)
 from .qcore import Dims, ValidationError, _norm_and_unit
 
 __all__ = [
@@ -43,8 +43,6 @@ class ConfigError(ValueError):
 
 
 _REAL = (int, float)  # compared by exact type: a bool is not a number here
-_BRIEF = reprlib.Repr()  # echoes a rejected value: short ones whole, large or deep ones cut
-_BRIEF.maxlevel, _BRIEF.maxstring, _BRIEF.maxother = 2, 40, 40
 
 
 def _entry_to_complex(x) -> complex:
@@ -126,15 +124,14 @@ def _optional(doc: dict, key: str, kind, where: str, default):
     return _check(doc[key], kind, f"{where}.{key}") if key in doc else default
 
 
-def _wire(name: str, parse, data, shape: tuple):
-    """Parse a [re, im] vector or matrix of the given shape, naming the field on failure."""
+def _named(prefix: str, check, *args, **kwargs):
+    """``check(*args, **kwargs)``, naming a field: ``prefix`` goes before a ValueError's message;
+    a ValidationError stays one (exit 2), and any other becomes a ConfigError (exit 1)."""
     try:
-        value = parse(data)
-    except ConfigError as exc:
-        raise ConfigError(f"{name}: {exc}") from None
-    if value.shape != shape:
-        raise ConfigError(f"{name} has shape {value.shape}, expected {shape} from dims")
-    return value
+        return check(*args, **kwargs)
+    except ValueError as exc:
+        raise (ValidationError if isinstance(exc, ValidationError) else ConfigError)(
+            f"{prefix}{exc}") from None
 
 
 def _known(doc: dict, keys, where: str | None = None) -> None:
@@ -146,6 +143,8 @@ def _known(doc: dict, keys, where: str | None = None) -> None:
 
 def _values(sweep: dict, key: str) -> list[float]:
     values = _require(sweep, key, list, "sweep")
+    if not values:
+        raise ConfigError(f"sweep.{key} must be a non-empty list")
     return [_check(x, float, f"sweep.{key}[{i}]") for i, x in enumerate(values)]
 
 
@@ -153,11 +152,7 @@ def dims_from_json(doc: dict, where: str) -> Dims:
     """The document's ``dims`` object as Dims; each entry an integer >= 2."""
     sub = _require(doc, "dims", dict, where)
     _known(sub, ("a", "c", "b"), "dims")
-    factors = [_require(sub, key, int, "dims") for key in ("a", "c", "b")]
-    try:
-        return Dims(*factors)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return _named("", Dims, *(_require(sub, key, int, "dims") for key in ("a", "c", "b")))
 
 
 def unitary_from_json(doc, dims: Dims) -> tuple[Dims, np.ndarray]:
@@ -167,7 +162,7 @@ def unitary_from_json(doc, dims: Dims) -> tuple[Dims, np.ndarray]:
     _known(doc, ("dims", "u"))
     if "dims" in doc:
         dims = dims_from_json(doc, "unitary file")
-    return dims, _wire("u", matrix_from_json, doc["u"], (dims.total, dims.total))
+    return dims, _named("u: ", matrix_from_json, doc["u"])
 
 
 _TOP_KEYS = {"dims", "seed", "couplings", "model", "initial", "time",
@@ -189,10 +184,7 @@ def parse_config(doc: dict) -> RunConfig:
     _known(coup, ("c1", "c2"), "couplings")
     c1 = _require(coup, "c1", float, "couplings")
     c2 = _require(coup, "c2", float, "couplings")
-    if not c1 > 0:
-        raise ConfigError(f"couplings.c1 must be positive, got {c1}")
-    if c2 < 0:
-        raise ConfigError(f"couplings.c2 must be non-negative, got {c2}")
+    _named("couplings.", check_couplings, c1, c2)
 
     model = _require(doc, "model", dict, "config")
     _known(model, ("family", "robust_index", "matrices"), "model")
@@ -200,19 +192,16 @@ def parse_config(doc: dict) -> RunConfig:
     if family not in MODEL_FAMILIES:
         raise ConfigError(f"model.family must be one of {MODEL_FAMILIES}, got {_BRIEF.repr(family)}")
     robust_index = _optional(model, "robust_index", int, "model", 0)
-    if not 0 <= robust_index < dims.c:
-        raise ConfigError(f"model.robust_index {_BRIEF.repr(robust_index)} out of range for d_c = {dims.c}")
+    _named("model.", check_robust_index, robust_index, dims.c)
     matrices = None
     if family == "explicit":
         raw = _require(model, "matrices", dict, "model")
-        sizes = {"h_a": dims.a, "h_c": dims.c, "h_b": dims.b,
-                 "h_ac": dims.a * dims.c, "h_cb": dims.c * dims.b}
-        _known(raw, sizes, "model.matrices")
-        missing = [k for k in sizes if k not in raw]
+        terms = ("h_a", "h_c", "h_b", "h_ac", "h_cb")
+        _known(raw, terms, "model.matrices")
+        missing = [k for k in terms if k not in raw]
         if missing:
             raise ConfigError(f"model.matrices missing {missing}")
-        matrices = {k: _wire(f"model.matrices.{k}", matrix_from_json, raw[k], (n, n))
-                    for k, n in sizes.items()}
+        matrices = {k: _named(f"model.matrices.{k}: ", matrix_from_json, raw[k]) for k in terms}
 
     initial = None
     init = _optional(doc, "initial", dict, "config", None)
@@ -220,20 +209,18 @@ def parse_config(doc: dict) -> RunConfig:
         _known(init, ("alpha", "chi", "robust_index", "normalize"), "initial")
         normalize = _optional(init, "normalize", bool, "initial", False)
         vectors = {}
-        for key, dim in (("alpha", dims.a), ("chi", dims.b)):
-            v = _wire(f"initial.{key}", vector_from_json, _require(init, key, list, "initial"), (dim,))
+        for key in ("alpha", "chi"):
+            v = _named(f"initial.{key}: ", vector_from_json, _require(init, key, list, "initial"))
             if normalize:
                 norm, v = _norm_and_unit(v)
                 if norm == 0:
                     raise ConfigError(f"initial.{key} is zero and cannot be normalized")
             vectors[key] = v
+        _named("initial.", check_amplitudes, vectors["alpha"], vectors["chi"], dims)
         # accepted for the configs that carry it; the model alone fixes the C state
         if _optional(init, "robust_index", int, "initial", robust_index) != robust_index:
             raise ConfigError("initial.robust_index must match model.robust_index")
-        try:
-            initial = InitialSpec(**vectors)
-        except ValidationError as exc:
-            raise ValidationError(f"initial.{exc}") from None
+        initial = _named("initial.", InitialSpec, **vectors)
 
     t_max = steps = None
     tsec = _optional(doc, "time", dict, "config", None)
@@ -268,20 +255,11 @@ def parse_config(doc: dict) -> RunConfig:
         has_ratio = "ratio_values" in sweep
         if has_c1 == has_ratio:
             raise ConfigError("sweep needs exactly one of 'c1_values' or 'ratio_values'")
-        if has_c1:
-            c1_values = _values(sweep, "c1_values")
-            if not c1_values or any(not v > 0 for v in c1_values):
-                raise ConfigError("sweep.c1_values must be a non-empty list of positive numbers")
-            grid = [(v, c2) for v in c1_values]
-        else:
-            ratio_values = _values(sweep, "ratio_values")
-            if not ratio_values or any(v < 0 for v in ratio_values):
-                raise ConfigError("sweep.ratio_values must be a non-empty list of non-negative numbers")
-            for i, r in enumerate(ratio_values):
-                if not np.isfinite(r * c1):
-                    raise ConfigError(f"sweep.ratio_values[{i}] times couplings.c1 must be "
-                                      f"finite, got {r!r} * {c1!r}")
-            grid = [(c1, r * c1) for r in ratio_values]
+        key = "c1_values" if has_c1 else "ratio_values"
+        values = _values(sweep, key)
+        grid = [(v, c2) for v in values] if has_c1 else [(c1, r * c1) for r in values]
+        for i, point in enumerate(grid):
+            _named(f"sweep.{key}[{i}]: ", check_couplings, *point)
 
     out = _optional(doc, "output", dict, "config", {})
     _known(out, ("path", "format"), "output")
@@ -306,7 +284,7 @@ def read_json(path: str):
         text = fh.read()
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer past int_max_str_digits
         raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
     except RecursionError:
         raise ConfigError(f"{path}: JSON nested too deeply to read") from None
@@ -320,8 +298,9 @@ def load_config(path: str) -> RunConfig:
 def model_from_config(cfg: RunConfig) -> ModelSpec:
     if cfg.model_family == "disd-canonical":
         return build_canonical(cfg.dims, cfg.seed, cfg.c1, cfg.c2, cfg.model_robust_index)
-    return ModelSpec(dims=cfg.dims, c1=cfg.c1, c2=cfg.c2,
-                     robust_index=cfg.model_robust_index, **cfg.model_matrices)
+    # parse_config checked the couplings and robust index; each other message opens with a term
+    return _named("model.matrices.", ModelSpec, dims=cfg.dims, c1=cfg.c1, c2=cfg.c2,
+                  robust_index=cfg.model_robust_index, **cfg.model_matrices)
 
 
 def initial_from_config(cfg: RunConfig) -> InitialSpec:

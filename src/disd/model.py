@@ -15,6 +15,7 @@ j != robust_index vanishes.
 
 from __future__ import annotations
 
+import reprlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +36,9 @@ __all__ = [
     "ModelSpec",
     "assemble_hamiltonian",
     "build_canonical",
+    "check_amplitudes",
+    "check_couplings",
+    "check_robust_index",
     "hamiltonian_blocks",
     "initial_state",
     "place_robust",
@@ -44,15 +48,42 @@ SHAPE_NORM_TOL = 1e-9
 ROBUST_TOL = 1e-12
 UNIT_NORM_TOL = 1e-10
 
+_BRIEF = reprlib.Repr()  # echoes a rejected value: short ones whole, large or deep ones cut
+_BRIEF.maxlevel, _BRIEF.maxstring, _BRIEF.maxother = 2, 40, 40
+
+
+def check_couplings(c1: float, c2: float) -> None:
+    """ValueError unless c1 is positive and c2 non-negative, both finite."""
+    if not 0 < c1 < np.inf:
+        raise ValueError(f"c1 must be positive and finite, got {c1}")
+    if not 0 <= c2 < np.inf:
+        raise ValueError(f"c2 must be non-negative and finite, got {c2}")
+
+
+def check_robust_index(robust_index: int, d_c: int) -> None:
+    """ValueError unless 0 <= robust_index < d_c; a negative index would wrap."""
+    if not 0 <= robust_index < d_c:
+        raise ValueError(f"robust_index {_BRIEF.repr(robust_index)} out of range for d_c = {d_c}")
+
+
+def check_amplitudes(alpha: np.ndarray, chi: np.ndarray, dims: Dims) -> None:
+    """ValueError unless alpha has shape (d_A,) and chi (d_B,)."""
+    for name, v, dim in (("alpha", alpha, dims.a), ("chi", chi, dims.b)):
+        if v.shape != (dim,):
+            raise ValueError(f"{name} has length {v.shape}, expected {dim}")
+
 
 @dataclass(frozen=True, eq=False)
 class ModelSpec:
     """One model instance: five Hermitian terms plus coupling scalars.
 
     ``h_a``, ``h_c``, ``h_b`` act on the single factors; ``h_ac`` on A x C;
-    ``h_cb`` on C x B. Construction checks the whole model contract (shapes,
-    hermiticity, couplings, robust index, unit shape norms, robustness), so
-    every instance is valid, including one made by ``dataclasses.replace``.
+    ``h_cb`` on C x B. Construction checks the whole model contract, so every
+    instance is valid, including one made by ``dataclasses.replace``: first
+    every term's shape, then hermiticity and finite entries, the couplings
+    (``check_couplings``), the unit shape norms, the robust index
+    (``check_robust_index``) and robustness. A wrong shape, coupling or robust
+    index raises ValueError; a term that breaks the contract, ValidationError.
     Each term accepted within 1e-12 of Hermitian is stored as its Hermitian
     part, m/2 + m+/2 where m differs from m+ and m bit for bit elsewhere, so
     every route through H (``eigh`` reads one triangle, the Chebyshev steps
@@ -71,27 +102,21 @@ class ModelSpec:
 
     def __post_init__(self):
         d = self.dims
-        expected = {
-            "h_a": d.a, "h_c": d.c, "h_b": d.b,
-            "h_ac": d.a * d.c, "h_cb": d.c * d.b,
-        }
-        for name, dim in expected.items():
+        sizes = {"h_a": d.a, "h_c": d.c, "h_b": d.b, "h_ac": d.a * d.c, "h_cb": d.c * d.b}
+        for name, n in sizes.items():
+            if getattr(self, name).shape != (n, n):
+                raise ValueError(f"{name} has shape {getattr(self, name).shape}, expected {(n, n)}")
+        for name in sizes:
             m = getattr(self, name)
-            if m.shape != (dim, dim):
-                raise ValueError(f"{name} has shape {m.shape}, expected {(dim, dim)}")
             check_hermitian(m, name=name)
             object.__setattr__(self, name, np.where(m == m.conj().T, m, 0.5 * m + 0.5 * m.conj().T))
-        if not 0 < self.c1 < np.inf:
-            raise ValidationError(f"c1 must be positive and finite, got {self.c1}")
-        if not 0 <= self.c2 < np.inf:
-            raise ValidationError(f"c2 must be non-negative and finite, got {self.c2}")
+        check_couplings(self.c1, self.c2)
         for name in ("h_ac", "h_cb"):
             s = spectral_norm(getattr(self, name))
             if abs(s - 1.0) > SHAPE_NORM_TOL:
                 raise ValidationError(f"{name} shape norm {s:.12f} deviates from 1 by more than {SHAPE_NORM_TOL:.1e}")
         r = self.robust_index
-        if not 0 <= r < d.c:
-            raise ValueError(f"robust_index {r} out of range for d_c = {d.c}")
+        check_robust_index(r, d.c)
         # the robust C state is invariant: every cross block <j| h_cb |r>_C, j != r, vanishes
         cross = np.delete(self.h_cb.reshape(d.c, d.b, d.c, d.b)[:, :, r], r, axis=0)
         violation = float(np.abs(cross).max())
@@ -163,8 +188,7 @@ def build_canonical(dims: Dims, seed: int, c1: float, c2: float,
     rng = np.random.default_rng(derive_seed(seed, "canonical-model"))
     d_a, d_c, d_b = dims.factors
 
-    if not 0 <= robust_index < d_c:
-        raise ValueError(f"robust_index {robust_index} out of range for d_c = {d_c}")
+    check_robust_index(robust_index, d_c)
     others = np.delete(np.arange(d_c), robust_index)  # the C states orthogonal to the robust one
 
     b0 = random_hermitian(d_b, rng)
@@ -236,9 +260,6 @@ def place_robust(ab: np.ndarray, dims: Dims, robust_index: int) -> np.ndarray:
 
 def initial_state(init: InitialSpec, dims: Dims, robust_index: int) -> np.ndarray:
     """Product state (sum_i alpha_i |i>_A) x |robust_index>_C x |chi>_B as a flat vector."""
-    for name, v, dim in (("alpha", init.alpha, dims.a), ("chi", init.chi, dims.b)):
-        if v.shape != (dim,):
-            raise ValueError(f"{name} has length {v.shape}, expected {dim}")
-    if not 0 <= robust_index < dims.c:
-        raise ValueError(f"robust_index {robust_index} out of range for d_c = {dims.c}")
+    check_amplitudes(init.alpha, init.chi, dims)
+    check_robust_index(robust_index, dims.c)
     return place_robust(np.outer(init.alpha, init.chi), dims, robust_index)

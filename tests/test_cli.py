@@ -22,8 +22,8 @@ from disd.config import (
     times_from_config,
 )
 from disd.evolve import Chebyshev, Propagator, perturbation_data
-from disd.model import ModelSpec, assemble_hamiltonian, initial_state
-from disd.qcore import haar_unitary
+from disd.model import InitialSpec, ModelSpec, assemble_hamiltonian, build_canonical, initial_state
+from disd.qcore import Dims, ValidationError, haar_unitary
 
 from oracles import evolved_states
 from test_model import cross_blocks
@@ -507,7 +507,7 @@ class TestDecompose:
         ({"u": [["x"] * 8] * 8}, "u: expected a number or [re, im] pair, got 'x'"),
         ({"u": [[[1.0, 0.0]] * 8] * 7 + [[[1.0, 0.0]] * 7]}, "u: matrix rows have inconsistent lengths"),
         ({"dims": {"a": 2, "c": 3, "b": 2}, "u": [[[1.0, 0.0]] * 8] * 8},
-         "u has shape (8, 8), expected (12, 12) from dims"),
+         "unitary has shape (8, 8), expected (12, 12)"),
         ({"u": [[[1.0, 0.0]] * 8] * 8, "seed": 3}, "unknown configuration keys: ['seed']"),
     ], ids=["entry", "ragged", "shape", "unknown-key"])
     def test_bad_unitary_file_names_the_field(self, tmp_path, capsys, doc, message):
@@ -580,7 +580,8 @@ class TestMakeModel:
         matrices["h_a"][0][1] = [0.5, 0.0]  # no longer Hermitian
         doc = base_config(model={"family": "explicit", "matrices": matrices})
         assert main(["make-model", "--config", write_config(tmp_path, doc)]) == 2
-        assert capsys.readouterr().err.startswith("validation error: h_a is not Hermitian")
+        assert capsys.readouterr().err.startswith(
+            "validation error: model.matrices.h_a is not Hermitian")
 
 
 class TestInitialSection:
@@ -632,7 +633,8 @@ class TestBoundedErrorValues:
         ("model", "family", "x" * 10**5, "model.family"),
         ("initial", "alpha", [[0.5] * 10**5, [0.5, 0.0]], "initial.alpha"),
         (None, "seed", -10**4000, "seed"),
-    ], ids=["deep-list", "long-list", "long-string", "long-entry", "long-int"])
+        ("model", "robust_index", 10**4000, "model.robust_index"),
+    ], ids=["deep-list", "long-list", "long-string", "long-entry", "long-int", "long-robust-index"])
     def test_error_line_is_short_and_names_the_field(self, section, key, value, field):
         doc = base_config()
         (doc if section is None else doc.setdefault(section, {}))[key] = value
@@ -668,7 +670,8 @@ class TestPreset:
 BAD_FIELDS = [
     ("sweep", "sweep", "c1_values", 5, "sweep.c1_values"),
     ("sweep", "sweep", "ratio_values", [[1]], "sweep.ratio_values[0]"),
-    ("sweep", "sweep", "ratio_values", [0.5, 1e308], "sweep.ratio_values[1] times couplings.c1"),
+    ("sweep", "sweep", "ratio_values", [0.5, 1e308],
+     "sweep.ratio_values[1]: c2 must be non-negative and finite, got inf"),
     ("locality", "locality", "threshold_bits", [1], "locality.threshold_bits"),
     ("locality", "locality", "n_samples", True, "locality.n_samples"),
     ("locality", "locality", "n_samples", 10**13,
@@ -688,8 +691,8 @@ BAD_FIELDS = [
     ("simulate", "time", "dt", 0.1, "time.dt"),
     ("sweep", "sweep", "c2_values", [0.1], "sweep.c2_values"),
     ("simulate", "output", "paths", "x.csv", "output.paths"),
-    ("simulate", "dims", "a", 3, "initial.alpha has shape (2,), expected (3,)"),
-    ("simulate", "dims", "b", 2, "initial.chi has shape (3,), expected (2,)"),
+    ("simulate", "dims", "a", 3, "initial.alpha has length (2,), expected 3"),
+    ("simulate", "dims", "b", 2, "initial.chi has length (3,), expected 2"),
     ("simulate", "time", "t_max", 5e-324, "time.t_max"),
 ]
 
@@ -728,7 +731,7 @@ CONFIG_REJECTIONS = [
                  id="unitary-file-not-object"),
     pytest.param("simulate", [], "configuration must be a JSON object", id="config-not-object"),
     pytest.param("simulate", edited_config({"couplings.c2": -1}),
-                 "couplings.c2 must be non-negative, got -1.0", id="negative-c2"),
+                 "couplings.c2 must be non-negative and finite, got -1.0", id="negative-c2"),
     pytest.param("simulate", edited_config({"model.robust_index": 3}),
                  "model.robust_index 3 out of range for d_c = 3", id="robust-index-out-of-range"),
     pytest.param("simulate", edited_config(EXPLICIT),
@@ -736,10 +739,12 @@ CONFIG_REJECTIONS = [
     pytest.param("simulate", edited_config({"time.steps": 1}), "time.steps must be >= 2, got 1",
                  id="one-step"),
     pytest.param("sweep", edited_config({"sweep.c1_values": []}),
-                 "sweep.c1_values must be a non-empty list of positive numbers",
-                 id="empty-c1-values"),
+                 "sweep.c1_values must be a non-empty list", id="empty-c1-values"),
+    pytest.param("sweep", edited_config({"sweep.c1_values": [2.0, 0]}),
+                 "sweep.c1_values[1]: c1 must be positive and finite, got 0.0",
+                 id="zero-c1-value"),
     pytest.param("sweep", edited_config({"sweep.ratio_values": [-1]}),
-                 "sweep.ratio_values must be a non-empty list of non-negative numbers",
+                 "sweep.ratio_values[0]: c2 must be non-negative and finite, got -8.0",
                  id="negative-ratio"),
     pytest.param("simulate", edited_config({"output.path": 5}), "output.path must be a string",
                  id="output-path-not-string"),
@@ -748,7 +753,51 @@ CONFIG_REJECTIONS = [
 ]
 
 
+def identity_matrices(sizes):
+    return {k: [[[float(i == j), 0.0] for j in range(n)] for i in range(n)] for k, n in sizes.items()}
+
+
+DIMS = Dims(2, 3, 3)
+ALPHA, CHI = np.full(2, 2 ** -0.5), np.full(3, 3 ** -0.5)
+WRONG_H_A = {"h_a": 3, "h_c": 3, "h_b": 3, "h_ac": 6, "h_cb": 9}  # dims 2x3x3 want h_a 2x2
+# (config edits, the field the CLI names, a model-layer call with the same value)
+CONTRACTS = [
+    pytest.param({"model.robust_index": 3}, "model",
+                 lambda: build_canonical(DIMS, 1, 8.0, 0.1, robust_index=3), id="robust-index"),
+    pytest.param({"couplings.c1": 0.0}, "couplings", lambda: build_canonical(DIMS, 1, 0.0, 0.1),
+                 id="couplings"),
+    pytest.param({"dims.a": 3}, "initial",
+                 lambda: initial_state(InitialSpec(ALPHA, CHI), Dims(3, 3, 3), 0),
+                 id="amplitude-length"),
+    pytest.param({"model.family": "explicit", "model.matrices": identity_matrices(WRONG_H_A)},
+                 "model.matrices",
+                 lambda: ModelSpec(dims=DIMS, c1=8.0, c2=0.1,
+                                   **{k: np.eye(n) for k, n in WRONG_H_A.items()}),
+                 id="matrix-shape"),
+]
+
+
 class TestExitCodes:
+    @pytest.mark.parametrize("edits, field, call", CONTRACTS)
+    def test_cli_names_the_field_of_the_model_layer_message(self, tmp_path, capsys,
+                                                             edits, field, call):
+        with pytest.raises(ValueError) as info:
+            call()
+        kind, code = ("validation", 2) if isinstance(info.value, ValidationError) else ("config", 1)
+        assert main(["simulate", "--config", write_config(tmp_path, edited_config(edits))]) == code
+        assert capsys.readouterr().err == f"{kind} error: {field}.{info.value}\n"
+
+    def test_integer_past_the_digit_limit_names_the_file(self, tmp_path, capsys):
+        # json.loads raises a plain ValueError there, not a JSONDecodeError
+        preset = (Path(__file__).resolve().parent.parent / "presets" / "ion-cage.json").read_text()
+        doc = json.loads(preset)
+        doc["model"]["robust_index"] = -1
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(doc).replace('"robust_index": -1', '"robust_index": 1' + "0" * 5000))
+        assert main(["locality", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {path}: invalid JSON: Exceeds the limit (4300 digits)")
+
     @pytest.mark.parametrize("command, doc, message", CONFIG_REJECTIONS)
     def test_config_rejection_names_the_field(self, tmp_path, capsys, command, doc, message):
         path = write_config(tmp_path, doc)
@@ -982,13 +1031,11 @@ class TestExitCodes:
         # dims 2x3x3 want sizes 2, 3, 3, 6, 9; the named matrix is one larger
         sizes = {"h_a": 2, "h_c": 3, "h_b": 3, "h_ac": 6, "h_cb": 9}
         sizes[name] += 1
-        matrices = {k: [[[float(i == j), 0.0] for j in range(n)] for i in range(n)]
-                    for k, n in sizes.items()}
-        doc = base_config(model={"family": "explicit", "matrices": matrices})
+        doc = base_config(model={"family": "explicit", "matrices": identity_matrices(sizes)})
         assert main(["simulate", "--config", write_config(tmp_path, doc)]) == 1
         n = sizes[name]
         assert capsys.readouterr().err == (f"config error: model.matrices.{name} has shape "
-                                           f"({n}, {n}), expected ({n - 1}, {n - 1}) from dims\n")
+                                           f"({n}, {n}), expected ({n - 1}, {n - 1})\n")
 
     @pytest.mark.parametrize("command", ["simulate", "decompose"])
     def test_deeply_nested_json_is_config_error(self, tmp_path, capsys, command):

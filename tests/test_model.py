@@ -108,10 +108,11 @@ class TestBuildCanonical:
             build_canonical(dims233, 0, 1.0, 0.1, robust_index=robust_index)
 
     def test_rejects_bad_couplings(self, dims233):
-        with pytest.raises(ValidationError):
-            build_canonical(dims233, 0, 0.0, 0.1)
-        with pytest.raises(ValidationError):
-            build_canonical(dims233, 0, 1.0, -0.1)
+        for c1, c2, message in ((0.0, 0.1, "c1 must be positive and finite, got 0.0"),
+                                (1.0, -0.1, "c2 must be non-negative and finite, got -0.1")):
+            with pytest.raises(ValueError) as info:
+                build_canonical(dims233, 0, c1, c2)
+            assert type(info.value) is ValueError and str(info.value) == message
 
 
 class TestRobustnessCheck:
@@ -241,6 +242,14 @@ class TestModelSpecValidate:
         assert_allclose(kept, (h + h.conj().T) / 2, rtol=0, atol=1e-16)
         assert kept[0, 2] == h[0, 2] and kept[2, 2].imag == 0
 
+    def test_real_deviation_is_stored_hermitian(self, spec233):
+        # a real entry equals its own conjugate, so only the transpose shows the deviation
+        h = spec233.h_cb.copy()
+        assert h[3, 0] == h[0, 3] == 0  # the cross entry <1, 0| h_cb |0, 0>
+        h[3, 0] = 1e-13
+        kept = dataclasses.replace(spec233, h_cb=h).h_cb
+        assert np.array_equal(kept, kept.conj().T)
+
     @pytest.mark.parametrize("scale", [1.0, 1e308])
     def test_exactly_hermitian_term_is_stored_bit_for_bit(self, spec233, scale):
         h = spec233.h_a * scale  # no overflow, hence no warning, at the largest entries
@@ -255,12 +264,12 @@ class TestModelSpecValidate:
             dataclasses.replace(spec233, h_cb=planted_h_cb(spec233.dims, 0, 1e-3))
 
     @pytest.mark.parametrize("field, value, exc, message", [
-        ("c1", 0.0, ValidationError, "c1 must be positive and finite, got 0.0"),
-        ("c1", -2.0, ValidationError, "c1 must be positive and finite, got -2.0"),
-        ("c1", float("inf"), ValidationError, "c1 must be positive and finite, got inf"),
-        ("c2", -0.1, ValidationError, "c2 must be non-negative and finite, got -0.1"),
-        ("c2", float("inf"), ValidationError, "c2 must be non-negative and finite, got inf"),
-        ("c2", float("nan"), ValidationError, "c2 must be non-negative and finite, got nan"),
+        ("c1", 0.0, ValueError, "c1 must be positive and finite, got 0.0"),
+        ("c1", -2.0, ValueError, "c1 must be positive and finite, got -2.0"),
+        ("c1", float("inf"), ValueError, "c1 must be positive and finite, got inf"),
+        ("c2", -0.1, ValueError, "c2 must be non-negative and finite, got -0.1"),
+        ("c2", float("inf"), ValueError, "c2 must be non-negative and finite, got inf"),
+        ("c2", float("nan"), ValueError, "c2 must be non-negative and finite, got nan"),
         ("robust_index", 3, ValueError, "robust_index 3 out of range for d_c = 3"),
         ("robust_index", -1, ValueError, "robust_index -1 out of range for d_c = 3"),
     ])

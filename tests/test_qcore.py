@@ -450,3 +450,13 @@ class TestEighOrdered:
         off = d - np.diag(np.diagonal(d))
         assert np.abs(off).max() <= 1e-10
         assert np.all(np.diff(np.real(np.diagonal(d))) <= 1e-12)
+
+    def test_secondary_resolves_a_degeneracy_in_a_complex_basis(self):
+        # the degenerate pair of U diag(1, 1, 2) U+ spans complex vectors, so the block
+        # sub+ @ secondary @ sub is diagonal only with both the conjugate and the transpose
+        u = haar_unitary(3, 4)
+        secondary = random_hermitian(3, 10)
+        evals, vecs = eigh_ordered((u * [1.0, 1.0, 2.0]) @ u.conj().T, secondary=secondary)
+        assert_allclose(evals, [2.0, 1.0, 1.0], rtol=0, atol=1e-12)
+        d = vecs[:, 1:].conj().T @ secondary @ vecs[:, 1:]
+        assert np.abs(d - np.diag(np.diagonal(d))).max() <= 1e-10
