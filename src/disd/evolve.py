@@ -23,7 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import InitialSpec, ModelSpec, assemble_hamiltonian, hamiltonian_blocks, initial_state
+from .model import (InitialSpec, ModelSpec, assemble_hamiltonian, hamiltonian_blocks, initial_state,
+                    robust_sectors)
 from .qcore import ValidationError, check_hermitian, eigh_ordered, mi_and_entropies, spectral_norm
 
 __all__ = [
@@ -172,17 +173,13 @@ class Chebyshev:
     holds more than one of them. ``_route`` plans the recurrences of each stack
     to price them against ``eigh``, and the streams run exactly those plans.
 
-    The robust C state r is invariant under the C-B block where its cross
-    blocks <j|on_cb|r>, j != r, are exactly zero, as ``build_canonical`` makes
-    them; on_cb is exactly Hermitian, as every ``ModelSpec`` term is, so then
-    are the blocks <r|on_cb|j>. There on_cb is applied as two GEMMs, a
-    d_B x d_B one on the robust sector and a (d_C - 1) d_B square one on the
-    orthogonal sector, when r is the first or the last C index, so that each
-    sector is one range of columns, and the 16 (d_C - 1) d_B^2 d_A flops this
-    saves a state outweigh the cost of one more call, half of
-    CHEB_TERM_FLOPS. Elsewhere, and for any model whose cross blocks are not
-    exactly zero (an h_c that leaks, an h_cb within ROBUST_TOL of robust),
-    on_cb is one dense GEMM. Both give 2X to 1e-13 relative.
+    Where the cross blocks of on_cb are exactly zero (``model.robust_sectors``,
+    at any r), its extreme eigenvalues come from its two sectors; elsewhere
+    from one dense ``eigvalsh``. There, when r is the first or the last C
+    index, so that each sector is one range of columns, and the 16 (d_C - 1)
+    d_B^2 d_A flops a state this saves outweigh one more call, half of
+    CHEB_TERM_FLOPS, on_cb is applied as two GEMMs, one a sector; otherwise
+    as one dense GEMM. Both give 2X to 1e-13 relative.
 
     A half-width below the smallest normal double (``subnormal``) would
     overflow 2 / half, so X is not formed and ``_route`` takes the spectral
@@ -193,24 +190,23 @@ class Chebyshev:
         self._dims = spec.dims
         d_a, d_c, d_b = spec.dims.factors
         on_ac, on_cb = hamiltonian_blocks(spec)
-        ac, cb = np.linalg.eigvalsh(on_ac), np.linalg.eigvalsh(on_cb)
+        r = spec.robust_index
+        ac = np.linalg.eigvalsh(on_ac)
+        spectra = [np.linalg.eigvalsh(block) for block in robust_sectors(on_cb, spec.dims, r)]
+        cb = (min(v[0] for v in spectra), max(v[-1] for v in spectra))
         # Python floats: sums past the largest double are inf without a numpy warning
         self.lo, self.hi = float(ac[0]) + float(cb[0]), float(ac[-1]) + float(cb[-1])
         self.max_abs_energy = max(abs(self.lo), abs(self.hi))
         self._center = (self.lo + self.hi) / 2
         self._half = (self.hi - self.lo) / 2
         self.subnormal = 0 < self._half < np.finfo(float).tiny  # 2 / half would overflow
-        # the C-B block splits into its two sectors where the class docstring says
-        r = spec.robust_index
-        others = np.delete(np.arange(d_c), r)
-        t = on_cb.reshape(d_c, d_b, d_c, d_b)
-        split = (r in (0, d_c - 1) and not t[others][:, :, r].any()
+        split = (len(spectra) == 2 and r in (0, d_c - 1)
                  and 16 * (d_c - 1) * d_b ** 2 * d_a > CHEB_TERM_FLOPS / 2)
         # the blocks of 2X, the operator of the recurrence; a zero half-width gives z = 0,
         # where no series applies it, and a subnormal one forms none either
         scale = 2 / self._half if self._half > 0 and not self.subnormal else 0.0
         self._ac = (on_ac - (ac[0] + ac[-1]) / 2 * np.eye(len(ac))) * scale
-        cb_t = ((on_cb - (cb[0] + cb[-1]) / 2 * np.eye(len(cb))) * scale).T
+        cb_t = ((on_cb - (cb[0] + cb[-1]) / 2 * np.eye(len(on_cb))) * scale).T
         # (columns, block) of the transposed C-B block: the whole block, or its two sectors
         robust = slice(r * d_b, (r + 1) * d_b)
         orthogonal = slice(d_b, None) if r == 0 else slice(None, r * d_b)
@@ -248,11 +244,13 @@ class Chebyshev:
         t - t_anchor with |half * delta| <= CHEB_Z_MAX, up to ``max_rows`` of
         them. Row rows[j] takes coefficients[j], the series of e^{-i half delta
         X} times e^{-i center delta}, padded with zeros to the recurrence's
-        longest; the series are worked out one recurrence at a time. A row out
-        of that reach is served alone, in ``sub-steps`` equal steps of
+        longest. A uniform grid repeats its offsets from block to block, so each
+        distinct delta is worked out once a call: the deltas a recurrence meets
+        first go to one batched FFT, and later recurrences reuse their rows. A
+        row out of that reach is served alone, in ``sub-steps`` equal steps of
         coefficients[0]. ``_route`` prices these plans, and :meth:`blocks` runs them.
         """
-        plans, anchor, row = [], 0.0, 0
+        plans, anchor, row, known = [], 0.0, 0, {}
         while row < len(times):
             dt, end = times[row] - anchor, row + 1
             steps = max(1, int(np.ceil(abs(self._half * dt) / CHEB_Z_MAX)))
@@ -263,9 +261,17 @@ class Chebyshev:
                        and abs(self._half * (times[end] - anchor)) <= CHEB_Z_MAX):
                     end += 1
                 deltas = times[row:end] - anchor
-            series = _chebyshev_coefficients(self._half * deltas)[0]
-            plans.append((steps, slice(row, end),
-                          np.exp(-1j * self._center * deltas)[:, None] * series))
+            new = deltas[[d not in known for d in deltas.tolist()]]  # increasing, so distinct
+            if new.size:
+                series, lengths = _chebyshev_coefficients(self._half * new)
+                # phase times series, in that order: a complex product's last bit depends on it
+                np.multiply(np.exp(-1j * self._center * new)[:, None], series, out=series)
+                known.update((d, s[:n]) for d, s, n in zip(new.tolist(), series, lengths))
+            rows = [known[d] for d in deltas.tolist()]
+            coeffs = np.zeros((len(rows), max(map(len, rows))), dtype=complex)
+            for out, series in zip(coeffs, rows):
+                out[:len(series)] = series
+            plans.append((steps, slice(row, end), coeffs))
             anchor, row = times[end - 1], end
         return plans
 
@@ -375,14 +381,9 @@ def _route(spec: ModelSpec, times: np.ndarray, stacks) -> tuple[Propagator | Che
     terms a stack bound the plans from below and can rule them out unplanned.
     The phase guard runs first, on ``Chebyshev.max_abs_energy`` >= max|E|: a
     grid that fails it is refused before any plan or ``eigh``.
-
     A term is priced at the dense C-B GEMM also where ``Chebyshev`` splits that
-    block into its two sectors, with 16 (d_C - 1) d_B^2 d_A fewer flops a state:
-    the rates were fitted on dense terms, before the split existed. Priced with
-    the split, the 8x4x32 locality job (200 steps to t = 20, seeds 1, 7 and
-    510072) would cost 0.98-0.99 of its spectral price by Chebyshev, against
-    1.35-1.37 dense, and would leave the spectral route, which measured 1.3-1.5x
-    faster for it. A split-aware price needs the rates fitted again.
+    block: the rates were fitted on dense terms, and a split-aware price would
+    need them fitted again.
     """
     cheb = Chebyshev(spec)
     _check_phases(cheb.max_abs_energy, times, "phases lose their precision")
@@ -492,6 +493,8 @@ def perturbation_data(spec: ModelSpec) -> PerturbationData:
     cutoff with c1 keeps the set of skipped denominators invariant under
     coupling sweeps. A c1 so small for c2 that the second-order shifts
     overflow raises ``ValidationError``; at c2 = 0 they are exactly 0.
+    The shift table is summed over the orthogonal C states first (the comment
+    on ``lam``), so no array of the matrix elements themselves is formed.
     """
     d_a, d_c, d_b = spec.dims.factors
     r = spec.robust_index
@@ -523,9 +526,9 @@ def perturbation_data(spec: ModelSpec) -> PerturbationData:
     perp_vals, phi = np.linalg.eigh(h_perp.reshape((d_c - 1) * d_b, -1))
 
     # Matrix elements <a_p| x <phi_m| (c2 h_ac x I_B) |a_i> x |r, b_j>: a sum over the
-    # orthogonal C states c of <a_p, c|c2 h_ac|a_i, r> <phi_m|c, b_j>, formed one A index
-    # i at a time. Robust-sector intermediate states with j' != j drop out exactly (the
-    # element carries a delta in j), so only the orthogonal sector contributes to the sum.
+    # orthogonal C states c of a_part[c, p, i] = <a_p, c|c2 h_ac|a_i, r> times cb_part[c, j,
+    # m] = <phi_m|c, b_j>. Robust-sector intermediate states with j' != j drop out exactly
+    # (the element carries a delta in j), so only the orthogonal sector contributes.
     h_ac = spec.c2 * spec.h_ac.reshape(d_a, d_c, d_a, d_c)[..., r][:, others]
     a_part = np.tensordot(np.tensordot(h_ac, a_vecs.conj(), (0, 0)), a_vecs, (1, 0))  # (c, p, i)
     cb_part = np.tensordot(b_vecs, phi.reshape(d_c - 1, d_b, -1).conj(), (0, 1))  # (j, c, m)
@@ -535,10 +538,14 @@ def perturbation_data(spec: ModelSpec) -> PerturbationData:
         gaps = b_vals[:, None] - spec.c1 * perp_vals[None, :]
         ok = np.abs(gaps) >= 1e-8 * spec.c1
         weights = np.divide(1.0, gaps, out=np.zeros_like(gaps), where=ok)
-        me = (np.tensordot(a_part[..., i], cb_part, (0, 0)) for i in range(d_a))  # (p, j, m)
-        # at c2 = 0 every shift is exactly 0, also where a subnormal c1 overflows the weights
-        lam = (np.array([np.einsum("pjm,jm->j", np.abs(me_i) ** 2, weights) for me_i in me])
-               if spec.c2 > 0 else np.zeros((d_a, d_b)))
+        # lambda_ij = sum_pm |sum_c a_part[c, p, i] cb_part[c, j, m]|^2 weights[j, m] = sum_cc'
+        # g[i, c, c'] k[c, c', j]: g sums a_part conj(a_part) over p, k cb_part conj(cb_part)
+        # weights over m. At c2 = 0 every shift is exactly 0, even where the weights overflow
+        lam = np.zeros((d_a, d_b))
+        if spec.c2 > 0:
+            g = np.einsum("api,bpi->iab", a_part, a_part.conj())
+            k = np.einsum("ajm,bjm->abj", cb_part * weights, cb_part.conj())
+            lam = np.tensordot(g, k, 2).real
     if not np.isfinite(lam).all():
         raise ValidationError(f"c1 = {spec.c1:.3e} is too small for c2 = {spec.c2:.3e}: "
                               f"the second-order shifts overflow")

@@ -15,6 +15,7 @@ j != robust_index vanishes.
 
 from __future__ import annotations
 
+import math
 import reprlib
 from dataclasses import dataclass
 
@@ -42,13 +43,32 @@ __all__ = [
     "hamiltonian_blocks",
     "initial_state",
     "place_robust",
+    "robust_sectors",
 ]
 
 SHAPE_NORM_TOL = 1e-9
 ROBUST_TOL = 1e-12
 UNIT_NORM_TOL = 1e-10
 
-_BRIEF = reprlib.Repr()  # echoes a rejected value: short ones whole, large or deep ones cut
+
+class _Brief(reprlib.Repr):
+    """Echoes a rejected value: short ones whole, large or deep ones cut.
+
+    An int of more than ``maxlong`` digits shows as its digit count. It is never
+    turned into a string, which Python refuses past 4300 digits.
+    """
+
+    def repr_int(self, x: int, level: int) -> str:
+        n = abs(x)
+        if n < 10 ** self.maxlong:
+            return super().repr_int(x, level)
+        digits = int((n.bit_length() - 1) * math.log10(2))  # at most the digits, less one
+        while n >= 10 ** digits:
+            digits += 1
+        return f"<{'negative ' if x < 0 else ''}int of {digits} digits>"
+
+
+_BRIEF = _Brief()
 _BRIEF.maxlevel, _BRIEF.maxstring, _BRIEF.maxother = 2, 40, 40
 
 
@@ -73,6 +93,22 @@ def check_amplitudes(alpha: np.ndarray, chi: np.ndarray, dims: Dims) -> None:
             raise ValueError(f"{name} has length {v.shape}, expected {dim}")
 
 
+def robust_sectors(m: np.ndarray, dims: Dims, robust_index: int) -> list[np.ndarray]:
+    """The diagonal blocks of a (d_C d_B)^2 operator m on C x B that make up all of it.
+
+    Where every cross block <j|m|r>_C and <r|m|j>_C, j != r = ``robust_index``, is exactly
+    zero, m is the direct sum of its robust sector <r|m|r>_C, d_B x d_B, and its orthogonal
+    sector, (d_C - 1) d_B square, and both come back, so that a spectral quantity of m is
+    taken over two smaller matrices; otherwise the list holds m alone.
+    """
+    t = m.reshape(dims.c, dims.b, dims.c, dims.b)
+    others = np.delete(np.arange(dims.c), robust_index)
+    if t[others][:, :, robust_index].any() or t[robust_index][:, others].any():
+        return [m]
+    orthogonal = t[np.ix_(others, range(dims.b), others, range(dims.b))]
+    return [t[robust_index, :, robust_index], orthogonal.reshape((dims.c - 1) * dims.b, -1)]
+
+
 @dataclass(frozen=True, eq=False)
 class ModelSpec:
     """One model instance: five Hermitian terms plus coupling scalars.
@@ -81,9 +117,10 @@ class ModelSpec:
     ``h_cb`` on C x B. Construction checks the whole model contract, so every
     instance is valid, including one made by ``dataclasses.replace``: first
     every term's shape, then hermiticity and finite entries, the couplings
-    (``check_couplings``), the unit shape norms, the robust index
-    (``check_robust_index``) and robustness. A wrong shape, coupling or robust
-    index raises ValueError; a term that breaks the contract, ValidationError.
+    (``check_couplings``), the robust index (``check_robust_index``), the unit
+    shape norms (that of ``h_cb`` over its ``robust_sectors``) and robustness.
+    A wrong shape, coupling or robust index raises ValueError; a term that
+    breaks the contract, ValidationError.
     Each term accepted within 1e-12 of Hermitian is stored as its Hermitian
     part, m/2 + m+/2 where m differs from m+ and m bit for bit elsewhere, so
     every route through H (``eigh`` reads one triangle, the Chebyshev steps
@@ -111,12 +148,12 @@ class ModelSpec:
             check_hermitian(m, name=name)
             object.__setattr__(self, name, np.where(m == m.conj().T, m, 0.5 * m + 0.5 * m.conj().T))
         check_couplings(self.c1, self.c2)
-        for name in ("h_ac", "h_cb"):
-            s = spectral_norm(getattr(self, name))
-            if abs(s - 1.0) > SHAPE_NORM_TOL:
-                raise ValidationError(f"{name} shape norm {s:.12f} deviates from 1 by more than {SHAPE_NORM_TOL:.1e}")
         r = self.robust_index
         check_robust_index(r, d.c)
+        for name, blocks in (("h_ac", [self.h_ac]), ("h_cb", robust_sectors(self.h_cb, d, r))):
+            s = max(map(spectral_norm, blocks))
+            if abs(s - 1.0) > SHAPE_NORM_TOL:
+                raise ValidationError(f"{name} shape norm {s:.12f} deviates from 1 by more than {SHAPE_NORM_TOL:.1e}")
         # the robust C state is invariant: every cross block <j| h_cb |r>_C, j != r, vanishes
         cross = np.delete(self.h_cb.reshape(d.c, d.b, d.c, d.b)[:, :, r], r, axis=0)
         violation = float(np.abs(cross).max())
@@ -182,8 +219,10 @@ def build_canonical(dims: Dims, seed: int, c1: float, c2: float,
     * ``h_b`` is diagonal in the eigenbasis of B0.
 
     All five matrices are normalized to unit spectral norm; the couplings
-    live in ``c1`` and ``c2`` alone. The same seed always returns bitwise
-    identical matrices, independent of the couplings.
+    live in ``c1`` and ``c2`` alone; ``h_cb`` is divided by the larger norm
+    of its two ``robust_sectors``, the norm of their direct sum. The same
+    seed always returns bitwise identical matrices, independent of the
+    couplings.
     """
     rng = np.random.default_rng(derive_seed(seed, "canonical-model"))
     d_a, d_c, d_b = dims.factors
@@ -196,7 +235,8 @@ def build_canonical(dims: Dims, seed: int, c1: float, c2: float,
     h_cb = np.zeros((d_c, d_b, d_c, d_b), dtype=complex)
     h_cb[robust_index, :, robust_index] = b0
     h_cb[np.ix_(others, range(d_b), others, range(d_b))] = h_perp.reshape(d_c - 1, d_b, d_c - 1, d_b)
-    h_cb = _unit_shape(h_cb.reshape(d_c * d_b, d_c * d_b))
+    h_cb = h_cb.reshape(d_c * d_b, d_c * d_b)
+    h_cb /= max(map(spectral_norm, robust_sectors(h_cb, dims, robust_index)))
 
     h_ac = _unit_shape(random_hermitian(d_a * d_c, rng))
 

@@ -107,7 +107,9 @@ def derive_seed(master: int, *parts: int | str) -> int:
 # ---------------------------------------------------------------------------
 
 def spectral_norm(m: np.ndarray) -> float:
-    return float(np.linalg.norm(m, 2))
+    """The largest singular value of m, numpy's SVD norm; a non-finite entry raises
+    ``ValidationError`` before LAPACK sees it."""
+    return float(np.linalg.norm(_finite(m, "spectral-norm input"), 2))
 
 
 def _norm_and_unit(v: np.ndarray) -> tuple[float, np.ndarray]:

@@ -12,7 +12,7 @@ import numpy as np
 
 from disd.decompose import GAIN_TOL, MAX_ITERS, RESTARTS
 from disd.evolve import Chebyshev, propagate
-from disd.model import initial_state
+from disd.model import hamiltonian_blocks, initial_state
 from disd.qcore import (
     ValidationError,
     derive_seed,
@@ -173,6 +173,42 @@ def rs2_table_bruteforce(spec, gap_tol=None):
             ok = np.abs(gaps) >= gap_tol
             table[i, j] = float(np.sum(np.abs(amps[ok]) ** 2 / gaps[ok]))
     return table
+
+
+def lambda_per_index(spec, pd):
+    """The second-order table in ``pd``'s bases, one A index at a time, over every matrix element.
+
+    For each A index i the elements me[p, j, m] = sum_c <a_p, c|c2 h_ac|a_i, r> <phi_m|c, b_j>
+    over the orthogonal C states c are formed whole, and lambda[i, j] = sum_pm |me[p, j, m]|^2 /
+    (c1 b_j - c1 p_m), denominators below 1e-8 c1 skipped: the sum in the order that defines
+    it, with (c1 p_m, phi_m) the eigenpairs of c1 h_cb on the orthogonal sector and c1 b_j the
+    robust-sector energies.
+    """
+    d_a, d_c, d_b = spec.dims.factors
+    r = spec.robust_index
+    others = np.delete(np.arange(d_c), r)
+    b0 = pd.b_vecs.conj().T @ spec.robust_block_b() @ pd.b_vecs
+    b_vals = spec.c1 * np.diagonal(b0).real
+    h_perp = spec.h_cb.reshape(d_c, d_b, d_c, d_b)[np.ix_(others, range(d_b), others, range(d_b))]
+    perp_vals, phi = np.linalg.eigh(h_perp.reshape((d_c - 1) * d_b, -1))
+    h_ac = spec.c2 * spec.h_ac.reshape(d_a, d_c, d_a, d_c)[..., r][:, others]  # (a, c, a')
+    a_part = np.einsum("xp,xcy,yi->cpi", pd.a_vecs.conj(), h_ac, pd.a_vecs)
+    cb_part = np.einsum("yj,cym->cjm", pd.b_vecs, phi.reshape(d_c - 1, d_b, -1).conj())
+    gaps = b_vals[:, None] - spec.c1 * perp_vals[None, :]
+    ok = np.abs(gaps) >= 1e-8 * spec.c1
+    weights = np.divide(1.0, gaps, out=np.zeros_like(gaps), where=ok)
+    table = np.zeros((d_a, d_b))
+    for i in range(d_a):
+        me = np.einsum("cp,cjm->pjm", a_part[..., i], cb_part)
+        table[i] = np.einsum("pjm,jm->j", np.abs(me) ** 2, weights)
+    return table
+
+
+def dense_spectral_bounds(spec):
+    """(lo, hi): the sums of the extreme eigenvalues of the two Hamiltonian blocks, each from one
+    dense ``eigvalsh``, bounds on the spectrum of H by Weyl's inequality."""
+    ac, cb = (np.linalg.eigvalsh(block) for block in hamiltonian_blocks(spec))
+    return float(ac[0]) + float(cb[0]), float(ac[-1]) + float(cb[-1])
 
 
 def dense_exponential(h, t):

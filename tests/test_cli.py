@@ -357,21 +357,34 @@ class TestSimulateGolden:
         assert propagator_builds == []
 
     def test_dense_run_works_out_each_grid_plan_once(self, tmp_path, monkeypatch):
-        # the route's count prices the blocks that the job then runs: one series per grid row,
-        # whatever the slices the series are worked out in
-        series = []
+        # the route's count plans the blocks that the job then runs, once, and every row of
+        # them is planned, with the series of its own offset t - t_anchor; each distinct
+        # offset is worked out once, and the uniform grid's 200 rows repeat all but 103
+        series, plans = [], []
         coefficients = disd.evolve._chebyshev_coefficients
+        planner = disd.evolve.Chebyshev._plans
 
         def recorded(z):
-            series.extend(np.ravel(z))
+            series.extend(np.ravel(z).tolist())
             return coefficients(z)
 
+        def planned(cheb, times, max_rows):
+            plans.append((cheb, times, planner(cheb, times, max_rows)))
+            return plans[-1][2]
+
         monkeypatch.setattr(disd.evolve, "_chebyshev_coefficients", recorded)
+        monkeypatch.setattr(disd.evolve.Chebyshev, "_plans", planned)
         out = tmp_path / "simulate.csv"
         assert main(["simulate", "--config", write_config(tmp_path, dense_config()),
                      "--out", str(out)]) == 0
-        rows = len(out.read_text().splitlines()) - 1
-        assert len(series) == rows == 200
+        assert len(out.read_text().splitlines()) - 1 == 200
+        ((cheb, times, made),) = plans
+        assert [row for _, rows, _ in made for row in range(rows.start, rows.stop)] == list(
+            range(200))
+        anchors = [0.0] + [times[rows.stop - 1] for _, rows, _ in made[:-1]]
+        offsets = {t - anchor for anchor, (_, rows, _) in zip(anchors, made) for t in times[rows]}
+        assert all(steps == 1 for steps, _, _ in made) and len(offsets) == 103
+        assert sorted(series) == sorted(cheb._half * offset for offset in offsets)
 
 
 class TestMemory:
@@ -642,6 +655,25 @@ class TestBoundedErrorValues:
             parse_config(doc)
         assert len(f"config error: {info.value}") < 200
         assert field in str(info.value)
+
+    @pytest.mark.parametrize("section, key, value, message", [
+        (None, "seed", -10 ** 5000, "seed must be a non-negative integer, got <negative int of "
+                                    "5001 digits>"),
+        ("couplings", "c1", 10 ** 5000, "couplings.c1 must be a finite number, got <int of 5001 "
+                                        "digits>"),
+        ("model", "robust_index", 10 ** 5000, "model.robust_index <int of 5001 digits> out of "
+                                              "range for d_c = 3")],
+        ids=["seed", "c1", "robust-index"])
+    def test_an_int_past_the_string_limit_is_echoed_by_its_digit_count(self, section, key, value,
+                                                                         message):
+        # no JSON file can hold such an int (the parser refuses it), but parse_config takes
+        # one directly; the echo counts its digits, since Python refuses to turn it into a
+        # string past 4300 of them
+        doc = base_config()
+        (doc if section is None else doc[section])[key] = value
+        with pytest.raises(ConfigError) as info:
+            parse_config(doc)
+        assert str(info.value) == message
 
     def test_long_list_from_a_file(self, tmp_path, capsys):
         doc = base_config(output={"format": [1] * 10**5})

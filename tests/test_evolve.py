@@ -31,8 +31,9 @@ from disd.model import (InitialSpec, ModelSpec, assemble_hamiltonian, build_cano
 from disd.qcore import Dims, ValidationError
 
 from oracles import (apply_2x, chebyshev_operator, chebyshev_series_exact, dense_exponential,
-                     energy_table, evolved_states, expm_longdouble, psi0_stream,
-                     residuals_per_row, route_states, rs2_table_bruteforce)
+                     dense_spectral_bounds, energy_table, evolved_states, expm_longdouble,
+                     lambda_per_index, psi0_stream, residuals_per_row, route_states,
+                     rs2_table_bruteforce)
 from test_locality import ORACLE_CASES, ORACLE_IDS, oracle_case
 from test_model import planted_h_cb
 
@@ -41,6 +42,23 @@ RS2_TABLE_SEED1 = np.array([
     [0.10441571552433715, -0.07935865840590733],
     [0.01701361205136436, -0.01293078748016771],
 ])
+
+
+def planted_gap_spec():
+    """A 2x3x4 canonical model with one orthogonal-sector energy of h_cb moved onto a robust one.
+
+    The orthogonal block's middle eigenvalue is set to the second robust-sector one, so exactly
+    one denominator c1 (b_j - p_m) is a roundoff zero and is skipped with a gap warning, while
+    the generic h_ac leaves every other term of the shift table in place.
+    """
+    spec = build_canonical(Dims(2, 3, 4), 1, 4.0, 0.5)
+    t = spec.h_cb.reshape(3, 4, 3, 4).copy()
+    b = np.linalg.eigvalsh(t[0, :, 0])
+    perp = t[1:, :, 1:].reshape(8, 8)
+    p, phi = np.linalg.eigh(perp)
+    perp = perp + (b[1] - p[4]) * np.outer(phi[:, 4], phi[:, 4].conj())
+    t[1:, :, 1:] = ((perp + perp.conj().T) / 2).reshape(2, 4, 2, 4)
+    return dataclasses.replace(spec, h_cb=t.reshape(12, 12))
 
 
 def diagonal_explicit_spec():
@@ -201,6 +219,29 @@ class TestPerturbationData:
         pd = perturbation_data(spec)
         oracle = rs2_table_bruteforce(spec)
         assert np.abs(pd.lambda_i0j - oracle).max() <= 1e-9
+
+    @pytest.mark.parametrize("case", [
+        ((2, 3, 4), 1, 0, 0.5), ((2, 3, 4), 2, 0, 0.5), ((3, 4, 5), 3, 2, 0.5),
+        ((3, 4, 5), 11, 3, 0.5), ((2, 5, 3), 1, 1, 0.5), ((3, 4, 5), 2, 1, 0.0), "gap-warning"],
+        ids=["2x3x4-seed1", "2x3x4-seed2", "3x4x5-r2", "3x4x5-r3", "2x5x3-r1", "c2-zero",
+             "gap-warning"])
+    def test_contracted_table_matches_the_per_index_sum(self, case):
+        # the table summed over C first, sum_cc' g[i, c, c'] k[c, c', j], against the sum over
+        # every matrix element one A index at a time and against the full-space dense sum; at
+        # c2 = 0 it is exactly 0, and a skipped denominator is skipped by all three
+        if case == "gap-warning":
+            spec = planted_gap_spec()
+        else:
+            factors, seed, r, c2 = case
+            spec = build_canonical(Dims(*factors), seed, 4.0, c2, r)
+        pd = perturbation_data(spec)
+        assert len(pd.gap_warnings) == (1 if case == "gap-warning" else 0)
+        assert_allclose(pd.lambda_i0j, lambda_per_index(spec, pd), rtol=0, atol=1e-12)
+        assert_allclose(pd.lambda_i0j, rs2_table_bruteforce(spec), rtol=0, atol=1e-12)
+        if spec.c2 == 0:
+            assert not pd.lambda_i0j.any()
+        else:
+            assert pd.lambda_sup > 1e-3
 
     def test_frozen_oracle_values(self, spec222):
         pd = perturbation_data(spec222)
@@ -710,6 +751,18 @@ def near_robust_h_cb_spec():
     return dataclasses.replace(spec, h_cb=h_cb)
 
 
+def record_eigvalsh_shapes(monkeypatch):
+    """The list that the shape of each matrix ``np.linalg.eigvalsh`` is given goes into."""
+    shapes, eigvalsh = [], np.linalg.eigvalsh
+
+    def recorded(m, *args, **kwargs):
+        shapes.append(np.shape(m))
+        return eigvalsh(m, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", recorded)
+    return shapes
+
+
 SECTOR_CASES = [(f, r) for f in [(2, 2, 3), (2, 3, 4), (3, 4, 5), (2, 5, 2)] for r in range(f[1])]
 
 
@@ -731,6 +784,28 @@ class TestTwoSectorKernel:
         psi = random_stack(spec.dims.total)
         want = psi @ chebyshev_operator(spec, cheb._center, cheb._half).T
         assert np.abs(apply_2x(cheb, psi) - want).max() <= 1e-13 * np.abs(want).max()
+
+    @pytest.mark.parametrize("factors, r", SECTOR_CASES,
+                             ids=[f"{a}x{c}x{b}-r{r}" for (a, c, b), r in SECTOR_CASES])
+    def test_sector_bounds_match_the_dense_eigvalsh(self, factors, r, monkeypatch):
+        # at any r, a robust model's C-B bounds come from its two sectors, d_B and (d_C - 1) d_B
+        # square, and agree with the dense eigvalsh of the whole block to roundoff
+        spec = build_canonical(Dims(*factors), 5, 50.0, 0.5, robust_index=r)
+        shapes = record_eigvalsh_shapes(monkeypatch)
+        cheb = Chebyshev(spec)
+        d_a, d_c, d_b = factors
+        assert shapes == [(d_a * d_c,) * 2, (d_b,) * 2, ((d_c - 1) * d_b,) * 2]
+        for got, want in zip((cheb.lo, cheb.hi), dense_spectral_bounds(spec)):
+            assert abs(got - want) <= 1e-13 * cheb.max_abs_energy
+
+    @pytest.mark.parametrize("make_spec", [leaky_h_c_spec, near_robust_h_cb_spec],
+                             ids=["leaky-h_c", "h_cb-cross-1e-13"])
+    def test_cross_blocks_not_exactly_zero_take_the_dense_bounds(self, make_spec, monkeypatch):
+        spec = make_spec()
+        shapes = record_eigvalsh_shapes(monkeypatch)
+        cheb = Chebyshev(spec)
+        assert shapes == [(6, 6), (12, 12)]
+        assert (cheb.lo, cheb.hi) == dense_spectral_bounds(spec)
 
     @pytest.mark.parametrize("make_spec", [leaky_h_c_spec, near_robust_h_cb_spec],
                              ids=["leaky-h_c", "h_cb-cross-1e-13"])
@@ -858,6 +933,18 @@ class TestStackContract:
                 assert_allclose(stack[:, k], one, rtol=0, atol=1e-15)
             stacks.append(stack)
         assert_allclose(stacks[0], stacks[1], rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("spec, times", STACK_CASES, ids=STACK_IDS)
+    def test_spectral_blocks_are_the_rows_of_evolve_many(self, spec, times):
+        # each block is bit for bit one evolve_many call at its own times, a row at t = 0
+        # included, in blocks of one row, of 7, and of all
+        prop = Propagator(assemble_hamiltonian(spec))
+        psi = random_stack(spec.dims.total)
+        for max_rows in (1, 7, len(times)):
+            blocks = list(prop.blocks(psi, times, max_rows))
+            assert [rows.start for rows, _ in blocks] == list(range(0, len(times), max_rows))
+            for rows, block in blocks:
+                assert np.array_equal(block, prop.evolve_many(psi, times[rows]))
 
     def test_unitary_from_the_identity_stack(self, spec233):
         h = assemble_hamiltonian(spec233)

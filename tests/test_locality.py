@@ -672,6 +672,30 @@ class TestLocalUnitaryInvariance:
         for name in ("mi_ab_bits", "entropy_a_bits", "entropy_b_bits", "residual_eq4"):
             assert_allclose(got[name], want[name], rtol=0, atol=1e-11, err_msg=name)
 
+    @settings(max_examples=25, derandomize=True, database=None, deadline=None)
+    @given(factors=st.tuples(st.sampled_from([2, 3]), st.sampled_from([2, 3, 4]),
+                             st.sampled_from([2, 3, 4])),
+           seed=st.integers(0, 2 ** 16), c1=st.floats(10.0, 60.0), data=st.data())
+    def test_locality_job_is_invariant_on_drawn_models(self, factors, seed, c1, data):
+        # the two parametrized tests below over drawn models, robust indices and couplings, on
+        # the route the count picks: local unitaries on all three sides move no mutual
+        # information, and on the target side and C alone they move neither signal's target
+        r = data.draw(st.integers(0, factors[1] - 1), label="robust_index")
+        dims = Dims(*factors)
+        rng = np.random.default_rng(seed)
+        alpha, chi = (rng.standard_normal(n) + 1j * rng.standard_normal(n) for n in factors[::2])
+        init = InitialSpec(alpha=alpha / np.linalg.norm(alpha), chi=chi / np.linalg.norm(chi))
+        spec = build_canonical(dims, seed, c1, 0.5, robust_index=r)
+        times = np.linspace(0, 10, 41)
+        want = locality_columns(spec, init, times, n_samples=8, seed=1)
+        for identity, names in (("", ["mi_ab_bits"]), ("B", ["signal_b_to_a", "mi_ab_bits"]),
+                                ("A", ["signal_a_to_b", "mi_ab_bits"])):
+            moved, moved_init = conjugate_locally(spec, init, seed, identity=identity)
+            got = locality_columns(moved, moved_init, times, n_samples=8, seed=1)
+            for name in names:
+                assert_allclose(got[name], want[name], rtol=0, atol=1e-11,
+                                err_msg=f"{name}, U = I on {identity or 'no side'}")
+
     @pytest.mark.parametrize("eigh_cost", [evolve_module.EIGH_FLOPS_PER_N3, np.inf],
                              ids=["spectral", "chebyshev"])
     @pytest.mark.parametrize("r", [0, 1], ids=["r0", "r1"])

@@ -8,9 +8,11 @@ from disd.model import (
     ModelSpec,
     assemble_hamiltonian,
     build_canonical,
+    check_robust_index,
     hamiltonian_blocks,
     initial_state,
     place_robust,
+    robust_sectors,
 )
 from disd.qcore import (
     Dims,
@@ -107,6 +109,17 @@ class TestBuildCanonical:
         with pytest.raises(ValueError, match=f"robust_index {robust_index} out of range for d_c = 3"):
             build_canonical(dims233, 0, 1.0, 0.1, robust_index=robust_index)
 
+    @pytest.mark.parametrize("robust_index, shown", [
+        (10 ** 5000, "<int of 5001 digits>"), (-10 ** 5000 + 1, "<negative int of 5000 digits>"),
+        (10 ** 40, "<int of 41 digits>"), (10 ** 40 - 1, str(10 ** 40 - 1))],
+        ids=["5001-digits", "minus-5000-digits", "41-digits", "40-digits"])
+    def test_a_huge_robust_index_is_echoed_by_its_digit_count(self, robust_index, shown):
+        # past 4300 digits Python refuses to turn an int into a string, so the echo counts its
+        # digits instead; from 41 digits on it does so for every int, below it shows the int
+        with pytest.raises(ValueError) as info:
+            check_robust_index(robust_index, 3)
+        assert str(info.value) == f"robust_index {shown} out of range for d_c = 3"
+
     def test_rejects_bad_couplings(self, dims233):
         for c1, c2, message in ((0.0, 0.1, "c1 must be positive and finite, got 0.0"),
                                 (1.0, -0.1, "c2 must be non-negative and finite, got -0.1")):
@@ -127,6 +140,36 @@ class TestRobustnessCheck:
                 dataclasses.replace(spec, h_cb=planted_h_cb(dims233, r, 1e-3))
             assert str(info.value) == ("h_cb violates the robust-state block structure: "
                                        "max cross-block entry 1.000e-03 > 1.0e-12")
+
+    @pytest.mark.parametrize("r", [0, 1, 2])
+    @pytest.mark.parametrize("sector", ["robust", "orthogonal"])
+    def test_h_cb_norm_is_the_larger_of_its_sectors(self, dims233, r, sector):
+        # an exactly robust h_cb is the direct sum of its two sectors, whose norms give its
+        # own; one sector scaled to norm 1.5 is refused with that norm
+        spec = build_canonical(dims233, 3, 2.0, 0.4, robust_index=r)
+        robust, orthogonal = robust_sectors(spec.h_cb, dims233, r)
+        assert robust.shape == (3, 3) and orthogonal.shape == (6, 6)
+        assert abs(max(spectral_norm(robust), spectral_norm(orthogonal))
+                   - np.linalg.norm(spec.h_cb, 2)) <= 1e-15
+        t = spec.h_cb.reshape(3, 3, 3, 3).copy()
+        others = [c for c in range(3) if c != r]
+        if sector == "robust":
+            t[r, :, r] *= 1.5 / spectral_norm(robust)
+        else:
+            t[np.ix_(others, range(3), others, range(3))] *= 1.5 / spectral_norm(orthogonal)
+        with pytest.raises(ValidationError, match=r"^h_cb shape norm 1\.500000000000 deviates"):
+            dataclasses.replace(spec, h_cb=t.reshape(9, 9))
+
+    @pytest.mark.parametrize("r", [0, 1, 2])
+    def test_cross_entry_below_robust_tol_keeps_the_whole_matrix(self, dims233, spec233, r):
+        # within ROBUST_TOL of robust is not exactly robust: the norm is taken of all of h_cb
+        h_cb = planted_h_cb(dims233, r, 1e-13)
+        (whole,) = robust_sectors(h_cb, dims233, r)
+        assert whole is h_cb
+        spec = dataclasses.replace(spec233, h_cb=h_cb, robust_index=r)
+        assert np.array_equal(spec.h_cb, h_cb)
+        with pytest.raises(ValidationError, match=r"^h_cb shape norm 2\.000000000000 deviates"):
+            dataclasses.replace(spec, h_cb=2 * h_cb)
 
     @pytest.mark.parametrize("entry, passes", [(1e-12, True), (1.01e-12, False)])
     def test_tolerance_is_robust_tol(self, dims233, spec233, entry, passes):

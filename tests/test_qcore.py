@@ -14,6 +14,7 @@ from disd.qcore import (
     mi_and_entropies,
     random_hermitian,
     rdm_from_state,
+    spectral_norm,
     vn_entropy,
 )
 
@@ -316,6 +317,18 @@ class TestNonFiniteInputs:
         message = rf"^trace-distance input has a non-finite entry \({bad}\+0j\) at "
         with pytest.raises(ValidationError, match=message + rf"\(1, 2, {where[0]}, {where[1]}\)$"):
             max_trace_distance(diffs)
+
+    def test_spectral_norm(self, bad, where):
+        m = np.eye(3)
+        m[where] = bad
+        message = rf"^spectral-norm input has a non-finite entry {bad} at \({where[0]}, {where[1]}\)$"
+        with pytest.raises(ValidationError, match=message):
+            spectral_norm(m)
+
+
+class TestSpectralNorm:
+    def test_zero_matrix_has_norm_zero(self):
+        assert spectral_norm(np.zeros((3, 5), dtype=complex)) == 0.0
 
 
 class TestLapackGuard:
