@@ -21,6 +21,7 @@ import numpy as np
 from .config import (
     ConfigError,
     RunConfig,
+    _named,
     initial_from_config,
     load_config,
     matrix_to_json,
@@ -32,7 +33,7 @@ from .config import (
 from .decompose import planted_sequential, sequential_residual
 from .evolve import simulate_columns
 from .locality import locality_columns, tau_estimate
-from .qcore import Dims, ValidationError
+from .qcore import Dims, ValidationError, _check_seed
 
 __all__ = [
     "cmd_decompose",
@@ -145,18 +146,15 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _seed(text: str) -> int:
-    """The value of ``--seed``: a non-negative integer."""
+def _seed(text: str) -> int | str:
+    """The value of ``--seed``: its integer, or the text itself; ``main`` checks it as a seed."""
     try:
-        seed = int(text)
+        return int(text)
     except ValueError:
-        seed = -1
-    if seed < 0:
-        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
-    return seed
+        return text
 
 
-def _plant(text: str) -> int:
+def _plant(text: str) -> int | str:
     """The value of ``--plant``: seed=<int>, a seed that obeys the rule of ``--seed``."""
     key, _, raw = text.partition("=")
     if key != "seed":
@@ -213,6 +211,9 @@ def main(argv=None) -> int:
     args = None
     try:
         args = _build_parser().parse_args(argv)
+        for flag in ("seed", "plant"):
+            if getattr(args, flag, None) is not None:
+                _named(f"argument --{flag}: ", _check_seed, getattr(args, flag))
         if args.command == "decompose":
             _run_decompose(args)
         else:

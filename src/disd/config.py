@@ -14,9 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (_BRIEF, InitialSpec, ModelSpec, build_canonical, check_amplitudes,
-                    check_couplings, check_robust_index)
-from .qcore import Dims, ValidationError, _norm_and_unit
+from .locality import check_n_samples, check_threshold_bits
+from .model import (InitialSpec, ModelSpec, build_canonical, check_amplitudes, check_couplings,
+                    check_robust_index)
+from .qcore import _BRIEF, Dims, ValidationError, _check_seed, _norm_and_unit
 
 __all__ = [
     "ConfigError",
@@ -35,7 +36,6 @@ __all__ = [
 ]
 
 MODEL_FAMILIES = ("disd-canonical", "explicit")
-MAX_SAMPLES = 100_000  # cap on locality.n_samples; each sample combines the evolved source basis
 
 
 class ConfigError(ValueError):
@@ -176,9 +176,8 @@ def parse_config(doc: dict) -> RunConfig:
 
     dims = dims_from_json(doc, "config")
 
-    seed = _optional(doc, "seed", int, "config", 0)
-    if seed < 0:
-        raise ConfigError(f"seed must be a non-negative integer, got {_BRIEF.repr(seed)}")
+    seed = doc.get("seed", 0)
+    _named("", _check_seed, seed)
 
     coup = _require(doc, "couplings", dict, "config")
     _known(coup, ("c1", "c2"), "couplings")
@@ -239,13 +238,10 @@ def parse_config(doc: dict) -> RunConfig:
 
     loc = _optional(doc, "locality", dict, "config", {})
     _known(loc, ("n_samples", "threshold_bits"), "locality")
-    n_samples = _optional(loc, "n_samples", int, "locality", 64)
-    threshold_bits = _optional(loc, "threshold_bits", float, "locality", 0.01)
-    if not 1 <= n_samples <= MAX_SAMPLES:
-        raise ConfigError(
-            f"locality.n_samples must be an integer in [1, {MAX_SAMPLES}], got {_BRIEF.repr(n_samples)}")
-    if not threshold_bits > 0:
-        raise ConfigError(f"locality.threshold_bits must be positive, got {threshold_bits}")
+    n_samples = loc.get("n_samples", 64)
+    threshold_bits = loc.get("threshold_bits", 0.01)
+    _named("locality.", check_n_samples, n_samples)
+    _named("locality.", check_threshold_bits, threshold_bits)
 
     grid = None
     sweep = _optional(doc, "sweep", dict, "config", None)
@@ -273,7 +269,7 @@ def parse_config(doc: dict) -> RunConfig:
         dims=dims, seed=seed, c1=c1, c2=c2,
         model_family=family, model_robust_index=robust_index, model_matrices=matrices,
         initial=initial, t_max=t_max, steps=steps,
-        n_samples=n_samples, threshold_bits=threshold_bits,
+        n_samples=n_samples, threshold_bits=float(threshold_bits),
         sweep_grid=grid, output_path=output_path,
     )
 

@@ -23,8 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (InitialSpec, ModelSpec, assemble_hamiltonian, hamiltonian_blocks, initial_state,
-                    robust_sectors)
+from .model import (InitialSpec, ModelSpec, assemble_hamiltonian, check_amplitudes,
+                    hamiltonian_blocks, initial_state, robust_sectors)
 from .qcore import ValidationError, check_hermitian, eigh_ordered, mi_and_entropies, spectral_norm
 
 __all__ = [
@@ -570,7 +570,9 @@ def product_approx(init: InitialSpec, pd: PerturbationData, times) -> np.ndarray
     second-order shift depends on both labels, so each row is generally A-B correlated. The
     phase guard of :func:`propagate` applies to these energies: lambda_i0j grows like c2^2 /
     c1, so a small c1 can leave fewer than eight correct digits, which raises ``ValidationError``.
+    ``init``'s amplitudes are checked against the model's dims first (``check_amplitudes``).
     """
+    check_amplitudes(init.alpha, init.chi, pd.spec.dims)
     pd.check_phases(times)
     t = np.asarray(times, dtype=float).reshape(-1, 1, 1)
     amp = np.outer(pd.a_vecs.conj().T @ init.alpha, pd.b_vecs.conj().T @ init.chi)

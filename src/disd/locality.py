@@ -20,18 +20,39 @@ for the samples.
 
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 
 from .evolve import block_budget, propagate
 from .model import InitialSpec, ModelSpec, initial_state, place_robust
-from .qcore import (Dims, check_unitary, derive_seed, haar_unitary, max_trace_distance,
-                    mi_and_entropies, rdm_from_state)
+from .qcore import (_BRIEF, Dims, _check_seed, _is_integer, check_unitary, derive_seed,
+                    haar_unitary, max_trace_distance, mi_and_entropies, rdm_from_state)
 
 __all__ = [
+    "check_n_samples",
+    "check_threshold_bits",
     "locality_columns",
     "signaling_test_unitary",
     "tau_estimate",
 ]
+
+MAX_SAMPLES = 100_000  # cap on n_samples; each sample combines the evolved source basis
+
+
+def check_n_samples(n_samples: int) -> None:
+    """ValueError unless n_samples is an integer, not a bool, in [1, MAX_SAMPLES]."""
+    if not (_is_integer(n_samples) and 1 <= n_samples <= MAX_SAMPLES):
+        raise ValueError(f"n_samples must be an integer in [1, {MAX_SAMPLES}], "
+                         f"got {_BRIEF.repr(n_samples)}")
+
+
+def check_threshold_bits(threshold_bits: float) -> None:
+    """ValueError unless threshold_bits is a positive finite number; a bool is not one."""
+    if not ((_is_integer(threshold_bits) or isinstance(threshold_bits, (float, np.floating)))
+            and 0 < threshold_bits <= sys.float_info.max):  # exact for a huge int, false for nan
+        raise ValueError(f"threshold_bits must be a positive finite number, "
+                         f"got {_BRIEF.repr(threshold_bits)}")
 
 
 def _source_stack(init: InitialSpec, dims: Dims, robust_index: int, direction: str):
@@ -60,8 +81,6 @@ def _signaling_reducer(amplitudes: np.ndarray, keep: tuple, dims: Dims, directio
     maximum over samples is ``qcore.max_trace_distance``, bit for bit that of
     every sample's trace distance.
     """
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
     d_s, d_t = len(amplitudes), dims.factors[keep[0]]
     seeds = [derive_seed(seed, "signaling", direction, k) for k in range(n_samples)]
     draw = max(1, budget // d_s ** 2)
@@ -104,7 +123,10 @@ def locality_columns(spec: ModelSpec, init: InitialSpec, times, n_samples: int =
     pass. Each block is reduced as it arrives. Besides the q_s, no stack the
     job forms holds more than ``evolve.block_budget(times, n)`` numbers, except
     where one time's cross states outnumber it (see ``_signaling_reducer``).
+    n_samples and the seed are checked first, before any propagation.
     """
+    check_n_samples(n_samples)
+    _check_seed(seed)
     dims = spec.dims
     sources = {d: _source_stack(init, dims, spec.robust_index, d) for d in ("b_to_a", "a_to_b")}
     streams = propagate(spec, times, [basis for _, basis, _ in sources.values()])
@@ -127,6 +149,7 @@ def signaling_test_unitary(u: np.ndarray, init: InitialSpec, dims: Dims, robust_
     states evolved by ``u``: no stack of differences D_s = q_s @ cross outgrows
     one state; the cross states, d_source^2 d_target^2 numbers, may.
     """
+    check_n_samples(n_samples)
     amplitudes, basis, keep = _source_stack(init, dims, robust_index, direction)
     u = check_unitary(u, dims.total)
     reduce = _signaling_reducer(amplitudes, keep, dims, direction, n_samples, seed,
@@ -140,8 +163,7 @@ def tau_estimate(times, mi_ab_bits, threshold_bits: float) -> float | None:
     Linear interpolation between the bracketing samples; returns the first
     sample time if the series already starts at or above the threshold.
     """
-    if not threshold_bits > 0:
-        raise ValueError("threshold_bits must be positive")
+    check_threshold_bits(threshold_bits)
     t = np.asarray(times, dtype=float)
     m = np.asarray(mi_ab_bits, dtype=float)
     if t.shape != m.shape:

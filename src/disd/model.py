@@ -15,15 +15,15 @@ j != robust_index vanishes.
 
 from __future__ import annotations
 
-import math
-import reprlib
 from dataclasses import dataclass
 
 import numpy as np
 
 from .qcore import (
+    _BRIEF,
     Dims,
     ValidationError,
+    _is_integer,
     _norm_and_unit,
     check_hermitian,
     derive_seed,
@@ -51,27 +51,6 @@ ROBUST_TOL = 1e-12
 UNIT_NORM_TOL = 1e-10
 
 
-class _Brief(reprlib.Repr):
-    """Echoes a rejected value: short ones whole, large or deep ones cut.
-
-    An int of more than ``maxlong`` digits shows as its digit count. It is never
-    turned into a string, which Python refuses past 4300 digits.
-    """
-
-    def repr_int(self, x: int, level: int) -> str:
-        n = abs(x)
-        if n < 10 ** self.maxlong:
-            return super().repr_int(x, level)
-        digits = int((n.bit_length() - 1) * math.log10(2))  # at most the digits, less one
-        while n >= 10 ** digits:
-            digits += 1
-        return f"<{'negative ' if x < 0 else ''}int of {digits} digits>"
-
-
-_BRIEF = _Brief()
-_BRIEF.maxlevel, _BRIEF.maxstring, _BRIEF.maxother = 2, 40, 40
-
-
 def check_couplings(c1: float, c2: float) -> None:
     """ValueError unless c1 is positive and c2 non-negative, both finite."""
     if not 0 < c1 < np.inf:
@@ -81,7 +60,10 @@ def check_couplings(c1: float, c2: float) -> None:
 
 
 def check_robust_index(robust_index: int, d_c: int) -> None:
-    """ValueError unless 0 <= robust_index < d_c; a negative index would wrap."""
+    """ValueError unless robust_index is an integer, not a bool, with 0 <= robust_index < d_c;
+    a float or a bool would reach numpy as an index, and a negative index would wrap."""
+    if not _is_integer(robust_index):
+        raise ValueError(f"robust_index must be an integer, got {_BRIEF.repr(robust_index)}")
     if not 0 <= robust_index < d_c:
         raise ValueError(f"robust_index {_BRIEF.repr(robust_index)} out of range for d_c = {d_c}")
 

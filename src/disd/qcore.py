@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import reprlib
 from dataclasses import dataclass
 from typing import ClassVar, Iterable, Sequence
 
@@ -43,6 +44,32 @@ _MASK64 = (1 << 64) - 1
 
 class ValidationError(ValueError):
     """A numerical contract was violated (non-Hermitian input, norm drift, ...)."""
+
+
+class _Brief(reprlib.Repr):
+    """Echoes a rejected value: short ones whole, large or deep ones cut.
+
+    An int of more than ``maxlong`` digits shows as its digit count. It is never
+    turned into a string, which Python refuses past 4300 digits.
+    """
+
+    def repr_int(self, x: int, level: int) -> str:
+        n = abs(x)
+        if n < 10 ** self.maxlong:
+            return super().repr_int(x, level)
+        digits = int((n.bit_length() - 1) * math.log10(2))  # at most the digits, less one
+        while n >= 10 ** digits:
+            digits += 1
+        return f"<{'negative ' if x < 0 else ''}int of {digits} digits>"
+
+
+_BRIEF = _Brief()
+_BRIEF.maxlevel, _BRIEF.maxstring, _BRIEF.maxother = 2, 40, 40
+
+
+def _is_integer(x) -> bool:
+    """Whether x is a Python or numpy integer; a bool is not one here."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
 @dataclass(frozen=True)
@@ -84,16 +111,25 @@ def _splitmix64(x: int) -> int:
     return z ^ (z >> 31)
 
 
+def _check_seed(seed: int) -> None:
+    """ValueError unless ``seed`` is an integer in [0, 2**64), a master seed of derive_seed."""
+    if not (_is_integer(seed) and 0 <= seed <= _MASK64):
+        raise ValueError(f"seed must be an integer in [0, 2**64), got {_BRIEF.repr(seed)}")
+
+
 def derive_seed(master: int, *parts: int | str) -> int:
     """Derive a 64-bit sub-seed from a master seed and a component path.
 
-    The mix is a splitmix64 chain: ``state = splitmix64(master)`` followed by
+    The master seed must be an integer in [0, 2**64) (``ValueError`` otherwise),
+    so no two master seeds share their sub-seeds. The mix is a splitmix64 chain:
+    ``state = splitmix64(master)`` followed by
     ``state = splitmix64(state ^ part)`` for each part in order. String parts
     are first reduced to 64 bits with blake2b. The result depends only on the
     arguments, never on how many other sub-seeds were drawn, so concurrent
     consumers can derive their own streams without coordination.
     """
-    state = _splitmix64(int(master) & _MASK64)
+    _check_seed(master)
+    state = _splitmix64(int(master))
     for part in parts:
         if isinstance(part, str):
             digest = hashlib.blake2b(part.encode("utf-8"), digest_size=8).digest()

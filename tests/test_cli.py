@@ -10,9 +10,9 @@ import pytest
 from numpy.testing import assert_allclose
 
 import disd
+from disd import locality
 from disd.cli import cmd_make_model, cmd_simulate, main, sweep_columns
 from disd.config import (
-    MAX_SAMPLES,
     ConfigError,
     initial_from_config,
     matrix_from_json,
@@ -22,6 +22,9 @@ from disd.config import (
     times_from_config,
 )
 from disd.evolve import Chebyshev, Propagator, perturbation_data
+from disd.decompose import planted_sequential, sequential_residual
+from disd.locality import (MAX_SAMPLES, locality_columns, signaling_test_unitary,
+                           tau_estimate)
 from disd.model import InitialSpec, ModelSpec, assemble_hamiltonian, build_canonical, initial_state
 from disd.qcore import Dims, ValidationError, haar_unitary
 
@@ -657,7 +660,7 @@ class TestBoundedErrorValues:
         assert field in str(info.value)
 
     @pytest.mark.parametrize("section, key, value, message", [
-        (None, "seed", -10 ** 5000, "seed must be a non-negative integer, got <negative int of "
+        (None, "seed", -10 ** 5000, "seed must be an integer in [0, 2**64), got <negative int of "
                                     "5001 digits>"),
         ("couplings", "c1", 10 ** 5000, "couplings.c1 must be a finite number, got <int of 5001 "
                                         "digits>"),
@@ -807,6 +810,89 @@ CONTRACTS = [
                                    **{k: np.eye(n) for k, n in WRONG_H_A.items()}),
                  id="matrix-shape"),
 ]
+
+
+def locality_job(n_samples):
+    return locality_columns(build_canonical(DIMS, 1, 8.0, 0.1), InitialSpec(ALPHA, CHI),
+                            [0.0, 1.0], n_samples=n_samples)
+
+
+# The inputs whose one check the library owns: each one's (config path, the prefix config puts
+# before the check's message, a command that uses the value, a library call that takes it)
+CHECKED_INPUTS = {
+    "seed": ("seed", "", "make-model", lambda v: build_canonical(DIMS, v, 8.0, 0.1)),
+    "n_samples": ("locality.n_samples", "locality.", "locality", locality_job),
+    "threshold_bits": ("locality.threshold_bits", "locality.", "sweep",
+                       lambda v: tau_estimate([0.0, 1.0], [0.0, 0.02], v)),
+}
+# one table per input: (value, whether the library, parse_config and main() all accept it)
+SEED_VALUES = [(0, True), (2 ** 64 - 1, True), (-1, False), (2 ** 64, False), (1.5, False)]
+N_SAMPLES_VALUES = [(1, True), (MAX_SAMPLES, True), (0, False), (MAX_SAMPLES + 1, False),
+                    (2.5, False)]
+THRESHOLD_VALUES = [(1e-300, True), (0, False), (-1, False), (float("nan"), False)]
+CHECKED_VALUES = [pytest.param(name, value, ok, id=f"{name}={value!r}")
+                  for name, table in (("seed", SEED_VALUES), ("n_samples", N_SAMPLES_VALUES),
+                                      ("threshold_bits", THRESHOLD_VALUES))
+                  for value, ok in table]
+
+
+class TestOneCheckPerInput:
+    """The library, parse_config and main() accept and refuse the same values, by one message."""
+
+    @pytest.mark.parametrize("name, value, ok", CHECKED_VALUES)
+    def test_library_config_and_cli_agree(self, tmp_path, capsys, monkeypatch, name, value, ok):
+        # the samples themselves are not drawn: MAX_SAMPLES of them would take seconds
+        monkeypatch.setattr(locality, "_signaling_reducer",
+                            lambda *args: lambda phi: np.zeros(len(phi)))
+        path, prefix, command, call = CHECKED_INPUTS[name]
+        doc = edited_config({path: value, "sweep.c1_values": [8.0]})
+        argv = [command, "--config", write_config(tmp_path, doc), "--out", str(tmp_path / "out")]
+        if ok:
+            call(value)
+            assert getattr(parse_config(doc), name) == value
+            assert main(argv) == 0
+            assert capsys.readouterr().err == ""
+            return
+        with pytest.raises(ValueError) as info:
+            call(value)
+        assert type(info.value) is ValueError
+        with pytest.raises(ConfigError) as config_info:
+            parse_config(doc)
+        assert str(config_info.value) == f"{prefix}{info.value}"
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"config error: {prefix}{info.value}\n"
+
+    @pytest.mark.parametrize("value", [-1, 2 ** 64])
+    @pytest.mark.parametrize("flag", ["--seed", "--plant"])
+    def test_seed_flags_give_the_library_message(self, tmp_path, capsys, flag, value):
+        # 2**64 once ran as seed 0: derive_seed kept its low 64 bits
+        with pytest.raises(ValueError) as info:
+            build_canonical(DIMS, value, 8.0, 0.1)
+        argv = (["decompose", "--plant", f"seed={value}"] if flag == "--plant" else
+                ["simulate", "--config", write_config(tmp_path, base_config()), "--seed", str(value)])
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"config error: argument {flag}: {info.value}\n"
+
+    def test_seed_flags_take_the_largest_seed(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, base_config())
+        assert main(["make-model", "--config", cfg, "--seed", str(2 ** 64 - 1)]) == 0
+        assert json.loads(capsys.readouterr().out)["seed"] == 2 ** 64 - 1
+        assert main(["decompose", "--plant", f"seed={2 ** 64 - 1}"]) == 0
+
+    @pytest.mark.parametrize("job", [
+        lambda seed: build_canonical(DIMS, seed, 8.0, 0.1),
+        lambda seed: planted_sequential(Dims(2, 2, 2), seed),
+        lambda seed: sequential_residual(np.eye(8), Dims(2, 2, 2), seed=seed),
+        lambda seed: locality_columns(build_canonical(DIMS, 1, 8.0, 0.1), InitialSpec(ALPHA, CHI),
+                                      [0.0], seed=seed),
+        lambda seed: signaling_test_unitary(np.eye(DIMS.total), InitialSpec(ALPHA, CHI), DIMS, 0,
+                                            "b_to_a", seed=seed),
+    ], ids=["build_canonical", "planted_sequential", "sequential_residual", "locality_columns",
+            "signaling_test_unitary"])
+    def test_every_seeded_call_refuses_a_seed_past_64_bits(self, job):
+        with pytest.raises(ValueError, match=r"^seed must be an integer in \[0, 2\*\*64\), "
+                                             r"got 18446744073709551616$"):
+            job(2 ** 64)
 
 
 class TestExitCodes:

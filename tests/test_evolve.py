@@ -357,6 +357,16 @@ class TestProductApprox:
         _, columns = simulate_columns(spec, init233, np.linspace(0, 8, 40))
         assert columns["residual_eq4"].max() <= 1e-9
 
+    def test_amplitudes_of_another_model_give_the_contract_message(self, spec233):
+        # the message of check_amplitudes, as simulate_columns gives, not numpy's matmul error
+        init = InitialSpec(alpha=np.full(3, 3 ** -0.5), chi=np.full(3, 3 ** -0.5))
+        for job in (lambda: product_approx(init, perturbation_data(spec233), [0.0, 1.0]),
+                    lambda: simulate_columns(spec233, init, [0.0, 1.0])):
+            with pytest.raises(ValueError) as info:
+                job()
+            assert type(info.value) is ValueError
+            assert str(info.value) == "alpha has length (3,), expected 2"
+
 
 class TestApproxResidual:
     def test_zero_at_time_zero(self, spec233, init233):

@@ -13,7 +13,8 @@ from disd.decompose import planted_sequential, sequential_residual
 from disd import evolve as evolve_module
 from disd import locality as locality_module
 from disd.evolve import Chebyshev, Propagator, propagate, simulate_columns
-from disd.locality import _source_stack, locality_columns, signaling_test_unitary, tau_estimate
+from disd.locality import (MAX_SAMPLES, _source_stack, locality_columns,
+                           signaling_test_unitary, tau_estimate)
 from disd.model import (InitialSpec, ModelSpec, assemble_hamiltonian, build_canonical,
                         initial_state)
 from disd.qcore import (Dims, ValidationError, derive_seed, haar_unitary, mi_and_entropies,
@@ -96,6 +97,23 @@ class TestSignaling:
     def test_rejects_bad_direction(self, dims222, init222):
         with pytest.raises(ValueError, match="direction must be"):
             signaling_test_unitary(np.eye(dims222.total), init222, dims222, 0, "c_to_a")
+
+    def test_too_many_samples_are_refused_before_any_draw_or_evolution(self, spec233, init233,
+                                                                        monkeypatch):
+        calls = []
+        for module, name in ((locality_module, "derive_seed"), (locality_module, "propagate"),
+                             (np.linalg, "eigh")):
+            def counted(*args, _name=name, _original=getattr(module, name), **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+        with pytest.raises(ValueError, match=rf"^n_samples must be an integer in \[1, {MAX_SAMPLES}\], "
+                                             rf"got {MAX_SAMPLES + 1}$"):
+            locality_columns(spec233, init233, [0.0, 1.0], n_samples=MAX_SAMPLES + 1)
+        assert calls == []
+        locality_columns(spec233, init233, [0.0, 1.0], n_samples=4)  # the counters see a job
+        assert {"derive_seed", "propagate", "eigh"} <= set(calls)
 
     def test_rejects_zero_samples(self, spec233, init233, dims222, init222):
         with pytest.raises(ValueError, match="n_samples"):

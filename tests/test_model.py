@@ -109,6 +109,20 @@ class TestBuildCanonical:
         with pytest.raises(ValueError, match=f"robust_index {robust_index} out of range for d_c = 3"):
             build_canonical(dims233, 0, 1.0, 0.1, robust_index=robust_index)
 
+    @pytest.mark.parametrize("robust_index", [1.0, True, np.float64(1)],
+                             ids=["float", "bool", "numpy-float"])
+    def test_rejects_a_robust_index_that_is_not_an_integer(self, robust_index):
+        # each passes the range test; as an index numpy would refuse it with IndexError, or
+        # read True as a boolean mask
+        with pytest.raises(ValueError) as info:
+            build_canonical(Dims(2, 3, 4), 1, 50.0, 0.5, robust_index=robust_index)
+        assert type(info.value) is ValueError
+        assert str(info.value) == f"robust_index must be an integer, got {robust_index!r}"
+
+    def test_accepts_a_numpy_integer_robust_index(self):
+        spec = build_canonical(Dims(2, 3, 4), 1, 50.0, 0.5, robust_index=np.int64(1))
+        assert spec.robust_index == 1
+
     @pytest.mark.parametrize("robust_index, shown", [
         (10 ** 5000, "<int of 5001 digits>"), (-10 ** 5000 + 1, "<negative int of 5000 digits>"),
         (10 ** 40, "<int of 41 digits>"), (10 ** 40 - 1, str(10 ** 40 - 1))],

@@ -435,8 +435,12 @@ class TestDeriveSeed:
         assert len(seen) == 6
 
     def test_range(self):
-        s = derive_seed(2 ** 70, "big")
+        # a master seed is an integer in [0, 2**64): none past it aliases one below it
+        s = derive_seed(2 ** 64 - 1, "big")
         assert 0 <= s < 2 ** 64
+        with pytest.raises(ValueError, match=r"^seed must be an integer in \[0, 2\*\*64\), "
+                                             r"got 1180591620717411303424$"):
+            derive_seed(2 ** 70, "big")
 
 
 class TestEighOrdered:
@@ -463,6 +467,17 @@ class TestEighOrdered:
         off = d - np.diag(np.diagonal(d))
         assert np.abs(off).max() <= 1e-10
         assert np.all(np.diff(np.real(np.diagonal(d))) <= 1e-12)
+
+    @pytest.mark.parametrize("spread, gap, pinned", [(1e4, 1e-8, True), (1.0, 1e-8, False),
+                                                     (1e-3, 5e-11, True)])
+    def test_the_degeneracy_tolerance_scales_with_the_spread(self, spread, gap, pinned):
+        # eigenvalues closer than 1e-10 * max(1, spread) form a block that the secondary
+        # pins: a gap of 1e-8 is one at spread 1e4, not at spread 1, and below spread 1 the
+        # tolerance stays 1e-10
+        secondary = np.array([[0, 0, 0], [0, 0, 1], [0, 1, 0]], dtype=complex)
+        _, vecs = eigh_ordered(np.diag([spread, gap, 0.0]).astype(complex), secondary=secondary)
+        d = vecs[:, 1:].conj().T @ secondary @ vecs[:, 1:]
+        assert abs(d[0, 1]) == pytest.approx(0.0 if pinned else 1.0, abs=1e-12)
 
     def test_secondary_resolves_a_degeneracy_in_a_complex_basis(self):
         # the degenerate pair of U diag(1, 1, 2) U+ spans complex vectors, so the block

@@ -5,6 +5,8 @@ Each mutant changes one site in one file of a scratch copy of ``src/``:
     conj   drop a ``.conj()`` call
     T      drop a ``.T`` transpose
     -1j    flip ``-1j`` to ``+1j``
+    max    swap ``max`` and ``min`` in a call: the builtins, ``np.max``/``np.min`` and the
+           ``.max()``/``.min()`` methods (an attribute such as ``float_info.max`` is not a call)
 
 Sites are found with ``tokenize``, so strings (docstrings among them) and comments are never
 touched; a mutant that does not parse is skipped. For each mutant the tier-1 suite runs with
@@ -35,10 +37,13 @@ def sites(text: str) -> list[tuple[str, int, int, int, str]]:
     tokens = [t for t in tokenize.generate_tokens(io.StringIO(text).readline)
               if t.type not in (tokenize.NL, tokenize.COMMENT)]
     found = []
+    swap = {"max": "min", "min": "max"}
     for i, tok in enumerate(tokens):
+        ahead = [t.string for t in tokens[i + 1:i + 4]]
+        if tok.type == tokenize.NAME and tok.string in swap and ahead[:1] == ["("]:
+            found.append(("max", tok.start[0], tok.start[1], tok.end[1], swap[tok.string]))
         if tok.type != tokenize.OP:
             continue
-        ahead = [t.string for t in tokens[i + 1:i + 4]]
         if tok.string == "." and ahead == ["conj", "(", ")"]:
             found.append(("conj", tok.start[0], tok.start[1], tokens[i + 3].end[1], ""))
         elif tok.string == "." and ahead[:1] == ["T"] and tokens[i + 1].type == tokenize.NAME:
